@@ -9,7 +9,6 @@ maps to; all searches over that family are bounded and say so.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -175,50 +174,50 @@ def _tail_value(seq: SizeSequence, i: int) -> ExtNat:
 # Pointwise comparison (exact, via eventual periodicity)
 
 
-@functools.lru_cache(maxsize=65536)
-def _values(seq: SizeSequence, upto: int) -> tuple:
-    return tuple(seq.eval(i) for i in range(upto))
-
-
-def _steps(seq: SizeSequence, base: int, period: int) -> list:
-    values = _values(seq, base + 3 * period)
+def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
+    """(base, period, values): past `base` every sequence repeats with `period`
+    up to a fixed step per residue, so the values on [0, base + 2 * period)
+    decide equality and, with those steps, inclusion.  Values are plain
+    numbers (omega = math.inf); each layout (prefix and streams) is evaluated
+    once and overrides are patched on top."""
+    base = max((s.settle_index() for s in seqs), default=0)
+    period = math.lcm(*(s.period() for s in seqs))
+    layouts: dict = {}
     out = []
-    for rho in range(period):
-        v0, v1, v2 = (values[base + rho + k * period] for k in range(3))
-        if v0.is_omega or v1.is_omega:
-            if not (v0.is_omega and v1.is_omega and v2.is_omega):
-                raise RuntimeError("sequence not settled at the computed base")
-            out.append(None)
-            continue
-        step = v1.finite - v0.finite
-        if v2.finite - v1.finite != step or step < 0:
-            raise RuntimeError("sequence not settled at the computed base")
-        out.append(step)
-    return out
+    for seq in seqs:
+        key = (seq.prefix, seq.streams)
+        if key not in layouts:
+            bare = SizeSequence(seq.prefix, seq.streams)
+            layouts[key] = [math.inf if v.is_omega else v.finite
+                            for v in map(bare.eval, range(base + 2 * period))]
+        vec = layouts[key].copy()
+        for i, v in seq.overrides:
+            vec[i] = math.inf if v.is_omega else v.finite
+        out.append(tuple(vec))
+    return base, period, out
 
 
-@functools.lru_cache(maxsize=1 << 20)
+def _vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
+    if any(x > y for x, y in zip(va, vb)):
+        return False
+    # where b is finite past the base, so is a (it is below b); a must not grow faster
+    return all(vb[i] == math.inf or va[i + period] - va[i] <= vb[i + period] - vb[i]
+               for i in range(base, base + period))
+
+
 def seq_le(a: SizeSequence, b: SizeSequence) -> bool:
     """Pointwise comparison of two size sequences (= language inclusion)."""
-    base = max(a.settle_index(), b.settle_index())
-    period = math.lcm(a.period(), b.period())
-    va = _values(a, base + 3 * period)
-    vb = _values(b, base + 3 * period)
-    for i in range(base + 2 * period):
-        if not va[i] <= vb[i]:
-            return False
-    sa = _steps(a, base, period)
-    sb = _steps(b, base, period)
-    for rho in range(period):
-        if sb[rho] is None:
-            continue
-        if sa[rho] is None or sa[rho] > sb[rho]:
-            return False
-    return True
+    if a == b:
+        return True
+    base, period, (va, vb) = _window((a, b))
+    return _vec_le(va, vb, base, period)
 
 
 def seq_eq(a: SizeSequence, b: SizeSequence) -> bool:
-    return seq_le(a, b) and seq_le(b, a)
+    if a == b:
+        return True
+    _, _, (va, vb) = _window((a, b))
+    return va == vb
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +306,19 @@ def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
 
 def language_closure(langs: Sequence[SizeSequence], positions: int) -> list[SizeSequence]:
     """The given languages together with all transposition variants over the
-    first `positions` slots (a bounded stand-in for the full permutation closure)."""
+    first `positions` slots (a bounded stand-in for the full permutation closure).
+
+    The input comes first, verbatim; each new language follows at the first
+    transposition that yields it."""
+    cands = [permuted(lang, FinitePermutation(((a, b), (b, a))))
+             for lang in langs for a in range(positions) for b in range(a + 1, positions)]
+    _, _, vecs = _window([*langs, *cands])
+    seen = set(vecs[:len(langs)])
     out = list(langs)
-    for lang in langs:
-        for a in range(positions):
-            for b in range(a + 1, positions):
-                cand = permuted(lang, FinitePermutation(((a, b), (b, a))))
-                if not any(seq_eq(cand, seen) for seen in out):
-                    out.append(cand)
+    for cand, vec in zip(cands, vecs[len(langs):]):
+        if vec not in seen:
+            seen.add(vec)
+            out.append(cand)
     return out
 
 
@@ -331,13 +335,15 @@ def telltale_search(
     above (between it and the language), or None at this bound.
 
     The set carries one separating code per properly-included family language;
-    codes and the set size are capped by `bound`.
+    codes and the set size are capped by `bound`.  Codes above the bound are
+    never tried, so the bound must exceed the largest separating code the
+    family needs: over kron slices 7 and 8 at 12 positions that is 72, 84 and
+    98, and the search fails at bound 64 though both slices are separable.
     """
+    base, period, (vec, *vecs) = _window([lang, *family_langs])
     witnesses: set[int] = set()
-    for other in family_langs:
-        if seq_eq(other, lang):
-            continue
-        if not seq_le(other, lang):
+    for other, other_vec in zip(family_langs, vecs):
+        if other_vec == vec or not _vec_le(other_vec, vec, base, period):
             continue
         found = None
         for code in range(bound + 1):

@@ -60,6 +60,9 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):  # raised in simulate's worker processes too
+        return CliError, (str(self), self.code)
+
 
 def _dump_json(path: str, data) -> None:
     with open(path, "w") as fh:
@@ -87,6 +90,12 @@ def _default_seed(args) -> int:
     return int(os.environ.get("LIMITLEARN_SEED", "0"))
 
 
+def _member(family: Family, index: int):
+    if not 0 <= index < len(family.members):
+        raise CliError(f"target index {index} outside the family", EXIT_PARSE)
+    return family.members[index]
+
+
 def _make_learner(name: str, family: Family, target: int) -> Learner:
     base_name = name
     wrap_text = False
@@ -96,7 +105,7 @@ def _make_learner(name: str, family: Family, target: int) -> Learner:
     members = family.members
     try:
         if base_name == "constant":
-            learner = learner_constant(members[target])
+            learner = learner_constant(_member(family, target))
         elif base_name == "min-embed":
             learner = learner_min_embed(members, enforce=False)
         elif base_name == "separator":
@@ -109,8 +118,6 @@ def _make_learner(name: str, family: Family, target: int) -> Learner:
             learner = learner_echo()
         else:
             raise CliError(f"unknown learner {name!r}", EXIT_PARSE)
-    except IndexError:
-        raise CliError(f"target index {target} outside the family", EXIT_PARSE)
     except FamilyError as exc:
         raise CliError(str(exc), EXIT_REPRESENTATION)
     return learner_from_text(learner) if wrap_text else learner
@@ -176,7 +183,7 @@ def cmd_check(args) -> int:
 def _run_one_simulation(args, seed: int):
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
-    target = family.members[args.target]
+    target = _member(family, args.target)
     if learner.mode == TEXT:
         stream = fair_text(target, seed)
     elif args.reorder:
@@ -244,7 +251,7 @@ def cmd_adversary(args) -> int:
                                 horizon=args.horizon)
         _dump_json(_out_path(args, "adversary.json"), report.to_json())
         return EXIT_OK if report.verdict in ("defeated", "undecided") else EXIT_VIOLATION
-    limit = family.members[args.target]
+    limit = _member(family, args.target)
     if limit_witness(limit, family.members) is None:
         raise CliError(f"member {args.target} is not a limit of the family",
                        EXIT_REPRESENTATION)
@@ -269,7 +276,7 @@ def cmd_diagonalize(args) -> int:
 def cmd_locking(args) -> int:
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
-    target = family.members[args.target]
+    target = _member(family, args.target)
     kind = TEXT if learner.mode == TEXT else INFORMANT
     start = read_trace(args.start, kind) if args.start else Prefix(kind, ())
     result = weak_locking_search(learner, target, start, args.depth, args.width)
@@ -318,7 +325,7 @@ def cmd_bridge(args) -> int:
         consistent = separable is None or separable == all_found
         return EXIT_OK if consistent else EXIT_VIOLATION
     if args.action == "roundtrip":
-        target = family.members[args.target]
+        target = _member(family, args.target)
         composed = bridge_mod.language_to_struct_learner(family.members)
         reference = learner_separator(family.members, enforce=False)
         seed = _default_seed(args)
@@ -345,7 +352,7 @@ def cmd_replay(args) -> int:
     learner = _make_learner(args.learner, family, args.target)
     kind = TEXT if learner.mode == TEXT else INFORMANT
     prefix = read_trace(args.items, kind)
-    target = family.members[args.target]
+    target = _member(family, args.target)
     horizon = min(args.horizon, len(prefix.items))
     result = run_simulation(learner, iter(prefix.items), horizon, target,
                             args.relation, min(args.window, horizon))

@@ -9,6 +9,7 @@ many threshold sizes, which keeps every operation here exact and total.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -29,7 +30,9 @@ class ExtNat:
     finite: Union[int, None] = None  # None encodes the infinite value
 
     def __post_init__(self):
-        if self.finite is not None and (not isinstance(self.finite, int) or self.finite < 0):
+        if self.finite is not None and (
+            not isinstance(self.finite, int) or isinstance(self.finite, bool) or self.finite < 0
+        ):
             raise RepresentationError(f"not an extended natural: {self.finite!r}")
 
     @property
@@ -63,6 +66,8 @@ class ExtNat:
         return ext(other) < self
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, int):
             other = ExtNat(other)
         if not isinstance(other, ExtNat):
@@ -104,11 +109,7 @@ def pair_code(x: int, y: int) -> int:
 
 
 def unpair_code(code: int) -> tuple[int, int]:
-    w = int(((8 * code + 1) ** 0.5 - 1) // 2)
-    while (w + 1) * (w + 2) // 2 <= code:
-        w += 1
-    while w * (w + 1) // 2 > code:
-        w -= 1
+    w = (math.isqrt(8 * code + 1) - 1) // 2
     y = code - w * (w + 1) // 2
     return w - y, y
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from limitlearn import Character
+import math
+
+from limitlearn import Character, FinitePermutation, permuted
 
 INF = None  # symbolic size of an infinite class
 SATURATE = 50
@@ -149,3 +151,49 @@ def brute_embeds_matching(a: Character, b: Character, copies_cap: int = 8) -> bo
     hosts = truncation(b, 3 * copies_cap, top + 20)
     demands.sort(key=lambda s: -(10 ** 9) if s is INF else -s)
     return match_blocks(tuple(demands), hosts)
+
+
+# ---------------------------------------------------------------------------
+# Language closure by pairwise comparison
+
+
+def pairwise_language_closure(langs, positions):
+    """The bridge's closure as first written: each transposition candidate is
+    kept unless it equals a language already kept.  Each pair is compared on
+    its own window, in ExtNat values, and a third period past the window
+    checks that both sequences have settled where their settle indices say."""
+    memo: dict = {}
+
+    def values(seq, n):
+        if (seq, n) not in memo:
+            memo[seq, n] = [seq.eval(i) for i in range(n)]
+        return memo[seq, n]
+
+    def steps(vals, base, period):
+        out = []
+        for rho in range(period):
+            v0, v1, v2 = (vals[base + rho + k * period] for k in range(3))
+            if v0.is_omega:
+                assert v1.is_omega and v2.is_omega, "not settled"
+                out.append(None)
+            else:
+                assert not (v1.is_omega or v2.is_omega), "not settled"
+                assert v2.finite - v1.finite == v1.finite - v0.finite >= 0, "not settled"
+                out.append(v1.finite - v0.finite)
+        return out
+
+    def equal(a, b):
+        base = max(a.settle_index(), b.settle_index())
+        period = math.lcm(a.period(), b.period())
+        va, vb = values(a, base + 3 * period), values(b, base + 3 * period)
+        return (va[:base + 2 * period] == vb[:base + 2 * period]
+                and steps(va, base, period) == steps(vb, base, period))
+
+    out = list(langs)
+    for lang in langs:
+        for a in range(positions):
+            for b in range(a + 1, positions):
+                cand = permuted(lang, FinitePermutation(((a, b), (b, a))))
+                if not any(equal(cand, seen) for seen in out):
+                    out.append(cand)
+    return out

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitlearn import (
     Character,
@@ -36,6 +38,7 @@ from families import (
     census,
     kron_slice,
 )
+from oracles import pairwise_language_closure
 
 OM = "omega"
 
@@ -95,6 +98,40 @@ def test_seq_comparisons():
     assert seq_eq(g1, size_sequence_of(census(0, {5: OM})))
     k2, k3 = (size_sequence_of(c) for c in kron_slice(3)[1:])
     assert seq_le(k3, k2) and not seq_le(k2, k3)  # nested ascending patterns
+    # 1, 2, 3, ... stays below 50, 50, ... past every settle index: only the steps tell
+    assert not seq_le(size_sequence_of(census(1, {})), size_sequence_of(census(0, {50: OM})))
+
+
+_censuses = st.builds(
+    census,
+    st.integers(0, 2),
+    st.dictionaries(st.integers(1, 5), st.one_of(st.integers(0, 2), st.just(OM)), max_size=3),
+    st.sampled_from([0, 1, OM]),
+)
+_swaps = st.one_of(st.none(), st.lists(st.integers(0, 11), min_size=2, max_size=2, unique=True))
+
+
+def _swapped(char, swap):
+    seq = size_sequence_of(char)
+    return seq if swap is None else permuted(seq, FinitePermutation((tuple(swap), tuple(swap[::-1]))))
+
+
+@given(_censuses, _swaps, st.data())
+@settings(max_examples=300, deadline=None)
+def test_seq_comparisons_match_explicit_prefix(char, swap, data):
+    """seq_le and seq_eq agree with pointwise comparison over 200 slots, for
+    random censuses, some transposed; the second census is often a variant of
+    the first, so inclusions and equalities come up, not only misses."""
+    other = data.draw(st.one_of(
+        st.just(char),
+        st.builds(census, st.integers(0, 2), st.just(dict(char.exceptions)), st.sampled_from([0, 1, OM])),
+        _censuses,
+    ))
+    a, b = _swapped(char, swap), _swapped(other, data.draw(_swaps))
+    va, vb = ([s.eval(i) for i in range(200)] for s in (a, b))
+    assert seq_le(a, b) == all(x <= y for x, y in zip(va, vb))
+    assert seq_le(b, a) == all(y <= x for x, y in zip(va, vb))
+    assert seq_eq(a, b) == (va == vb)
 
 
 def test_permutations_canonical_enumeration():
@@ -115,6 +152,13 @@ def test_permuted_sequences():
     # permuting equal values is invisible
     g1 = size_sequence_of(FIVE_OMEGA)
     assert seq_eq(permuted(g1, FinitePermutation(((1, 2), (2, 1)))), g1)
+
+
+@pytest.mark.parametrize("family", [*SEPARABLE_CORPUS.values(), NONSEPARABLE],
+                         ids=[*SEPARABLE_CORPUS, "nonseparable"])
+def test_language_closure_matches_pairwise_reference(family):
+    langs = [size_sequence_of(m) for m in family]
+    assert language_closure(langs, 12) == pairwise_language_closure(langs, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +195,16 @@ def test_telltale_succeeds_over_closure_for_separable_families():
         closure = language_closure(langs, 12)
         for lang in langs:
             assert telltale_search(lang, closure, 64) is not None, name
+
+
+def test_telltale_bound_must_reach_the_separating_codes():
+    """Kron slices 7 and 8 are separable, but some members need separating
+    codes 72, 84 and 98: bound 64 misses them, bound 100 finds them all."""
+    for size, missed in ((7, [5]), (8, [5, 6])):
+        langs = [size_sequence_of(c) for c in kron_slice(size)]
+        closure = language_closure(langs, 12)
+        assert [i for i, lang in enumerate(langs) if telltale_search(lang, closure, 64) is None] == missed
+        assert all(telltale_search(lang, closure, 100) is not None for lang in langs)
 
 
 # ---------------------------------------------------------------------------

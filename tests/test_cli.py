@@ -84,6 +84,24 @@ def test_exit_code_unknown_learner(family_files, tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--learner", "separator"),
+        ("simulate", "--learner", "constant"),
+        ("simulate", "--learner", "separator", "--seeds", "0:2", "--jobs", 2),
+        ("adversary", "--learner", "separator"),
+        ("locking", "--learner", "constant"),
+        ("bridge", "roundtrip"),
+    ],
+)
+def test_negative_target_is_a_parse_error(family_files, tmp_path, command):
+    res = run_cli(*command, "--family", family_files["example1"], "--target", -1,
+                  "--horizon", 50, "--out", tmp_path)
+    assert res.returncode == 2
+    assert "target index -1 outside the family" in res.stderr
+
+
 def test_simulate_writes_deterministic_outputs(family_files, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -56,6 +56,15 @@ def test_extnat_rejects_negatives():
         ExtNat(-1)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_extnat_rejects_bools(value):
+    with pytest.raises(RepresentationError):
+        ext(value)
+    with pytest.raises(RepresentationError):
+        ExtNat(value)
+    assert ExtNat(1) != True  # noqa: E712
+
+
 def test_extnat_hash_matches_int_equality():
     assert ExtNat(3) == 3 and hash(ExtNat(3)) == hash(3)
     assert OMEGA != 3 and OMEGA == OMEGA
@@ -75,6 +84,12 @@ def test_pairing_roundtrip(x, y):
 def test_unpairing_roundtrip(code):
     x, y = unpair_code(code)
     assert pair_code(x, y) == code
+
+
+def test_unpairing_exact_beyond_float_range():
+    code = 10**320
+    assert pair_code(*unpair_code(code)) == code
+    assert unpair_code(pair_code(code, code + 7)) == (code, code + 7)
 
 
 # ---------------------------------------------------------------------------
