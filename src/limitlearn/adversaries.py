@@ -9,9 +9,11 @@ form.  All searches are bounded and say so in their verdicts.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Optional
 
 from .learners import Learner, Trace, conjectures_equal
 from .presentations import (
@@ -29,7 +31,6 @@ from .structures import (
     embeds,
     fin_embeds,
     iso_eq,
-    pair_code,
     unpair_code,
 )
 
@@ -368,7 +369,7 @@ class DiagonalizationReport:
     expansionary_stages: list[int]
     sigma_prefix: Prefix
     tau_prefix: Prefix
-    nu_marks: list[int]  # sigma item counts at the expansionary snapshots
+    nu_marks: list[int]  # sigma item counts at stage 0 and the expansionary stages
     sigma_char: Character
     tau_char: Character
     e_counts_ok: bool
@@ -396,15 +397,48 @@ class DiagonalizationReport:
         }
 
 
-def _full_labeling_extension(old_n: int, new_n: int, same_class) -> list[tuple[int, int, int]]:
-    pairs = [
-        (x, y)
-        for x in range(new_n)
-        for y in range(new_n)
-        if x >= old_n or y >= old_n
-    ]
-    pairs.sort(key=lambda p: pair_code(p[0], p[1]))
-    return [(x, y, 1 if same_class(x, y) else 0) for x, y in pairs]
+def _new_pairs(old_n: int, new_n: int):
+    """The ordered pairs over range(new_n) outside the square range(old_n)²,
+    in Cantor order: diagonal x + y ascending, then y ascending."""
+    for d in range(old_n, 2 * new_n - 1):
+        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
+        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
+            yield d - y, y
+        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
+            yield d - y, y
+
+
+class _Labeling(Sequence):
+    """The informant items one side of the diagonalizer emitted, replayed on
+    demand: `cls[x]` is element x's class and `marks` the element count after
+    each stage, and each stage labels the pairs it added in Cantor order.  A
+    side keeps one int per element instead of one item per pair.
+    """
+
+    def __init__(self, cls: list[int], marks: list[int]):
+        self._cls = cls
+        self._marks = marks
+
+    def __len__(self) -> int:
+        return self._marks[-1] ** 2
+
+    def __iter__(self):
+        cls, old_n = self._cls, 0
+        for n in self._marks:
+            for x, y in _new_pairs(old_n, n):
+                yield x, y, 1 if cls[x] == cls[y] else 0
+            old_n = n
+
+    def __getitem__(self, index: int):  # replays up to the item
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("labeling index out of range")
+        return next(islice(self, index, None))
+
+
+def _census_of(cls: list[int]) -> Character:
+    return Character.make(0, Counter(Counter(cls).values()), 0)
 
 
 def diagonalize(learner: Learner, class_size: int, stages: int) -> DiagonalizationReport:
@@ -422,97 +456,64 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     e = class_size
     if e < 2:
         raise ValueError("class size must be >= 2")
+    if stages < 0:
+        raise ValueError("stages must be >= 0")
     if learner.mode != INFORMANT:
         raise FamilyError("the diagonalizer drives informant learners")
     learner.reset()
     lrn_sigma = learner.clone()
     lrn_tau = learner.clone()
-    sigma_class: dict[int, int] = {i: i for i in range(e)}
-    tau_class: dict[int, int] = {i: 0 for i in range(e)}
+    sigma_class = list(range(e))
+    tau_class = [0] * e
     next_class = e + 1
-    sigma_items = _full_labeling_extension(0, e, lambda x, y: sigma_class[x] == sigma_class[y])
-    tau_items = _full_labeling_extension(0, e, lambda x, y: tau_class[x] == tau_class[y])
-    for it in sigma_items:
-        lrn_sigma.consume(it)
-    for it in tau_items:
-        lrn_tau.consume(it)
-    c_sigma = [lrn_sigma.conjecture()]
-    c_tau = [lrn_tau.conjecture()]
-    n = e
-    last_exp = 0
+    marks: list[int] = []  # element count after each stage, stage 0 first
+
+    def label_new_pairs(old_n: int):
+        n = len(sigma_class)
+        marks.append(n)
+        for x, y in _new_pairs(old_n, n):
+            lrn_sigma.consume((x, y, 1 if sigma_class[x] == sigma_class[y] else 0))
+            lrn_tau.consume((x, y, 1 if tau_class[x] == tau_class[y] else 0))
+        return lrn_sigma.conjecture(), lrn_tau.conjecture()
+
+    c_sigma, c_tau = label_new_pairs(0)
     expansionary: list[int] = []
-    nu_marks = [len(sigma_items)]
-    case2 = 0
-    for s in range(stages):
-        stage_no = s + 1
-        z = n
-        if any(
-            not conjectures_equal(c_sigma[v], c_tau[v])
-            for v in range(last_exp, len(c_sigma))
-        ):
+    nu_conjectures = []  # sigma's conjectures after the expansionary stages
+    for stage_no in range(1, stages + 1):
+        # a stage that did not expand saw agreeing conjectures, so the sides
+        # were told apart since the last expansion iff they are apart now
+        expand = not conjectures_equal(c_sigma, c_tau)
+        if expand:
             expansionary.append(stage_no)
-            last_exp = stage_no
-            ids = [next_class, next_class + 1, next_class + 2]
-            next_class += 3
-            for k in range(3):
-                for x in range(z + k * e, z + (k + 1) * e):
-                    tau_class[x] = ids[k]
-                    if k < 2:
-                        sigma_class[x] = ids[k]
-                    else:
-                        sigma_class[x] = next_class
-                        next_class += 1
-            extra = z + 3 * e
-            sigma_class[extra] = next_class
-            tau_class[extra] = next_class + 1
-            next_class += 2
-            new_n = extra + 1
-        else:
-            case2 += 1
-            sigma_class[z] = next_class
-            tau_class[z] = next_class + 1
-            next_class += 2
-            new_n = z + 1
-        ext_sigma = _full_labeling_extension(n, new_n, lambda x, y: sigma_class[x] == sigma_class[y])
-        ext_tau = _full_labeling_extension(n, new_n, lambda x, y: tau_class[x] == tau_class[y])
-        sigma_items.extend(ext_sigma)
-        tau_items.extend(ext_tau)
-        for it in ext_sigma:
-            lrn_sigma.consume(it)
-        for it in ext_tau:
-            lrn_tau.consume(it)
-        n = new_n
-        c_sigma.append(lrn_sigma.conjecture())
-        c_tau.append(lrn_tau.conjecture())
-        if expansionary and expansionary[-1] == stage_no:
-            nu_marks.append(len(sigma_items))
+            shared = [next_class] * e + [next_class + 1] * e
+            sigma_class += shared + list(range(next_class + 3, next_class + 3 + e))
+            tau_class += shared + [next_class + 2] * e
+            next_class += 3 + e
+        sigma_class.append(next_class)
+        tau_class.append(next_class + 1)
+        next_class += 2
+        c_sigma, c_tau = label_new_pairs(marks[-1])
+        if expand:
+            nu_conjectures.append(c_sigma)
 
     m = len(expansionary)
-
-    def census_of(assignment: dict[int, int]) -> Character:
-        sizes: dict[int, int] = {}
-        for cid in assignment.values():
-            sizes[cid] = sizes.get(cid, 0) + 1
-        counts: dict[int, int] = {}
-        for size in sizes.values():
-            counts[size] = counts.get(size, 0) + 1
-        return Character.make(0, counts, 0)
-
-    sigma_char = census_of(sigma_class)
-    tau_char = census_of(tau_class)
+    case2 = stages - m
+    sigma_char = _census_of(sigma_class)
+    tau_char = _census_of(tau_class)
     e_counts_ok = sigma_char.count(e) == 2 * m and tau_char.count(e) == 1 + 3 * m
     singletons_ok = (
         sigma_char.count(1) == e + m * (e + 1) + case2
         and tau_char.count(1) == m + case2
     )
     nu_ok = all(
-        not conjectures_equal(c_sigma[t1], c_sigma[t2])
-        for t1, t2 in zip(expansionary, expansionary[1:])
+        not conjectures_equal(a, b) for a, b in zip(nu_conjectures, nu_conjectures[1:])
     )
     distinct_ok = not iso_eq(sigma_char, tau_char)
+    nu_marks = [marks[t] ** 2 for t in [0] + expansionary]
     return DiagonalizationReport(
         e, stages, expansionary,
-        Prefix(INFORMANT, tuple(sigma_items)), Prefix(INFORMANT, tuple(tau_items)),
+        Prefix(INFORMANT, _Labeling(sigma_class, marks)),
+        Prefix(INFORMANT, _Labeling(tau_class, marks)),
         nu_marks, sigma_char, tau_char,
         e_counts_ok, singletons_ok, nu_ok, distinct_ok,
     )
@@ -621,7 +622,7 @@ def weak_locking_search(
     probes = 0
 
     def violator(extra) -> LockingSearchResult:
-        tau = Prefix(start.kind, start.items + tuple(spine) + tuple(extra))
+        tau = Prefix(start.kind, (*start.items, *spine, *extra))
         return LockingSearchResult("violator", start, tau, depth, width, probes)
 
     for _ in range(depth):

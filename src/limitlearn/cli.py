@@ -30,7 +30,9 @@ from .presentations import (
     INFORMANT,
     REORDER_STRATEGIES,
     TEXT,
+    ConsistencyError,
     Prefix,
+    PrefixState,
     fair_informant,
     fair_text,
     read_trace,
@@ -87,13 +89,36 @@ def _load_family(path: str) -> Family:
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("LIMITLEARN_SEED", "0"))
+    try:
+        return int(os.environ.get("LIMITLEARN_SEED", "0"))
+    except ValueError:
+        raise CliError("LIMITLEARN_SEED must be an integer", EXIT_PARSE)
 
 
 def _member(family: Family, index: int):
     if not 0 <= index < len(family.members):
         raise CliError(f"target index {index} outside the family", EXIT_PARSE)
     return family.members[index]
+
+
+def _read_items(path: str, kind: str) -> Prefix:
+    """An item file as a prefix: exit 2 if it cannot be read or parsed, 3 if
+    it labels some pair both ways."""
+    try:
+        prefix = read_trace(path, kind)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read item file {path}: {exc}", EXIT_PARSE)
+    try:
+        PrefixState(kind).feed_all(prefix.items)
+    except ConsistencyError as exc:
+        raise CliError(f"inconsistent item file {path}: {exc}", EXIT_REPRESENTATION)
+    return prefix
+
+
+def _check_run_length(horizon: int, window: int) -> None:
+    if not 1 <= window <= horizon:
+        raise CliError(f"need 1 <= window <= horizon, got window {window} "
+                       f"and horizon {horizon}", EXIT_PARSE)
 
 
 def _make_learner(name: str, family: Family, target: int) -> Learner:
@@ -184,6 +209,7 @@ def _run_one_simulation(args, seed: int):
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
     target = _member(family, args.target)
+    _check_run_length(args.horizon, args.window)
     if learner.mode == TEXT:
         stream = fair_text(target, seed)
     elif args.reorder:
@@ -222,10 +248,16 @@ def _simulate_cell(payload):
 
 
 def _seed_list(args) -> list[int]:
-    if args.seeds:
-        lo, _, hi = args.seeds.partition(":")
-        return list(range(int(lo), int(hi)))
-    return [_default_seed(args)]
+    if not args.seeds:
+        return [_default_seed(args)]
+    lo, _, hi = args.seeds.partition(":")
+    try:
+        seeds = list(range(int(lo), int(hi)))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise CliError(f"--seeds needs a nonempty range lo:hi, got {args.seeds!r}", EXIT_PARSE)
+    return seeds
 
 
 def cmd_simulate(args) -> int:
@@ -268,6 +300,8 @@ def cmd_adversary(args) -> int:
 def cmd_diagonalize(args) -> int:
     family = _load_family(args.family) if args.family else Family.of()
     learner = _make_learner(args.learner, family, args.target)
+    if args.class_size < 2 or args.horizon < 0:
+        raise CliError("diagonalize needs --class-size >= 2 and --horizon >= 0", EXIT_PARSE)
     report = diagonalize(learner, args.class_size, args.horizon)
     _dump_json(_out_path(args, "diagonalization.json"), report.to_json())
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -278,7 +312,7 @@ def cmd_locking(args) -> int:
     learner = _make_learner(args.learner, family, args.target)
     target = _member(family, args.target)
     kind = TEXT if learner.mode == TEXT else INFORMANT
-    start = read_trace(args.start, kind) if args.start else Prefix(kind, ())
+    start = _read_items(args.start, kind) if args.start else Prefix(kind, ())
     result = weak_locking_search(learner, target, start, args.depth, args.width)
     payload = {
         "kind": result.kind,
@@ -326,6 +360,7 @@ def cmd_bridge(args) -> int:
         return EXIT_OK if consistent else EXIT_VIOLATION
     if args.action == "roundtrip":
         target = _member(family, args.target)
+        _check_run_length(args.horizon, args.window)
         composed = bridge_mod.language_to_struct_learner(family.members)
         reference = learner_separator(family.members, enforce=False)
         seed = _default_seed(args)
@@ -351,11 +386,13 @@ def cmd_replay(args) -> int:
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
     kind = TEXT if learner.mode == TEXT else INFORMANT
-    prefix = read_trace(args.items, kind)
+    prefix = _read_items(args.items, kind)
     target = _member(family, args.target)
     horizon = min(args.horizon, len(prefix.items))
+    window = min(args.window, horizon)
+    _check_run_length(horizon, window)
     result = run_simulation(learner, iter(prefix.items), horizon, target,
-                            args.relation, min(args.window, horizon))
+                            args.relation, window)
     summary = result.summary()
     try:
         with open(args.summary) as fh:

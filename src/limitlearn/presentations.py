@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .structures import (
     ZERO,
@@ -36,8 +36,12 @@ class ConsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class Prefix:
+    """A finite presentation: `items` is a sequence of items of the given
+    kind, usually a tuple; the diagonalizer's prefixes are sequences that
+    replay their items on demand instead of storing them."""
+
     kind: str
-    items: tuple
+    items: Sequence
 
     def __post_init__(self):
         if self.kind not in (INFORMANT, TEXT):
@@ -45,9 +49,6 @@ class Prefix:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def extended(self, *items) -> "Prefix":
-        return Prefix(self.kind, self.items + tuple(items))
 
 
 def informant_prefix(items: Iterable[InformantItem] = ()) -> Prefix:

@@ -17,7 +17,17 @@ from functools import lru_cache
 
 import math
 
-from limitlearn import Character, FinitePermutation, permuted
+from limitlearn import (
+    Character,
+    DiagonalizationReport,
+    FinitePermutation,
+    INFORMANT,
+    Prefix,
+    conjectures_equal,
+    iso_eq,
+    pair_code,
+    permuted,
+)
 
 INF = None  # symbolic size of an infinite class
 SATURATE = 50
@@ -197,3 +207,118 @@ def pairwise_language_closure(langs, positions):
                 if not any(equal(cand, seen) for seen in out):
                     out.append(cand)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The diagonalizer with materialized prefixes
+
+
+def full_labeling_extension(old_n, new_n, same_class):
+    pairs = [
+        (x, y)
+        for x in range(new_n)
+        for y in range(new_n)
+        if x >= old_n or y >= old_n
+    ]
+    pairs.sort(key=lambda p: pair_code(p[0], p[1]))
+    return [(x, y, 1 if same_class(x, y) else 0) for x, y in pairs]
+
+
+def materialized_diagonalize(learner, class_size, stages):
+    """The diagonalizer as first written: each stage scans the whole square
+    of elements for the new pairs and sorts them by Cantor code, both
+    prefixes are kept as item tuples, and the expansion test rescans every
+    conjecture pair since the last expansion."""
+    e = class_size
+    learner.reset()
+    lrn_sigma = learner.clone()
+    lrn_tau = learner.clone()
+    sigma_class = {i: i for i in range(e)}
+    tau_class = {i: 0 for i in range(e)}
+    next_class = e + 1
+    sigma_items = full_labeling_extension(0, e, lambda x, y: sigma_class[x] == sigma_class[y])
+    tau_items = full_labeling_extension(0, e, lambda x, y: tau_class[x] == tau_class[y])
+    for it in sigma_items:
+        lrn_sigma.consume(it)
+    for it in tau_items:
+        lrn_tau.consume(it)
+    c_sigma = [lrn_sigma.conjecture()]
+    c_tau = [lrn_tau.conjecture()]
+    n = e
+    last_exp = 0
+    expansionary = []
+    nu_marks = [len(sigma_items)]
+    case2 = 0
+    for s in range(stages):
+        stage_no = s + 1
+        z = n
+        if any(
+            not conjectures_equal(c_sigma[v], c_tau[v])
+            for v in range(last_exp, len(c_sigma))
+        ):
+            expansionary.append(stage_no)
+            last_exp = stage_no
+            ids = [next_class, next_class + 1, next_class + 2]
+            next_class += 3
+            for k in range(3):
+                for x in range(z + k * e, z + (k + 1) * e):
+                    tau_class[x] = ids[k]
+                    if k < 2:
+                        sigma_class[x] = ids[k]
+                    else:
+                        sigma_class[x] = next_class
+                        next_class += 1
+            extra = z + 3 * e
+            sigma_class[extra] = next_class
+            tau_class[extra] = next_class + 1
+            next_class += 2
+            new_n = extra + 1
+        else:
+            case2 += 1
+            sigma_class[z] = next_class
+            tau_class[z] = next_class + 1
+            next_class += 2
+            new_n = z + 1
+        ext_sigma = full_labeling_extension(n, new_n, lambda x, y: sigma_class[x] == sigma_class[y])
+        ext_tau = full_labeling_extension(n, new_n, lambda x, y: tau_class[x] == tau_class[y])
+        sigma_items.extend(ext_sigma)
+        tau_items.extend(ext_tau)
+        for it in ext_sigma:
+            lrn_sigma.consume(it)
+        for it in ext_tau:
+            lrn_tau.consume(it)
+        n = new_n
+        c_sigma.append(lrn_sigma.conjecture())
+        c_tau.append(lrn_tau.conjecture())
+        if expansionary and expansionary[-1] == stage_no:
+            nu_marks.append(len(sigma_items))
+
+    m = len(expansionary)
+
+    def census_of(assignment):
+        sizes = {}
+        for cid in assignment.values():
+            sizes[cid] = sizes.get(cid, 0) + 1
+        counts = {}
+        for size in sizes.values():
+            counts[size] = counts.get(size, 0) + 1
+        return Character.make(0, counts, 0)
+
+    sigma_char = census_of(sigma_class)
+    tau_char = census_of(tau_class)
+    e_counts_ok = sigma_char.count(e) == 2 * m and tau_char.count(e) == 1 + 3 * m
+    singletons_ok = (
+        sigma_char.count(1) == e + m * (e + 1) + case2
+        and tau_char.count(1) == m + case2
+    )
+    nu_ok = all(
+        not conjectures_equal(c_sigma[t1], c_sigma[t2])
+        for t1, t2 in zip(expansionary, expansionary[1:])
+    )
+    distinct_ok = not iso_eq(sigma_char, tau_char)
+    return DiagonalizationReport(
+        e, stages, expansionary,
+        Prefix(INFORMANT, tuple(sigma_items)), Prefix(INFORMANT, tuple(tau_items)),
+        nu_marks, sigma_char, tau_char,
+        e_counts_ok, singletons_ok, nu_ok, distinct_ok,
+    )

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitlearn import (
     FamilyError,
@@ -14,6 +16,7 @@ from limitlearn import (
     learner_echo,
     learner_from_text,
     learner_min_embed,
+    learner_one_shot,
     learner_separator,
     learner_split_on_negative,
     limit_adversary,
@@ -22,6 +25,7 @@ from limitlearn import (
     text_adversary,
     weak_locking_search,
 )
+from limitlearn.adversaries import _new_pairs
 
 from families import (
     C56,
@@ -34,6 +38,7 @@ from families import (
     TWO_INF,
     census,
 )
+from oracles import full_labeling_extension, materialized_diagonalize
 
 OM = "omega"
 
@@ -151,9 +156,86 @@ def test_diagonalizer_prefixes_are_consistent():
     assert len(report.nu_marks) == len(report.expansionary_stages) + 1
 
 
-def test_diagonalizer_rejects_small_class_size():
+def test_diagonalizer_rejects_bad_arguments():
     with pytest.raises(ValueError):
         diagonalize(learner_constant(FIVE_OMEGA), 1, 10)
+    with pytest.raises(ValueError):
+        diagonalize(learner_constant(FIVE_OMEGA), 2, -1)
+
+
+class BlocksModThree(Learner):
+    """Conjectures the number of blocks of one size, mod 3.  Against the
+    diagonalizer's blocks of that size (2k on σ, 1 + 3k on τ after k
+    expansions) it forces two expansions, after which σ's conjecture has
+    changed and τ's has not."""
+
+    mode = "informant"
+    name = "blocks-mod-3"
+
+    def __init__(self, size):
+        self.size = size
+        self.reset()
+
+    def reset(self):
+        self._st = PrefixState("informant")
+
+    def consume(self, item):
+        self._st.feed(item)
+
+    def conjecture(self):
+        return census(0, {1: self._st.size_counts.get(self.size, 0) % 3 + 1})
+
+    def clone(self):
+        dup = BlocksModThree(self.size)
+        dup._st = self._st.copy()
+        return dup
+
+
+def diagonalizer_roster(class_size):
+    """Criterion 7's roster, plus a learner whose σ and τ snapshots differ."""
+    return [
+        learner_constant(FIVE_OMEGA),
+        learner_split_on_negative(),
+        learner_one_shot(list(EXAMPLE1)),
+        learner_separator([census(0, {1: OM}), census(0, {2: 1, 1: OM})]),
+        learner_echo(),
+        BlocksModThree(class_size),
+    ]
+
+
+@pytest.mark.parametrize("class_size", [2, 3, 4])
+def test_diagonalizer_matches_materialized_reference(class_size):
+    # 40 stages reach every roster learner's expansions at these class sizes
+    roster = zip(diagonalizer_roster(class_size), diagonalizer_roster(class_size))
+    for learner, reference in roster:
+        got = diagonalize(learner, class_size, 40)
+        want = materialized_diagonalize(reference, class_size, 40)
+        for side in ("sigma_prefix", "tau_prefix"):
+            assert tuple(getattr(got, side).items) == getattr(want, side).items, learner.name
+            assert len(getattr(got, side)) == len(getattr(want, side))
+        assert got.nu_marks == want.nu_marks
+        assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda new: st.tuples(st.integers(0, new), st.just(new))))
+def test_new_pairs_are_the_new_square_in_cantor_order(bounds):
+    old_n, new_n = bounds
+    reference = full_labeling_extension(old_n, new_n, lambda x, y: False)
+    assert list(_new_pairs(old_n, new_n)) == [(x, y) for x, y, _ in reference]
+
+
+@pytest.mark.parametrize("learner", [learner_echo(), learner_split_on_negative()])
+def test_diagonalizer_prefixes_replay(learner):
+    report = diagonalize(learner, 2, 6)
+    for prefix in (report.sigma_prefix, report.tau_prefix):
+        items = list(prefix.items)
+        assert list(prefix.items) == items
+        assert len(prefix) == len(items)
+        assert [prefix.items[i] for i in range(len(items))] == items
+        assert prefix.items[-1] == items[-1]
+        with pytest.raises(IndexError):
+            prefix.items[len(items)]
 
 
 # ---------------------------------------------------------------------------

@@ -62,26 +62,50 @@ def test_check_generator_verdicts(family_files, tmp_path):
     assert all(v["certified"] for v in report["generator_verdicts"])
 
 
-def test_exit_code_parse_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    res = run_cli("check", "--family", bad)
-    assert res.returncode == 2
+INPUT_FILES = {
+    "bad-json": "{not json",
+    "size-zero": json.dumps({"members": [[[0, 1]]]}),
+    "inconsistent": "P 0 1\nN 0 1\n",
+    "malformed": "X 0\n",
+}
+
+# Each input error and its documented exit code: 2 for a parse or usage
+# error, 3 for a representation error.  {name} is a file from INPUT_FILES,
+# {missing} a path that does not exist, {example1} a valid family.
+EXIT_CODE_TABLE = [
+    (("check", "--family", "{bad-json}"), 2, "cannot parse family file"),
+    (("check", "--family", "{size-zero}"), 3, "invalid family"),
+    (("simulate", "--learner", "nonsense"), 2, "unknown learner"),
+    (("simulate", "--seeds", "3"), 2, "--seeds needs a nonempty range"),
+    (("simulate", "--seeds", "4:2"), 2, "--seeds needs a nonempty range"),
+    (("simulate", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
+    (("bridge", "roundtrip", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
+    (("diagonalize", "--class-size", 1), 2, "--class-size >= 2"),
+    (("diagonalize", "--horizon", -3), 2, "--horizon >= 0"),
+    (("replay", "--items", "{inconsistent}"), 3, "inconsistent item file"),
+    (("replay", "--items", "{malformed}"), 2, "cannot read item file"),
+    (("replay", "--items", "{missing}"), 2, "cannot read item file"),
+    (("locking", "--learner", "constant", "--start", "{inconsistent}"), 3, "inconsistent item file"),
+    (("locking", "--learner", "constant", "--start", "{malformed}"), 2, "cannot read item file"),
+]
 
 
-def test_exit_code_representation_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"members": [[[0, 1]]]}))
-    res = run_cli("check", "--family", bad)
-    assert res.returncode == 3
-
-
-def test_exit_code_unknown_learner(family_files, tmp_path):
-    res = run_cli(
-        "simulate", "--family", family_files["example1"], "--learner", "nonsense",
-        "--out", tmp_path, "--horizon", 10,
-    )
-    assert res.returncode == 2
+@pytest.mark.parametrize("command,code,message", EXIT_CODE_TABLE,
+                         ids=[" ".join(map(str, row[0])) for row in EXIT_CODE_TABLE])
+def test_exit_code_table(family_files, tmp_path, command, code, message):
+    paths = {"missing": tmp_path / "missing.txt", "example1": family_files["example1"]}
+    for name, text in INPUT_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    args = [str(a).format(**paths) for a in command]
+    if "--family" not in args:
+        args += ["--family", paths["example1"]]
+    if args[0] == "replay":
+        args += ["--summary", paths["missing"]]
+    res = run_cli(*args, "--out", tmp_path)
+    assert res.returncode == code, res.stderr
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -140,6 +164,13 @@ def test_simulate_seed_env_default(family_files, tmp_path):
         "--target", 1, "--seed", 7, "--horizon", 3000, "--out", tmp_path / "flag",
     )
     assert (tmp_path / "env" / "items.txt").read_bytes() == (tmp_path / "flag" / "items.txt").read_bytes()
+    env["LIMITLEARN_SEED"] = "seven"
+    res = subprocess.run(
+        CLI + ["simulate", "--family", family_files["example1"], "--horizon", "100",
+               "--window", "50", "--out", str(tmp_path / "bad")],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 2 and "LIMITLEARN_SEED must be an integer" in res.stderr
 
 
 def test_replay_reproduces_summary(family_files, tmp_path):
