@@ -156,9 +156,12 @@ def test_diagonalizer_prefixes_are_consistent():
     assert len(report.nu_marks) == len(report.expansionary_stages) + 1
 
 
-def test_diagonalizer_rejects_bad_arguments():
+def test_diagonalizer_rejects_small_class_size():
     with pytest.raises(ValueError):
         diagonalize(learner_constant(FIVE_OMEGA), 1, 10)
+
+
+def test_diagonalizer_rejects_negative_horizon():
     with pytest.raises(ValueError):
         diagonalize(learner_constant(FIVE_OMEGA), 2, -1)
 
