@@ -18,13 +18,17 @@ from typing import Optional
 from .learners import Learner, Trace, conjectures_equal
 from .presentations import (
     INFORMANT,
+    PATTERN,
     PAUSE,
     TEXT,
     Prefix,
     PrefixState,
+    pattern_sizes,
+    slot_demand,
 )
 from .separability import FamilyError
 from .structures import (
+    OMEGA,
     ZERO,
     Character,
     char_subset,
@@ -60,17 +64,12 @@ class _TargetBuilder:
         self.slot_members: list[list[int]] = []
         self.slot_target: list[Optional[int]] = []
         self.slot_of: dict[int, int] = {}
-        self.used: dict[int, int] = {}
-        self.used_omega = 0
+        self.used: Counter = Counter()  # planned slots per size, None for infinite
         self.cursor = 0
         self.deferred: deque[tuple[int, int]] = deque()
         self.finishing = False
-        self.target = target
-        self._rot = 0
         self._inf_rot = 0
-        self._pattern_next = 1
-        self._pattern_left = 0
-        self._pattern_size = 1
+        self._plan(target)
         if blocks:
             order = sorted(((len(b), i) for i, b in enumerate(blocks)), reverse=True)
             self.slot_members = [sorted(blocks[i]) for _, i in order]
@@ -81,72 +80,43 @@ class _TargetBuilder:
 
     # -- demand bookkeeping ----------------------------------------------
 
-    def _avail(self, size: int) -> bool:
-        count = self.target.count(size)
-        if count.is_omega:
-            return True
-        return self.used.get(size, 0) < count.finite
+    def _plan(self, target: Character) -> None:
+        """Read the census's slot demand and restart its sources."""
+        self.target = target
+        self._finite, self._sources = slot_demand(target)
+        self._pattern = pattern_sizes(target)
+        self._rot = 0
 
-    def _avail_omega(self) -> bool:
-        count = self.target.omega_count
-        return count.is_omega or self.used_omega < count.finite
+    def _avail(self, size: Optional[int]) -> bool:
+        count = self.target.count(OMEGA if size is None else size)
+        return count.is_omega or self.used[size] < count.finite
 
     def _match_sizes(self, sizes_desc: list[int]) -> list[Optional[int]]:
         """Plan a target size >= each block size, smallest available first;
         blocks that no finite class can host go to infinite classes."""
-        self.used = {}
-        self.used_omega = 0
+        self.used = Counter()
         planned: list[Optional[int]] = []
-        key_sizes = [s for s, _ in self.target.exceptions]
-        limit = max(key_sizes + sizes_desc + [1]) + 1
+        limit = max([*self.target.sizes_of_interest, *sizes_desc, 1]) + 1
         for size in sizes_desc:
-            k = size
-            while k <= limit and not self._avail(k):
-                k += 1
-            if k <= limit:
-                self.used[k] = self.used.get(k, 0) + 1
-                planned.append(k)
-            elif self._avail_omega():
-                self.used_omega += 1
-                planned.append(None)
-            else:
+            k = next((k for k in range(size, limit + 1) if self._avail(k)), None)
+            if k is None and not self._avail(None):
                 raise FamilyError(f"existing classes do not fit the census {self.target}")
+            self.used[k] += 1
+            planned.append(k)
         return planned
 
     def _next_spawn_target(self):
-        target = self.target
-        for size, count in target.exceptions:
-            if not count.is_omega and count != ZERO and self.used.get(size, 0) < count.finite:
-                self.used[size] = self.used.get(size, 0) + 1
-                return size
-        if not target.omega_count.is_omega and target.omega_count != ZERO \
-                and self.used_omega < target.omega_count.finite:
-            self.used_omega += 1
-            return None
-        unbounded: list = [s for s, c in target.exceptions if c.is_omega]
-        has_pattern = target.default != ZERO
-        has_omega = target.omega_count.is_omega
-        nsources = len(unbounded) + has_pattern + has_omega
-        if nsources == 0:
-            return _EXHAUSTED
-        pick = self._rot % nsources
-        self._rot += 1
-        if pick < len(unbounded):
-            size = unbounded[pick]
-        elif has_pattern and pick == len(unbounded):
-            skip = set(self.target.sizes_of_interest)
-            while self._pattern_left == 0:
-                while self._pattern_next in skip:
-                    self._pattern_next += 1
-                self._pattern_left = target.default.finite
-                self._pattern_size = self._pattern_next
-                self._pattern_next += 1
-            self._pattern_left -= 1
-            size = self._pattern_size
-        else:
-            self.used_omega += 1
-            return None
-        self.used[size] = self.used.get(size, 0) + 1
+        """The first open finite demand, else the next source in turn; the
+        default pattern skips sizes that are already planned in full."""
+        size = next((s for s in self._finite if self._avail(s)), _EXHAUSTED)
+        if size is _EXHAUSTED:
+            if not self._sources:
+                return _EXHAUSTED
+            size = self._sources[self._rot % len(self._sources)]
+            self._rot += 1
+            if size == PATTERN:
+                size = next(s for s in self._pattern if self._avail(s))
+        self.used[size] += 1
         return size
 
     # -- retargeting -------------------------------------------------------
@@ -159,26 +129,18 @@ class _TargetBuilder:
         )
 
     def census(self) -> Character:
-        counts: dict[int, int] = {}
-        for m in self.slot_members:
-            counts[len(m)] = counts.get(len(m), 0) + 1
-        return Character.make(0, counts, 0)
+        return Character.make(0, Counter(map(len, self.slot_members)), 0)
 
     def retarget(self, new_target: Character, freeze: bool) -> None:
         if not self.clean:
             raise FamilyError("retargeting requires all planned classes to be complete")
-        self.target = new_target
-        self._rot = 0
-        self._pattern_next, self._pattern_left = 1, 0
+        self._plan(new_target)
         sizes = [len(m) for m in self.slot_members]
         if freeze:
             if not char_subset(self.census(), new_target):
                 raise FamilyError(f"cannot freeze classes {self.census()} inside {new_target}")
             self.slot_target = list(sizes)
-            self.used = {}
-            self.used_omega = 0
-            for s in sizes:
-                self.used[s] = self.used.get(s, 0) + 1
+            self.used = Counter(sizes)
         else:
             order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
             planned = self._match_sizes([sizes[i] for i in order])
@@ -806,7 +768,6 @@ def locking_transform(base: Learner) -> LockingNormalForm:
 
 
 ONE_CLASS = Character.make(0, {}, 1)
-TWO_CLASSES = Character.make(0, {}, 2)
 
 
 @dataclass

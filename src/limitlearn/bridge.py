@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .learners import Learner
-from .presentations import INFORMANT, PrefixState, Stream
+from .presentations import (
+    INFORMANT,
+    PATTERN,
+    PrefixState,
+    Stream,
+    pattern_size,
+    slot_demand,
+)
 from .structures import (
     OMEGA,
     ZERO,
@@ -48,25 +55,17 @@ class _ConstStream:
 
 @dataclass(frozen=True)
 class _PatternStream:
-    """Ascending admissible sizes, each repeated `per_size` times."""
+    """The default count's sizes: `pattern_size` over the sorted `skip`."""
 
     per_size: int
-    skip: frozenset[int]
-    start: int = 1
+    skip: tuple[int, ...]
 
     def nth(self, n: int) -> ExtNat:
-        q = n // self.per_size
-        size = self.start
-        while True:
-            if size not in self.skip:
-                if q == 0:
-                    return ExtNat(size)
-                q -= 1
-            size += 1
+        return ExtNat(pattern_size(n, self.per_size, self.skip))
 
     def settle(self) -> int:
-        top = max(self.skip, default=0) + self.start + 1
-        admissible = sum(1 for s in range(self.start, top + 1) if s not in self.skip)
+        top = max(self.skip, default=0) + 2
+        admissible = sum(1 for s in range(1, top + 1) if s not in self.skip)
         return self.per_size * (admissible + 1)
 
 
@@ -109,29 +108,19 @@ class SizeSequence:
         return f"SizeSequence([{head}...], {len(self.streams)} streams)"
 
 
-LanguageDesc = SizeSequence
-
-
 def size_sequence_of(char: Character) -> SizeSequence:
-    """The canonical slot layout for a census: finitely-counted sizes first
-    (ascending), then the unbounded demands round-robin."""
+    """The canonical slot layout for a census: its `slot_demand`, the finite
+    demands as the prefix and the sources as round-robin streams."""
     if char.default.is_omega:
         raise RepresentationError("size sequences for an infinite default are out of scope")
-    prefix: list[ExtNat] = []
-    for size, count in char.exceptions:
-        if not count.is_omega:
-            prefix.extend([ExtNat(size)] * count.finite)
-    if not char.omega_count.is_omega:
-        prefix.extend([OMEGA] * char.omega_count.finite)
-    streams: list = []
-    for size, count in char.exceptions:
-        if count.is_omega:
-            streams.append(_ConstStream(ExtNat(size)))
-    if char.default != ZERO:
-        streams.append(_PatternStream(char.default.finite, frozenset(char.sizes_of_interest)))
-    if char.omega_count.is_omega:
-        streams.append(_ConstStream(OMEGA))
-    return SizeSequence(tuple(prefix), tuple(streams))
+    finite, sources = slot_demand(char)
+
+    def size(s) -> ExtNat:
+        return OMEGA if s is None else ExtNat(s)
+
+    streams = (_PatternStream(char.default.finite, char.sizes_of_interest) if s == PATTERN
+               else _ConstStream(size(s)) for s in sources)
+    return SizeSequence(tuple(map(size, finite)), tuple(streams))
 
 
 def slot_count(seq: SizeSequence, size: "ExtNat | int | str") -> ExtNat:
@@ -158,7 +147,7 @@ def slot_count(seq: SizeSequence, size: "ExtNat | int | str") -> ExtNat:
         else:
             if size.is_omega:
                 continue
-            if size.finite >= stream.start and size.finite not in stream.skip:
+            if size.finite >= 1 and size.finite not in stream.skip:
                 total += stream.per_size
     return ExtNat(total)
 

@@ -6,6 +6,7 @@ for a pause.  Streams are single-consumer iterators tagged with their kind.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -189,9 +190,6 @@ class PrefixState:
     def block_size(self, root: int) -> int:
         return len(self._members[root])
 
-    def block_members(self, root: int) -> list[int]:
-        return self._members[root]
-
     def separated(self, root_a: int, root_b: int) -> bool:
         return root_b in self._enemies.get(root_a, ())
 
@@ -279,7 +277,61 @@ def read_trace(path, kind: str) -> Prefix:
 
 
 # ---------------------------------------------------------------------------
-# Planned class assignments
+# Slot plans and planned class assignments
+
+
+PATTERN = "pattern"  # the slot source that spawns the default count's sizes
+
+
+def slot_demand(char: Character) -> tuple[list[int | None], list]:
+    """The class slots a census demands, as two lists.
+
+    `finite` holds one entry per finitely counted class: its size, in
+    exception order, then None for each of finitely many infinite classes.
+    `sources` holds the spawners that demand classes forever, to be taken in
+    turn: each omega-counted size, then PATTERN when the default count is
+    nonzero, then None when there are infinitely many infinite classes.
+    """
+    finite: list[int | None] = []
+    sources: list = []
+    for size, count in char.exceptions:
+        if count.is_omega:
+            sources.append(size)
+        else:
+            finite.extend([size] * count.finite)
+    if char.default != ZERO:
+        sources.append(PATTERN)
+    if char.omega_count.is_omega:
+        sources.append(None)
+    else:
+        finite.extend([None] * char.omega_count.finite)
+    return finite, sources
+
+
+def pattern_size(n: int, per_size: int, skip: Sequence[int]) -> int:
+    """The n-th size (from 0) of a finite default count: ascending sizes
+    outside the sorted `skip`, each repeated `per_size` times."""
+    size = n // per_size + 1
+    for s in skip:
+        if s > size:
+            break
+        size += 1
+    return size
+
+
+def pattern_sizes(char: Character) -> Iterator[int]:
+    """The sizes PATTERN spawns for the census, in order.  An infinite
+    default sweeps 1; 1, 2; 1, 2, 3; ... so that every admissible size
+    recurs unboundedly often."""
+    skip = char.sizes_of_interest
+    if char.default.is_omega:
+        for top in itertools.count(1):
+            for size in range(1, top + 1):
+                if size not in skip:
+                    yield size
+    else:
+        for n in itertools.count():
+            yield pattern_size(n, char.default.finite, skip)
 
 
 class ClassAssignment:
@@ -297,30 +349,11 @@ class ClassAssignment:
     def __init__(self, char: Character, seed: int = 0):
         if char.is_empty:
             raise RepresentationError("cannot present the all-zero census")
-        self.char = char
         rng = random.Random(seed)
-        finite: list[int | None] = []
-        for size, count in char.exceptions:
-            if not count.is_omega:
-                finite.extend([size] * count.finite)
-        if not char.omega_count.is_omega and char.omega_count != ZERO:
-            finite.extend([None] * char.omega_count.finite)
-        rng.shuffle(finite)
-        self._finite_demands = finite
-        self._sources: list = []
-        for size, count in char.exceptions:
-            if count.is_omega:
-                self._sources.append(("const", size))
-        if char.default != ZERO:
-            self._sources.append(("pattern", None))
-        if char.omega_count.is_omega:
-            self._sources.append(("const", None))
-        if self._sources:
-            rng.shuffle(self._sources)
-        self._pattern_next = 1
-        self._pattern_left = 0
-        self._sweep_pos = 0
-        self._sweep_limit = 0
+        self._finite_demands, self._sources = slot_demand(char)
+        rng.shuffle(self._finite_demands)
+        rng.shuffle(self._sources)
+        self._pattern = pattern_sizes(char)
         self._source_idx = 0
         self._rng = rng
         self._round = 0
@@ -332,33 +365,14 @@ class ClassAssignment:
         self.finite_universe = char.total_size_finite
         self.universe_size = char.finite_universe_size() if self.finite_universe else None
 
-    def _next_pattern_size(self) -> int:
-        skip = set(self.char.sizes_of_interest)
-        if self.char.default.is_omega:
-            # triangular sweep: every admissible size recurs unboundedly often
-            while True:
-                self._sweep_pos += 1
-                if self._sweep_pos > self._sweep_limit:
-                    self._sweep_limit += 1
-                    self._sweep_pos = 1
-                if self._sweep_pos not in skip:
-                    return self._sweep_pos
-        while self._pattern_left == 0:
-            while self._pattern_next in skip:
-                self._pattern_next += 1
-            self._pattern_left = self.char.default.finite
-            self._size_being_emitted = self._pattern_next
-            self._pattern_next += 1
-        self._pattern_left -= 1
-        return self._size_being_emitted
-
     def _spawn_next(self) -> None:
         if self._finite_demands:
             target = self._finite_demands.pop()
         elif self._sources:
-            kind, value = self._sources[self._source_idx % len(self._sources)]
+            target = self._sources[self._source_idx % len(self._sources)]
             self._source_idx += 1
-            target = value if kind == "const" else self._next_pattern_size()
+            if target == PATTERN:
+                target = next(self._pattern)
         else:
             return
         self._targets.append(target)

@@ -322,3 +322,36 @@ def materialized_diagonalize(learner, class_size, stages):
         nu_marks, sigma_char, tau_char,
         e_counts_ok, singletons_ok, nu_ok, distinct_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# Default-pattern sizes by the counters stream generation first kept
+
+
+def counter_pattern_sizes(per_size, skip, n):
+    """The first n sizes of a finite default count: the next admissible size
+    and how many copies of the current one are left."""
+    out, next_size, left, size = [], 1, 0, None
+    while len(out) < n:
+        while left == 0:
+            while next_size in skip:
+                next_size += 1
+            left, size = per_size, next_size
+            next_size += 1
+        left -= 1
+        out.append(size)
+    return out
+
+
+def sweep_pattern_sizes(skip, n):
+    """The first n sizes of an infinite default's triangular sweep, by a
+    position that restarts at 1 each time it passes a growing limit."""
+    out, pos, limit = [], 0, 0
+    while len(out) < n:
+        pos += 1
+        if pos > limit:
+            limit += 1
+            pos = 1
+        if pos not in skip:
+            out.append(pos)
+    return out

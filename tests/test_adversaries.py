@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from limitlearn import (
     text_adversary,
     weak_locking_search,
 )
-from limitlearn.adversaries import _new_pairs
+from limitlearn.adversaries import _TargetBuilder, _new_pairs
 
 from families import (
     C56,
@@ -116,6 +118,29 @@ def test_limit_adversary_forces_oscillation():
     assert len(report.phase_switches) >= 10
     assert report.mind_changes >= 5
     assert report.defeated()
+
+
+def test_target_builder_retarget_plans_only_classes_the_census_has():
+    builder = _TargetBuilder(census(1))
+    for _ in range(300):
+        builder.next_item()
+    builder.finishing = True
+    while not builder.clean:
+        builder.next_item()
+    target = census(1, {3: 2})
+    builder.retarget(target, freeze=True)
+    for _ in range(600):
+        builder.next_item()
+    for size, planned in Counter(builder.slot_target).items():
+        assert planned <= target.count(size).finite, (size, planned)
+
+
+def test_target_builder_from_blocks_plans_only_classes_the_census_has():
+    # the completion a locking search walks from a start prefix with one 2-block
+    builder = _TargetBuilder(census(1, {1: 0}), [[0, 1]])
+    for _ in range(400):
+        builder.next_item()
+    assert builder.slot_target.count(2) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ FAMILIES = {
 # a consistent start prefix for a member of example1: blocks {0,1,2}, {3}, {4,5}
 START_ITEMS = "P 0 1\nP 1 2\nN 0 3\nP 4 5\nN 3 4\n"
 
-# case name -> (command line, expected exit code); "{name}" is a family file
+# case name -> (command line, expected exit code); "{...}" is a family file
+# or the start prefix
 CASES = {
     "simulate-separator-example1": (
         "simulate --family {example1} --learner separator --target 1 --seed 13 --horizon 2000", 0),

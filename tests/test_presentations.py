@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from limitlearn import (
     ConsistencyError,
     FiniteStructure,
+    OMEGA,
     PrefixState,
     embeds,
     fair_informant,
@@ -18,8 +21,10 @@ from limitlearn import (
     text_prefix,
     write_trace,
 )
+from limitlearn.presentations import PATTERN, pattern_size, pattern_sizes, slot_demand
 
 from families import C57, FIVE_OMEGA, TWO_INF, census
+from oracles import counter_pattern_sizes, sweep_pattern_sizes
 
 OM = "omega"
 
@@ -86,6 +91,40 @@ def test_trace_rejects_wrong_kind(tmp_path):
     write_trace(tmp_path / "x.txt", text_prefix([None]))
     with pytest.raises(ValueError):
         read_trace(tmp_path / "x.txt", "informant")
+
+
+# ---------------------------------------------------------------------------
+# Slot plans
+
+COUNTS = st.sampled_from([0, 1, 2, 3, OM])
+
+
+@settings(max_examples=200, deadline=None)
+@given(COUNTS, st.dictionaries(st.integers(1, 8), COUNTS, max_size=4),
+       st.sampled_from([0, 1, 2, OM]))
+def test_slot_demand_and_pattern_reproduce_the_census(default, exceptions, omega_count):
+    char = census(default, exceptions, omega_count)
+    finite, sources = slot_demand(char)
+    assert finite == sorted(finite, key=lambda s: (s is None, s))
+    head = list(islice(pattern_sizes(char), 400)) if PATTERN in sources else []
+    for size in [*range(1, 11), None]:
+        want = char.count(OMEGA if size is None else size)
+        seen = finite.count(size) + head.count(size)
+        if size in sources or seen >= 10:  # an unbounded demand
+            assert want.is_omega, (char, size)
+        else:
+            assert want == seen, (char, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.sets(st.integers(1, 12)))
+def test_pattern_arithmetic_matches_the_counters(per_size, skip):
+    skip = tuple(sorted(skip))
+    counted = counter_pattern_sizes(per_size, skip, 500)
+    assert [pattern_size(n, per_size, skip) for n in range(500)] == counted
+    zeros = {s: 0 for s in skip}
+    assert list(islice(pattern_sizes(census(per_size, zeros)), 500)) == counted
+    assert list(islice(pattern_sizes(census(OM, zeros)), 500)) == sweep_pattern_sizes(skip, 500)
 
 
 # ---------------------------------------------------------------------------
