@@ -35,6 +35,7 @@ from .structures import (
     embeds,
     fin_embeds,
     iso_eq,
+    pair_code,
     unpair_code,
 )
 
@@ -181,7 +182,10 @@ class _TargetBuilder:
                 return False
         return True
 
-    def next_item(self) -> tuple[int, int, int]:
+    def next_item(self):
+        """The next labeled pair of the walk, or ``_EXHAUSTED`` once a census
+        with finitely many elements has every element placed and every pair
+        among them emitted."""
         for _ in range(len(self.deferred) + 100000):
             if self.deferred:
                 x, y = self.deferred[0]
@@ -192,8 +196,17 @@ class _TargetBuilder:
             self.cursor += 1
             if self._try_pair(x, y):
                 return self._label(x, y)
+            if self._complete():
+                return _EXHAUSTED
             self.deferred.append((x, y))
         raise FamilyError("builder made no progress; retarget before emitting")
+
+    def _complete(self) -> bool:
+        target = self.target
+        if not target.total_size_finite or len(self.slot_of) < target.finite_universe_size():
+            return False
+        last = max(self.slot_of)
+        return self.cursor > pair_code(last, last)
 
     def _label(self, x: int, y: int) -> tuple[int, int, int]:
         return (x, y, 1 if self.slot_of[x] == self.slot_of[y] else 0)
@@ -557,7 +570,8 @@ def weak_locking_search(
     """Semi-decide whether `start` locks the learner on the target census.
 
     Walks one canonical completion of `start` toward the target for `depth`
-    items, probing up to `width` single-item variations at every step.  Any
+    items, or until it has given every fact of a target with finitely many
+    elements, probing up to `width` single-item variations at every step.  Any
     conjecture differing from the one at `start` yields a violator pair;
     otherwise `start` is reported as a candidate locking sequence at these
     bounds.  Completability of informant prefixes is judged without merging
@@ -597,9 +611,11 @@ def weak_locking_search(
         # advance the spine by one genuinely novel fact
         item = builder.next_item()
         for _skip in range(100000):
-            if _novel(state, start.kind, item):
+            if item is _EXHAUSTED or _novel(state, start.kind, item):
                 break
             item = builder.next_item()
+        if item is _EXHAUSTED:
+            break  # a target with finitely many elements is fully labeled
         spine.append(item)
         state.feed(item)
         base.consume(item)

@@ -28,8 +28,12 @@ Conjecture = Optional[Character]
 
 
 def conjectures_equal(a: Conjecture, b: Conjecture) -> bool:
+    # learners hand back their cached conjecture objects, so identity
+    # settles most comparisons before the fields are compared
+    if a is b:
+        return True
     if a is None or b is None:
-        return a is None and b is None
+        return False
     return iso_eq(a, b)
 
 

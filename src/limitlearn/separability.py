@@ -125,6 +125,8 @@ class Family:
 
     @classmethod
     def from_json(cls, data) -> "Family":
+        if not isinstance(data, dict):
+            raise TypeError(f"a family is a JSON object, not a {type(data).__name__}")
         members = tuple(Character.from_json(m) for m in data.get("members", []))
         gen = data.get("generator")
         if gen is None:

@@ -6,10 +6,16 @@ a default count that applies to all but finitely many finite sizes, explicit
 exceptions, and a count of infinite classes.  All embedding questions between
 two such descriptions reduce to comparing cumulative class counts at finitely
 many threshold sizes, which keeps every operation here exact and total.
+
+Each census caches those counts once as a plain-number step profile (its
+sorted exception sizes and the suffix sums of their counts, with ``math.inf``
+for omega), so an embedding test is one merge of two profiles.  ``ExtNat``
+stays at the API and JSON edge.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -98,6 +104,11 @@ def ext(value: "ExtNat | int | str") -> ExtNat:
     if isinstance(value, int):
         return ExtNat(value)
     raise RepresentationError(f"cannot interpret {value!r} as an extended natural")
+
+
+def _plain(value: ExtNat) -> float:
+    """The count as a plain number, ``math.inf`` for omega."""
+    return math.inf if value.finite is None else value.finite
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +238,31 @@ class Character:
             raise RepresentationError("class sizes start at 1")
         return self.exception_map.get(size.finite, self.default)
 
+    @cached_property
+    def cumulative_profile(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """``(sizes, counts)``: the exception sizes in order, and the number
+        of classes of size >= t (infinite classes included, ``math.inf`` for
+        omega) on each step of t.  ``counts[i]`` holds for the thresholds
+        above the first i sizes and at most ``sizes[i]``, so ``counts[-1]`` is
+        the infinite-class count.  A nonzero default gives ``((), (inf,))``."""
+        if self.default != ZERO:
+            return (), (math.inf,)
+        counts = [_plain(self.omega_count)]
+        for _, cnt in reversed(self.exceptions):
+            counts.append(counts[-1] + _plain(cnt))
+        return self.sizes_of_interest, tuple(reversed(counts))
+
     def cumulative(self, threshold: "ExtNat | int | str") -> ExtNat:
-        """Number of classes of size >= threshold (infinite classes included)."""
+        """Number of classes of size >= threshold (infinite classes included),
+        read off the cumulative profile."""
         threshold = ext(threshold)
         if threshold.is_omega:
             return self.omega_count
         if threshold.finite < 1:
             raise RepresentationError("cumulative threshold starts at 1")
-        if self.default != ZERO:
-            return OMEGA  # infinitely many finite sizes contribute
-        total = self.omega_count
-        for size, cnt in self.exceptions:
-            if size >= threshold.finite:
-                total = total + cnt
-        return total
+        sizes, counts = self.cumulative_profile
+        total = counts[bisect_left(sizes, threshold.finite)]
+        return OMEGA if total == math.inf else ExtNat(total)
 
     def has_component(self, comp: Component) -> bool:
         return self.count(comp.size) >= comp.index
@@ -385,28 +407,32 @@ def char_diff_min(c: Character, s: Character) -> Component | None:
     return best
 
 
-def _breakpoints(a: Character, b: Character) -> list[int]:
-    pts = {1}
-    for size in a.sizes_of_interest + b.sizes_of_interest:
-        pts.add(size)
-        pts.add(size + 1)
-    return sorted(pts)
-
-
 def fin_embeds(a: Character, b: Character) -> bool:
     """Every finite substructure of an `a`-structure embeds into a `b`-structure.
 
     Equivalent to the cumulative count of `a` never exceeding that of `b` at
-    any finite threshold; thresholds need checking only where either census
-    steps.
+    any finite threshold.  Both counts are steps that fall just above each
+    exception size, and `a`'s only falls, so it suffices to check threshold 1
+    and the threshold just above each of `b`'s sizes: one merge of the two
+    cumulative profiles.
     """
-    return all(a.cumulative(t) <= b.cumulative(t) for t in _breakpoints(a, b))
+    sizes_a, counts_a = a.cumulative_profile
+    sizes_b, counts_b = b.cumulative_profile
+    if counts_a[0] > counts_b[0]:
+        return False
+    i, n = 0, len(sizes_a)
+    for j, size in enumerate(sizes_b, 1):
+        while i < n and sizes_a[i] <= size:
+            i += 1
+        if counts_a[i] > counts_b[j]:
+            return False
+    return True
 
 
 def embeds(a: Character, b: Character) -> bool:
     """The whole class multiset of `a` matches injectively, size-monotonically,
     into that of `b` (infinite classes only into infinite classes)."""
-    return a.omega_count <= b.omega_count and fin_embeds(a, b)
+    return _plain(a.omega_count) <= _plain(b.omega_count) and fin_embeds(a, b)
 
 
 def iso_eq(a: Character, b: Character) -> bool:

@@ -18,12 +18,15 @@ from functools import lru_cache
 import math
 
 from limitlearn import (
+    OMEGA,
+    ZERO,
     Character,
     DiagonalizationReport,
     FinitePermutation,
     INFORMANT,
     Prefix,
     conjectures_equal,
+    ext,
     iso_eq,
     pair_code,
     permuted,
@@ -355,3 +358,37 @@ def sweep_pattern_sizes(skip, n):
         if pos not in skip:
             out.append(pos)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The ExtNat census algebra the cumulative profile replaced
+
+
+def extnat_cumulative(char: Character, threshold):
+    """Classes of size >= threshold, re-summed over the exceptions."""
+    threshold = ext(threshold)
+    if threshold.is_omega:
+        return char.omega_count
+    if char.default != ZERO:
+        return OMEGA
+    total = char.omega_count
+    for size, cnt in char.exceptions:
+        if size >= threshold.finite:
+            total = total + cnt
+    return total
+
+
+def _breakpoints(a: Character, b: Character) -> list[int]:
+    pts = {1}
+    for size in a.sizes_of_interest + b.sizes_of_interest:
+        pts.add(size)
+        pts.add(size + 1)
+    return sorted(pts)
+
+
+def extnat_fin_embeds(a: Character, b: Character) -> bool:
+    return all(extnat_cumulative(a, t) <= extnat_cumulative(b, t) for t in _breakpoints(a, b))
+
+
+def extnat_embeds(a: Character, b: Character) -> bool:
+    return a.omega_count <= b.omega_count and extnat_fin_embeds(a, b)

@@ -27,7 +27,7 @@ from limitlearn import (
     text_adversary,
     weak_locking_search,
 )
-from limitlearn.adversaries import _TargetBuilder, _new_pairs
+from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder, _new_pairs
 
 from families import (
     C56,
@@ -141,6 +141,22 @@ def test_target_builder_from_blocks_plans_only_classes_the_census_has():
     for _ in range(400):
         builder.next_item()
     assert builder.slot_target.count(2) == 1
+
+
+@pytest.mark.parametrize("blocks", [(), ([0, 1],), ([3],)])
+def test_target_builder_on_a_finite_census_labels_every_pair_then_is_exhausted(blocks):
+    target = census(0, {2: 1, 3: 1})
+    builder = _TargetBuilder(target, blocks)
+    items = []
+    while (item := builder.next_item()) is not _EXHAUSTED:
+        items.append(item)
+        assert len(items) <= 100
+    assert builder.next_item() is _EXHAUSTED
+    universe = sorted(builder.slot_of)
+    assert sorted((x, y) for x, y, _ in items) == [(x, y) for x in universe for y in universe]
+    state = PrefixState("informant")
+    state.feed_all(items)
+    assert state.char() == target
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +312,17 @@ def test_locking_search_candidate_for_converged_separator_learner():
         items.append(next(it))
     res = weak_locking_search(lrn, C57, informant_prefix(items), depth=50, width=8)
     assert res.kind == "candidate"
+
+
+@pytest.mark.parametrize("start", [(), ((0, 1, 1),)])
+def test_locking_search_toward_a_finite_census_stops_when_every_fact_is_given(start):
+    target = census(0, {2: 1, 3: 1})
+    res = weak_locking_search(learner_constant(target), target, informant_prefix(start), depth=200)
+    assert res.kind == "candidate"
+    # the echo learner names the census it has seen, so it moves on the spine
+    res = weak_locking_search(learner_echo(), target, informant_prefix(start), depth=200)
+    assert res.kind == "violator"
+    PrefixState("informant").feed_all(res.tau.items)
 
 
 def test_locking_search_rejects_bad_start():

@@ -91,6 +91,9 @@ def test_exit_code_unknown_learner(family_files, tmp_path):
 INPUT_FILES = {
     "inconsistent": "P 0 1\nN 0 1\n",
     "malformed": "X 0\n",
+    "family_list": "[[[2, 1]], [[3, 1]]]",
+    "family_number": "3",
+    "family_string": '"members"',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -108,6 +111,9 @@ EXIT_CODE_TABLE = [
     (("replay", "--items", "{missing}"), 2, "cannot read item file"),
     (("locking", "--learner", "constant", "--start", "{inconsistent}"), 3, "inconsistent item file"),
     (("locking", "--learner", "constant", "--start", "{malformed}"), 2, "cannot read item file"),
+    (("check", "--family", "{family_list}"), 2, "cannot parse family file"),
+    (("check", "--family", "{family_number}"), 2, "cannot parse family file"),
+    (("check", "--family", "{family_string}"), 2, "cannot parse family file"),
 ]
 
 
@@ -260,6 +266,18 @@ def test_locking_command(family_files, tmp_path):
     assert res.returncode == 0
     report = json.loads((tmp_path / "locking.json").read_text())
     assert report["kind"] == "candidate"
+
+
+def test_locking_command_toward_a_finite_census(tmp_path):
+    family = tmp_path / "finite.json"
+    family.write_text(json.dumps({"members": [[[2, 1]], [[3, 1]]]}))
+    res = run_cli(
+        "locking", "--family", family, "--learner", "constant",
+        "--target", 0, "--depth", 10, "--out", tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "locking.json").read_text())
+    assert report["kind"] == "candidate" and report["depth"] == 10
 
 
 def test_bridge_commands(family_files, tmp_path):

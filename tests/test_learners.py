@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitlearn import (
+    Character,
     FamilyError,
     FiniteStructure,
     Trace,
@@ -277,6 +280,22 @@ def test_run_simulation_fin_vs_ex_mind_changes():
     assert trace.mind_changes_fin == [4]
     assert not trace.fin_shape(C56)
     assert Trace([None, C56, C56]).fin_shape(C56)
+
+
+_PALETTE = (None, C56, C57, FIVE_OMEGA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, len(_PALETTE) - 1), max_size=30))
+def test_trace_judging_compares_equal_copies_like_shared_objects(picks):
+    shared = [_PALETTE[i] for i in picks]
+    copies = [c if c is None else Character(c.default, c.exceptions, c.omega_count)
+              for c in shared]
+    a, b = Trace(shared), Trace(copies)
+    assert a.mind_changes_ex == b.mind_changes_ex
+    assert a.mind_changes_fin == b.mind_changes_fin
+    assert a.stable_from() == b.stable_from()
+    assert a.mind_changes_ex == [s for s in range(1, len(picks)) if picks[s] != picks[s - 1]]
 
 
 def test_run_simulation_biembed_relation():

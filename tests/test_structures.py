@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,13 @@ from limitlearn import (
 )
 
 from families import C56, FIVE_OMEGA, FIVE_OMEGA_TWO, census, small_characters
-from oracles import brute_embeds, brute_fin_embeds
+from oracles import (
+    brute_embeds,
+    brute_fin_embeds,
+    extnat_cumulative,
+    extnat_embeds,
+    extnat_fin_embeds,
+)
 
 OM = "omega"
 
@@ -118,6 +126,45 @@ def test_cumulative_counts():
     assert FIVE_OMEGA.cumulative(3) == OMEGA
     assert character((5, 2), (2, 1)).cumulative(3) == ExtNat(2)
     assert census(1, {2: 0}).cumulative(4) == OMEGA
+
+
+_count = st.one_of(st.integers(0, 4), st.just(OM))
+
+
+@st.composite
+def _censuses(draw):
+    """Defaults 0, 1 or omega, omega-counted exceptions, and no, finitely many
+    or infinitely many infinite classes."""
+    return census(
+        draw(st.sampled_from([0, 1, OM])),
+        draw(st.dictionaries(st.integers(1, 12), _count, max_size=6)),
+        draw(st.one_of(st.integers(0, 3), st.just(OM))),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_censuses(), _censuses())
+def test_census_algebra_matches_extnat_reference(a, b):
+    assert fin_embeds(a, b) == extnat_fin_embeds(a, b)
+    assert embeds(a, b) == extnat_embeds(a, b)
+    top = max(a.sizes_of_interest + b.sizes_of_interest + (0,)) + 2
+    for t in [*range(1, top + 1), OM]:
+        got = a.cumulative(t)
+        assert isinstance(got, ExtNat) and got == extnat_cumulative(a, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_censuses())
+def test_cumulative_profile_is_invisible_to_equality_hash_and_pickle(c):
+    fresh = Character(c.default, c.exceptions, c.omega_count)
+    c.cumulative_profile  # built on one side only
+    assert "cumulative_profile" not in vars(fresh)
+    assert c == fresh and fresh == c and hash(c) == hash(fresh)
+    for obj in (c, fresh):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == c and hash(back) == hash(fresh)
+        assert back.cumulative_profile == c.cumulative_profile
+        assert fin_embeds(back, fresh) and embeds(fresh, back)
 
 
 def test_component_membership():
