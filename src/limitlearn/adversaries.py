@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .learners import Learner, Trace, conjectures_equal
+from .learners import Conjecture, Learner, Trace, conjectures_equal
 from .presentations import (
     INFORMANT,
     PATTERN,
     PAUSE,
     TEXT,
+    ConsistencyError,
     Prefix,
     PrefixState,
+    _new_pairs,
     pattern_sizes,
     slot_demand,
 )
@@ -300,10 +302,12 @@ class LimitAdversary:
         wit_idx = 0
         switches: list[tuple[int, str]] = []
         items = []
-        conjectures = [learner.conjecture()]
-        pending = conjectures_equal(conjectures[0], current)
+        first = learner.conjecture()
+        pending = conjectures_equal(first, current)
         consistent = True
-        for step in range(stages):
+
+        def play(step: int) -> Conjecture:
+            nonlocal in_limit_phase, current, wit_idx, pending, consistent
             if pending and builder.clean:
                 if in_limit_phase:
                     current = self.witnesses[wit_idx % len(self.witnesses)]
@@ -319,14 +323,16 @@ class LimitAdversary:
             item = builder.next_item()
             try:
                 monitor.feed(item)
-            except Exception:
+            except ConsistencyError:
                 consistent = False
             items.append(item)
             conj = learner.feed(item)
-            conjectures.append(conj)
             if conjectures_equal(conj, current):
                 pending = True
-        return AdversaryReport(Trace(conjectures), items, switches, current, consistent)
+            return conj
+
+        trace = Trace.fold(first, play, range(stages))
+        return AdversaryReport(trace, items, switches, current, consistent)
 
 
 def limit_adversary(learner: Learner, limit: Character, members: Sequence[Character]) -> LimitAdversary:
@@ -370,17 +376,6 @@ class DiagonalizationReport:
             "distinct_ok": self.distinct_ok,
             "ok": self.ok,
         }
-
-
-def _new_pairs(old_n: int, new_n: int):
-    """The ordered pairs over range(new_n) outside the square range(old_n)²,
-    in Cantor order: diagonal x + y ascending, then y ascending."""
-    for d in range(old_n, 2 * new_n - 1):
-        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
-        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
-            yield d - y, y
-        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
-            yield d - y, y
 
 
 class _Labeling(Sequence):
@@ -664,7 +659,7 @@ def _candidate_items(builder, state: PrefixState, target: Character, width: int,
             cands.append((x, y, 0))
         else:
             # merging the two blocks must still fit the census
-            merged = dict(state.size_counts)
+            merged = state.size_counts
             for s in (state.block_size(rx), state.block_size(ry)):
                 merged[s] -= 1
                 if not merged[s]:

@@ -9,7 +9,8 @@ probe hypothetical extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, reorder_items
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
@@ -249,14 +250,13 @@ class SeparatorLearner(Learner):
     def _realized_since(self, sep: Separator) -> int | None:
         """Earliest stage from which one fixed witness assignment for every
         component has persisted; None when some component is unrealized."""
-        state = self._state
+        by_size = self._state.births_by_size
         since = 0
         for comp in sep.components:
-            births = state.births_for_size(comp.size.finite)
-            if len(births) < comp.index:
+            entries = by_size.get(comp.size.finite, ())
+            if len(entries) < comp.index:
                 return None
-            births.sort()
-            since = max(since, births[comp.index - 1])
+            since = max(since, entries[comp.index - 1][0])
         return since
 
     def _recompute(self) -> None:
@@ -406,8 +406,7 @@ class OneShotLearner(Learner):
         if rev == self._rev:
             return
         self._rev = rev
-        counts = self._state.size_counts
-        top = max(counts) if counts else 0
+        top = max(self._state.births_by_size, default=0)
         for i, profile in enumerate(self._profiles):
             if profile[0] <= top and self._witness_present(profile):
                 self._fired = i
@@ -468,7 +467,7 @@ class TextFromInformantLearner(Learner):
                 self._base = self._pristine.clone()
                 delta = items
             for it in delta:
-                self._base.feed(it)
+                self._base.consume(it)
             self._fed = items
             self._cached = self._base.conjecture()
 
@@ -529,49 +528,70 @@ def learner_from_text(base: Learner) -> TextFromInformantLearner:
 
 @dataclass
 class Trace:
-    """Conjecture sequence of a run; index 0 is the empty-history conjecture."""
+    """The conjecture sequence of a run, kept as its change points.
 
-    conjectures: list
+    Stage 0 holds the empty-history conjecture and stage s the conjecture
+    after s items.  `changes` lists (stage, conjecture) for stage 0 and for
+    every later stage whose conjecture differs from the one before, and
+    `length` counts the stages, stage 0 included, so a trace costs memory
+    per mind change, not per item.  `conjectures` and `lines()` expand the
+    full sequence.
+    """
+
+    changes: list[tuple[int, Conjecture]]
+    length: int
+
+    @classmethod
+    def fold(cls, first: Conjecture, step: Callable, inputs: Iterable) -> "Trace":
+        """The trace of a run that conjectures `first` at stage 0 and
+        `step(x)` after each input x, recorded as it goes.  Learners hand
+        back their cached conjecture objects, so an identity check settles
+        nearly every stage before fields are compared."""
+        last, changes, stage = first, [(0, first)], 0
+        for stage, x in enumerate(inputs, 1):
+            c = step(x)
+            if c is not last and not conjectures_equal(c, last):
+                changes.append((stage, c))
+                last = c
+        return cls(changes, stage + 1)
+
+    @property
+    def conjectures(self) -> list[Conjecture]:
+        """The full sequence, one conjecture per stage."""
+        out: list[Conjecture] = []
+        ends = [s for s, _ in self.changes[1:]] + [self.length]
+        for (start, c), end in zip(self.changes, ends):
+            out.extend([c] * (end - start))
+        return out
 
     @property
     def mind_changes_ex(self) -> list[int]:
-        return [
-            s for s in range(1, len(self.conjectures))
-            if not conjectures_equal(self.conjectures[s], self.conjectures[s - 1])
-        ]
+        return [s for s, _ in self.changes[1:]]
 
     @property
     def mind_changes_fin(self) -> list[int]:
-        return [
-            s for s in range(1, len(self.conjectures))
-            if self.conjectures[s - 1] is not None
-            and not conjectures_equal(self.conjectures[s], self.conjectures[s - 1])
-        ]
+        return [s for (s, _), (_, before) in zip(self.changes[1:], self.changes)
+                if before is not None]
 
     def fin_shape(self, target: Character, relation: str = "iso") -> bool:
         """The one-shot success shape: some correct census is conjectured and
         nothing else (question marks aside) ever is."""
         rel = RELATIONS[relation]
-        actual = [c for c in self.conjectures if c is not None]
+        actual = [c for _, c in self.changes if c is not None]
         return bool(actual) and all(rel(c, target) and iso_eq(c, actual[0]) for c in actual)
 
     def final(self) -> Conjecture:
-        return self.conjectures[-1]
+        return self.changes[-1][1]
 
     def stable_from(self) -> int:
-        """First stage from which the conjecture never changes again."""
-        last = len(self.conjectures) - 1
-        start = last
-        while start > 0 and conjectures_equal(self.conjectures[start - 1], self.conjectures[last]):
-            start -= 1
-        return start
+        """First stage from which the conjecture never changes again (-1 for
+        a trace with no stage)."""
+        return self.changes[-1][0] if self.changes else -1
 
     def lines(self) -> list[str]:
-        out = []
-        for s, c in enumerate(self.conjectures):
-            changed = s > 0 and not conjectures_equal(c, self.conjectures[s - 1])
-            out.append(f"stage {s}: {conjecture_str(c)}" + (" [MC]" if changed else ""))
-        return out
+        starts = set(self.mind_changes_ex)
+        return [f"stage {s}: {conjecture_str(c)}" + (" [MC]" if s in starts else "")
+                for s, c in enumerate(self.conjectures)]
 
 
 RELATIONS: dict[str, Callable[[Character, Character], bool]] = {
@@ -632,19 +652,10 @@ def run_simulation(
     if isinstance(stream, Stream) and stream.kind != learner.mode:
         raise ValueError(f"{learner.mode} learner cannot read a {stream.kind} stream")
     learner.reset()
-    conjectures = [learner.conjecture()]
-    exhausted = False
-    it = iter(stream)
-    for _ in range(stages):
-        try:
-            item = next(it)
-        except StopIteration:
-            exhausted = True
-            break
-        conjectures.append(learner.feed(item))
-    trace = Trace(conjectures)
+    trace = Trace.fold(learner.conjecture(), learner.feed, islice(stream, stages))
+    exhausted = trace.length <= stages
     stable = trace.stable_from()
-    steady = len(conjectures) - stable > window
+    steady = trace.length - stable > window
     correct = True
     if target is not None:
         final = trace.final()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -16,7 +17,6 @@ from .structures import (
     Character,
     FiniteStructure,
     RepresentationError,
-    unpair_code,
 )
 
 InformantItem = tuple[int, int, int]
@@ -68,14 +68,20 @@ class PrefixState:
     """Union-find decoder for a growing prefix.
 
     Tracks the positive-closure blocks over all mentioned elements, explicit
-    negative facts between blocks, the census of current block sizes, and for
-    each block the stage at which it last changed size (used by learners that
-    must distinguish long-stable blocks from transient ones).
+    negative facts between blocks, and for each block the stage at which it
+    last changed size (used by learners that must distinguish long-stable
+    blocks from transient ones).
+
+    `births_by_size` indexes the blocks by size: for each size a list of
+    (birth stage, root) pairs, sorted, with no empty list.  Its lengths are
+    the census of block sizes, and the k-th smallest birth among the blocks
+    of one size is its list's k-th entry.  A known element costs one dict
+    lookup when it points at its root; `find` runs only below that.
     """
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_enemies", "size_counts", "birth", "_char_cache",
+        "_enemies", "birth", "births_by_size", "_char_cache",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -86,8 +92,8 @@ class PrefixState:
         self._parent: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}
         self._enemies: dict[int, set[int]] = {}
-        self.size_counts: dict[int, int] = {}
         self.birth: dict[int, int] = {}
+        self.births_by_size: dict[int, list[tuple[int, int]]] = {}
         self._char_cache: Character | None = None
 
     # -- union-find -----------------------------------------------------
@@ -102,29 +108,28 @@ class PrefixState:
         return root
 
     def _add_element(self, x: int) -> int:
-        if x in self._parent:
-            return self.find(x)
+        """Make the unseen element x a singleton block; returns x."""
         self._parent[x] = x
         self._members[x] = [x]
-        self.size_counts[1] = self.size_counts.get(1, 0) + 1
         self.birth[x] = self.stage
+        # two elements first mentioned by one item share a stage
+        insort(self.births_by_size.setdefault(1, []), (self.stage, x))
         self.struct_rev += 1
         self._char_cache = None
         return x
 
     def _union(self, a: int, b: int) -> None:
-        if len(self._members[a]) < len(self._members[b]):
+        members, birth, by_size = self._members, self.birth, self.births_by_size
+        if len(members[a]) < len(members[b]):
             a, b = b, a
-        counts = self.size_counts
-        for size in (len(self._members[a]), len(self._members[b])):
-            counts[size] -= 1
-            if not counts[size]:
-                del counts[size]
-        self._members[a].extend(self._members[b])
-        del self._members[b]
+        for root in (a, b):
+            size = len(members[root])
+            entries = by_size[size]
+            del entries[bisect_left(entries, (birth[root], root))]
+            if not entries:
+                del by_size[size]
+        members[a].extend(members.pop(b))
         self._parent[b] = a
-        new_size = len(self._members[a])
-        counts[new_size] = counts.get(new_size, 0) + 1
         enemies_b = self._enemies.pop(b, None)
         if enemies_b:
             mine = self._enemies.setdefault(a, set())
@@ -132,8 +137,9 @@ class PrefixState:
                 self._enemies[e].discard(b)
                 self._enemies[e].add(a)
                 mine.add(e)
-        self.birth.pop(b, None)
-        self.birth[a] = self.stage
+        del birth[b]
+        birth[a] = self.stage
+        insort(by_size.setdefault(len(members[a]), []), (self.stage, a))
         self.struct_rev += 1
         self._char_cache = None
 
@@ -147,12 +153,22 @@ class PrefixState:
             if item is None:
                 return
             x, y = item
-            ra, rb = self._add_element(x), self._add_element(y)
-            if ra != rb:
-                self._union(ra, rb)
-            return
-        x, y, label = item
-        ra, rb = self._add_element(x), self._add_element(y)
+            label = 1
+        else:
+            x, y, label = item
+        parent = self._parent
+        if x in parent:
+            ra = parent[x]
+            if parent[ra] != ra:
+                ra = self.find(x)
+        else:
+            ra = self._add_element(x)
+        if y in parent:
+            rb = parent[y]
+            if parent[rb] != rb:
+                rb = self.find(y)
+        else:
+            rb = self._add_element(y)
         if label:
             if ra != rb:
                 if rb in self._enemies.get(ra, ()):  # explicitly separated
@@ -178,6 +194,11 @@ class PrefixState:
     def n_mentioned(self) -> int:
         return len(self._parent)
 
+    @property
+    def size_counts(self) -> dict[int, int]:
+        """The census of current block sizes: size -> number of blocks."""
+        return {size: len(entries) for size, entries in self.births_by_size.items()}
+
     def mentions(self, x: int) -> bool:
         return x in self._parent
 
@@ -195,11 +216,8 @@ class PrefixState:
 
     def char(self) -> Character:
         if self._char_cache is None:
-            self._char_cache = Character.make(0, dict(self.size_counts), 0)
+            self._char_cache = Character.make(0, self.size_counts, 0)
         return self._char_cache
-
-    def births_for_size(self, size: int) -> list[int]:
-        return [self.birth[r] for r, m in self._members.items() if len(m) == size]
 
     def copy(self) -> "PrefixState":
         dup = PrefixState.__new__(PrefixState)
@@ -210,8 +228,8 @@ class PrefixState:
         dup._parent = dict(self._parent)
         dup._members = {r: list(m) for r, m in self._members.items()}
         dup._enemies = {r: set(e) for r, e in self._enemies.items()}
-        dup.size_counts = dict(self.size_counts)
         dup.birth = dict(self.birth)
+        dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
         dup._char_cache = self._char_cache
         return dup
 
@@ -405,9 +423,6 @@ class ClassAssignment:
                 raise RepresentationError(f"element {x} outside the finite universe")
         return self._slot_of[x]
 
-    def related(self, x: int, y: int) -> bool:
-        return self.slot_of(x) == self.slot_of(y)
-
 
 # ---------------------------------------------------------------------------
 # Streams
@@ -426,17 +441,27 @@ class Stream:
         return next(self._iterator)
 
 
+def _new_pairs(old_n: int, new_n: int):
+    """The ordered pairs over range(new_n) outside the square range(old_n)²,
+    in Cantor order: diagonal x + y ascending, then y ascending."""
+    for d in range(old_n, 2 * new_n - 1):
+        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
+        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
+            yield d - y, y
+        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
+            yield d - y, y
+
+
 def _pair_walk(universe: int | None) -> Iterator[tuple[int, int]]:
+    """Every ordered pair of naturals once, in Cantor order; over a finite
+    universe, the pairs of its square in that order, over and over."""
     if universe is None:
-        code = 0
-        while True:
-            yield unpair_code(code)
-            code += 1
+        for d in itertools.count():
+            for y in range(d + 1):
+                yield d - y, y
     else:
-        pairs = [(x, y) for x in range(universe) for y in range(universe)]
-        pairs.sort(key=lambda p: (p[0] + p[1], p[1]))
         while True:
-            yield from pairs
+            yield from _new_pairs(0, universe)
 
 
 def fair_informant(char: Character, seed: int = 0) -> Stream:
@@ -448,8 +473,13 @@ def fair_informant(char: Character, seed: int = 0) -> Stream:
     plan = ClassAssignment(char, seed)
 
     def gen():
+        # an element placed once keeps its slot, so only new elements
+        # go through slot_of
+        placed, place = plan._slot_of, plan.slot_of
         for x, y in _pair_walk(plan.universe_size):
-            yield (x, y, 1 if plan.related(x, y) else 0)
+            sx = placed[x] if x in placed else place(x)
+            sy = placed[y] if y in placed else place(y)
+            yield (x, y, 1 if sx == sy else 0)
 
     return Stream(INFORMANT, char, gen())
 
@@ -460,11 +490,14 @@ def fair_text(char: Character, seed: int = 0) -> Stream:
 
     def gen():
         bound = plan.universe_size
+        placed, place = plan._slot_of, plan.slot_of
         for x, y in _pair_walk(None):
             if bound is not None and (x >= bound or y >= bound):
                 yield PAUSE
             else:
-                yield (x, y) if plan.related(x, y) else PAUSE
+                sx = placed[x] if x in placed else place(x)
+                sy = placed[y] if y in placed else place(y)
+                yield (x, y) if sx == sy else PAUSE
 
     return Stream(TEXT, char, gen())
 

@@ -24,6 +24,7 @@ from limitlearn import (
     DiagonalizationReport,
     FinitePermutation,
     INFORMANT,
+    RELATIONS,
     Prefix,
     conjectures_equal,
     ext,
@@ -31,6 +32,7 @@ from limitlearn import (
     pair_code,
     permuted,
 )
+from limitlearn.learners import conjecture_str
 
 INF = None  # symbolic size of an infinite class
 SATURATE = 50
@@ -392,3 +394,58 @@ def extnat_fin_embeds(a: Character, b: Character) -> bool:
 
 def extnat_embeds(a: Character, b: Character) -> bool:
     return a.omega_count <= b.omega_count and extnat_fin_embeds(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The queries the birth index and the change-point trace replaced
+
+
+def scan_births_for_size(state, size: int) -> list[int]:
+    """The birth stages of the blocks of one size, by a scan over every
+    block, unsorted: the query the size-indexed births replaced."""
+    return [state.birth[r] for r, m in state._members.items() if len(m) == size]
+
+
+class ListTrace:
+    """A run's conjecture sequence kept in full, one entry per stage, every
+    judgement a scan of consecutive entries."""
+
+    def __init__(self, conjectures: list):
+        self.conjectures = conjectures
+
+    @property
+    def mind_changes_ex(self) -> list[int]:
+        return [
+            s for s in range(1, len(self.conjectures))
+            if not conjectures_equal(self.conjectures[s], self.conjectures[s - 1])
+        ]
+
+    @property
+    def mind_changes_fin(self) -> list[int]:
+        return [
+            s for s in range(1, len(self.conjectures))
+            if self.conjectures[s - 1] is not None
+            and not conjectures_equal(self.conjectures[s], self.conjectures[s - 1])
+        ]
+
+    def fin_shape(self, target: Character, relation: str = "iso") -> bool:
+        rel = RELATIONS[relation]
+        actual = [c for c in self.conjectures if c is not None]
+        return bool(actual) and all(rel(c, target) and iso_eq(c, actual[0]) for c in actual)
+
+    def final(self):
+        return self.conjectures[-1]
+
+    def stable_from(self) -> int:
+        last = len(self.conjectures) - 1
+        start = last
+        while start > 0 and conjectures_equal(self.conjectures[start - 1], self.conjectures[last]):
+            start -= 1
+        return start
+
+    def lines(self) -> list[str]:
+        out = []
+        for s, c in enumerate(self.conjectures):
+            changed = s > 0 and not conjectures_equal(c, self.conjectures[s - 1])
+            out.append(f"stage {s}: {conjecture_str(c)}" + (" [MC]" if changed else ""))
+        return out

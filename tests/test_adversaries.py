@@ -27,7 +27,8 @@ from limitlearn import (
     text_adversary,
     weak_locking_search,
 )
-from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder, _new_pairs
+from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder
+from limitlearn.presentations import _new_pairs
 
 from families import (
     C56,
@@ -79,6 +80,18 @@ def test_limit_adversary_on_constant_limit_guesser():
     state.feed_all(report.items)
     assert embeds(state.char(), FIVE_OMEGA_TWO)
     assert state.size_counts.get(2, 0) >= 1  # the two-class was actually shown
+
+
+def test_limit_adversary_lets_a_decoder_defect_surface(monkeypatch):
+    # only an inconsistent item counts against the stream; any other error
+    # from the monitor is a defect and must not read as `consistent: false`
+    def broken(self, item):
+        raise TypeError("decoder defect")
+
+    monkeypatch.setattr(PrefixState, "feed", broken)
+    adv = limit_adversary(learner_constant(FIVE_OMEGA), FIVE_OMEGA, list(NONSEPARABLE))
+    with pytest.raises(TypeError, match="decoder defect"):
+        adv.run(50)
 
 
 def test_limit_adversary_dichotomy_over_roster():

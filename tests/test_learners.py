@@ -36,8 +36,16 @@ from families import (
     kron_slice,
 )
 from limitlearn import fin_biembeddable
+from oracles import ListTrace
 
 OM = "omega"
+
+
+def trace_of(conjectures):
+    """The trace of a full conjecture list, stage 0 first."""
+    if not conjectures:
+        return Trace([], 0)
+    return Trace.fold(conjectures[0], lambda c: c, conjectures[1:])
 
 
 def feed_all(learner, items):
@@ -275,11 +283,11 @@ def test_run_simulation_trace_and_mind_changes():
 
 
 def test_run_simulation_fin_vs_ex_mind_changes():
-    trace = Trace([None, None, C56, C56, C57])
+    trace = trace_of([None, None, C56, C56, C57])
     assert trace.mind_changes_ex == [2, 4]
     assert trace.mind_changes_fin == [4]
     assert not trace.fin_shape(C56)
-    assert Trace([None, C56, C56]).fin_shape(C56)
+    assert trace_of([None, C56, C56]).fin_shape(C56)
 
 
 _PALETTE = (None, C56, C57, FIVE_OMEGA)
@@ -291,11 +299,38 @@ def test_trace_judging_compares_equal_copies_like_shared_objects(picks):
     shared = [_PALETTE[i] for i in picks]
     copies = [c if c is None else Character(c.default, c.exceptions, c.omega_count)
               for c in shared]
-    a, b = Trace(shared), Trace(copies)
+    a, b = trace_of(shared), trace_of(copies)
     assert a.mind_changes_ex == b.mind_changes_ex
     assert a.mind_changes_fin == b.mind_changes_fin
     assert a.stable_from() == b.stable_from()
     assert a.mind_changes_ex == [s for s in range(1, len(picks)) if picks[s] != picks[s - 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_PALETTE) - 1), st.booleans()), max_size=30))
+def test_change_point_trace_matches_the_list_trace(picks):
+    # each stage either shares the palette object or gets an equal copy
+    conjectures = [
+        _PALETTE[i] if shared or _PALETTE[i] is None
+        else Character(_PALETTE[i].default, _PALETTE[i].exceptions, _PALETTE[i].omega_count)
+        for i, shared in picks
+    ]
+    got, want = trace_of(conjectures), ListTrace(conjectures)
+    assert got.length == len(conjectures)
+    assert got.conjectures == conjectures
+    assert got.mind_changes_ex == want.mind_changes_ex
+    assert got.mind_changes_fin == want.mind_changes_fin
+    assert got.stable_from() == want.stable_from()
+    assert got.lines() == want.lines()
+    for target in _PALETTE[1:]:
+        for relation in ("iso", "biembed"):
+            assert got.fin_shape(target, relation) == want.fin_shape(target, relation)
+    if conjectures:
+        assert conjectures_equal(got.final(), want.final())
+    else:  # a run always has stage 0; an empty trace has no final conjecture
+        for trace in (got, want):
+            with pytest.raises(IndexError):
+                trace.final()
 
 
 def test_run_simulation_biembed_relation():
@@ -319,7 +354,7 @@ def test_run_simulation_rejects_mode_mismatch():
 
 
 def test_trace_lines_format():
-    trace = Trace([None, C56, C56])
+    trace = trace_of([None, C56, C56])
     lines = trace.lines()
     assert lines[0] == "stage 0: ?"
     assert lines[1].startswith("stage 1: ") and lines[1].endswith("[MC]")

@@ -21,10 +21,17 @@ from limitlearn import (
     text_prefix,
     write_trace,
 )
-from limitlearn.presentations import PATTERN, pattern_size, pattern_sizes, slot_demand
+from limitlearn.presentations import (
+    PATTERN,
+    _pair_walk,
+    pattern_size,
+    pattern_sizes,
+    slot_demand,
+)
+from limitlearn.structures import pair_code, unpair_code
 
 from families import C57, FIVE_OMEGA, TWO_INF, census
-from oracles import counter_pattern_sizes, sweep_pattern_sizes
+from oracles import counter_pattern_sizes, scan_births_for_size, sweep_pattern_sizes
 
 OM = "omega"
 
@@ -61,6 +68,55 @@ def test_inconsistent_prefix_reports_item_index():
     assert err.value.index == 2
     with pytest.raises(ConsistencyError):
         structure_from_prefix(informant_prefix([(0, 1, 0), (0, 1, 1)]))
+
+
+@st.composite
+def _consistent_informant(draw, max_elements=10, max_items=60):
+    """Labeled pairs of a random partition of a few elements, in random
+    order, repeats allowed."""
+    n = draw(st.integers(1, max_elements))
+    cls = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=max_items // 2, max_size=max_items))
+    return [(x, y, 1 if cls[x] == cls[y] else 0) for x, y in pairs]
+
+
+def _assert_births_indexed(state):
+    for size in range(1, state.n_mentioned + 1):
+        entries = state.births_by_size.get(size, [])
+        assert [b for b, _ in entries] == sorted(scan_births_for_size(state, size))
+        assert entries == sorted((state.birth[r], r) for r in state.block_roots()
+                                 if state.block_size(r) == size)
+    assert all(state.births_by_size.values())  # no empty list is kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(_consistent_informant(), st.data())
+def test_births_by_size_match_the_block_scan(items, data):
+    cut = data.draw(st.integers(0, len(items)))
+    state = PrefixState("informant")
+    for item in items[:cut]:
+        state.feed(item)
+        _assert_births_indexed(state)
+    dup = state.copy()
+    # the original and its copy are fed apart: the rest, and the rest reversed
+    for item in items[cut:]:
+        state.feed(item)
+        _assert_births_indexed(state)
+    for item in reversed(items[cut:]):
+        dup.feed(item)
+        _assert_births_indexed(dup)
+    assert state.char() == dup.char()
+
+
+def test_pair_walk_follows_the_cantor_codes():
+    assert list(islice(_pair_walk(None), 5000)) == [unpair_code(c) for c in range(5000)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_walk_repeats_the_sorted_square(n):
+    square = sorted(((x, y) for x in range(n) for y in range(n)), key=lambda p: pair_code(*p))
+    assert list(islice(_pair_walk(n), 3 * n * n)) == square * 3
 
 
 # ---------------------------------------------------------------------------
