@@ -17,15 +17,12 @@ from .structures import (
     RepresentationError,
     biembeddable,
     char_diff_min,
-    char_of_finite,
     char_subset,
-    character,
     component,
     embeds,
     ext,
     fin_biembeddable,
     fin_embeds,
-    iso_eq,
     pair_code,
     unpair_code,
 )
@@ -97,13 +94,11 @@ from .bridge import (
     finite_permutations,
     lang_member,
     language_closure,
-    language_to_struct_learner,
     permuted,
     run_language_simulation,
     seq_eq,
     seq_le,
     size_sequence_of,
-    struct_to_language_learner,
     telltale_search,
 )
 

@@ -28,15 +28,13 @@ from .presentations import (
     pattern_sizes,
     slot_demand,
 )
-from .separability import FamilyError
+from .separability import FamilyError, imitates
 from .structures import (
     OMEGA,
     ZERO,
     Character,
     char_subset,
     embeds,
-    fin_embeds,
-    iso_eq,
     pair_code,
     unpair_code,
 )
@@ -253,7 +251,7 @@ class AdversaryReport:
         least `threshold` times or its final conjecture misses the structure
         the stream is presenting."""
         final = self.trace.final()
-        wrong = final is None or not iso_eq(final, self.final_target)
+        wrong = final is None or final != self.final_target
         return self.mind_changes >= threshold or wrong
 
     def to_json(self) -> dict:
@@ -285,10 +283,7 @@ class LimitAdversary:
             raise FamilyError("the limit adversary requires families without infinite classes")
         self.learner = learner
         self.limit = limit
-        self.witnesses = [
-            m for m in members
-            if not iso_eq(m, limit) and fin_embeds(m, limit) and char_subset(limit, m)
-        ]
+        self.witnesses = [m for m in members if imitates(m, limit)]
         if not self.witnesses:
             raise FamilyError(f"{limit} is not a limit of the given family")
 
@@ -478,7 +473,7 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     nu_ok = all(
         not conjectures_equal(a, b) for a, b in zip(nu_conjectures, nu_conjectures[1:])
     )
-    distinct_ok = not iso_eq(sigma_char, tau_char)
+    distinct_ok = sigma_char != tau_char
     nu_marks = [marks[t] ** 2 for t in [0] + expansionary]
     return DiagonalizationReport(
         e, stages, expansionary,
@@ -686,6 +681,8 @@ class LockingNormalForm(Learner):
     wrapper locks once nothing it remembers flips it.
     """
 
+    _owned = ("_history", "_sigma", "_shadow", "_no_flip")
+
     def __init__(self, base: Learner):
         self._pristine = base.clone()
         self._pristine.reset()
@@ -696,44 +693,32 @@ class LockingNormalForm(Learner):
     def reset(self) -> None:
         self._history: list = []
         self._sigma: list = []
-        self._at_sigma = self._pristine.clone()
+        self._at_sigma = self._pristine  # never fed: probes clone it
         self._conj = self._at_sigma.conjecture()
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()
-        self._pending: deque = deque()
-        self._pending_set: set = set()
 
-    def _rebuild_shadow(self) -> None:
-        self._shadow = self._at_sigma.clone()
-        for it in self._history:
-            self._shadow.consume(it)
-
-    def _changed(self, new_at_sigma, appended: list) -> None:
+    def _changed(self, new_at_sigma, appended: list) -> deque:
+        """Move sigma and return the history's distinct items, in first-seen
+        order, to be probed again."""
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
         self._conj = new_at_sigma.conjecture()
         self._no_flip.clear()
-        seen: set = set()
-        self._pending.clear()
-        for h in self._history:
-            if h not in seen:
-                seen.add(h)
-                self._pending.append(h)
-        self._pending_set = seen
-        self._rebuild_shadow()
+        self._shadow = new_at_sigma.clone()
+        for it in self._history:
+            self._shadow.consume(it)
+        return deque(dict.fromkeys(self._history))
 
     def consume(self, item) -> None:
         self._history.append(item)
         self._shadow.consume(item)
-        if item not in self._no_flip and item not in self._pending_set:
-            self._pending.append(item)
-            self._pending_set.add(item)
+        pending = deque() if item in self._no_flip else deque([item])
         progress = True
         while progress:
             progress = False
-            while self._pending:
-                it = self._pending.popleft()
-                self._pending_set.discard(it)
+            while pending:
+                it = pending.popleft()
                 if it in self._no_flip:
                     continue
                 probe = self._at_sigma.clone()
@@ -741,11 +726,11 @@ class LockingNormalForm(Learner):
                 if conjectures_equal(probe.conjecture(), self._conj):
                     self._no_flip.add(it)
                 else:
-                    self._changed(probe, [it])
+                    pending = self._changed(probe, [it])
                     progress = True
                     break
             if not progress and not conjectures_equal(self._shadow.conjecture(), self._conj):
-                self._changed(self._shadow, list(self._history))
+                pending = self._changed(self._shadow, list(self._history))
                 progress = True
 
     def conjecture(self):
@@ -753,21 +738,6 @@ class LockingNormalForm(Learner):
 
     def distilled(self) -> Prefix:
         return Prefix(self.mode, tuple(self._sigma))
-
-    def clone(self) -> "LockingNormalForm":
-        dup = LockingNormalForm.__new__(LockingNormalForm)
-        dup._pristine = self._pristine.clone()
-        dup.mode = self.mode
-        dup.name = self.name
-        dup._history = list(self._history)
-        dup._sigma = list(self._sigma)
-        dup._at_sigma = self._at_sigma.clone()
-        dup._conj = self._conj
-        dup._shadow = self._shadow.clone()
-        dup._no_flip = set(self._no_flip)
-        dup._pending = deque(self._pending)
-        dup._pending_set = set(self._pending_set)
-        return dup
 
 
 def locking_transform(base: Learner) -> LockingNormalForm:
@@ -836,7 +806,7 @@ def text_adversary(
     for it in sigma.items:
         probe.consume(it)
     locked = probe.conjecture()
-    if locked is None or not iso_eq(locked, ONE_CLASS):
+    if locked is None or locked != ONE_CLASS:
         return TextAdversaryReport(
             "defeated",
             "locks on an incorrect conjecture for the single-class structure",

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .learners import Learner
+from .learners import Learner, SeparatorLearner, run_simulation
 from .presentations import (
     INFORMANT,
     PATTERN,
@@ -83,6 +83,10 @@ class SizeSequence:
                 return value
         if i < len(self.prefix):
             return self.prefix[i]
+        return self.tail(i)
+
+    def tail(self, i: int) -> ExtNat:
+        """The streams' value at slot i past the prefix, overrides aside."""
         if not self.streams:
             return ZERO
         j = i - len(self.prefix)
@@ -137,8 +141,7 @@ def slot_count(seq: SizeSequence, size: "ExtNat | int | str") -> ExtNat:
         checked.add(idx)
         if value == size:
             total += 1
-        base = seq.prefix[idx] if idx < len(seq.prefix) else _tail_value(seq, idx)
-        if idx >= len(seq.prefix) and base == size:
+        if seq.tail(idx) == size:
             total -= 1  # the override hides one tail occurrence
     for stream in seq.streams:
         if isinstance(stream, _ConstStream):
@@ -150,13 +153,6 @@ def slot_count(seq: SizeSequence, size: "ExtNat | int | str") -> ExtNat:
             if size.finite >= 1 and size.finite not in stream.skip:
                 total += stream.per_size
     return ExtNat(total)
-
-
-def _tail_value(seq: SizeSequence, i: int) -> ExtNat:
-    if not seq.streams:
-        return ZERO
-    j = i - len(seq.prefix)
-    return seq.streams[j % len(seq.streams)].nth(j // len(seq.streams))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +357,7 @@ class StructToLanguageLearner(Learner):
     """
 
     mode = LANGUAGE
+    _owned = ("_codes", "_base", "_perm_cache")
 
     def __init__(self, base: Learner, support_bound: int = 4, value_bound: int = 16):
         if base.mode != INFORMANT:
@@ -373,29 +370,25 @@ class StructToLanguageLearner(Learner):
         self.reset()
 
     def reset(self) -> None:
-        self._codes: list[int] = []
-        self._code_set: set[int] = set()
-        self._groups: dict[int, int] = {}
+        self._codes: dict[int, int] = {}  # code -> first coordinate, in arrival order
         self._base = self._pristine.clone()
         self._cached: Optional[SizeSequence] = None
         self._dirty = True  # the empty history already has a conjecture
         self._perm_cache: dict[Character, tuple[list, int]] = {}
 
     def consume(self, item) -> None:
-        if item is None or item in self._code_set:
+        if item is None or item in self._codes:
             return
         # encode the new code against the ones already seen: codes are related
         # exactly when their first pairing coordinates agree
         group = unpair_code(item)[0]
         base = self._base
         base.consume((item, item, 1))
-        for other in self._codes:
-            label = 1 if self._groups[other] == group else 0
+        for other, other_group in self._codes.items():
+            label = 1 if other_group == group else 0
             base.consume((item, other, label))
             base.consume((other, item, label))
-        self._code_set.add(item)
-        self._codes.append(item)
-        self._groups[item] = group
+        self._codes[item] = group
         self._dirty = True
 
     def _least_consistent_perm(self, census: Character) -> Optional[FinitePermutation]:
@@ -407,7 +400,7 @@ class StructToLanguageLearner(Learner):
         # consistency only shrinks as data grows, so the pointer never backs up
         while pos < len(perms):
             candidate = permuted(seq, perms[pos])
-            if all(lang_member(candidate, c) for c in self._code_set):
+            if all(lang_member(candidate, c) for c in self._codes):
                 self._perm_cache[census] = (perms, pos)
                 return perms[pos]
             pos += 1
@@ -424,26 +417,6 @@ class StructToLanguageLearner(Learner):
                 perm = self._least_consistent_perm(census)
                 self._cached = None if perm is None else permuted(size_sequence_of(census), perm)
         return self._cached
-
-    def clone(self) -> "StructToLanguageLearner":
-        dup = StructToLanguageLearner.__new__(StructToLanguageLearner)
-        dup._pristine = self._pristine.clone()
-        dup.name = self.name
-        dup.support_bound = self.support_bound
-        dup.value_bound = self.value_bound
-        dup._codes = list(self._codes)
-        dup._code_set = set(self._code_set)
-        dup._groups = dict(self._groups)
-        dup._base = self._base.clone()
-        dup._cached = self._cached
-        dup._dirty = self._dirty
-        dup._perm_cache = {k: (v[0], v[1]) for k, v in self._perm_cache.items()}
-        return dup
-
-
-def struct_to_language_learner(base: Learner, support_bound: int = 4,
-                               value_bound: int = 16) -> StructToLanguageLearner:
-    return StructToLanguageLearner(base, support_bound, value_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +439,9 @@ class LanguageToStructLearner(Learner):
     """
 
     mode = INFORMANT
+    _owned = ("_arbiter",)
 
     def __init__(self, members: Sequence[Character]):
-        from .learners import SeparatorLearner
-
         self.members = tuple(members)
         self.name = "lang-decode"
         n = len(self.members)
@@ -517,20 +489,6 @@ class LanguageToStructLearner(Learner):
             self._cached = self.members[choice]
         return self._cached
 
-    def clone(self) -> "LanguageToStructLearner":
-        dup = LanguageToStructLearner.__new__(LanguageToStructLearner)
-        dup.members = self.members
-        dup.name = self.name
-        dup._strictly_below = self._strictly_below
-        dup._arbiter = self._arbiter.clone()
-        dup._rev = self._rev
-        dup._cached = self._cached
-        return dup
-
-
-def language_to_struct_learner(members: Sequence[Character]) -> LanguageToStructLearner:
-    return LanguageToStructLearner(members)
-
 
 # ---------------------------------------------------------------------------
 # Language-side convergence check
@@ -538,27 +496,11 @@ def language_to_struct_learner(members: Sequence[Character]) -> LanguageToStruct
 
 def run_language_simulation(learner: Learner, stream, stages: int,
                             target: SizeSequence, window: int = 200) -> dict:
-    """Bounded-horizon convergence for language learners: constant over the
-    last `window` stages and pointwise equal to the target language."""
-    learner.reset()
-    conjectures = [learner.conjecture()]
-    it = iter(stream)
-    for _ in range(stages):
-        conjectures.append(learner.feed(next(it)))
-    final = conjectures[-1]
-
-    def same(a, b):
-        if a is None or b is None:
-            return a is None and b is None
-        return seq_eq(a, b)
-
-    stable = len(conjectures) - 1
-    while stable > 0 and same(conjectures[stable - 1], final):
-        stable -= 1
-    converged = (
-        len(conjectures) - stable > window
-        and final is not None
-        and seq_eq(final, target)
-    )
-    return {"converged": converged, "stage": stable if converged else None,
-            "final": final, "stages": stages}
+    """Bounded-horizon convergence for language learners: `run_simulation`'s
+    judge (constant over the last `window` stages, the stream not exhausted)
+    and a final conjecture pointwise equal to the target language."""
+    res = run_simulation(learner, stream, stages, None, "iso", window)
+    final = res.final
+    converged = res.converged and final is not None and seq_eq(final, target)
+    return {"converged": converged, "stage": res.stage if converged else None,
+            "final": final, "stages": stages, "exhausted": res.exhausted}

@@ -49,7 +49,7 @@ from .separability import (
     limit_witness,
     separator_of,
 )
-from .structures import RepresentationError, iso_eq
+from .structures import RepresentationError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -361,7 +361,7 @@ def cmd_bridge(args) -> int:
     if args.action == "roundtrip":
         target = _member(family, args.target)
         _check_run_length(args.horizon, args.window)
-        composed = bridge_mod.language_to_struct_learner(family.members)
+        composed = bridge_mod.LanguageToStructLearner(family.members)
         reference = learner_separator(family.members, enforce=False)
         seed = _default_seed(args)
         res_composed = run_simulation(composed, fair_informant(target, seed),
@@ -370,7 +370,7 @@ def cmd_bridge(args) -> int:
                                        args.horizon, target, "iso", args.window)
         agree = (
             res_composed.final is not None and res_reference.final is not None
-            and iso_eq(res_composed.final, res_reference.final)
+            and res_composed.final == res_reference.final
         )
         payload = {
             "composed": res_composed.summary(),

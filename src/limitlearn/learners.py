@@ -8,6 +8,7 @@ probe hypothetical extensions.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
@@ -22,7 +23,6 @@ from .structures import (
     embeds,
     fin_biembeddable,
     fin_embeds,
-    iso_eq,
 )
 
 Conjecture = Optional[Character]
@@ -35,7 +35,7 @@ def conjectures_equal(a: Conjecture, b: Conjecture) -> bool:
         return True
     if a is None or b is None:
         return False
-    return iso_eq(a, b)
+    return a == b
 
 
 def conjecture_str(c: Conjecture) -> str:
@@ -47,10 +47,16 @@ class Learner:
 
     ``consume`` updates state without forcing the (possibly lazy) conjecture;
     callers that only sample conjectures occasionally should prefer it.
+
+    A learner names in ``_owned`` the attributes it mutates in place;
+    ``clone`` gives the copy its own of each (a learner is cloned, anything
+    else copied) and shares everything else, which must be immutable or only
+    ever replaced, never changed in place.
     """
 
     mode: str = INFORMANT
     name: str = "learner"
+    _owned: tuple[str, ...] = ()
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -66,7 +72,14 @@ class Learner:
         raise NotImplementedError
 
     def clone(self) -> "Learner":
-        raise NotImplementedError
+        # attributes are set one by one: a clone given a whole __dict__ reads
+        # its attributes through that dict, which slows every item it is fed
+        dup, owned = object.__new__(type(self)), self._owned
+        for attr, value in self.__dict__.items():
+            if attr in owned:
+                value = value.clone() if isinstance(value, Learner) else value.copy()
+            setattr(dup, attr, value)
+        return dup
 
 
 class ConstantLearner(Learner):
@@ -84,9 +97,6 @@ class ConstantLearner(Learner):
     def conjecture(self) -> Conjecture:
         return self.char
 
-    def clone(self) -> "ConstantLearner":
-        return ConstantLearner(self.char, self.mode)
-
 
 class SplitOnNegativeLearner(Learner):
     """Conjectures one all-encompassing infinite class until any negative fact
@@ -99,7 +109,7 @@ class SplitOnNegativeLearner(Learner):
     name = "split-on-negative"
 
     def __init__(self):
-        self._split = False
+        self.reset()
 
     def reset(self) -> None:
         self._split = False
@@ -112,20 +122,16 @@ class SplitOnNegativeLearner(Learner):
     def conjecture(self) -> Conjecture:
         return self.TWO if self._split else self.ONE
 
-    def clone(self) -> "SplitOnNegativeLearner":
-        dup = SplitOnNegativeLearner()
-        dup._split = self._split
-        return dup
-
 
 class EchoLearner(Learner):
     """Conjectures the census of whatever finite structure the prefix decodes to."""
 
     name = "echo"
+    _owned = ("_state",)
 
     def __init__(self, mode: str = INFORMANT):
         self.mode = mode
-        self._state = PrefixState(mode)
+        self.reset()
 
     def reset(self) -> None:
         self._state = PrefixState(self.mode)
@@ -135,11 +141,6 @@ class EchoLearner(Learner):
 
     def conjecture(self) -> Conjecture:
         return self._state.char()
-
-    def clone(self) -> "EchoLearner":
-        dup = EchoLearner(self.mode)
-        dup._state = self._state.copy()
-        return dup
 
 
 class MinEmbedLearner(Learner):
@@ -151,6 +152,7 @@ class MinEmbedLearner(Learner):
     """
 
     mode = INFORMANT
+    _owned = ("_state",)
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         members = tuple(members)
@@ -168,10 +170,7 @@ class MinEmbedLearner(Learner):
              for j in range(n)]
             for i in range(n)
         ]
-        self._state = PrefixState(INFORMANT)
-        self._rev = -1
-        self._cached: Conjecture = None
-        self._cached_index: int | None = None
+        self.reset()
 
     def reset(self) -> None:
         self._state = PrefixState(INFORMANT)
@@ -200,17 +199,6 @@ class MinEmbedLearner(Learner):
         self.conjecture()
         return self._cached_index
 
-    def clone(self) -> "MinEmbedLearner":
-        dup = MinEmbedLearner.__new__(MinEmbedLearner)
-        dup.members = self.members
-        dup.name = self.name
-        dup._strictly_below = self._strictly_below
-        dup._state = self._state.copy()
-        dup._rev = self._rev
-        dup._cached = self._cached
-        dup._cached_index = self._cached_index
-        return dup
-
 
 class SeparatorLearner(Learner):
     """Refines MinEmbedLearner to the isomorphism type via realized separators.
@@ -223,6 +211,7 @@ class SeparatorLearner(Learner):
     """
 
     mode = INFORMANT
+    _owned = ("_inner",)
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         self._inner = MinEmbedLearner(members, enforce=enforce)
@@ -236,8 +225,7 @@ class SeparatorLearner(Learner):
             [j for j in range(n) if fin_biembeddable(self.members[j], self.members[i])]
             for i in range(n)
         ]
-        self._rev = -1
-        self._cached: Conjecture = None
+        self.reset()
 
     @property
     def _state(self) -> PrefixState:
@@ -283,17 +271,6 @@ class SeparatorLearner(Learner):
         if self._rev != self._state.struct_rev:
             self._recompute()
         return self._cached
-
-    def clone(self) -> "SeparatorLearner":
-        dup = SeparatorLearner.__new__(SeparatorLearner)
-        dup._inner = self._inner.clone()
-        dup.members = self.members
-        dup.name = self.name
-        dup._separators = self._separators
-        dup._class_of = self._class_of
-        dup._rev = self._rev
-        dup._cached = self._cached
-        return dup
 
 
 def _partitions(total: int, max_part: int):
@@ -345,6 +322,7 @@ class OneShotLearner(Learner):
     """
 
     mode = INFORMANT
+    _owned = ("_state",)
 
     def __init__(
         self,
@@ -366,13 +344,11 @@ class OneShotLearner(Learner):
         self._profiles = [
             sorted((len(b) for b in w.blocks), reverse=True) for w in self.witnesses
         ]
-        self._state = PrefixState(INFORMANT)
-        self._fired: int | None = None
-        self._rev = (-1, -1)
+        self.reset()
 
     def reset(self) -> None:
         self._state = PrefixState(INFORMANT)
-        self._fired = None
+        self._fired: int | None = None
         self._rev = (-1, -1)
 
     def _witness_present(self, profile: list[int]) -> bool:
@@ -415,17 +391,6 @@ class OneShotLearner(Learner):
     def conjecture(self) -> Conjecture:
         return None if self._fired is None else self.members[self._fired]
 
-    def clone(self) -> "OneShotLearner":
-        dup = OneShotLearner.__new__(OneShotLearner)
-        dup.members = self.members
-        dup.name = self.name
-        dup.witnesses = self.witnesses
-        dup._profiles = self._profiles
-        dup._state = self._state.copy()
-        dup._fired = self._fired
-        dup._rev = self._rev
-        return dup
-
 
 class TextFromInformantLearner(Learner):
     """Runs an informant learner on the class-by-class reordering of the text.
@@ -437,22 +402,20 @@ class TextFromInformantLearner(Learner):
     """
 
     mode = TEXT
+    _owned = ("_state", "_base")
 
     def __init__(self, base: Learner):
         if base.mode != INFORMANT:
             raise ValueError("base learner must consume informants")
         self._pristine = base.clone()
+        self._pristine.reset()
         self.name = f"txt-{base.name}"
-        self._state = PrefixState(TEXT)
-        self._base = base.clone()
-        self._fed: list = []
-        self._rev = self._state.struct_rev
-        self._cached = self._base.conjecture()
+        self.reset()
 
     def reset(self) -> None:
         self._state = PrefixState(TEXT)
         self._base = self._pristine.clone()
-        self._fed = []
+        self._fed: list = []
         self._rev = self._state.struct_rev
         self._cached = self._base.conjecture()
 
@@ -473,17 +436,6 @@ class TextFromInformantLearner(Learner):
 
     def conjecture(self) -> Conjecture:
         return self._cached
-
-    def clone(self) -> "TextFromInformantLearner":
-        dup = TextFromInformantLearner.__new__(TextFromInformantLearner)
-        dup._pristine = self._pristine.clone()
-        dup.name = self.name
-        dup._state = self._state.copy()
-        dup._base = self._base.clone()
-        dup._fed = list(self._fed)
-        dup._rev = self._rev
-        dup._cached = self._cached
-        return dup
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +530,7 @@ class Trace:
         nothing else (question marks aside) ever is."""
         rel = RELATIONS[relation]
         actual = [c for _, c in self.changes if c is not None]
-        return bool(actual) and all(rel(c, target) and iso_eq(c, actual[0]) for c in actual)
+        return bool(actual) and all(rel(c, target) and c == actual[0] for c in actual)
 
     def final(self) -> Conjecture:
         return self.changes[-1][1]
@@ -595,7 +547,7 @@ class Trace:
 
 
 RELATIONS: dict[str, Callable[[Character, Character], bool]] = {
-    "iso": iso_eq,
+    "iso": operator.eq,
     "biembed": biembeddable,
 }
 

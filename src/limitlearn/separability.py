@@ -22,11 +22,9 @@ from .structures import (
     FiniteStructure,
     RepresentationError,
     char_diff_min,
-    char_of_finite,
     char_subset,
     fin_biembeddable,
     fin_embeds,
-    iso_eq,
     pair_code,
 )
 
@@ -99,7 +97,7 @@ class Family:
     def __post_init__(self):
         for i, a in enumerate(self.members):
             for b in self.members[i + 1:]:
-                if iso_eq(a, b):
+                if a == b:
                     raise RepresentationError(f"family members {a} and {b} are isomorphic")
         if self.generator is not None and self.generator not in GENERATORS:
             raise FamilyError(f"unknown generator {self.generator!r}")
@@ -148,17 +146,17 @@ class Family:
 # Limits
 
 
+def imitates(member: Character, candidate: Character) -> bool:
+    """Whether the candidate cannot be separated from the member: the two are
+    not isomorphic, the member finitely embeds into the candidate, and it
+    realizes every component of the candidate."""
+    return member != candidate and fin_embeds(member, candidate) and char_subset(candidate, member)
+
+
 def limit_witness(candidate: Character, members: Sequence[Character]) -> Character | None:
-    """Some member that candidate cannot be separated from: non-isomorphic,
-    finitely embeds into the candidate, and realizes every component of it.
-    Returns None when no member qualifies."""
+    """Some member that `imitates` the candidate, or None when no member does."""
     _require_finite_classes([candidate, *members], "the limit test")
-    for member in members:
-        if iso_eq(member, candidate):
-            continue
-        if fin_embeds(member, candidate) and char_subset(candidate, member):
-            return member
-    return None
+    return next((m for m in members if imitates(m, candidate)), None)
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
     members = family.generated(bound)
     _require_finite_classes(members, "the limit test")
     for i, member in enumerate(members):
-        if iso_eq(member, candidate):
+        if member == candidate:
             continue
         if not fin_embeds(member, candidate):
             return LimitVerdict(
@@ -244,7 +242,7 @@ def finitely_separable(members: Sequence[Character]) -> SeparabilityResult:
     quantifier collapses to this pairwise check."""
     _require_finite_classes(members, "finite separability")
     for candidate in members:
-        witness = limit_witness(candidate, [m for m in members if not iso_eq(m, candidate)])
+        witness = limit_witness(candidate, members)
         if witness is not None:
             return SeparabilityResult(False, (candidate, witness))
     return SeparabilityResult(True)
@@ -266,11 +264,11 @@ def separator_of(member: Character, members: Sequence[Character]) -> Separator:
     """The finite component set distinguishing a member from every
     non-isomorphic, finitely bi-embeddable companion in the family."""
     _require_finite_classes(members, "separators")
-    if not any(iso_eq(member, m) for m in members):
+    if member not in members:
         raise FamilyError("separator owner must belong to the family")
     comps = set()
     for other in members:
-        if iso_eq(other, member) or not fin_biembeddable(other, member):
+        if other == member or not fin_biembeddable(other, member):
             continue
         diff = char_diff_min(member, other)
         if diff is not None:  # always present when the family is finitely separable
@@ -279,7 +277,7 @@ def separator_of(member: Character, members: Sequence[Character]) -> Separator:
 
 
 def separator_realized(sep: Separator, structure: FiniteStructure) -> bool:
-    census = char_of_finite(structure)
+    census = structure.character()
     return all(census.has_component(c) for c in sep.components)
 
 
@@ -288,7 +286,7 @@ def fin_antichain(members: Sequence[Character]) -> bool:
     this is exactly one-shot (first-conjecture) learnability."""
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            if iso_eq(a, b):
+            if a == b:
                 raise FamilyError("anti-chain test expects pairwise non-isomorphic members")
             if fin_embeds(a, b) or fin_embeds(b, a):
                 return False

@@ -312,11 +312,6 @@ class Character:
         return cls.make(data.get("default", 0), exc, data.get("omega_count", 0))
 
 
-def character(*pairs) -> Character:
-    """Test-friendly constructor: character((5, "omega"), (2, 1))."""
-    return Character.of(*pairs)
-
-
 # ---------------------------------------------------------------------------
 # Finite structures
 
@@ -358,11 +353,6 @@ class FiniteStructure:
             if x in block:
                 return y in block
         return False
-
-
-def char_of_finite(structure: FiniteStructure) -> Character:
-    """Census of a finite structure: default 0, only the occurring sizes listed."""
-    return structure.character()
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +423,6 @@ def embeds(a: Character, b: Character) -> bool:
     """The whole class multiset of `a` matches injectively, size-monotonically,
     into that of `b` (infinite classes only into infinite classes)."""
     return _plain(a.omega_count) <= _plain(b.omega_count) and fin_embeds(a, b)
-
-
-def iso_eq(a: Character, b: Character) -> bool:
-    return a == b
 
 
 def biembeddable(a: Character, b: Character) -> bool:

@@ -28,7 +28,6 @@ from limitlearn import (
     Prefix,
     conjectures_equal,
     ext,
-    iso_eq,
     pair_code,
     permuted,
 )
@@ -320,7 +319,7 @@ def materialized_diagonalize(learner, class_size, stages):
         not conjectures_equal(c_sigma[t1], c_sigma[t2])
         for t1, t2 in zip(expansionary, expansionary[1:])
     )
-    distinct_ok = not iso_eq(sigma_char, tau_char)
+    distinct_ok = sigma_char != tau_char
     return DiagonalizationReport(
         e, stages, expansionary,
         Prefix(INFORMANT, tuple(sigma_items)), Prefix(INFORMANT, tuple(tau_items)),
@@ -431,7 +430,7 @@ class ListTrace:
     def fin_shape(self, target: Character, relation: str = "iso") -> bool:
         rel = RELATIONS[relation]
         actual = [c for c in self.conjectures if c is not None]
-        return bool(actual) and all(rel(c, target) and iso_eq(c, actual[0]) for c in actual)
+        return bool(actual) and all(rel(c, target) and c == actual[0] for c in actual)
 
     def final(self):
         return self.conjectures[-1]

@@ -198,7 +198,7 @@ def test_criterion_08_text_learning_matches_informant_learning():
                     HORIZON, target, "iso", WINDOW,
                 )
                 assert text_res.converged and inf_res.converged, (name, target, seed)
-                assert ll.iso_eq(text_res.final, inf_res.final), (name, target, seed)
+                assert text_res.final == inf_res.final, (name, target, seed)
                 runs += 1
     report(8, True, f"text learner matches the informant learner on {runs} runs")
 
@@ -235,7 +235,7 @@ def test_criterion_10_language_learning_bridge():
     for name, fam in SEPARABLE_CORPUS.items():
         members = list(fam)
         for target in members:
-            composed = B.language_to_struct_learner(members)
+            composed = B.LanguageToStructLearner(members)
             res = ll.run_simulation(
                 composed, ll.fair_informant(target, 0), 6000, target, "iso", WINDOW
             )
@@ -244,7 +244,7 @@ def test_criterion_10_language_learning_bridge():
                 6000, target, "iso", WINDOW,
             )
             assert res.converged and ref.converged, (name, target)
-            assert ll.iso_eq(res.final, ref.final), (name, target)
+            assert res.final == ref.final, (name, target)
     # tell-tales: found for every member translation of every separable family
     for name, fam in SEPARABLE_CORPUS.items():
         langs = [B.size_sequence_of(m) for m in fam]

@@ -13,7 +13,6 @@ from limitlearn import (
     embeds,
     fair_informant,
     informant_prefix,
-    iso_eq,
     learner_constant,
     learner_echo,
     learner_from_text,
@@ -72,7 +71,7 @@ def test_limit_adversary_on_constant_limit_guesser():
     report = adv.run(6000)
     # the stream retreats to the witness immediately and presents it forever
     assert report.phase_switches and report.phase_switches[0][0] == 0
-    assert iso_eq(report.final_target, FIVE_OMEGA_TWO)
+    assert report.final_target == FIVE_OMEGA_TWO
     assert report.consistent
     assert report.defeated()
     # the emitted prefix decodes into the witness census
@@ -108,6 +107,7 @@ def test_limit_adversary_forces_oscillation():
     class FaceValue(Learner):
         mode = "informant"
         name = "face-value"
+        _owned = ("_st",)
 
         def __init__(self):
             self._st = PrefixState("informant")
@@ -120,11 +120,6 @@ def test_limit_adversary_forces_oscillation():
 
         def conjecture(self):
             return FIVE_OMEGA_TWO if self._st.size_counts.get(2, 0) else FIVE_OMEGA
-
-        def clone(self):
-            dup = FaceValue()
-            dup._st = self._st.copy()
-            return dup
 
     report = limit_adversary(FaceValue(), FIVE_OMEGA, list(NONSEPARABLE)).run(8000)
     assert report.consistent
@@ -183,7 +178,7 @@ def test_diagonalizer_constant_learner_never_expands():
     # no expansion: one side is all singletons, the other has the lone pair
     assert report.sigma_char.count(2) == 0
     assert report.tau_char.count(2) == 1
-    assert not iso_eq(report.sigma_char, report.tau_char)
+    assert report.sigma_char != report.tau_char
 
 
 def test_diagonalizer_echo_expands_every_stage():
@@ -228,6 +223,7 @@ class BlocksModThree(Learner):
 
     mode = "informant"
     name = "blocks-mod-3"
+    _owned = ("_st",)
 
     def __init__(self, size):
         self.size = size
@@ -241,11 +237,6 @@ class BlocksModThree(Learner):
 
     def conjecture(self):
         return census(0, {1: self._st.size_counts.get(self.size, 0) % 3 + 1})
-
-    def clone(self):
-        dup = BlocksModThree(self.size)
-        dup._st = self._st.copy()
-        return dup
 
 
 def diagonalizer_roster(class_size):

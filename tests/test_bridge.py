@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,8 @@ from limitlearn import (
     fair_informant,
     fair_language_text,
     finite_permutations,
-    iso_eq,
     lang_member,
     language_closure,
-    language_to_struct_learner,
     learner_separator,
     pair_code,
     permuted,
@@ -22,10 +22,9 @@ from limitlearn import (
     seq_eq,
     seq_le,
     size_sequence_of,
-    struct_to_language_learner,
     telltale_search,
 )
-from limitlearn.bridge import slot_count
+from limitlearn.bridge import LanguageToStructLearner, StructToLanguageLearner, slot_count
 
 from families import (
     C56,
@@ -213,7 +212,7 @@ def test_telltale_bound_must_reach_the_separating_codes():
 
 def test_struct_to_language_learner_converges():
     for target, seed in ((C56, 0), (C57, 1)):
-        lrn = struct_to_language_learner(learner_separator(list(EXAMPLE1)))
+        lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
         target_lang = size_sequence_of(target)
         res = run_language_simulation(
             lrn, fair_language_text(target_lang, seed), 2500, target_lang, 150
@@ -222,22 +221,31 @@ def test_struct_to_language_learner_converges():
 
 
 def test_struct_to_language_learner_on_permuted_target():
-    lrn = struct_to_language_learner(learner_separator(list(EXAMPLE1)))
+    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
     base = size_sequence_of(C57)
     target_lang = permuted(base, FinitePermutation(((0, 2), (2, 0))))
     res = run_language_simulation(lrn, fair_language_text(target_lang, 0), 2500, target_lang, 150)
     assert res["converged"], res
 
 
+def test_language_simulation_reports_a_short_stream_as_exhausted():
+    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
+    target_lang = size_sequence_of(C56)
+    stream = list(itertools.islice(fair_language_text(target_lang, 0), 5))
+    res = run_language_simulation(lrn, stream, 10, target_lang, 5)
+    assert res["exhausted"] is True
+    assert not res["converged"] and res["stage"] is None
+
+
 def test_struct_to_language_empty_data():
-    lrn = struct_to_language_learner(learner_separator(list(EXAMPLE1)))
+    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
     conj = lrn.conjecture()
     # the base learner's empty-history census dressed with the identity
     assert conj is not None and seq_eq(conj, size_sequence_of(C56))
 
 
 def test_struct_to_language_inconsistent_data_gives_question_mark():
-    lrn = struct_to_language_learner(learner_separator(list(EXAMPLE1)), value_bound=6)
+    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)), value_bound=6)
     # a fiber of height 9 exceeds every class size of both members
     for j in range(9):
         lrn.consume(pair_code(0, j))
@@ -246,17 +254,17 @@ def test_struct_to_language_inconsistent_data_gives_question_mark():
 
 def test_language_to_struct_learner_converges_and_roundtrips():
     for target in EXAMPLE1:
-        composed = language_to_struct_learner(list(EXAMPLE1))
+        composed = LanguageToStructLearner(list(EXAMPLE1))
         res = run_simulation(composed, fair_informant(target, 0), 6000, target, "iso", 200)
         ref = run_simulation(
             learner_separator(list(EXAMPLE1)), fair_informant(target, 0), 6000, target, "iso", 200
         )
         assert res.converged and ref.converged
-        assert iso_eq(res.final, ref.final)
+        assert res.final == ref.final
 
 
 def test_language_to_struct_question_marks():
-    lrn = language_to_struct_learner(list(EXAMPLE1))
+    lrn = LanguageToStructLearner(list(EXAMPLE1))
     assert lrn.conjecture() is None  # empty prefix
     for i in range(8):
         for j in range(8):

@@ -232,6 +232,15 @@ def test_text_learner_trivial_cases():
     assert lrn.feed((0, 1)) == FIVE_OMEGA
 
 
+def test_text_learner_starts_from_an_empty_base_history():
+    base = learner_echo()
+    base.feed((0, 1, 0))
+    lrn = learner_from_text(base)
+    assert lrn.conjecture() == Character.make()
+    lrn.reset()
+    assert lrn.conjecture() == Character.make()
+
+
 def test_text_learner_requires_informant_base():
     with pytest.raises(ValueError):
         learner_from_text(learner_constant(FIVE_OMEGA, mode="text"))

@@ -13,15 +13,12 @@ from limitlearn import (
     RepresentationError,
     biembeddable,
     char_diff_min,
-    char_of_finite,
     char_subset,
-    character,
     component,
     embeds,
     ext,
     fin_biembeddable,
     fin_embeds,
-    iso_eq,
     pair_code,
     unpair_code,
 )
@@ -105,26 +102,26 @@ def test_unpairing_exact_beyond_float_range():
 
 
 def test_count_reads_description():
-    assert character((5, OM)).count(5) == OMEGA
+    assert Character.of((5, OM)).count(5) == OMEGA
     assert census(1, {2: 0}).count(2) == ZERO
     assert census(1, {2: 0}).count(7) == ExtNat(1)
 
 
 def test_count_rejects_size_zero():
     with pytest.raises(RepresentationError):
-        character((5, OM)).count(0)
+        Character.of((5, OM)).count(0)
 
 
 def test_char_of_finite_counts_blocks():
     s = FiniteStructure.from_blocks([{0, 1}, {2}])
-    assert char_of_finite(s) == character((2, 1), (1, 1))
-    assert char_of_finite(FiniteStructure.from_blocks([])) == Character.make()
-    assert char_of_finite(FiniteStructure.from_blocks([{0}, {1}, {2}])) == character((1, 3))
+    assert s.character() == Character.of((2, 1), (1, 1))
+    assert FiniteStructure.from_blocks([]).character() == Character.make()
+    assert FiniteStructure.from_blocks([{0}, {1}, {2}]).character() == Character.of((1, 3))
 
 
 def test_cumulative_counts():
     assert FIVE_OMEGA.cumulative(3) == OMEGA
-    assert character((5, 2), (2, 1)).cumulative(3) == ExtNat(2)
+    assert Character.of((5, 2), (2, 1)).cumulative(3) == ExtNat(2)
     assert census(1, {2: 0}).cumulative(4) == OMEGA
 
 
@@ -169,8 +166,8 @@ def test_cumulative_profile_is_invisible_to_equality_hash_and_pickle(c):
 
 def test_component_membership():
     assert FIVE_OMEGA.has_component(component(5, 100))
-    assert not character((5, 2)).has_component(component(5, 3))
-    assert character((5, 2)).has_component(component(5, 2))
+    assert not Character.of((5, 2)).has_component(component(5, 3))
+    assert Character.of((5, 2)).has_component(component(5, 2))
 
 
 def test_canonical_form_is_enforced():
@@ -199,7 +196,7 @@ def test_char_diff_min_examples():
     assert char_diff_min(a1, a2) == component(2, 1)
     assert char_diff_min(FIVE_OMEGA, FIVE_OMEGA) is None
     # computed independently: enumerate both component sets and take the least
-    c, s = character((5, 2), (3, 1)), character((5, 1))
+    c, s = Character.of((5, 2), (3, 1)), Character.of((5, 1))
     comps_c = {(k, i) for k in (3, 5) for i in range(1, 3) if c.count(k) >= i}
     comps_s = {(k, i) for k in (3, 5) for i in range(1, 3) if s.count(k) >= i}
     expected = min(comps_c - comps_s, key=lambda ki: pair_code(*ki))
@@ -217,13 +214,13 @@ def test_char_diff_min_rejects_infinite_classes():
 
 
 def test_fin_embeds_examples():
-    assert fin_embeds(FIVE_OMEGA, character((6, OM)))
-    assert not fin_embeds(character((6, OM)), FIVE_OMEGA)
+    assert fin_embeds(FIVE_OMEGA, Character.of((6, OM)))
+    assert not fin_embeds(Character.of((6, OM)), FIVE_OMEGA)
     assert fin_embeds(FIVE_OMEGA_TWO, FIVE_OMEGA)
     assert fin_embeds(FIVE_OMEGA, FIVE_OMEGA_TWO)
     # matches the brute-force route on the same pairs
-    assert brute_fin_embeds(FIVE_OMEGA, character((6, OM)))
-    assert not brute_fin_embeds(character((6, OM)), FIVE_OMEGA)
+    assert brute_fin_embeds(FIVE_OMEGA, Character.of((6, OM)))
+    assert not brute_fin_embeds(Character.of((6, OM)), FIVE_OMEGA)
 
 
 def test_embeds_examples():
@@ -235,9 +232,9 @@ def test_embeds_examples():
 
 
 def test_equivalences():
-    assert iso_eq(FIVE_OMEGA, character((5, OM)))
+    assert FIVE_OMEGA == Character.of((5, OM))
     assert biembeddable(FIVE_OMEGA, FIVE_OMEGA_TWO)
-    assert not fin_biembeddable(FIVE_OMEGA, character((6, OM)))
+    assert not fin_biembeddable(FIVE_OMEGA, Character.of((6, OM)))
     assert fin_biembeddable(C56, C56)
 
 
@@ -264,7 +261,7 @@ def test_embedding_orders_are_preorders(a, b, c):
 @settings(max_examples=150, deadline=None)
 @given(_with_omega, _with_omega)
 def test_iso_implies_biembeddable(a, b):
-    if iso_eq(a, b):
+    if a == b:
         assert fin_biembeddable(a, b)
         assert biembeddable(a, b)
 
@@ -273,7 +270,7 @@ def test_iso_implies_biembeddable(a, b):
 @given(_with_omega, _with_omega)
 def test_mutual_subset_is_isomorphism(a, b):
     if char_subset(a, b) and char_subset(b, a):
-        assert iso_eq(a, b)
+        assert a == b
 
 
 @settings(max_examples=150, deadline=None)
