@@ -374,7 +374,8 @@ class StructToLanguageLearner(Learner):
         self._base = self._pristine.clone()
         self._cached: Optional[SizeSequence] = None
         self._dirty = True  # the empty history already has a conjecture
-        self._perm_cache: dict[Character, tuple[list, int]] = {}
+        # census -> (position, permutation): the least consistent one so far, None past the end
+        self._perm_cache: dict[Character, tuple[int, Optional[FinitePermutation]]] = {}
 
     def consume(self, item) -> None:
         if item is None or item in self._codes:
@@ -393,19 +394,24 @@ class StructToLanguageLearner(Learner):
 
     def _least_consistent_perm(self, census: Character) -> Optional[FinitePermutation]:
         seq = size_sequence_of(census)
-        if census not in self._perm_cache:
-            perms = list(finite_permutations(self.value_bound, self.support_bound))
-            self._perm_cache[census] = (perms, 0)
-        perms, pos = self._perm_cache[census]
-        # consistency only shrinks as data grows, so the pointer never backs up
-        while pos < len(perms):
-            candidate = permuted(seq, perms[pos])
-            if all(lang_member(candidate, c) for c in self._codes):
-                self._perm_cache[census] = (perms, pos)
-                return perms[pos]
-            pos += 1
-        self._perm_cache[census] = (perms, pos)
-        return None
+
+        def consistent(perm: FinitePermutation) -> bool:
+            candidate = permuted(seq, perm)
+            return all(lang_member(candidate, c) for c in self._codes)
+
+        pos, perm = self._perm_cache.get(census, (0, IDENTITY))
+        if perm is None or consistent(perm):
+            return perm
+        # consistency only shrinks as data grows, so the pointer never backs
+        # up: the enumeration resumes past it, and no list of it is kept
+        rest = itertools.islice(finite_permutations(self.value_bound, self.support_bound), pos + 1, None)
+        perm = None
+        for pos, candidate in enumerate(rest, pos + 1):
+            if consistent(candidate):
+                perm = candidate
+                break
+        self._perm_cache[census] = (pos, perm)
+        return perm
 
     def conjecture(self) -> Optional[SizeSequence]:
         if self._dirty:

@@ -72,6 +72,13 @@ class PrefixState:
     last changed size (used by learners that must distinguish long-stable
     blocks from transient ones).
 
+    Negative facts are bitmasks over the elements' order of first mention:
+    `_bit[x]` is element x's bit, `_mask[root]` the block's members and
+    `_neg[root]` elements with an explicit negative fact against some member
+    (one per fact that first separated two blocks).  Blocks a and b are
+    separated when `_neg[a] & _mask[b]` is nonzero, and a union ORs both
+    pairs of masks, so no fact names a root that a union retires.
+
     `births_by_size` indexes the blocks by size: for each size a list of
     (birth stage, root) pairs, sorted, with no empty list.  Its lengths are
     the census of block sizes, and the k-th smallest birth among the blocks
@@ -81,7 +88,7 @@ class PrefixState:
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_enemies", "birth", "births_by_size", "_char_cache",
+        "_bit", "_mask", "_neg", "birth", "births_by_size", "_char_cache",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -91,7 +98,9 @@ class PrefixState:
         self.neg_rev = 0
         self._parent: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}
-        self._enemies: dict[int, set[int]] = {}
+        self._bit: dict[int, int] = {}
+        self._mask: dict[int, int] = {}
+        self._neg: dict[int, int] = {}
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
         self._char_cache: Character | None = None
@@ -111,6 +120,8 @@ class PrefixState:
         """Make the unseen element x a singleton block; returns x."""
         self._parent[x] = x
         self._members[x] = [x]
+        self._bit[x] = self._mask[x] = 1 << len(self._bit)
+        self._neg[x] = 0
         self.birth[x] = self.stage
         # two elements first mentioned by one item share a stage
         insort(self.births_by_size.setdefault(1, []), (self.stage, x))
@@ -130,13 +141,8 @@ class PrefixState:
                 del by_size[size]
         members[a].extend(members.pop(b))
         self._parent[b] = a
-        enemies_b = self._enemies.pop(b, None)
-        if enemies_b:
-            mine = self._enemies.setdefault(a, set())
-            for e in enemies_b:
-                self._enemies[e].discard(b)
-                self._enemies[e].add(a)
-                mine.add(e)
+        self._mask[a] |= self._mask.pop(b)
+        self._neg[a] |= self._neg.pop(b)
         del birth[b]
         birth[a] = self.stage
         insort(by_size.setdefault(len(members[a]), []), (self.stage, a))
@@ -171,7 +177,7 @@ class PrefixState:
             rb = self._add_element(y)
         if label:
             if ra != rb:
-                if rb in self._enemies.get(ra, ()):  # explicitly separated
+                if self._neg[ra] & self._mask[rb]:  # explicitly separated
                     raise ConsistencyError(
                         f"item {index}: pair ({x},{y}) related but blocks separated", index)
                 self._union(ra, rb)
@@ -179,9 +185,9 @@ class PrefixState:
             if ra == rb:
                 raise ConsistencyError(
                     f"item {index}: pair ({x},{y}) unrelated but positively connected", index)
-            if rb not in self._enemies.get(ra, ()):
-                self._enemies.setdefault(ra, set()).add(rb)
-                self._enemies.setdefault(rb, set()).add(ra)
+            if not self._neg[ra] & self._mask[rb]:
+                self._neg[ra] |= self._bit[y]
+                self._neg[rb] |= self._bit[x]
                 self.neg_rev += 1
 
     def feed_all(self, items: Iterable) -> None:
@@ -212,7 +218,7 @@ class PrefixState:
         return len(self._members[root])
 
     def separated(self, root_a: int, root_b: int) -> bool:
-        return root_b in self._enemies.get(root_a, ())
+        return bool(self._neg[root_a] & self._mask[root_b])
 
     def char(self) -> Character:
         if self._char_cache is None:
@@ -227,7 +233,9 @@ class PrefixState:
         dup.neg_rev = self.neg_rev
         dup._parent = dict(self._parent)
         dup._members = {r: list(m) for r, m in self._members.items()}
-        dup._enemies = {r: set(e) for r, e in self._enemies.items()}
+        dup._bit = dict(self._bit)
+        dup._mask = dict(self._mask)
+        dup._neg = dict(self._neg)
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
         dup._char_cache = self._char_cache

@@ -21,16 +21,22 @@ from limitlearn import (
     OMEGA,
     ZERO,
     Character,
+    ConsistencyError,
     DiagonalizationReport,
     FinitePermutation,
     INFORMANT,
     RELATIONS,
+    TEXT,
     Prefix,
     conjectures_equal,
     ext,
+    finite_permutations,
+    lang_member,
     pair_code,
     permuted,
+    size_sequence_of,
 )
+from limitlearn.bridge import StructToLanguageLearner
 from limitlearn.learners import conjecture_str
 
 INF = None  # symbolic size of an infinite class
@@ -448,3 +454,107 @@ class ListTrace:
             changed = s > 0 and not conjectures_equal(c, self.conjectures[s - 1])
             out.append(f"stage {s}: {conjecture_str(c)}" + (" [MC]" if changed else ""))
         return out
+
+
+# ---------------------------------------------------------------------------
+# The negative-fact bookkeeping and the permutation search the per-block
+# bitmasks and the resumed enumeration replaced
+
+
+class SetPrefixState:
+    """The prefix decoder with negative facts kept as one set of enemy roots
+    per block, rewired at every union: the bookkeeping the per-block
+    bitmasks replaced.  Only blocks, negative facts and the two revision
+    counters; same union order, same roots, same errors."""
+
+    def __init__(self, kind: str = INFORMANT):
+        self.kind = kind
+        self.stage = 0
+        self.struct_rev = 0
+        self.neg_rev = 0
+        self._parent: dict[int, int] = {}
+        self._members: dict[int, list[int]] = {}
+        self._enemies: dict[int, set[int]] = {}
+
+    def find(self, x: int) -> int:
+        while self._parent[x] != x:
+            x = self._parent[x]
+        return x
+
+    def _root(self, x: int) -> int:
+        if x in self._parent:
+            return self.find(x)
+        self._parent[x] = x
+        self._members[x] = [x]
+        self.struct_rev += 1
+        return x
+
+    def _union(self, a: int, b: int) -> None:
+        if len(self._members[a]) < len(self._members[b]):
+            a, b = b, a
+        self._members[a].extend(self._members.pop(b))
+        self._parent[b] = a
+        for e in self._enemies.pop(b, ()):
+            self._enemies[e].discard(b)
+            self._enemies[e].add(a)
+            self._enemies.setdefault(a, set()).add(e)
+        self.struct_rev += 1
+
+    def feed(self, item) -> None:
+        index = self.stage
+        self.stage += 1
+        if self.kind == TEXT:
+            if item is None:
+                return
+            (x, y), label = item, 1
+        else:
+            x, y, label = item
+        ra, rb = self._root(x), self._root(y)
+        if label:
+            if ra != rb:
+                if rb in self._enemies.get(ra, ()):
+                    raise ConsistencyError(
+                        f"item {index}: pair ({x},{y}) related but blocks separated", index)
+                self._union(ra, rb)
+        else:
+            if ra == rb:
+                raise ConsistencyError(
+                    f"item {index}: pair ({x},{y}) unrelated but positively connected", index)
+            if rb not in self._enemies.get(ra, ()):
+                self._enemies.setdefault(ra, set()).add(rb)
+                self._enemies.setdefault(rb, set()).add(ra)
+                self.neg_rev += 1
+
+    def block_roots(self) -> list[int]:
+        return list(self._members)
+
+    def separated(self, root_a: int, root_b: int) -> bool:
+        return root_b in self._enemies.get(root_a, ())
+
+    def copy(self) -> "SetPrefixState":
+        dup = SetPrefixState(self.kind)
+        dup.stage, dup.struct_rev, dup.neg_rev = self.stage, self.struct_rev, self.neg_rev
+        dup._parent = dict(self._parent)
+        dup._members = {r: list(m) for r, m in self._members.items()}
+        dup._enemies = {r: set(e) for r, e in self._enemies.items()}
+        return dup
+
+
+class ListPermLearner(StructToLanguageLearner):
+    """The structure-to-language learner with every census's permutation
+    enumeration materialized as a list and a pointer into it: the search the
+    resumable enumeration replaced."""
+
+    def _least_consistent_perm(self, census: Character):
+        seq = size_sequence_of(census)
+        if census not in self._perm_cache:
+            self._perm_cache[census] = (list(finite_permutations(self.value_bound, self.support_bound)), 0)
+        perms, pos = self._perm_cache[census]
+        while pos < len(perms):
+            candidate = permuted(seq, perms[pos])
+            if all(lang_member(candidate, c) for c in self._codes):
+                self._perm_cache[census] = (perms, pos)
+                return perms[pos]
+            pos += 1
+        self._perm_cache[census] = (perms, pos)
+        return None

@@ -37,7 +37,7 @@ from families import (
     census,
     kron_slice,
 )
-from oracles import pairwise_language_closure
+from oracles import ListPermLearner, pairwise_language_closure
 
 OM = "omega"
 
@@ -250,6 +250,36 @@ def test_struct_to_language_inconsistent_data_gives_question_mark():
     for j in range(9):
         lrn.consume(pair_code(0, j))
     assert lrn.conjecture() is None
+
+
+def _struct_to_language_data():
+    """The code streams of the struct-to-language tests above, and one more
+    permuted target, with the learners' bounds."""
+    for target, seed in ((C56, 0), (C57, 1)):
+        yield {}, list(itertools.islice(fair_language_text(size_sequence_of(target), seed), 2500))
+    swapped = permuted(size_sequence_of(C57), FinitePermutation(((0, 2), (2, 0))))
+    yield {}, list(itertools.islice(fair_language_text(swapped, 0), 2500))
+    # the second permutation of the enumeration, so the pointer moves by one
+    swapped = permuted(size_sequence_of(C57), FinitePermutation(((0, 1), (1, 0))))
+    yield {}, list(itertools.islice(fair_language_text(swapped, 0), 1000))
+    yield {"value_bound": 6}, [pair_code(0, j) for j in range(9)]
+
+
+def test_resumed_permutation_search_matches_the_listed_one():
+    picked = set()
+    for bounds, codes in _struct_to_language_data():
+        lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)), **bounds)
+        ref = ListPermLearner(learner_separator(list(EXAMPLE1)), **bounds)
+        for code in [None, *codes]:
+            lrn.consume(code)
+            ref.consume(code)
+            census = lrn._base.conjecture()
+            if census is not None:
+                perm = lrn._least_consistent_perm(census)
+                assert perm == ref._least_consistent_perm(census), (bounds, code)
+                picked.add(perm)
+    # the data moves the pointer past the identity and runs one search dry
+    assert len(picked - {FinitePermutation()}) > 1 and None in picked
 
 
 def test_language_to_struct_learner_converges_and_roundtrips():

@@ -31,7 +31,7 @@ from limitlearn.presentations import (
 from limitlearn.structures import pair_code, unpair_code
 
 from families import C57, FIVE_OMEGA, TWO_INF, census
-from oracles import counter_pattern_sizes, scan_births_for_size, sweep_pattern_sizes
+from oracles import SetPrefixState, counter_pattern_sizes, scan_births_for_size, sweep_pattern_sizes
 
 OM = "omega"
 
@@ -107,6 +107,61 @@ def test_births_by_size_match_the_block_scan(items, data):
         dup.feed(item)
         _assert_births_indexed(dup)
     assert state.char() == dup.char()
+
+
+@st.composite
+def _any_informant(draw, names, max_items=60):
+    """Labeled pairs over `names` by a random partition, in random order,
+    repeats allowed, with up to three labels flipped, so that some prefixes
+    are inconsistent."""
+    cls = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(names) - 1), st.integers(0, len(names) - 1)),
+                          max_size=max_items))
+    flips = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=3))
+    return [(names[i], names[j], int((cls[i] == cls[j]) != (k in flips)))
+            for k, (i, j) in enumerate(pairs)]
+
+
+def _feed_both(state, ref, item):
+    """Feed the bitset decoder and the set-based reference one item each and
+    check that they agree on the error, the counters and every separation."""
+    errors = []
+    for decoder in (state, ref):
+        try:
+            decoder.feed(item)
+            errors.append(None)
+        except ConsistencyError as err:
+            errors.append((err.index, str(err)))
+    assert errors[0] == errors[1], item
+    assert (state.neg_rev, state.struct_rev) == (ref.neg_rev, ref.struct_rev)
+    roots = state.block_roots()
+    assert sorted(roots) == sorted(ref.block_roots())
+    for a in roots:
+        for b in roots:
+            assert state.separated(a, b) == ref.separated(a, b), (a, b)
+
+
+_NAMES = st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NAMES, st.data())
+def test_bitset_negatives_match_the_enemy_sets(names, data):
+    items = data.draw(_any_informant(names))
+    cut = data.draw(st.integers(0, len(items)))
+    state, ref = PrefixState("informant"), SetPrefixState("informant")
+    for item in items[:cut]:
+        _feed_both(state, ref, item)
+    # the copies are fed apart; elements only the copy mentions take the
+    # first-mention indices that the original gives to other elements
+    fresh = data.draw(st.lists(st.integers(0, 10**6).filter(lambda x: x not in names),
+                               min_size=1, max_size=6, unique=True))
+    extra = data.draw(_any_informant(fresh + names))
+    dup, dup_ref = state.copy(), ref.copy()
+    for item in items[cut:]:
+        _feed_both(state, ref, item)
+    for item in extra:
+        _feed_both(dup, dup_ref, item)
 
 
 def test_pair_walk_follows_the_cantor_codes():
@@ -220,7 +275,7 @@ def test_fair_informant_two_class_prefixes_stay_two_colorable():
             queue = [start]
             while queue:
                 node = queue.pop()
-                for enemy in state._enemies.get(node, ()):
+                for enemy in (r for r in roots if state.separated(node, r)):
                     if enemy not in color:
                         color[enemy] = 1 - color[node]
                         queue.append(enemy)
