@@ -405,11 +405,7 @@ class StructToLanguageLearner(Learner):
         # consistency only shrinks as data grows, so the pointer never backs
         # up: the enumeration resumes past it, and no list of it is kept
         rest = itertools.islice(finite_permutations(self.value_bound, self.support_bound), pos + 1, None)
-        perm = None
-        for pos, candidate in enumerate(rest, pos + 1):
-            if consistent(candidate):
-                perm = candidate
-                break
+        pos, perm = next(((i, p) for i, p in enumerate(rest, pos + 1) if consistent(p)), (pos, None))
         self._perm_cache[census] = (pos, perm)
         return perm
 
