@@ -24,6 +24,8 @@ from .structures import (
     fin_biembeddable,
     fin_embeds,
     pair_code,
+    profile_le,
+    profile_of,
     unpair_code,
 )
 from .presentations import (

@@ -34,8 +34,9 @@ from .structures import (
     ZERO,
     Character,
     char_subset,
-    embeds,
     pair_code,
+    profile_le,
+    profile_of,
     unpair_code,
 )
 
@@ -572,7 +573,7 @@ def weak_locking_search(
     state = PrefixState(start.kind)
     state.feed_all(start.items)  # raises on inconsistency
     if start.kind == INFORMANT:
-        if not embeds(state.char(), target):
+        if not profile_le(state.profile(), target.cumulative_profile):
             raise FamilyError("start prefix is not completable to the target census")
         builder = _TargetBuilder(target, state.blocks())
     else:
@@ -661,7 +662,7 @@ def _candidate_items(builder, state: PrefixState, target: Character, width: int,
                     del merged[s]
             big = state.block_size(rx) + state.block_size(ry)
             merged[big] = merged.get(big, 0) + 1
-            if embeds(Character.make(0, merged, 0), target):
+            if profile_le(profile_of(merged), target.cumulative_profile):
                 cands.append((x, y, 1))
     return cands[:width]
 

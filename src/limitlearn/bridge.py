@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .learners import Learner, SeparatorLearner, run_simulation
+from .learners import Learner, SeparatorLearner, minimal_hosts, run_simulation
 from .presentations import (
     INFORMANT,
     PATTERN,
@@ -371,6 +371,7 @@ class StructToLanguageLearner(Learner):
 
     def reset(self) -> None:
         self._codes: dict[int, int] = {}  # code -> first coordinate, in arrival order
+        self._tallest = 0  # the largest j + 1 over the codes <i, j> seen: a slot needs that size
         self._base = self._pristine.clone()
         self._cached: Optional[SizeSequence] = None
         self._dirty = True  # the empty history already has a conjecture
@@ -382,7 +383,8 @@ class StructToLanguageLearner(Learner):
             return
         # encode the new code against the ones already seen: codes are related
         # exactly when their first pairing coordinates agree
-        group = unpair_code(item)[0]
+        group, j = unpair_code(item)
+        self._tallest = max(self._tallest, j + 1)
         base = self._base
         base.consume((item, item, 1))
         for other, other_group in self._codes.items():
@@ -400,7 +402,15 @@ class StructToLanguageLearner(Learner):
             return all(lang_member(candidate, c) for c in self._codes)
 
         pos, perm = self._perm_cache.get(census, (0, IDENTITY))
-        if perm is None or consistent(perm):
+        if perm is None:
+            return None
+        # a permutation moves slots, not sizes: no slot of the census fits a
+        # code that needs a class larger than its largest
+        bounded = census.default == ZERO and census.omega_count == ZERO
+        if bounded and self._tallest > max(census.sizes_of_interest, default=0):
+            self._perm_cache[census] = (pos, None)
+            return None
+        if consistent(perm):
             return perm
         # consistency only shrinks as data grows, so the pointer never backs
         # up: the enumeration resumes past it, and no list of it is kept
@@ -446,6 +456,7 @@ class LanguageToStructLearner(Learner):
     def __init__(self, members: Sequence[Character]):
         self.members = tuple(members)
         self.name = "lang-decode"
+        self._profiles = tuple(m.cumulative_profile for m in self.members)
         n = len(self.members)
         self._strictly_below = [
             [embeds(self.members[j], self.members[i])
@@ -475,9 +486,7 @@ class LanguageToStructLearner(Learner):
         if self._state.n_mentioned == 0:
             self._cached = None
             return None
-        census = self._state.char()
-        hosts = [i for i, m in enumerate(self.members) if embeds(census, m)]
-        minimal = [i for i in hosts if not any(self._strictly_below[i][j] for j in hosts)]
+        minimal = minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
         if not minimal:
             self._cached = None
             return None

@@ -20,9 +20,9 @@ from .structures import (
     Character,
     FiniteStructure,
     biembeddable,
-    embeds,
     fin_biembeddable,
     fin_embeds,
+    profile_le,
 )
 
 Conjecture = Optional[Character]
@@ -143,9 +143,25 @@ class EchoLearner(Learner):
         return self._state.char()
 
 
+def minimal_hosts(profile: tuple, member_profiles: Sequence[tuple],
+                  strictly_below: Sequence[Sequence[bool]]) -> list[int]:
+    """Indices of the members whose cumulative profile hosts `profile` and
+    that have no host strictly below them.
+
+    A decoded prefix has no infinite classes, so a member hosts it exactly
+    when the prefix's profile stays under the member's (``profile_le``).
+    """
+    hosts = [i for i, p in enumerate(member_profiles) if profile_le(profile, p)]
+    return [i for i in hosts if not any(strictly_below[i][j] for j in hosts)]
+
+
 class MinEmbedLearner(Learner):
     """Conjectures the least-indexed family member that hosts the data and is
     minimal in the finite-embedding order among the hosts.
+
+    Host checks read the prefix's plain-number profile (``PrefixState.profile``)
+    against each member's, cached at construction, so no census is built per
+    structural revision.
 
     This learner stabilizes on the finite-bi-embeddability type of the target;
     when run on its own it should be judged up to that equivalence.
@@ -164,6 +180,7 @@ class MinEmbedLearner(Learner):
                 raise FamilyError("this learner requires a finitely separable family")
         self.members = members
         self.name = "min-embed"
+        self._profiles = tuple(m.cumulative_profile for m in members)
         n = len(members)
         self._strictly_below = [
             [fin_embeds(members[j], members[i]) and not fin_embeds(members[i], members[j])
@@ -177,12 +194,7 @@ class MinEmbedLearner(Learner):
         self._rev = -1
 
     def _recompute(self) -> None:
-        census = self._state.char()
-        hosts = [i for i, m in enumerate(self.members) if embeds(census, m)]
-        minimal = [
-            i for i in hosts
-            if not any(self._strictly_below[i][j] for j in hosts)
-        ]
+        minimal = minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
         self._cached_index = min(minimal) if minimal else None
         self._cached = self.members[self._cached_index] if minimal else None
         self._rev = self._state.struct_rev

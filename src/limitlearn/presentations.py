@@ -17,6 +17,7 @@ from .structures import (
     Character,
     FiniteStructure,
     RepresentationError,
+    profile_of,
 )
 
 InformantItem = tuple[int, int, int]
@@ -219,6 +220,11 @@ class PrefixState:
 
     def separated(self, root_a: int, root_b: int) -> bool:
         return bool(self._neg[root_a] & self._mask[root_b])
+
+    def profile(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The cumulative profile of the block-size census, as plain numbers:
+        ``char().cumulative_profile`` without building the census."""
+        return profile_of(self.size_counts)
 
     def char(self) -> Character:
         if self._char_cache is None:

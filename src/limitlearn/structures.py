@@ -9,8 +9,11 @@ many threshold sizes, which keeps every operation here exact and total.
 
 Each census caches those counts once as a plain-number step profile (its
 sorted exception sizes and the suffix sums of their counts, with ``math.inf``
-for omega), so an embedding test is one merge of two profiles.  ``ExtNat``
-stays at the API and JSON edge.
+for omega), so an embedding test is one merge of two profiles
+(``profile_le``).  A census given as plain size counts, such as a decoded
+prefix, has its profile built by ``profile_of`` with no ``Character`` at
+all; learners check their hosts that way.  ``ExtNat`` stays
+at the API and JSON edge.
 """
 from __future__ import annotations
 
@@ -247,10 +250,7 @@ class Character:
         the infinite-class count.  A nonzero default gives ``((), (inf,))``."""
         if self.default != ZERO:
             return (), (math.inf,)
-        counts = [_plain(self.omega_count)]
-        for _, cnt in reversed(self.exceptions):
-            counts.append(counts[-1] + _plain(cnt))
-        return self.sizes_of_interest, tuple(reversed(counts))
+        return profile_of({s: _plain(c) for s, c in self.exceptions}, _plain(self.omega_count))
 
     def cumulative(self, threshold: "ExtNat | int | str") -> ExtNat:
         """Number of classes of size >= threshold (infinite classes included),
@@ -397,17 +397,27 @@ def char_diff_min(c: Character, s: Character) -> Component | None:
     return best
 
 
-def fin_embeds(a: Character, b: Character) -> bool:
-    """Every finite substructure of an `a`-structure embeds into a `b`-structure.
+def profile_of(counts: Mapping[int, float], infinite: float = 0) -> tuple[tuple[int, ...], tuple]:
+    """The cumulative profile, as in ``Character.cumulative_profile``, of the
+    census with `counts[size]` classes of each listed size, none of any other
+    finite size, and `infinite` infinite classes (``math.inf`` for omega)."""
+    sizes = sorted(counts)
+    totals = [infinite]
+    for size in reversed(sizes):
+        totals.append(totals[-1] + counts[size])
+    return tuple(sizes), tuple(reversed(totals))
 
-    Equivalent to the cumulative count of `a` never exceeding that of `b` at
-    any finite threshold.  Both counts are steps that fall just above each
-    exception size, and `a`'s only falls, so it suffices to check threshold 1
-    and the threshold just above each of `b`'s sizes: one merge of the two
-    cumulative profiles.
+
+def profile_le(pa: tuple, pb: tuple) -> bool:
+    """The cumulative count of profile `pa` never exceeds that of `pb` at any
+    finite threshold.
+
+    Both counts are steps that fall just above each listed size, and `pa`'s
+    only falls, so it suffices to check threshold 1 and the threshold just
+    above each of `pb`'s sizes: one merge of the two profiles.
     """
-    sizes_a, counts_a = a.cumulative_profile
-    sizes_b, counts_b = b.cumulative_profile
+    sizes_a, counts_a = pa
+    sizes_b, counts_b = pb
     if counts_a[0] > counts_b[0]:
         return False
     i, n = 0, len(sizes_a)
@@ -417,6 +427,11 @@ def fin_embeds(a: Character, b: Character) -> bool:
         if counts_a[i] > counts_b[j]:
             return False
     return True
+
+
+def fin_embeds(a: Character, b: Character) -> bool:
+    """Every finite substructure of an `a`-structure embeds into a `b`-structure."""
+    return profile_le(a.cumulative_profile, b.cumulative_profile)
 
 
 def embeds(a: Character, b: Character) -> bool:

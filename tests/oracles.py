@@ -29,6 +29,7 @@ from limitlearn import (
     TEXT,
     Prefix,
     conjectures_equal,
+    embeds,
     ext,
     finite_permutations,
     lang_member,
@@ -37,7 +38,7 @@ from limitlearn import (
     size_sequence_of,
 )
 from limitlearn.bridge import StructToLanguageLearner
-from limitlearn.learners import conjecture_str
+from limitlearn.learners import MinEmbedLearner, SeparatorLearner, conjecture_str
 
 INF = None  # symbolic size of an infinite class
 SATURATE = 50
@@ -558,3 +559,33 @@ class ListPermLearner(StructToLanguageLearner):
             pos += 1
         self._perm_cache[census] = (perms, pos)
         return None
+
+
+# ---------------------------------------------------------------------------
+# The host computation the prefix's plain profile replaced
+
+
+def char_minimal_hosts(state, members, strictly_below) -> list[int]:
+    """The minimal hosts found by building the prefix's census and testing
+    `embeds` against every member."""
+    census = state.char()
+    hosts = [i for i, m in enumerate(members) if embeds(census, m)]
+    return [i for i in hosts if not any(strictly_below[i][j] for j in hosts)]
+
+
+class CharMinEmbedLearner(MinEmbedLearner):
+    """The min-embed learner with its hosts from `char_minimal_hosts`."""
+
+    def _recompute(self) -> None:
+        minimal = char_minimal_hosts(self._state, self.members, self._strictly_below)
+        self._cached_index = min(minimal) if minimal else None
+        self._cached = self.members[self._cached_index] if minimal else None
+        self._rev = self._state.struct_rev
+
+
+class CharSeparatorLearner(SeparatorLearner):
+    """The separator learner over a `CharMinEmbedLearner`."""
+
+    def __init__(self, members, enforce: bool = True):
+        super().__init__(members, enforce)
+        self._inner = CharMinEmbedLearner(members, enforce)

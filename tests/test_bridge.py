@@ -24,6 +24,7 @@ from limitlearn import (
     size_sequence_of,
     telltale_search,
 )
+from limitlearn import bridge
 from limitlearn.bridge import LanguageToStructLearner, StructToLanguageLearner, slot_count
 
 from families import (
@@ -308,3 +309,15 @@ def test_language_text_is_fair():
     seen = {next(it) for _ in range(200)}
     assert {pair_code(0, 0), pair_code(0, 1)} <= {c for c in seen if c is not None}
     assert all(c is None or lang_member(lang, c) for c in seen)
+
+
+def test_impossible_census_skips_the_permutation_walk(monkeypatch):
+    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
+    for code in (pair_code(0, 0), pair_code(1, 2), pair_code(0, 6)):
+        lrn.consume(code)
+    # <0, 6> needs a class of size 7; C56's largest class has size 6
+    checked = []
+    monkeypatch.setattr(bridge, "permuted", lambda seq, perm: checked.append(perm))
+    assert lrn._least_consistent_perm(C56) is None
+    assert checked == []
+    assert lrn._perm_cache[C56][1] is None

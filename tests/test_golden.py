@@ -52,6 +52,10 @@ CASES = {
     "simulate-txt-separator-example2": (
         "simulate --family {example2} --learner txt-separator --target 1 --seed 2 --horizon 1500",
         0),
+    "simulate-min-embed-kron4": (
+        "simulate --family {kron4} --learner min-embed --target 2 --seed 5 --horizon 2000", 1),
+    "simulate-min-embed-tails3": (
+        "simulate --family {tails3} --learner min-embed --target 2 --seed 5 --horizon 2000", 0),
     "simulate-split-omega-pair": (
         "simulate --family {omega-pair} --learner split --target 1 --seed 4 --horizon 2000", 0),
     "adversary-limit-nonseparable": (
@@ -66,6 +70,8 @@ CASES = {
         "locking --family {example1} --learner separator --target 1 --start {start}", 0),
     "bridge-translate-layouts": (
         "bridge translate --family {layouts}", 0),
+    "bridge-roundtrip-example1": (
+        "bridge roundtrip --family {example1} --target 1 --seed 3 --horizon 2000", 0),
     "bridge-telltale-kron4": (
         "bridge telltale --family {kron4} --bound 64", 0),
 }

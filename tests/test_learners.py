@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from limitlearn import (
     distinguishing_substructure,
     fair_informant,
     fair_text,
+    informant_prefix,
     learner_constant,
     learner_echo,
     learner_from_text,
@@ -19,7 +22,10 @@ from limitlearn import (
     learner_separator,
     learner_split_on_negative,
     run_simulation,
+    weak_locking_search,
 )
+from limitlearn.bridge import LanguageToStructLearner
+from limitlearn.learners import minimal_hosts
 
 from families import (
     ANTICHAIN_FAMILIES,
@@ -36,7 +42,7 @@ from families import (
     kron_slice,
 )
 from limitlearn import fin_biembeddable
-from oracles import ListTrace
+from oracles import CharMinEmbedLearner, CharSeparatorLearner, ListTrace, char_minimal_hosts
 
 OM = "omega"
 
@@ -368,3 +374,87 @@ def test_trace_lines_format():
     assert lines[0] == "stage 0: ?"
     assert lines[1].startswith("stage 1: ") and lines[1].endswith("[MC]")
     assert "[MC]" not in lines[2]
+
+
+# ---------------------------------------------------------------------------
+# Host checks on the prefix's plain profile
+
+
+@st.composite
+def corpus_prefixes(draw):
+    """A corpus family and a consistent informant prefix: items of a fair
+    informant of one of its members, or the pairs of a random structure on
+    up to 16 elements in a random order, cut at a random length."""
+    family = SEPARABLE_CORPUS[draw(st.sampled_from(sorted(SEPARABLE_CORPUS)))]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(family))
+        length = draw(st.integers(0, 1500))
+        return family, list(islice(fair_informant(target, draw(st.integers(0, 50))), length))
+    n = draw(st.integers(1, 16))
+    classes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = draw(st.permutations([(x, y) for x in range(n) for y in range(n)]))
+    pairs = pairs[:draw(st.integers(0, len(pairs)))]
+    return family, [(x, y, int(classes[x] == classes[y])) for x, y in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_prefixes())
+def test_profile_hosts_match_the_census_hosts(case):
+    family, items = case
+    min_embed = learner_min_embed(family, enforce=False)
+    pairs = (
+        (min_embed, CharMinEmbedLearner(family, enforce=False)),
+        (learner_separator(family, enforce=False), CharSeparatorLearner(family, enforce=False)),
+    )
+    for stage, item in enumerate(items):
+        for learner, reference in pairs:
+            got, want = learner.feed(item), reference.feed(item)
+            assert conjectures_equal(got, want), (learner.name, stage, got, want)
+        state = min_embed._state
+        assert state.profile() == state.char().cumulative_profile
+        below = min_embed._strictly_below
+        assert minimal_hosts(state.profile(), min_embed._profiles, below) == \
+            char_minimal_hosts(state, family, below), stage
+        assert min_embed.conjectured_index() == pairs[0][1].conjectured_index()
+
+
+def test_host_checks_build_no_census(monkeypatch):
+    items = list(islice(fair_informant(C57, 0), 600))
+    min_embed = learner_min_embed(list(EXAMPLE1))
+    decode = LanguageToStructLearner(list(EXAMPLE1))
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Character.make called")
+
+    monkeypatch.setattr(Character, "make", classmethod(refuse))
+    for item in items:
+        min_embed.feed(item)
+        decode.feed(item)
+    assert min_embed.conjecture() == C57 and decode.conjecture() == C57
+    res = weak_locking_search(learner_separator(list(EXAMPLE1)), C57, informant_prefix(items),
+                              depth=50, width=8)
+    assert res.kind == "candidate"
+
+
+def _rename(items, f):
+    return [(f(x), f(y), label) for x, y, label in items]
+
+
+@pytest.mark.parametrize("rename", [lambda x: 3 * x + 7, lambda x: x ^ 5], ids=["affine", "xor"])
+def test_renaming_the_elements_changes_no_trace(rename):
+    """The learners read a structure only up to isomorphism: an injective
+    renaming of a fair informant's elements, order-preserving or not, leaves
+    every mind change, the convergence verdict and the final conjecture."""
+    horizon = 4000
+    for name, family in SEPARABLE_CORPUS.items():
+        learners = [learner_separator(family), learner_min_embed(family)]
+        if name in ANTICHAIN_FAMILIES:
+            learners.append(learner_one_shot(family))
+        for target in family:
+            for seed in (0, 3):
+                items = list(islice(fair_informant(target, seed), horizon))
+                for learner in learners:
+                    a, b = (run_simulation(learner, iter(its), horizon, target, "iso", 200)
+                            for its in (items, _rename(items, rename)))
+                    assert (a.trace.changes, a.converged, a.final) == \
+                        (b.trace.changes, b.converged, b.final), (name, target, seed, learner.name)

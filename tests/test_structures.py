@@ -1,4 +1,5 @@
 import pickle
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from limitlearn import (
     fin_biembeddable,
     fin_embeds,
     pair_code,
+    profile_le,
+    profile_of,
     unpair_code,
 )
 
@@ -289,6 +292,31 @@ def test_subset_implies_embeddings(a, b):
     if char_subset(a, b):
         assert fin_embeds(a, b)
         assert embeds(a, b)
+
+
+_counts = st.one_of(st.integers(0, 3), st.just(OM))
+_censuses = st.builds(
+    lambda default, exceptions, omega_count: census(default, exceptions, omega_count),
+    st.sampled_from([0, 0, 0, 1, OM]),
+    st.dictionaries(st.integers(1, 8), _counts, max_size=4),
+    st.one_of(st.integers(0, 2), st.just(OM)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_censuses, _censuses)
+def test_profile_le_matches_the_brute_force_oracle(a, b):
+    assert profile_le(a.cumulative_profile, b.cumulative_profile) == brute_fin_embeds(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=6))
+def test_profile_of_counts_the_classes_at_every_threshold(counts):
+    sizes, totals = profile_of(counts)
+    assert list(sizes) == sorted(counts)
+    for t in range(1, 15):
+        assert totals[bisect_left(sizes, t)] == sum(c for s, c in counts.items() if s >= t)
+    assert profile_of(counts) == Character.make(0, counts, 0).cumulative_profile
 
 
 def test_structure_validation():
