@@ -599,39 +599,23 @@ def weak_locking_search(
             probe.consume(cand)
             if not conjectures_equal(probe.conjecture(), base_conj):
                 return violator([cand])
-        # advance the spine by one genuinely novel fact
-        item = builder.next_item()
+        # advance the spine by the first item new to the decoder (builders never contradict it)
         for _skip in range(100000):
-            if item is _EXHAUSTED or _novel(state, start.kind, item):
-                break
             item = builder.next_item()
+            if item is _EXHAUSTED:
+                break
+            rev = (state.struct_rev, state.neg_rev)
+            state.feed(item)
+            if (state.struct_rev, state.neg_rev) != rev:
+                break
         if item is _EXHAUSTED:
             break  # a target with finitely many elements is fully labeled
         spine.append(item)
-        state.feed(item)
         base.consume(item)
         probes += 1
         if not conjectures_equal(base.conjecture(), base_conj):
             return violator([])
     return LockingSearchResult("candidate", start, None, depth, width, probes)
-
-
-def _novel(state: PrefixState, kind: str, item) -> bool:
-    """Does the item tell the decoder anything it does not already know?"""
-    if kind == TEXT:
-        if item is None:
-            return False
-        x, y = item
-        if not (state.mentions(x) and state.mentions(y)):
-            return True
-        return state.find(x) != state.find(y)
-    x, y, label = item
-    if not (state.mentions(x) and state.mentions(y)):
-        return True
-    rx, ry = state.find(x), state.find(y)
-    if label:
-        return rx != ry
-    return rx != ry and not state.separated(rx, ry)
 
 
 def _candidate_items(builder, state: PrefixState, target: Character, width: int, kind: str):

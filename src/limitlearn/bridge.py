@@ -15,11 +15,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .learners import Learner, SeparatorLearner, minimal_hosts, run_simulation
+from .learners import Learner, SeparatorLearner, run_simulation
 from .presentations import (
     INFORMANT,
     PATTERN,
-    PrefixState,
     Stream,
     pattern_size,
     slot_demand,
@@ -30,7 +29,6 @@ from .structures import (
     Character,
     ExtNat,
     RepresentationError,
-    embeds,
     ext,
     unpair_code,
 )
@@ -435,70 +433,27 @@ class StructToLanguageLearner(Learner):
 # Language learning -> structure learning
 
 
-class LanguageToStructLearner(Learner):
-    """Learns censuses from informants by translating the data into slot
-    demands and searching the configured family for the minimal consistent
-    language.
+class LanguageToStructLearner(SeparatorLearner):
+    """Learns censuses from informants through the languages' slot demands.
 
-    The decoded classes, read as slot demands, fit some finitely permuted slot
-    layout of a member exactly when the class multiset matches injectively,
-    size-monotonically, into the member's classes; so candidacy is an
-    embedding check, and the conjecture prefers candidates whose languages sit
-    inclusion-minimally.  Mutually hostable candidates (whose permuted
-    languages interleave forever) are arbitrated by the longest stably
-    realized separator, the same bookkeeping the informant-side learner uses.
-    The empty prefix conjectures nothing.
+    The conjecture is None on the empty prefix; otherwise the separator
+    learner's conjecture; otherwise, while no separator is realized, the least
+    minimal host: the decoded classes fit a finitely permuted slot layout of
+    exactly the members that host them.  Members with infinite classes have
+    no separator and are refused.
     """
 
-    mode = INFORMANT
-    _owned = ("_arbiter",)
+    name = "lang-decode"
 
     def __init__(self, members: Sequence[Character]):
-        self.members = tuple(members)
-        self.name = "lang-decode"
-        self._profiles = tuple(m.cumulative_profile for m in self.members)
-        n = len(self.members)
-        self._strictly_below = [
-            [embeds(self.members[j], self.members[i])
-             and not embeds(self.members[i], self.members[j])
-             for j in range(n)]
-            for i in range(n)
-        ]
-        self._arbiter = SeparatorLearner(self.members, enforce=False)
-        self.reset()
+        super().__init__(members, enforce=False)
 
-    def reset(self) -> None:
-        self._arbiter.reset()
-        self._rev = -1
-        self._cached = None
-
-    @property
-    def _state(self) -> PrefixState:
-        return self._arbiter._state
-
-    def consume(self, item) -> None:
-        self._arbiter.consume(item)
-
-    def conjecture(self):
-        if self._rev == self._state.struct_rev:
-            return self._cached
-        self._rev = self._state.struct_rev
+    def _recompute(self) -> None:
+        super()._recompute()
         if self._state.n_mentioned == 0:
             self._cached = None
-            return None
-        minimal = minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
-        if not minimal:
-            self._cached = None
-            return None
-        choice = min(minimal)
-        refined = self._arbiter.conjecture()
-        if refined is not None and any(
-            self.members[i] == refined for i in minimal
-        ):
-            self._cached = refined
-        else:
-            self._cached = self.members[choice]
-        return self._cached
+        elif self._cached is None and self._cached_index is not None:
+            self._cached = self.members[self._cached_index]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ conjectures.  A conjecture is either a census (Character) or None, printed as
 "?".  Learners cache their conjecture between items that cannot change it, so
 feeding a long stream is cheap; all of them are cloneable so adversaries can
 probe hypothetical extensions.
+
+``SeparatorLearner`` and the bridge's ``LanguageToStructLearner`` subclass
+``MinEmbedLearner``: one decoder and one host computation, which each refines
+in ``_recompute``, run once per structural revision of the decoded prefix.
 """
 from __future__ import annotations
 
@@ -135,12 +139,16 @@ class EchoLearner(Learner):
 
     def reset(self) -> None:
         self._state = PrefixState(self.mode)
+        self._rev = -1
 
     def consume(self, item) -> None:
         self._state.feed(item)
 
     def conjecture(self) -> Conjecture:
-        return self._state.char()
+        if self._rev != self._state.struct_rev:
+            self._cached = self._state.char()
+            self._rev = self._state.struct_rev
+        return self._cached
 
 
 def minimal_hosts(profile: tuple, member_profiles: Sequence[tuple],
@@ -168,6 +176,7 @@ class MinEmbedLearner(Learner):
     """
 
     mode = INFORMANT
+    name = "min-embed"
     _owned = ("_state",)
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
@@ -179,7 +188,6 @@ class MinEmbedLearner(Learner):
             if not finitely_separable(members):
                 raise FamilyError("this learner requires a finitely separable family")
         self.members = members
-        self.name = "min-embed"
         self._profiles = tuple(m.cumulative_profile for m in members)
         n = len(members)
         self._strictly_below = [
@@ -193,11 +201,13 @@ class MinEmbedLearner(Learner):
         self._state = PrefixState(INFORMANT)
         self._rev = -1
 
+    def _minimal_hosts(self) -> list[int]:
+        return minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
+
     def _recompute(self) -> None:
-        minimal = minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
+        minimal = self._minimal_hosts()
         self._cached_index = min(minimal) if minimal else None
         self._cached = self.members[self._cached_index] if minimal else None
-        self._rev = self._state.struct_rev
 
     def consume(self, item) -> None:
         self._state.feed(item)
@@ -205,14 +215,16 @@ class MinEmbedLearner(Learner):
     def conjecture(self) -> Conjecture:
         if self._rev != self._state.struct_rev:
             self._recompute()
+            self._rev = self._state.struct_rev
         return self._cached
 
     def conjectured_index(self) -> int | None:
+        """The index of the least minimal host (None when nothing hosts the data)."""
         self.conjecture()
         return self._cached_index
 
 
-class SeparatorLearner(Learner):
+class SeparatorLearner(MinEmbedLearner):
     """Refines MinEmbedLearner to the isomorphism type via realized separators.
 
     Within the current finite-bi-embeddability class, the conjecture is the
@@ -222,13 +234,10 @@ class SeparatorLearner(Learner):
     resetting the age of any separator it helped realize.
     """
 
-    mode = INFORMANT
-    _owned = ("_inner",)
+    name = "separator"
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
-        self._inner = MinEmbedLearner(members, enforce=enforce)
-        self.members = self._inner.members
-        self.name = "separator"
+        super().__init__(members, enforce)
         self._separators: list[Separator] = [
             separator_of(m, self.members) for m in self.members
         ]
@@ -237,15 +246,6 @@ class SeparatorLearner(Learner):
             [j for j in range(n) if fin_biembeddable(self.members[j], self.members[i])]
             for i in range(n)
         ]
-        self.reset()
-
-    @property
-    def _state(self) -> PrefixState:
-        return self._inner._state
-
-    def reset(self) -> None:
-        self._inner.reset()
-        self._rev = -1
 
     def _realized_since(self, sep: Separator) -> int | None:
         """Earliest stage from which one fixed witness assignment for every
@@ -260,29 +260,12 @@ class SeparatorLearner(Learner):
         return since
 
     def _recompute(self) -> None:
-        idx = self._inner.conjectured_index()
-        if idx is None:
-            self._cached = None
-            self._rev = self._state.struct_rev
-            return
-        best: tuple[int, int] | None = None
-        for j in self._class_of[idx]:
-            since = self._realized_since(self._separators[j])
-            if since is None:
-                continue
-            key = (since, j)
-            if best is None or key < best:
-                best = key
-        self._cached = self.members[best[1]] if best else None
-        self._rev = self._state.struct_rev
-
-    def consume(self, item) -> None:
-        self._inner._state.feed(item)
-
-    def conjecture(self) -> Conjecture:
-        if self._rev != self._state.struct_rev:
-            self._recompute()
-        return self._cached
+        super()._recompute()
+        if self._cached_index is not None:
+            seps = self._separators
+            ages = [(self._realized_since(seps[j]), j) for j in self._class_of[self._cached_index]]
+            best = min((age for age in ages if age[0] is not None), default=None)
+            self._cached = self.members[best[1]] if best else None
 
 
 def _partitions(total: int, max_part: int):

@@ -85,11 +85,13 @@ class PrefixState:
     the census of block sizes, and the k-th smallest birth among the blocks
     of one size is its list's k-th entry.  A known element costs one dict
     lookup when it points at its root; `find` runs only below that.
+    The decoder keeps no census: `profile()` and `char()` are built on each
+    call, and a learner caches what it reads of them by `struct_rev`.
     """
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_bit", "_mask", "_neg", "birth", "births_by_size", "_char_cache",
+        "_bit", "_mask", "_neg", "birth", "births_by_size",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -104,7 +106,6 @@ class PrefixState:
         self._neg: dict[int, int] = {}
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
-        self._char_cache: Character | None = None
 
     # -- union-find -----------------------------------------------------
 
@@ -127,7 +128,6 @@ class PrefixState:
         # two elements first mentioned by one item share a stage
         insort(self.births_by_size.setdefault(1, []), (self.stage, x))
         self.struct_rev += 1
-        self._char_cache = None
         return x
 
     def _union(self, a: int, b: int) -> None:
@@ -148,7 +148,6 @@ class PrefixState:
         birth[a] = self.stage
         insort(by_size.setdefault(len(members[a]), []), (self.stage, a))
         self.struct_rev += 1
-        self._char_cache = None
 
     # -- feeding --------------------------------------------------------
 
@@ -227,9 +226,7 @@ class PrefixState:
         return profile_of(self.size_counts)
 
     def char(self) -> Character:
-        if self._char_cache is None:
-            self._char_cache = Character.make(0, self.size_counts, 0)
-        return self._char_cache
+        return Character.make(0, self.size_counts, 0)
 
     def copy(self) -> "PrefixState":
         dup = PrefixState.__new__(PrefixState)
@@ -244,7 +241,6 @@ class PrefixState:
         dup._neg = dict(self._neg)
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
-        dup._char_cache = self._char_cache
         return dup
 
 

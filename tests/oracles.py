@@ -38,7 +38,13 @@ from limitlearn import (
     size_sequence_of,
 )
 from limitlearn.bridge import StructToLanguageLearner
-from limitlearn.learners import MinEmbedLearner, SeparatorLearner, conjecture_str
+from limitlearn.learners import (
+    Learner,
+    MinEmbedLearner,
+    SeparatorLearner,
+    conjecture_str,
+    minimal_hosts,
+)
 
 INF = None  # symbolic size of an infinite class
 SATURATE = 50
@@ -576,16 +582,68 @@ def char_minimal_hosts(state, members, strictly_below) -> list[int]:
 class CharMinEmbedLearner(MinEmbedLearner):
     """The min-embed learner with its hosts from `char_minimal_hosts`."""
 
-    def _recompute(self) -> None:
-        minimal = char_minimal_hosts(self._state, self.members, self._strictly_below)
-        self._cached_index = min(minimal) if minimal else None
-        self._cached = self.members[self._cached_index] if minimal else None
-        self._rev = self._state.struct_rev
+    def _minimal_hosts(self) -> list[int]:
+        return char_minimal_hosts(self._state, self.members, self._strictly_below)
 
 
 class CharSeparatorLearner(SeparatorLearner):
-    """The separator learner over a `CharMinEmbedLearner`."""
+    """The separator learner with its hosts from `char_minimal_hosts`."""
 
-    def __init__(self, members, enforce: bool = True):
-        super().__init__(members, enforce)
-        self._inner = CharMinEmbedLearner(members, enforce)
+    _minimal_hosts = CharMinEmbedLearner._minimal_hosts
+
+
+# ---------------------------------------------------------------------------
+# The language-decoding learner as a composition of two host computations
+
+
+class ComposedLanguageToStructLearner(Learner):
+    """The language-decoding learner as it was first composed: its own
+    strictly-below matrix over `embeds`, its own minimal hosts, and a whole
+    separator learner as arbiter.  The conjecture is None on the empty
+    prefix or with no minimal host; otherwise the arbiter's conjecture when
+    it is one of the minimal hosts, else the least minimal host."""
+
+    mode = INFORMANT
+    name = "lang-decode-composed"
+    _owned = ("_arbiter",)
+
+    def __init__(self, members):
+        self.members = tuple(members)
+        self._profiles = tuple(m.cumulative_profile for m in self.members)
+        n = len(self.members)
+        self._strictly_below = [
+            [embeds(self.members[j], self.members[i])
+             and not embeds(self.members[i], self.members[j])
+             for j in range(n)]
+            for i in range(n)
+        ]
+        self._arbiter = SeparatorLearner(self.members, enforce=False)
+        self.reset()
+
+    def reset(self) -> None:
+        self._arbiter.reset()
+        self._rev = -1
+        self._cached = None
+
+    def consume(self, item) -> None:
+        self._arbiter.consume(item)
+
+    def conjecture(self):
+        state = self._arbiter._state
+        if self._rev == state.struct_rev:
+            return self._cached
+        self._rev = state.struct_rev
+        if state.n_mentioned == 0:
+            self._cached = None
+            return None
+        minimal = minimal_hosts(state.profile(), self._profiles, self._strictly_below)
+        if not minimal:
+            self._cached = None
+            return None
+        choice = min(minimal)
+        refined = self._arbiter.conjecture()
+        if refined is not None and any(self.members[i] == refined for i in minimal):
+            self._cached = refined
+        else:
+            self._cached = self.members[choice]
+        return self._cached

@@ -72,6 +72,9 @@ CASES = {
         "bridge translate --family {layouts}", 0),
     "bridge-roundtrip-example1": (
         "bridge roundtrip --family {example1} --target 1 --seed 3 --horizon 2000", 0),
+    # kron4's composed learner reaches the least-minimal-host fallback
+    "bridge-roundtrip-kron4": (
+        "bridge roundtrip --family {kron4} --target 2 --seed 5 --horizon 2000", 0),
     "bridge-telltale-kron4": (
         "bridge telltale --family {kron4} --bound 64", 0),
 }

@@ -42,7 +42,13 @@ from families import (
     kron_slice,
 )
 from limitlearn import fin_biembeddable
-from oracles import CharMinEmbedLearner, CharSeparatorLearner, ListTrace, char_minimal_hosts
+from oracles import (
+    CharMinEmbedLearner,
+    CharSeparatorLearner,
+    ComposedLanguageToStructLearner,
+    ListTrace,
+    char_minimal_hosts,
+)
 
 OM = "omega"
 
@@ -284,6 +290,23 @@ def test_echo_learner_reports_prefix_census():
     assert lrn.feed((2, 3, 0)) == census(0, {2: 1, 1: 2})
 
 
+def test_echo_learner_builds_one_census_per_structural_revision(monkeypatch):
+    items = list(islice(fair_informant(C57, 0), 2000))
+    lrn = learner_echo()
+    make, calls = Character.make, []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(Character, "make", classmethod(counting))
+    revisions = set()
+    for item in items:
+        lrn.feed(item)
+        revisions.add(lrn._state.struct_rev)
+    assert len(calls) == len(revisions) < len(items) // 2
+
+
 # ---------------------------------------------------------------------------
 # Simulation harness
 
@@ -416,6 +439,26 @@ def test_profile_hosts_match_the_census_hosts(case):
         assert minimal_hosts(state.profile(), min_embed._profiles, below) == \
             char_minimal_hosts(state, family, below), stage
         assert min_embed.conjectured_index() == pairs[0][1].conjectured_index()
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_prefixes())
+def test_language_decoding_learner_matches_the_composed_reference(case):
+    """The language-decoding learner, a separator learner that falls back to
+    the least minimal host, agrees after every item with the arbiter
+    composition in `oracles`; and a separator conjecture is always one of the
+    minimal hosts."""
+    family, items = case
+    decode, reference = LanguageToStructLearner(family), ComposedLanguageToStructLearner(family)
+    separator = learner_separator(family, enforce=False)
+    assert decode.conjecture() is None and reference.conjecture() is None
+    for stage, item in enumerate(items):
+        got, want = decode.feed(item), reference.feed(item)
+        assert conjectures_equal(got, want), (stage, got, want)
+        refined = separator.feed(item)
+        minimal = minimal_hosts(separator._state.profile(), separator._profiles,
+                                separator._strictly_below)
+        assert refined is None or any(family[i] == refined for i in minimal), (stage, refined)
 
 
 def test_host_checks_build_no_census(monkeypatch):
