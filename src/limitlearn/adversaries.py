@@ -58,6 +58,11 @@ class _TargetBuilder:
     exact current sizes (they must fit the new census), otherwise they may be
     planned to grow.  Slots planned as infinite classes have target None and
     absorb elements round-robin forever.
+
+    A pair whose new element finds no slot is skipped for good: element k
+    first appears as (k, 0), and placement fails only once a census with
+    finitely many elements has all of them placed (``finishing`` is set only
+    while a slot is open).
     """
 
     def __init__(self, target: Character, blocks: Sequence[Sequence[int]] = ()):
@@ -68,7 +73,6 @@ class _TargetBuilder:
         self.slot_of: dict[int, int] = {}
         self.used: Counter = Counter()  # planned slots per size, None for infinite
         self.cursor = 0
-        self.deferred: deque[tuple[int, int]] = deque()
         self.finishing = False
         self._inf_rot = 0
         self._plan(target)
@@ -187,19 +191,13 @@ class _TargetBuilder:
         """The next labeled pair of the walk, or ``_EXHAUSTED`` once a census
         with finitely many elements has every element placed and every pair
         among them emitted."""
-        for _ in range(len(self.deferred) + 100000):
-            if self.deferred:
-                x, y = self.deferred[0]
-                if x in self.slot_of and y in self.slot_of or self._try_pair(x, y):
-                    self.deferred.popleft()
-                    return self._label(x, y)
+        for _ in range(100000):
             x, y = unpair_code(self.cursor)
             self.cursor += 1
             if self._try_pair(x, y):
                 return self._label(x, y)
             if self._complete():
                 return _EXHAUSTED
-            self.deferred.append((x, y))
         raise FamilyError("builder made no progress; retarget before emitting")
 
     def _complete(self) -> bool:
@@ -215,11 +213,6 @@ class _TargetBuilder:
     def upcoming_pairs(self, n: int) -> list[tuple[int, int]]:
         """The next pairs of the walk among already-assigned elements."""
         out = []
-        for x, y in self.deferred:
-            if x in self.slot_of and y in self.slot_of:
-                out.append((x, y))
-                if len(out) == n:
-                    return out
         code = self.cursor
         fuel = 40 * (n + 1) * (len(self.slot_of) + 4)
         while len(out) < n and fuel:
@@ -624,10 +617,8 @@ def _candidate_items(builder, state: PrefixState, target: Character, width: int,
         cands.extend(builder.upcoming_positive_candidates(max(1, width - 1)))
         return cands[:width]
     cands: list = []
+    # every assigned element came with an emitted pair, which `state` was fed
     for x, y in builder.upcoming_pairs(width):
-        if not (state.mentions(x) and state.mentions(y)):
-            cands.append(builder._label(x, y))
-            continue
         same = builder.slot_of[x] == builder.slot_of[y]
         cands.append((x, y, 1 if same else 0))
         if len(cands) >= width:

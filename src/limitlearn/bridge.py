@@ -30,6 +30,7 @@ from .structures import (
     ExtNat,
     RepresentationError,
     ext,
+    pair_code,
     unpair_code,
 )
 
@@ -317,23 +318,23 @@ def telltale_search(
     """A finite subset of the language that no other family language can sit
     above (between it and the language), or None at this bound.
 
-    The set carries one separating code per properly-included family language;
-    codes and the set size are capped by `bound`.  Codes above the bound are
-    never tried, so the bound must exceed the largest separating code the
+    The set carries the least code of L \\ L' for each properly-included family
+    language L': the least ``<i, L'(i)>`` over the slots where L'(i) < L(i).
+    That code lies in `_window`'s vectors: past their base each slot gains a
+    fixed step per period, L' gains no more than L and neither loses, so a
+    residue class whose gap opens at all opens within the window's two
+    periods, and its later codes are larger.  Codes and the set size are
+    capped by `bound`, so the bound must reach the largest separating code the
     family needs: over kron slices 7 and 8 at 12 positions that is 72, 84 and
     98, and the search fails at bound 64 though both slices are separable.
     """
     base, period, (vec, *vecs) = _window([lang, *family_langs])
     witnesses: set[int] = set()
-    for other, other_vec in zip(family_langs, vecs):
+    for other_vec in vecs:
         if other_vec == vec or not _vec_le(other_vec, vec, base, period):
             continue
-        found = None
-        for code in range(bound + 1):
-            if lang_member(lang, code) and not lang_member(other, code):
-                found = code
-                break
-        if found is None:
+        found = min(pair_code(i, b) for i, (a, b) in enumerate(zip(vec, other_vec)) if b < a)
+        if found > bound:
             return None
         witnesses.add(found)
         if len(witnesses) > bound:

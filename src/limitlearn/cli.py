@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from . import bridge as bridge_mod
 from .adversaries import diagonalize, limit_adversary, text_adversary, weak_locking_search
@@ -33,6 +34,7 @@ from .presentations import (
     ConsistencyError,
     Prefix,
     PrefixState,
+    Stream,
     fair_informant,
     fair_text,
     read_trace,
@@ -159,7 +161,8 @@ def _out_path(args, filename: str) -> str:
 
 def cmd_check(args) -> int:
     family = _load_family(args.family)
-    report: dict = {"members": [m.to_json() for m in family.members]}
+    anti = fin_antichain(family.members)
+    report: dict = {"members": [m.to_json() for m in family.members], "fin_antichain": anti}
     try:
         sep = finitely_separable(family.members)
         report["finitely_separable"] = sep.separable
@@ -168,8 +171,6 @@ def cmd_check(args) -> int:
             else {"limit": sep.counterexample[0].to_json(),
                   "witness": sep.counterexample[1].to_json()}
         )
-        anti = fin_antichain(family.members) if len(family.members) > 1 else True
-        report["fin_antichain"] = anti
         if sep.separable:
             report["separators"] = [
                 {"member": m.to_json(), "separator": separator_of(m, family.members).to_json()}
@@ -179,10 +180,6 @@ def cmd_check(args) -> int:
     except FamilyError as exc:
         report["finitely_separable"] = None
         report["note"] = str(exc)
-        try:
-            report["fin_antichain"] = fin_antichain(family.members) if len(family.members) > 1 else True
-        except FamilyError:
-            report["fin_antichain"] = None
         violation = False
     if family.generator:
         spec = GENERATORS[family.generator]
@@ -216,18 +213,9 @@ def _run_one_simulation(args, seed: int):
         stream = reordered_informant(target, seed, args.reorder)
     else:
         stream = fair_informant(target, seed)
-    items = []
-    base_iter = iter(stream)
-
-    def tee():
-        while True:
-            item = next(base_iter)
-            items.append(item)
-            yield item
-
-    stream_tee = type(stream)(stream.kind, stream.character, tee())
-    result = run_simulation(learner, stream_tee, args.horizon, target,
-                            args.relation, args.window)
+    items = list(islice(stream, args.horizon))
+    result = run_simulation(learner, Stream(stream.kind, stream.character, iter(items)),
+                            args.horizon, target, args.relation, args.window)
     summary = result.summary()
     summary["seed"] = seed
     summary["learner"] = args.learner

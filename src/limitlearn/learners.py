@@ -6,13 +6,15 @@ conjectures.  A conjecture is either a census (Character) or None, printed as
 feeding a long stream is cheap; all of them are cloneable so adversaries can
 probe hypothetical extensions.
 
-``SeparatorLearner`` and the bridge's ``LanguageToStructLearner`` subclass
-``MinEmbedLearner``: one decoder and one host computation, which each refines
-in ``_recompute``, run once per structural revision of the decoded prefix.
+The decoding learners extend ``EchoLearner``: one decoder and one
+``_recompute``, run once per structural revision of the decoded prefix.
+``SeparatorLearner`` and the bridge's ``LanguageToStructLearner`` refine
+``MinEmbedLearner``'s host computation there.
 """
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
@@ -27,6 +29,7 @@ from .structures import (
     fin_biembeddable,
     fin_embeds,
     profile_le,
+    profile_of,
 )
 
 Conjecture = Optional[Character]
@@ -128,7 +131,8 @@ class SplitOnNegativeLearner(Learner):
 
 
 class EchoLearner(Learner):
-    """Conjectures the census of whatever finite structure the prefix decodes to."""
+    """Conjectures the census of whatever finite structure the prefix decodes
+    to; the base of the decoding learners, which override ``_recompute``."""
 
     name = "echo"
     _owned = ("_state",)
@@ -141,12 +145,15 @@ class EchoLearner(Learner):
         self._state = PrefixState(self.mode)
         self._rev = -1
 
+    def _recompute(self) -> None:
+        self._cached = self._state.char()
+
     def consume(self, item) -> None:
         self._state.feed(item)
 
     def conjecture(self) -> Conjecture:
         if self._rev != self._state.struct_rev:
-            self._cached = self._state.char()
+            self._recompute()
             self._rev = self._state.struct_rev
         return self._cached
 
@@ -163,7 +170,7 @@ def minimal_hosts(profile: tuple, member_profiles: Sequence[tuple],
     return [i for i in hosts if not any(strictly_below[i][j] for j in hosts)]
 
 
-class MinEmbedLearner(Learner):
+class MinEmbedLearner(EchoLearner):
     """Conjectures the least-indexed family member that hosts the data and is
     minimal in the finite-embedding order among the hosts.
 
@@ -177,7 +184,6 @@ class MinEmbedLearner(Learner):
 
     mode = INFORMANT
     name = "min-embed"
-    _owned = ("_state",)
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         members = tuple(members)
@@ -197,10 +203,6 @@ class MinEmbedLearner(Learner):
         ]
         self.reset()
 
-    def reset(self) -> None:
-        self._state = PrefixState(INFORMANT)
-        self._rev = -1
-
     def _minimal_hosts(self) -> list[int]:
         return minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
 
@@ -208,15 +210,6 @@ class MinEmbedLearner(Learner):
         minimal = self._minimal_hosts()
         self._cached_index = min(minimal) if minimal else None
         self._cached = self.members[self._cached_index] if minimal else None
-
-    def consume(self, item) -> None:
-        self._state.feed(item)
-
-    def conjecture(self) -> Conjecture:
-        if self._rev != self._state.struct_rev:
-            self._recompute()
-            self._rev = self._state.struct_rev
-        return self._cached
 
     def conjectured_index(self) -> int | None:
         """The index of the least minimal host (None when nothing hosts the data)."""
@@ -282,26 +275,26 @@ def distinguishing_substructure(
     member: Character, others: Sequence[Character], cap: int = 200
 ) -> FiniteStructure:
     """Smallest finite substructure of `member` (by total size, then profile)
-    embeddable into no other member."""
+    embeddable into no other member.
 
-    def parts_ge(profile, t):
-        return sum(1 for p in profile if p >= t)
-
+    One exists exactly when `member` finitely embeds into no other member, so
+    that case raises ``FamilyError`` before any partition is tried.
+    """
+    if any(fin_embeds(member, other) for other in others):
+        raise FamilyError(f"{member} finitely embeds into another member: "
+                          "no finite substructure distinguishes it")
+    own = member.cumulative_profile
+    rivals = [other.cumulative_profile for other in others]
     max_part = 1
     for c in (member, *others):
         for size, _ in c.exceptions:
             max_part = max(max_part, size + 1)
     for total in range(1, cap + 1):
-        for profile in sorted(_partitions(total, max_part)):
-            thresholds = set(profile)
-            if any(not member.cumulative(t) >= parts_ge(profile, t) for t in thresholds):
-                continue  # not realizable inside member
-            if all(
-                any(parts_ge(profile, t) > other.cumulative(t) for t in thresholds)
-                for other in others
-            ):
+        for parts in sorted(_partitions(total, max_part)):
+            profile = profile_of(Counter(parts))
+            if profile_le(profile, own) and not any(profile_le(profile, r) for r in rivals):
                 blocks, start = [], 0
-                for p in profile:
+                for p in parts:
                     blocks.append(range(start, start + p))
                     start += p
                 return FiniteStructure.from_blocks(blocks)
@@ -387,13 +380,13 @@ class OneShotLearner(Learner):
         return None if self._fired is None else self.members[self._fired]
 
 
-class TextFromInformantLearner(Learner):
+class TextFromInformantLearner(EchoLearner):
     """Runs an informant learner on the class-by-class reordering of the text.
 
     The reordered prefix depends only on the decoded classes, so the base
-    learner is re-run only when the decoded structure actually changes; when
-    the new reordering extends the old one, the retained base instance is fed
-    just the appended items.
+    learner is re-run only at a structural revision; when the new reordering
+    extends the one it was fed, the retained base instance is fed just the
+    appended items.
     """
 
     mode = TEXT
@@ -408,29 +401,18 @@ class TextFromInformantLearner(Learner):
         self.reset()
 
     def reset(self) -> None:
-        self._state = PrefixState(TEXT)
+        super().reset()
         self._base = self._pristine.clone()
         self._fed: list = []
-        self._rev = self._state.struct_rev
+
+    def _recompute(self) -> None:
+        items = reorder_items(self._state.blocks())
+        if items[: len(self._fed)] != self._fed:
+            self._base, self._fed = self._pristine.clone(), []
+        for it in items[len(self._fed):]:
+            self._base.consume(it)
+        self._fed = items
         self._cached = self._base.conjecture()
-
-    def consume(self, item) -> None:
-        self._state.feed(item)
-        if self._state.struct_rev != self._rev:
-            self._rev = self._state.struct_rev
-            items = reorder_items(self._state.blocks())
-            if len(items) >= len(self._fed) and items[: len(self._fed)] == self._fed:
-                delta = items[len(self._fed):]
-            else:
-                self._base = self._pristine.clone()
-                delta = items
-            for it in delta:
-                self._base.consume(it)
-            self._fed = items
-            self._cached = self._base.conjecture()
-
-    def conjecture(self) -> Conjecture:
-        return self._cached
 
 
 # ---------------------------------------------------------------------------

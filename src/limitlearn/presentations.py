@@ -205,9 +205,6 @@ class PrefixState:
         """The census of current block sizes: size -> number of blocks."""
         return {size: len(entries) for size, entries in self.births_by_size.items()}
 
-    def mentions(self, x: int) -> bool:
-        return x in self._parent
-
     def blocks(self) -> list[list[int]]:
         return [sorted(m) for m in self._members.values()]
 

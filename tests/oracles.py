@@ -4,7 +4,8 @@ Everything here works on explicit finite truncations of the censuses;
 matchability is decided either by counting interchangeable uniform blocks or
 by an augmenting-path search over the materialized host list.  Nothing calls
 Character.cumulative, so agreement with the package's embedding tests is a
-genuine two-route check.
+genuine two-route check.  (The replaced forms kept at the end of this
+module as differential references are not embedding oracles.)
 
 The counting oracles saturate materialized per-size counts at SATURATE and
 treat anything at or above it as infinite; they are exact for censuses whose
@@ -18,6 +19,8 @@ from functools import lru_cache
 import math
 
 from limitlearn import (
+    FamilyError,
+    FiniteStructure,
     OMEGA,
     ZERO,
     Character,
@@ -37,11 +40,12 @@ from limitlearn import (
     permuted,
     size_sequence_of,
 )
-from limitlearn.bridge import StructToLanguageLearner
+from limitlearn.bridge import StructToLanguageLearner, _vec_le, _window
 from limitlearn.learners import (
     Learner,
     MinEmbedLearner,
     SeparatorLearner,
+    _partitions,
     conjecture_str,
     minimal_hosts,
 )
@@ -647,3 +651,57 @@ class ComposedLanguageToStructLearner(Learner):
         else:
             self._cached = self.members[choice]
         return self._cached
+
+
+# ---------------------------------------------------------------------------
+# The tell-tale probe and the cumulative-count substructure search the closed
+# forms replaced
+
+
+def probe_telltale_search(lang, family_langs, bound: int):
+    """`telltale_search` by probing codes 0..bound for membership in the
+    language and not in each properly-included family language."""
+    base, period, (vec, *vecs) = _window([lang, *family_langs])
+    witnesses: set[int] = set()
+    for other, other_vec in zip(family_langs, vecs):
+        if other_vec == vec or not _vec_le(other_vec, vec, base, period):
+            continue
+        found = None
+        for code in range(bound + 1):
+            if lang_member(lang, code) and not lang_member(other, code):
+                found = code
+                break
+        if found is None:
+            return None
+        witnesses.add(found)
+        if len(witnesses) > bound:
+            return None
+    return witnesses
+
+
+def cumulative_distinguishing_substructure(member: Character, others, cap: int = 200):
+    """`distinguishing_substructure` by comparing the partition's count of
+    parts >= t with `Character.cumulative(t)` at each part size t."""
+
+    def parts_ge(profile, t):
+        return sum(1 for p in profile if p >= t)
+
+    max_part = 1
+    for c in (member, *others):
+        for size, _ in c.exceptions:
+            max_part = max(max_part, size + 1)
+    for total in range(1, cap + 1):
+        for profile in sorted(_partitions(total, max_part)):
+            thresholds = set(profile)
+            if any(not member.cumulative(t) >= parts_ge(profile, t) for t in thresholds):
+                continue  # not realizable inside member
+            if all(
+                any(parts_ge(profile, t) > other.cumulative(t) for t in thresholds)
+                for other in others
+            ):
+                blocks, start = [], 0
+                for p in profile:
+                    blocks.append(range(start, start + p))
+                    start += p
+                return FiniteStructure.from_blocks(blocks)
+    raise FamilyError(f"no distinguishing substructure of {member} within size {cap}")

@@ -259,7 +259,25 @@ def test_criterion_10_language_learning_bridge():
     bare = [B.size_sequence_of(m) for m in NONSEPARABLE]
     assert all(B.telltale_search(lang, bare, 64) is not None for lang in bare)
     assert not ll.finitely_separable(NONSEPARABLE).separable
-    report(10, True, "round trips converge; tell-tales track separability at bound 64")
+
+    # every finite closure has tell-tales, so at a bound no code reaches the
+    # two cases differ in growth: the largest tell-tale stays constant as the
+    # closure permutes more positions for a separable family, and grows for
+    # the non-separable pair
+    def largest_telltale(fam, positions):
+        langs = [B.size_sequence_of(m) for m in fam]
+        closure = B.language_closure(langs, positions)
+        return max(len(B.telltale_search(lang, closure, 10**9)) for lang in langs)
+
+    grid = (8, 12, 16, 20)
+    for name, fam in SEPARABLE_CORPUS.items():
+        sizes = [largest_telltale(fam, p) for p in grid]
+        assert len(set(sizes)) == 1, (name, sizes)
+    sizes = [largest_telltale(NONSEPARABLE, p) for p in grid]
+    assert all(a < b for a, b in zip(sizes, sizes[1:])), sizes
+    report(10, True, "round trips converge; tell-tales track separability at bound 64; "
+           f"at bound 10^9 over {grid} positions the largest tell-tale is constant "
+           f"for every separable family and grows {sizes} for the non-separable pair")
 
 
 def test_criterion_11_locking_machinery():

@@ -168,6 +168,14 @@ def test_target_builder_on_a_finite_census_labels_every_pair_then_is_exhausted(b
     assert state.char() == target
 
 
+def test_target_builder_spreads_elements_over_two_infinite_classes():
+    builder = _TargetBuilder(TWO_INF)
+    state = PrefixState("informant")
+    state.feed_all(builder.next_item() for _ in range(2000))  # raises on an inconsistent item
+    sizes = [state.block_size(r) for r in state.block_roots()]
+    assert len(sizes) == 2 and abs(sizes[0] - sizes[1]) <= 1, sizes
+
+
 # ---------------------------------------------------------------------------
 # The diagonalizer
 

@@ -38,7 +38,7 @@ from families import (
     census,
     kron_slice,
 )
-from oracles import ListPermLearner, pairwise_language_closure
+from oracles import ListPermLearner, pairwise_language_closure, probe_telltale_search
 
 OM = "omega"
 
@@ -205,6 +205,34 @@ def test_telltale_bound_must_reach_the_separating_codes():
         closure = language_closure(langs, 12)
         assert [i for i, lang in enumerate(langs) if telltale_search(lang, closure, 64) is None] == missed
         assert all(telltale_search(lang, closure, 100) is not None for lang in langs)
+
+
+TELLTALE_FAMILIES = {**SEPARABLE_CORPUS, "kron7": kron_slice(7), "kron8": kron_slice(8),
+                     "nonseparable": NONSEPARABLE}
+
+
+@pytest.mark.parametrize("positions", (8, 12, 16, 20))
+def test_telltale_closed_form_matches_the_probe_loop(positions):
+    """The least separating codes read off the window equal the ones found by
+    probing every code up to the bound."""
+    for name, fam in TELLTALE_FAMILIES.items():
+        langs = [size_sequence_of(m) for m in fam]
+        closure = language_closure(langs, positions)
+        for lang in langs:
+            for bound in (0, 5, 64, 100, 400):
+                want = probe_telltale_search(lang, closure, bound)
+                assert telltale_search(lang, closure, bound) == want, (name, bound)
+
+
+def test_telltale_search_probes_no_membership(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("telltale_search probed a code")
+
+    langs = [size_sequence_of(m) for m in kron_slice(8)]
+    closure = language_closure(langs, 12)
+    monkeypatch.setattr(bridge, "lang_member", refuse)
+    monkeypatch.setattr(bridge, "unpair_code", refuse)
+    assert [telltale_search(lang, closure, 100) is None for lang in langs] == [False] * 8
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,19 @@ def test_check_verdicts(family_files, tmp_path):
     assert report["fin_antichain"] is False
 
 
+def test_one_shot_on_a_family_that_is_not_an_anti_chain_exits_3(tmp_path):
+    # [5:omega] finitely embeds into [6:omega], so no substructure tells it apart
+    family = tmp_path / "example2.json"
+    family.write_text(json.dumps({"members": [[[5, "omega"]], [[6, "omega"]]]}))
+    res = subprocess.run(
+        CLI + ["simulate", "--family", str(family), "--learner", "one-shot",
+               "--target", "0", "--horizon", "500", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert res.returncode == 3, res.stderr
+    assert "finitely embeds" in res.stderr
+
+
 def test_check_generator_verdicts(family_files, tmp_path):
     res = run_cli("check", "--family", family_files["kron"], "--out", tmp_path, "--bound", 32)
     assert res.returncode == 0

@@ -23,6 +23,9 @@ FAMILIES = {
     "kron4": {"members": KRON4, "generator": {"name": "kronecker"}},
     "tails3": {"members": [[[1, "omega"]], [[1, "omega"], [2, 1]], [[1, "omega"], [2, 2]]]},
     "nonseparable": {"members": [[[5, "omega"]], [[5, "omega"], [2, 1]]]},
+    "tails-gen": {"members": [[[5, 1], [1, "omega"]], [[5, 2], [1, "omega"]],
+                              [[5, 3], [1, "omega"]]],
+                  "generator": {"name": "five_n_tail"}},
     "omega-pair": {"members": [{"default": 0, "exceptions": {}, "omega_count": 1},
                                {"default": 0, "exceptions": {}, "omega_count": 2}]},
     # one member per kind of slot source: finite and omega counts, the
@@ -43,6 +46,10 @@ START_ITEMS = "P 0 1\nP 1 2\nN 0 3\nP 4 5\nN 3 4\n"
 # case name -> (command line, expected exit code); "{...}" is a family file
 # or the start prefix
 CASES = {
+    # a generated family: the generator's verdicts include its companion limit
+    "check-tails-gen": ("check --family {tails-gen}", 0),
+    # members with infinite classes: no separability verdict, a note instead
+    "check-omega-pair": ("check --family {omega-pair}", 0),
     "simulate-separator-example1": (
         "simulate --family {example1} --learner separator --target 1 --seed 13 --horizon 2000", 0),
     "simulate-separator-kron4": (
@@ -56,6 +63,9 @@ CASES = {
         "simulate --family {kron4} --learner min-embed --target 2 --seed 5 --horizon 2000", 1),
     "simulate-min-embed-tails3": (
         "simulate --family {tails3} --learner min-embed --target 2 --seed 5 --horizon 2000", 0),
+    "simulate-separator-reorder-example1": (
+        "simulate --family {example1} --learner separator --target 1 --seed 3 --horizon 4000"
+        " --reorder negatives-first", 0),
     "simulate-split-omega-pair": (
         "simulate --family {omega-pair} --learner split --target 1 --seed 4 --horizon 2000", 0),
     "adversary-limit-nonseparable": (
@@ -66,6 +76,9 @@ CASES = {
         "diagonalize --learner echo --class-size 3 --horizon 40", 0),
     "locking-separator-kron4": (
         "locking --family {kron4} --learner separator --target 1 --depth 40 --width 6", 0),
+    # omega-pair's target has infinite classes: the builder's round robin over them
+    "locking-constant-omega-pair": (
+        "locking --family {omega-pair} --learner constant --target 1 --depth 60 --width 6", 0),
     "locking-start-example1": (
         "locking --family {example1} --learner separator --target 1 --start {start}", 0),
     "bridge-translate-layouts": (

@@ -37,9 +37,11 @@ from families import (
     NONSEPARABLE,
     ONE_INF,
     SEPARABLE_CORPUS,
+    SIX_OMEGA,
     TWO_INF,
     census,
     kron_slice,
+    small_characters,
 )
 from limitlearn import fin_biembeddable
 from oracles import (
@@ -48,6 +50,7 @@ from oracles import (
     ComposedLanguageToStructLearner,
     ListTrace,
     char_minimal_hosts,
+    cumulative_distinguishing_substructure,
 )
 
 OM = "omega"
@@ -185,6 +188,31 @@ def test_distinguishing_substructures_for_example1():
     k57 = distinguishing_substructure(C57, [C56])
     assert sorted(len(b) for b in k56.blocks) == [6, 6]
     assert sorted(len(b) for b in k57.blocks) == [7]
+
+
+def test_no_distinguishing_substructure_when_a_member_finitely_embeds_into_another():
+    # every finite piece of [5:omega] sits inside [6:omega]
+    with pytest.raises(FamilyError, match="finitely embeds"):
+        distinguishing_substructure(FIVE_OMEGA, [SIX_OMEGA])
+
+
+_FINITE_CLASS_CHARS = small_characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FINITE_CLASS_CHARS), min_size=2, max_size=3, unique=True))
+def test_distinguishing_substructure_matches_the_cumulative_count_search(family):
+    for member in family:
+        others = [o for o in family if o is not member]
+        try:
+            want = cumulative_distinguishing_substructure(member, others, cap=12)
+        except FamilyError:
+            want = None
+        try:
+            got = distinguishing_substructure(member, others, cap=12)
+        except FamilyError:
+            got = None
+        assert got == want, (member, others)
 
 
 def test_one_shot_fires_on_witness_with_explicit_separation():
