@@ -204,7 +204,7 @@ class _TargetBuilder:
         target = self.target
         if not target.total_size_finite or len(self.slot_of) < target.finite_universe_size():
             return False
-        last = max(self.slot_of)
+        last = max(self.slot_of, default=-1)
         return self.cursor > pair_code(last, last)
 
     def _label(self, x: int, y: int) -> tuple[int, int, int]:
@@ -320,7 +320,7 @@ class LimitAdversary:
                 pending = True
             return conj
 
-        trace = Trace.fold(first, play, range(stages))
+        trace = Trace.fold(first, play, enumerate(range(stages), 1))
         return AdversaryReport(trace, items, switches, current, consistent)
 
 

@@ -4,20 +4,25 @@ A learner is a deterministic, resettable state machine from fed items to
 conjectures.  A conjecture is either a census (Character) or None, printed as
 "?".  Learners cache their conjecture between items that cannot change it, so
 feeding a long stream is cheap; all of them are cloneable so adversaries can
-probe hypothetical extensions.
+probe hypothetical extensions.  ``advance`` consumes a run of items over
+which the conjecture stays constant, so a simulation reads the conjecture
+only where it may change.
 
 The decoding learners extend ``EchoLearner``: one decoder and one
 ``_recompute``, run once per structural revision of the decoded prefix.
 ``SeparatorLearner`` and the bridge's ``LanguageToStructLearner`` refine
-``MinEmbedLearner``'s host computation there.
+``MinEmbedLearner``'s host computation there.  Since they recompute only
+when ``struct_rev`` moves, ``EchoLearner.advance`` feeds its decoder until
+an item moves it (``PrefixState.advance``).
 """
 from __future__ import annotations
 
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, reorder_items
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
@@ -54,6 +59,10 @@ class Learner:
 
     ``consume`` updates state without forcing the (possibly lazy) conjecture;
     callers that only sample conjectures occasionally should prefer it.
+    ``advance(items)`` consumes items from an iterator until the conjecture
+    may have changed and returns how many, 0 once the iterator is exhausted:
+    the conjecture after all but the last of them is the one before the
+    call.  The default consumes one item.
 
     A learner names in ``_owned`` the attributes it mutates in place;
     ``clone`` gives the copy its own of each (a learner is cloned, anything
@@ -74,6 +83,12 @@ class Learner:
     def feed(self, item) -> Conjecture:
         self.consume(item)
         return self.conjecture()
+
+    def advance(self, items: Iterator) -> int:
+        for item in items:
+            self.consume(item)
+            return 1
+        return 0
 
     def conjecture(self) -> Conjecture:
         raise NotImplementedError
@@ -132,7 +147,11 @@ class SplitOnNegativeLearner(Learner):
 
 class EchoLearner(Learner):
     """Conjectures the census of whatever finite structure the prefix decodes
-    to; the base of the decoding learners, which override ``_recompute``."""
+    to; the base of the decoding learners, which override ``_recompute``.
+
+    ``advance`` skips ``consume``, so a subclass must not override
+    ``consume``: whatever it reads of the items, it reads in ``_recompute``.
+    """
 
     name = "echo"
     _owned = ("_state",)
@@ -150,6 +169,9 @@ class EchoLearner(Learner):
 
     def consume(self, item) -> None:
         self._state.feed(item)
+
+    def advance(self, items: Iterator) -> int:
+        return self._state.advance(items)
 
     def conjecture(self) -> Conjecture:
         if self._rev != self._state.struct_rev:
@@ -472,12 +494,14 @@ class Trace:
 
     @classmethod
     def fold(cls, first: Conjecture, step: Callable, inputs: Iterable) -> "Trace":
-        """The trace of a run that conjectures `first` at stage 0 and
-        `step(x)` after each input x, recorded as it goes.  Learners hand
-        back their cached conjecture objects, so an identity check settles
-        nearly every stage before fields are compared."""
+        """The trace of a run that conjectures `first` at stage 0, recorded
+        as it goes.  Each input (s, x) advances the run to stage s, one or
+        more stages past the last, where it conjectures `step(x)`; the
+        conjecture before holds through the stages in between.  Learners
+        hand back their cached conjecture objects, so an identity check
+        settles nearly every step before fields are compared."""
         last, changes, stage = first, [(0, first)], 0
-        for stage, x in enumerate(inputs, 1):
+        for stage, x in inputs:
             c = step(x)
             if c is not last and not conjectures_equal(c, last):
                 changes.append((stage, c))
@@ -569,6 +593,9 @@ def run_simulation(
 ) -> SimulationResult:
     """Feed `stages` items and judge bounded-horizon convergence.
 
+    A ``Learner`` is stepped by ``advance``, so its conjecture is read once
+    per step rather than once per item.
+
     Converged means: the conjecture is constant over the final `window` stages
     and, when a target is given, the final conjecture matches it under the
     chosen relation.  The reported stage is the first from which the
@@ -581,7 +608,13 @@ def run_simulation(
     if isinstance(stream, Stream) and stream.kind != learner.mode:
         raise ValueError(f"{learner.mode} learner cannot read a {stream.kind} stream")
     learner.reset()
-    trace = Trace.fold(learner.conjecture(), learner.feed, islice(stream, stages))
+    items, conjecture = islice(stream, stages), learner.conjecture
+    if isinstance(learner, Learner):
+        # the stage each advance reaches, where the conjecture is read
+        reached = accumulate(iter(partial(learner.advance, items), 0))
+        trace = Trace.fold(conjecture(), lambda _: conjecture(), zip(reached, repeat(None)))
+    else:  # any object with reset, feed and conjecture is judged item by item
+        trace = Trace.fold(conjecture(), learner.feed, enumerate(items, 1))
     exhausted = trace.length <= stages
     stable = trace.stable_from()
     steady = trace.length - stable > window

@@ -190,6 +190,16 @@ class PrefixState:
                 self._neg[rb] |= self._bit[x]
                 self.neg_rev += 1
 
+    def advance(self, items: Iterator) -> int:
+        """Feed items until one moves `struct_rev`; returns how many were
+        fed, 0 once `items` is exhausted."""
+        start, rev, feed = self.stage, self.struct_rev, self.feed
+        for item in items:
+            feed(item)
+            if self.struct_rev != rev:
+                break
+        return self.stage - start
+
     def feed_all(self, items: Iterable) -> None:
         for item in items:
             self.feed(item)
@@ -459,54 +469,45 @@ def _new_pairs(old_n: int, new_n: int):
             yield d - y, y
 
 
-def _pair_walk(universe: int | None) -> Iterator[tuple[int, int]]:
-    """Every ordered pair of naturals once, in Cantor order; over a finite
-    universe, the pairs of its square in that order, over and over."""
-    if universe is None:
-        for d in itertools.count():
-            for y in range(d + 1):
-                yield d - y, y
+def _diagonals(plan: ClassAssignment, square: bool):
+    """The Cantor diagonals d = 0, 1, 2, ... as (d, ys, slot): diagonal d's
+    pairs are (d - y, y) for y in `ys`, ascending, and `slot[x]` is element
+    x's class slot, None outside a finite universe.  With `square`, a finite
+    universe's diagonals are cut to its square and repeat forever."""
+    n = plan.universe_size
+    cut = square and n is not None
+    if cut:
+        walk = itertools.chain.from_iterable(itertools.repeat(range(2 * n - 1)))
     else:
-        while True:
-            yield from _new_pairs(0, universe)
+        walk = itertools.count()
+    slot: list = []
+    for d in walk:
+        if d == len(slot):  # element d is first reached on diagonal d
+            slot.append(plan.slot_of(d) if n is None or d < n else None)
+        yield d, range(max(0, d - n + 1), min(d, n - 1) + 1) if cut else range(d + 1), slot
 
 
 def fair_informant(char: Character, seed: int = 0) -> Stream:
     """Deterministic informant for the census: labels every pair in Cantor order.
 
     For a census with finitely many elements the labeled pairs of the finite
-    universe repeat forever (informants may repeat items).
+    universe repeat forever (informants may repeat items).  Items are built
+    one diagonal at a time.
     """
     plan = ClassAssignment(char, seed)
-
-    def gen():
-        # an element placed once keeps its slot, so only new elements
-        # go through slot_of
-        placed, place = plan._slot_of, plan.slot_of
-        for x, y in _pair_walk(plan.universe_size):
-            sx = placed[x] if x in placed else place(x)
-            sy = placed[y] if y in placed else place(y)
-            yield (x, y, 1 if sx == sy else 0)
-
-    return Stream(INFORMANT, char, gen())
+    diagonals = ([(d - y, y, 1 if slot[d - y] == slot[y] else 0) for y in ys]
+                 for d, ys, slot in _diagonals(plan, True))
+    return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals))
 
 
 def fair_text(char: Character, seed: int = 0) -> Stream:
-    """Deterministic text: related pairs in Cantor order, pauses elsewhere."""
+    """Deterministic text: related pairs in Cantor order, pauses elsewhere,
+    built one diagonal at a time."""
     plan = ClassAssignment(char, seed)
-
-    def gen():
-        bound = plan.universe_size
-        placed, place = plan._slot_of, plan.slot_of
-        for x, y in _pair_walk(None):
-            if bound is not None and (x >= bound or y >= bound):
-                yield PAUSE
-            else:
-                sx = placed[x] if x in placed else place(x)
-                sy = placed[y] if y in placed else place(y)
-                yield (x, y) if sx == sy else PAUSE
-
-    return Stream(TEXT, char, gen())
+    # a pair with an element outside a finite universe is a pause
+    diagonals = ([(d - y, y) if slot[d - y] == slot[y] is not None else PAUSE for y in ys]
+                 for d, ys, slot in _diagonals(plan, False))
+    return Stream(TEXT, char, itertools.chain.from_iterable(diagonals))
 
 
 REORDER_STRATEGIES = (
@@ -542,11 +543,7 @@ def reordered_informant(char: Character, seed: int, strategy: str, window: int =
     else:
         raise ValueError(f"unknown reorder strategy {strategy!r}")
 
-    def gen():
-        yield from head
-        yield from it
-
-    return Stream(INFORMANT, char, gen())
+    return Stream(INFORMANT, char, itertools.chain(head, it))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ over at most a handful of sizes).
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import math
+from functools import lru_cache
+from itertools import count, islice
 
 from limitlearn import (
     FamilyError,
@@ -28,9 +28,13 @@ from limitlearn import (
     DiagonalizationReport,
     FinitePermutation,
     INFORMANT,
+    PAUSE,
     RELATIONS,
     TEXT,
     Prefix,
+    SimulationResult,
+    Stream,
+    Trace,
     conjectures_equal,
     embeds,
     ext,
@@ -41,6 +45,7 @@ from limitlearn import (
     size_sequence_of,
 )
 from limitlearn.bridge import StructToLanguageLearner, _vec_le, _window
+from limitlearn.presentations import ClassAssignment, _new_pairs
 from limitlearn.learners import (
     Learner,
     MinEmbedLearner,
@@ -705,3 +710,73 @@ def cumulative_distinguishing_substructure(member: Character, others, cap: int =
                     start += p
                 return FiniteStructure.from_blocks(blocks)
     raise FamilyError(f"no distinguishing substructure of {member} within size {cap}")
+
+
+# ---------------------------------------------------------------------------
+# The per-item streams and the per-item simulation the diagonal lists and
+# `Learner.advance` replaced
+
+
+def pair_walk(universe: int | None):
+    """Every ordered pair of naturals once, in Cantor order; over a finite
+    universe, the pairs of its square in that order, over and over."""
+    if universe is None:
+        for d in count():
+            for y in range(d + 1):
+                yield d - y, y
+    else:
+        while True:
+            yield from _new_pairs(0, universe)
+
+
+def generator_fair_informant(char: Character, seed: int = 0) -> Stream:
+    """`fair_informant` as a generator that labels one pair at a time."""
+    plan = ClassAssignment(char, seed)
+
+    def gen():
+        placed, place = plan._slot_of, plan.slot_of
+        for x, y in pair_walk(plan.universe_size):
+            sx = placed[x] if x in placed else place(x)
+            sy = placed[y] if y in placed else place(y)
+            yield (x, y, 1 if sx == sy else 0)
+
+    return Stream(INFORMANT, char, gen())
+
+
+def generator_fair_text(char: Character, seed: int = 0) -> Stream:
+    """`fair_text` as a generator that decides one pair at a time."""
+    plan = ClassAssignment(char, seed)
+
+    def gen():
+        bound = plan.universe_size
+        placed, place = plan._slot_of, plan.slot_of
+        for x, y in pair_walk(None):
+            if bound is not None and (x >= bound or y >= bound):
+                yield PAUSE
+            else:
+                sx = placed[x] if x in placed else place(x)
+                sy = placed[y] if y in placed else place(y)
+                yield (x, y) if sx == sy else PAUSE
+
+    return Stream(TEXT, char, gen())
+
+
+def per_item_simulation(learner: Learner, stream, stages: int, target=None,
+                        relation: str = "iso", window: int = 200) -> SimulationResult:
+    """`run_simulation` with the conjecture read after every item and the
+    change points kept by a loop of its own."""
+    learner.reset()
+    last = learner.conjecture()
+    changes, stage = [(0, last)], 0
+    for stage, item in enumerate(islice(stream, stages), 1):
+        c = learner.feed(item)
+        if not conjectures_equal(c, last):
+            changes.append((stage, c))
+            last = c
+    trace = Trace(changes, stage + 1)
+    exhausted = trace.length <= stages
+    stable = changes[-1][0]
+    correct = target is None or (last is not None and RELATIONS[relation](last, target))
+    converged = trace.length - stable > window and correct and not exhausted
+    return SimulationResult(trace, converged, stable if converged else None,
+                            target, relation, stages, window, exhausted)

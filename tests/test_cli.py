@@ -293,6 +293,18 @@ def test_locking_command_toward_a_finite_census(tmp_path):
     assert report["kind"] == "candidate" and report["depth"] == 10
 
 
+def test_locking_command_toward_a_census_with_no_classes(tmp_path):
+    # the all-zero census has no element to place, so its presentation is
+    # exhausted before the first probe
+    family = tmp_path / "empty.json"
+    family.write_text(json.dumps({"members": [[], [[1, "omega"]]]}))
+    res = run_cli("locking", "--family", family, "--learner", "constant",
+                  "--target", 0, "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "locking.json").read_text())
+    assert report["kind"] == "candidate" and report["probes"] == 0
+
+
 def test_bridge_commands(family_files, tmp_path):
     res = run_cli("bridge", "translate", "--family", family_files["example1"], "--out", tmp_path)
     assert res.returncode == 0

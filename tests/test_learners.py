@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
+    INFORMANT,
+    LANGUAGE,
+    REORDER_STRATEGIES,
+    TEXT,
     Character,
     FamilyError,
     FiniteStructure,
@@ -12,6 +16,7 @@ from limitlearn import (
     conjectures_equal,
     distinguishing_substructure,
     fair_informant,
+    fair_language_text,
     fair_text,
     informant_prefix,
     learner_constant,
@@ -21,11 +26,13 @@ from limitlearn import (
     learner_one_shot,
     learner_separator,
     learner_split_on_negative,
+    reordered_informant,
     run_simulation,
+    size_sequence_of,
     weak_locking_search,
 )
 from limitlearn.bridge import LanguageToStructLearner
-from limitlearn.learners import minimal_hosts
+from limitlearn.learners import EchoLearner, minimal_hosts
 
 from families import (
     ANTICHAIN_FAMILIES,
@@ -51,7 +58,9 @@ from oracles import (
     ListTrace,
     char_minimal_hosts,
     cumulative_distinguishing_substructure,
+    per_item_simulation,
 )
+from test_clone import ANTICHAIN, CASES, CHAIN, _learner_classes
 
 OM = "omega"
 
@@ -60,7 +69,7 @@ def trace_of(conjectures):
     """The trace of a full conjecture list, stage 0 first."""
     if not conjectures:
         return Trace([], 0)
-    return Trace.fold(conjectures[0], lambda c: c, conjectures[1:])
+    return Trace.fold(conjectures[0], lambda c: c, enumerate(conjectures[1:], 1))
 
 
 def feed_all(learner, items):
@@ -417,6 +426,74 @@ def test_run_simulation_reports_exhaustion():
 def test_run_simulation_rejects_mode_mismatch():
     with pytest.raises(ValueError):
         run_simulation(learner_split_on_negative(), fair_text(FIVE_OMEGA, 0), 10, FIVE_OMEGA)
+
+
+# a census with finitely many elements, whose stream is cut short of the horizon
+_FINITE = census(0, {1: 2, 2: 1})
+
+
+def _differential_streams(mode: str, seed: int):
+    """(name, stream factory, target) for the mode: fair and reordered
+    streams of the roster families' members, and a finite census's stream
+    that runs out before the horizon."""
+    for target in (*CHAIN, *ANTICHAIN):
+        if mode == INFORMANT:
+            yield "fair", lambda t=target: fair_informant(t, seed), target
+            strategy = REORDER_STRATEGIES[seed % len(REORDER_STRATEGIES)]
+            yield strategy, lambda t=target: reordered_informant(t, seed, strategy, 300), target
+        elif mode == TEXT:
+            yield "text", lambda t=target: fair_text(t, seed), target
+        else:
+            yield "language", lambda t=target: fair_language_text(size_sequence_of(t), seed), None
+    if mode != LANGUAGE:
+        stream = fair_informant if mode == INFORMANT else fair_text
+        yield "finite", lambda: islice(stream(_FINITE, seed), 250), _FINITE
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make", [make for _, make in CASES], ids=[name for name, _ in CASES])
+def test_simulation_matches_the_per_item_reference(make, seed):
+    """`run_simulation`, which reads the conjecture once per `advance`,
+    records what reading it after every item records, for every learner
+    class."""
+    for name, stream, target in _differential_streams(make().mode, seed):
+        got = run_simulation(make(), stream(), 600, target, "iso", 100)
+        want = per_item_simulation(make(), stream(), 600, target, "iso", 100)
+        assert (got.trace.changes, got.trace.length, got.converged, got.stage, got.exhausted) == \
+            (want.trace.changes, want.trace.length, want.converged, want.stage, want.exhausted), \
+            (name, target)
+        assert got.exhausted == (name == "finite")
+
+
+def test_no_decoding_learner_overrides_consume():
+    # `EchoLearner.advance` feeds the decoder itself: an override would be skipped
+    subclasses = list(_learner_classes(EchoLearner))
+    assert subclasses and all(c.consume is EchoLearner.consume for c in subclasses)
+
+
+class _FeedOnly:
+    """A learner that is no ``Learner``: reset, feed and conjecture only."""
+
+    mode = INFORMANT
+
+    def __init__(self):
+        self._inner = learner_separator(EXAMPLE1)
+
+    def reset(self):
+        self._inner.reset()
+
+    def feed(self, item):
+        return self._inner.feed(item)
+
+    def conjecture(self):
+        return self._inner.conjecture()
+
+
+def test_run_simulation_judges_an_object_that_only_feeds():
+    got = run_simulation(_FeedOnly(), fair_informant(C57, 1), 3000, C57)
+    want = run_simulation(learner_separator(EXAMPLE1), fair_informant(C57, 1), 3000, C57)
+    assert got.converged and len(got.trace.changes) > 1
+    assert (got.trace, got.stage) == (want.trace, want.stage)
 
 
 def test_trace_lines_format():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -5,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
+    INFORMANT,
+    TEXT,
     ConsistencyError,
     FiniteStructure,
     OMEGA,
+    Prefix,
     PrefixState,
     embeds,
     fair_informant,
@@ -23,15 +27,22 @@ from limitlearn import (
 )
 from limitlearn.presentations import (
     PATTERN,
-    _pair_walk,
     pattern_size,
     pattern_sizes,
     slot_demand,
 )
 from limitlearn.structures import pair_code, unpair_code
 
-from families import C57, FIVE_OMEGA, TWO_INF, census
-from oracles import SetPrefixState, counter_pattern_sizes, scan_births_for_size, sweep_pattern_sizes
+from families import C57, FIVE_OMEGA, SEPARABLE_CORPUS, TWO_INF, census
+from oracles import (
+    SetPrefixState,
+    counter_pattern_sizes,
+    generator_fair_informant,
+    generator_fair_text,
+    pair_walk,
+    scan_births_for_size,
+    sweep_pattern_sizes,
+)
 
 OM = "omega"
 
@@ -164,14 +175,119 @@ def test_bitset_negatives_match_the_enemy_sets(names, data):
         _feed_both(dup, dup_ref, item)
 
 
+def _same_state(state, ref):
+    """Check that two decoders agree on everything a learner reads."""
+    assert (state.stage, state.struct_rev, state.neg_rev) == (ref.stage, ref.struct_rev, ref.neg_rev)
+    assert state.blocks() == ref.blocks()
+    assert state.births_by_size == ref.births_by_size
+    roots = state.block_roots()
+    for a in roots:
+        for b in roots:
+            assert state.separated(a, b) == ref.separated(a, b), (a, b)
+
+
+def _closure_blocks(items, kind):
+    """The classes of the positive facts over every mentioned element, by
+    a fixpoint of merges: independent of the union-find decoder."""
+    classes = {}
+    for item in items:
+        if item is None:
+            continue
+        x, y = item[:2]
+        classes.setdefault(x, {x})
+        classes.setdefault(y, {y})
+        if kind == TEXT or item[2]:
+            merged = classes[x] | classes[y]
+            for e in merged:
+                classes[e] = merged
+    return sorted({min(c): sorted(c) for c in classes.values()}.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NAMES, st.data())
+def test_advance_matches_item_by_item_feeding(names, data):
+    """`advance` over arbitrary runs of a prefix stops right after the
+    first item that moves `struct_rev`, leaves the decoder where feeding
+    item by item leaves it, fails on the same item, and decodes the
+    structure `structure_from_prefix` and a plain closure decode."""
+    kind = data.draw(st.sampled_from([INFORMANT, TEXT]))
+    if kind == INFORMANT:
+        items = data.draw(_any_informant(names))
+    else:
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        items = data.draw(st.lists(st.one_of(st.none(), pair), max_size=60))
+    state, ref = PrefixState(kind), PrefixState(kind)
+    stream = iter(items)
+    while ref.stage < len(items):
+        run = data.draw(st.integers(0, 8))
+        rev = ref.struct_rev
+        try:
+            fed = state.advance(islice(stream, run))
+        except ConsistencyError as err:
+            with pytest.raises(ConsistencyError) as want:
+                for item in items[ref.stage:]:
+                    ref.feed(item)
+            assert err.index == want.value.index
+            with pytest.raises(ConsistencyError) as whole:
+                structure_from_prefix(informant_prefix(items))
+            assert whole.value.index == err.index
+            return
+        assert fed <= run
+        for item in items[ref.stage:ref.stage + fed]:
+            assert ref.struct_rev == rev, "advance fed past a structural revision"
+            ref.feed(item)
+        if fed < run and ref.stage < len(items):  # stopped early: by a revision
+            assert ref.struct_rev != rev
+        _same_state(state, ref)
+    assert state.advance(stream) == 0
+    structure, rename = structure_from_prefix(Prefix(kind, tuple(items)))
+    renamed = sorted(sorted(rename[x] for x in block) for block in state.blocks())
+    assert renamed == sorted(sorted(block) for block in structure.blocks)
+    assert sorted(state.blocks()) == _closure_blocks(items, kind)
+
+
 def test_pair_walk_follows_the_cantor_codes():
-    assert list(islice(_pair_walk(None), 5000)) == [unpair_code(c) for c in range(5000)]
+    assert list(islice(pair_walk(None), 5000)) == [unpair_code(c) for c in range(5000)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pair_walk_repeats_the_sorted_square(n):
     square = sorted(((x, y) for x in range(n) for y in range(n)), key=lambda p: pair_code(*p))
-    assert list(islice(_pair_walk(n), 3 * n * n)) == square * 3
+    assert list(islice(pair_walk(n), 3 * n * n)) == square * 3
+
+
+_MEMBERS = sorted({m for family in SEPARABLE_CORPUS.values() for m in family}, key=str)
+
+
+@pytest.mark.parametrize("member", _MEMBERS, ids=str)
+def test_fair_streams_match_the_per_pair_generators(member):
+    for new, old in ((fair_informant, generator_fair_informant), (fair_text, generator_fair_text)):
+        assert list(islice(new(member, 7), 20000)) == list(islice(old(member, 7), 20000)), new
+
+
+@pytest.mark.parametrize("char", [census(0, {1: 1}), census(0, {2: 2, 3: 1}), census(0, {1: 3, 4: 2})],
+                         ids=str)
+def test_fair_streams_match_over_three_passes_of_a_finite_census(char):
+    n = char.finite_universe_size()
+    # three passes of the square; the text reaches far past the universe
+    for new, old in ((fair_informant, generator_fair_informant), (fair_text, generator_fair_text)):
+        for seed in (0, 5):
+            got = list(islice(new(char, seed), 3 * n * n))
+            assert got == list(islice(old(char, seed), 3 * n * n)), (new, seed)
+    assert set(islice(fair_text(char), 3 * n * n, 4 * n * n)) == {None}
+
+
+def test_fair_streams_hold_one_diagonal_at_a_time():
+    # 3,000 singletons: the square holds 9 million pairs, a diagonal 3,000
+    char = census(0, {1: 3000})
+    for new in (fair_informant, fair_text):
+        tracemalloc.start()
+        try:
+            head = list(islice(new(char, 0), 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(head) == 200 and peak < 5 * 2**20, (new, peak)
 
 
 # ---------------------------------------------------------------------------
