@@ -285,7 +285,6 @@ class LimitAdversary:
         learner = self.learner
         learner.reset()
         builder = _TargetBuilder(self.limit)
-        monitor = PrefixState(INFORMANT)
         in_limit_phase = True
         current = self.limit
         wit_idx = 0
@@ -293,10 +292,9 @@ class LimitAdversary:
         items = []
         first = learner.conjecture()
         pending = conjectures_equal(first, current)
-        consistent = True
 
         def play(step: int) -> Conjecture:
-            nonlocal in_limit_phase, current, wit_idx, pending, consistent
+            nonlocal in_limit_phase, current, wit_idx, pending
             if pending and builder.clean:
                 if in_limit_phase:
                     current = self.witnesses[wit_idx % len(self.witnesses)]
@@ -310,10 +308,6 @@ class LimitAdversary:
                 pending = False
             builder.finishing = pending
             item = builder.next_item()
-            try:
-                monitor.feed(item)
-            except ConsistencyError:
-                consistent = False
             items.append(item)
             conj = learner.feed(item)
             if conjectures_equal(conj, current):
@@ -321,6 +315,12 @@ class LimitAdversary:
             return conj
 
         trace = Trace.fold(first, play, enumerate(range(stages), 1))
+        # the emitted prefix is consistent exactly when decoding it raises nothing
+        try:
+            PrefixState(INFORMANT).feed_all(items)
+            consistent = True
+        except ConsistencyError:
+            consistent = False
         return AdversaryReport(trace, items, switches, current, consistent)
 
 
@@ -400,6 +400,9 @@ def _census_of(cls: list[int]) -> Character:
     return Character.make(0, Counter(Counter(cls).values()), 0)
 
 
+_CHUNK = 512  # pairs labeled at a time, so a stage's items are never all held
+
+
 def diagonalize(learner: Learner, class_size: int, stages: int) -> DiagonalizationReport:
     """Grow paired structures that differ by one class of the given size,
     expanding both every time the learner's conjectures tell them apart.
@@ -428,11 +431,16 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     marks: list[int] = []  # element count after each stage, stage 0 first
 
     def label_new_pairs(old_n: int):
+        # each side's conjecture is read only after the stage, so each
+        # chunk of the stage's pairs is labeled and fed to it as one run
         n = len(sigma_class)
         marks.append(n)
-        for x, y in _new_pairs(old_n, n):
-            lrn_sigma.consume((x, y, 1 if sigma_class[x] == sigma_class[y] else 0))
-            lrn_tau.consume((x, y, 1 if tau_class[x] == tau_class[y] else 0))
+        pairs = _new_pairs(old_n, n)
+        while chunk := list(islice(pairs, _CHUNK)):
+            lrn_sigma.consume_all([(x, y, 1 if sigma_class[x] == sigma_class[y] else 0)
+                                   for x, y in chunk])
+            lrn_tau.consume_all([(x, y, 1 if tau_class[x] == tau_class[y] else 0)
+                                 for x, y in chunk])
         return lrn_sigma.conjecture(), lrn_tau.conjecture()
 
     c_sigma, c_tau = label_new_pairs(0)
@@ -575,8 +583,7 @@ def weak_locking_search(
         builder = _TextBuilder(state.blocks(), target.omega_count.finite)
     base = learner.clone()
     base.reset()
-    for it in start.items:
-        base.consume(it)
+    base.consume_all(start.items)
     base_conj = base.conjecture()
     spine: list = []
     probes = 0
@@ -682,8 +689,7 @@ class LockingNormalForm(Learner):
         self._conj = new_at_sigma.conjecture()
         self._no_flip.clear()
         self._shadow = new_at_sigma.clone()
-        for it in self._history:
-            self._shadow.consume(it)
+        self._shadow.consume_all(self._history)
         return deque(dict.fromkeys(self._history))
 
     def consume(self, item) -> None:
@@ -779,8 +785,7 @@ def text_adversary(
         )
     probe = learner.clone()
     probe.reset()
-    for it in sigma.items:
-        probe.consume(it)
+    probe.consume_all(sigma.items)
     locked = probe.conjecture()
     if locked is None or locked != ONE_CLASS:
         return TextAdversaryReport(

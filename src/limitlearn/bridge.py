@@ -384,12 +384,11 @@ class StructToLanguageLearner(Learner):
         # exactly when their first pairing coordinates agree
         group, j = unpair_code(item)
         self._tallest = max(self._tallest, j + 1)
-        base = self._base
-        base.consume((item, item, 1))
+        run = [(item, item, 1)]
         for other, other_group in self._codes.items():
             label = 1 if other_group == group else 0
-            base.consume((item, other, label))
-            base.consume((other, item, label))
+            run += (item, other, label), (other, item, label)
+        self._base.consume_all(run)
         self._codes[item] = group
         self._dirty = True
 

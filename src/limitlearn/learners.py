@@ -6,14 +6,20 @@ conjectures.  A conjecture is either a census (Character) or None, printed as
 feeding a long stream is cheap; all of them are cloneable so adversaries can
 probe hypothetical extensions.  ``advance`` consumes a run of items over
 which the conjecture stays constant, so a simulation reads the conjecture
-only where it may change.
+only where it may change.  Where each learner's run stops:
 
-The decoding learners extend ``EchoLearner``: one decoder and one
-``_recompute``, run once per structural revision of the decoded prefix.
-``SeparatorLearner`` and the bridge's ``LanguageToStructLearner`` refine
-``MinEmbedLearner``'s host computation there.  Since they recompute only
-when ``struct_rev`` moves, ``EchoLearner.advance`` feeds its decoder until
-an item moves it (``PrefixState.advance``).
+- ``ConstantLearner``: never; it drains its input.
+- ``SplitOnNegativeLearner``: at the first negative fact between distinct
+  elements, and never once split.
+- ``EchoLearner`` and the decoding learners that extend it (one decoder and
+  one ``_recompute``, run once per structural revision; ``SeparatorLearner``
+  and the bridge's ``LanguageToStructLearner`` refine ``MinEmbedLearner``'s
+  host computation there): at the item that moves ``struct_rev``, where
+  ``PrefixState.advance`` stops.
+- ``OneShotLearner``: before firing, at the next structural revision while
+  no witness's largest block fits the largest decoded block, else after one
+  item; once fired, never.
+- any other learner: after one item.
 """
 from __future__ import annotations
 
@@ -90,6 +96,13 @@ class Learner:
             return 1
         return 0
 
+    def consume_all(self, items: Iterable) -> None:
+        """Consume every item, one ``advance`` run after another: the
+        replay for a batch whose conjecture is read only after it."""
+        items = iter(items)
+        while self.advance(items):
+            pass
+
     def conjecture(self) -> Conjecture:
         raise NotImplementedError
 
@@ -104,6 +117,14 @@ class Learner:
         return dup
 
 
+def _drain(items: Iterator) -> int:
+    """Exhaust `items`; returns how many there were."""
+    fed = 0
+    for fed, _ in enumerate(items, 1):
+        pass
+    return fed
+
+
 class ConstantLearner(Learner):
     def __init__(self, char: Character, mode: str = INFORMANT):
         self.char = char
@@ -115,6 +136,9 @@ class ConstantLearner(Learner):
 
     def consume(self, item) -> None:
         pass
+
+    def advance(self, items: Iterator) -> int:
+        return _drain(items)
 
     def conjecture(self) -> Conjecture:
         return self.char
@@ -140,6 +164,17 @@ class SplitOnNegativeLearner(Learner):
         x, y, label = item
         if not label and x != y:
             self._split = True
+
+    def advance(self, items: Iterator) -> int:
+        if self._split:
+            return _drain(items)
+        fed = 0
+        for x, y, label in items:
+            fed += 1
+            if not label and x != y:
+                self._split = True
+                break
+        return fed
 
     def conjecture(self) -> Conjecture:
         return self.TWO if self._split else self.ONE
@@ -329,6 +364,9 @@ class OneShotLearner(Learner):
 
     Distinct witness blocks may only be used when the data has explicitly
     labeled them apart; blocks that merely look distinct could still merge.
+    Block sizes move only with ``struct_rev``, so while no witness's largest
+    block fits the largest decoded block, ``advance`` decodes up to the next
+    structural revision and checks there.
     """
 
     mode = INFORMANT
@@ -354,6 +392,8 @@ class OneShotLearner(Learner):
         self._profiles = [
             sorted((len(b) for b in w.blocks), reverse=True) for w in self.witnesses
         ]
+        # no witness is present while the largest decoded block is smaller
+        self._least_top = min((p[0] for p in self._profiles), default=0)
         self.reset()
 
     def reset(self) -> None:
@@ -384,10 +424,7 @@ class OneShotLearner(Learner):
 
         return assign(0)
 
-    def consume(self, item) -> None:
-        self._state.feed(item)
-        if self._fired is not None:
-            return
+    def _check(self) -> None:
         rev = (self._state.struct_rev, self._state.neg_rev)
         if rev == self._rev:
             return
@@ -397,6 +434,24 @@ class OneShotLearner(Learner):
             if profile[0] <= top and self._witness_present(profile):
                 self._fired = i
                 return
+
+    def consume(self, item) -> None:
+        self._state.feed(item)
+        if self._fired is None:
+            self._check()
+
+    def advance(self, items: Iterator) -> int:
+        state = self._state
+        if self._fired is not None:
+            start = state.stage
+            state.feed_all(items)
+            return state.stage - start
+        if max(state.births_by_size, default=0) < self._least_top:
+            # block sizes move only with `struct_rev`
+            fed = state.advance(items)
+            self._check()
+            return fed
+        return super().advance(items)
 
     def conjecture(self) -> Conjecture:
         return None if self._fired is None else self.members[self._fired]
@@ -431,8 +486,7 @@ class TextFromInformantLearner(EchoLearner):
         items = reorder_items(self._state.blocks())
         if items[: len(self._fed)] != self._fed:
             self._base, self._fed = self._pristine.clone(), []
-        for it in items[len(self._fed):]:
-            self._base.consume(it)
+        self._base.consume_all(items[len(self._fed):])
         self._fed = items
         self._cached = self._base.conjecture()
 

@@ -66,12 +66,14 @@ def text_prefix(items: Iterable[TextItem] = ()) -> Prefix:
 
 
 class PrefixState:
-    """Union-find decoder for a growing prefix.
+    """Decoder for a growing prefix: the positive-closure blocks over all
+    mentioned elements and the explicit negative facts between blocks.
 
-    Tracks the positive-closure blocks over all mentioned elements, explicit
-    negative facts between blocks, and for each block the stage at which it
-    last changed size (used by learners that must distinguish long-stable
-    blocks from transient ones).
+    Every element points straight at its block's root (`_parent`), so a root
+    is one dict lookup.  A union relabels the members of the smaller block
+    and keeps the larger block's root (weighted quick-find).  For each block
+    `birth` holds the stage at which it last changed size, which learners use
+    to tell long-stable blocks from transient ones.
 
     Negative facts are bitmasks over the elements' order of first mention:
     `_bit[x]` is element x's bit, `_mask[root]` the block's members and
@@ -83,10 +85,11 @@ class PrefixState:
     `births_by_size` indexes the blocks by size: for each size a list of
     (birth stage, root) pairs, sorted, with no empty list.  Its lengths are
     the census of block sizes, and the k-th smallest birth among the blocks
-    of one size is its list's k-th entry.  A known element costs one dict
-    lookup when it points at its root; `find` runs only below that.
-    The decoder keeps no census: `profile()` and `char()` are built on each
-    call, and a learner caches what it reads of them by `struct_rev`.
+    of one size is its list's k-th entry.  The decoder keeps no census:
+    `profile()` and `char()` are built on each call, and a learner caches
+    what it reads of them by `struct_rev`.
+
+    `advance` is the one decoding loop; `feed` and `feed_all` run it.
     """
 
     __slots__ = (
@@ -107,30 +110,25 @@ class PrefixState:
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
 
-    # -- union-find -----------------------------------------------------
+    # -- blocks -----------------------------------------------------------
 
     def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        return self._parent[x]
 
-    def _add_element(self, x: int) -> int:
-        """Make the unseen element x a singleton block; returns x."""
+    def _add_element(self, x: int, stage: int) -> int:
+        """Make the unseen element x a singleton block born at `stage`;
+        returns x."""
         self._parent[x] = x
         self._members[x] = [x]
         self._bit[x] = self._mask[x] = 1 << len(self._bit)
         self._neg[x] = 0
-        self.birth[x] = self.stage
+        self.birth[x] = stage
         # two elements first mentioned by one item share a stage
-        insort(self.births_by_size.setdefault(1, []), (self.stage, x))
+        insort(self.births_by_size.setdefault(1, []), (stage, x))
         self.struct_rev += 1
         return x
 
-    def _union(self, a: int, b: int) -> None:
+    def _union(self, a: int, b: int, stage: int) -> None:
         members, birth, by_size = self._members, self.birth, self.births_by_size
         if len(members[a]) < len(members[b]):
             a, b = b, a
@@ -140,69 +138,77 @@ class PrefixState:
             del entries[bisect_left(entries, (birth[root], root))]
             if not entries:
                 del by_size[size]
-        members[a].extend(members.pop(b))
-        self._parent[b] = a
+        moved = members.pop(b)
+        parent = self._parent
+        for x in moved:
+            parent[x] = a
+        members[a] += moved
         self._mask[a] |= self._mask.pop(b)
         self._neg[a] |= self._neg.pop(b)
         del birth[b]
-        birth[a] = self.stage
-        insort(by_size.setdefault(len(members[a]), []), (self.stage, a))
+        birth[a] = stage
+        insort(by_size.setdefault(len(members[a]), []), (stage, a))
         self.struct_rev += 1
 
-    # -- feeding --------------------------------------------------------
+    # -- decoding -----------------------------------------------------------
+
+    def advance(self, items: Iterable) -> int:
+        """Decode items until one moves `struct_rev`; returns how many were
+        decoded, 0 once `items` is exhausted.  Raises ConsistencyError on the
+        first contradictory label, with `stage` counting that item."""
+        parent, neg, mask, bit = self._parent, self._neg, self._mask, self._bit
+        text = self.kind == TEXT
+        start = stage = self.stage
+        neg_rev = self.neg_rev
+        grew = False
+        try:
+            for stage, item in enumerate(items, start + 1):
+                if text:
+                    if item is None:
+                        continue
+                    x, y = item
+                    label = 1
+                else:
+                    x, y, label = item
+                try:
+                    ra = parent[x]
+                    rb = parent[y]
+                except KeyError:  # a new element: a singleton block
+                    for z in (x, y):
+                        if z not in parent:
+                            self._add_element(z, stage)
+                    ra, rb = parent[x], parent[y]
+                    grew = True
+                if label:
+                    if ra != rb:
+                        if neg[ra] & mask[rb]:  # explicitly separated
+                            raise ConsistencyError(
+                                f"item {stage - 1}: pair ({x},{y}) related but blocks separated",
+                                stage - 1)
+                        self._union(ra, rb, stage)
+                        break
+                elif ra == rb:
+                    raise ConsistencyError(
+                        f"item {stage - 1}: pair ({x},{y}) unrelated but positively connected",
+                        stage - 1)
+                elif not neg[ra] & mask[rb]:
+                    neg[ra] |= bit[y]
+                    neg[rb] |= bit[x]
+                    neg_rev += 1
+                if grew:
+                    break
+        finally:
+            self.stage, self.neg_rev = stage, neg_rev
+        return stage - start
 
     def feed(self, item) -> None:
         """Consume one item; raises ConsistencyError on contradictory labels."""
-        index = self.stage
-        self.stage += 1
-        if self.kind == TEXT:
-            if item is None:
-                return
-            x, y = item
-            label = 1
-        else:
-            x, y, label = item
-        parent = self._parent
-        if x in parent:
-            ra = parent[x]
-            if parent[ra] != ra:
-                ra = self.find(x)
-        else:
-            ra = self._add_element(x)
-        if y in parent:
-            rb = parent[y]
-            if parent[rb] != rb:
-                rb = self.find(y)
-        else:
-            rb = self._add_element(y)
-        if label:
-            if ra != rb:
-                if self._neg[ra] & self._mask[rb]:  # explicitly separated
-                    raise ConsistencyError(
-                        f"item {index}: pair ({x},{y}) related but blocks separated", index)
-                self._union(ra, rb)
-        else:
-            if ra == rb:
-                raise ConsistencyError(
-                    f"item {index}: pair ({x},{y}) unrelated but positively connected", index)
-            if not self._neg[ra] & self._mask[rb]:
-                self._neg[ra] |= self._bit[y]
-                self._neg[rb] |= self._bit[x]
-                self.neg_rev += 1
-
-    def advance(self, items: Iterator) -> int:
-        """Feed items until one moves `struct_rev`; returns how many were
-        fed, 0 once `items` is exhausted."""
-        start, rev, feed = self.stage, self.struct_rev, self.feed
-        for item in items:
-            feed(item)
-            if self.struct_rev != rev:
-                break
-        return self.stage - start
+        self.advance((item,))
 
     def feed_all(self, items: Iterable) -> None:
-        for item in items:
-            self.feed(item)
+        items = iter(items)
+        while self.advance(items):
+            pass
 
     # -- queries ----------------------------------------------------------
 

@@ -15,6 +15,7 @@ over at most a handful of sizes).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import count, islice
 
@@ -44,6 +45,7 @@ from limitlearn import (
     permuted,
     size_sequence_of,
 )
+from limitlearn.adversaries import _census_of, _Labeling
 from limitlearn.bridge import StructToLanguageLearner, _vec_le, _window
 from limitlearn.presentations import ClassAssignment, _new_pairs
 from limitlearn.learners import (
@@ -780,3 +782,163 @@ def per_item_simulation(learner: Learner, stream, stages: int, target=None,
     converged = trace.length - stable > window and correct and not exhausted
     return SimulationResult(trace, converged, stable if converged else None,
                             target, relation, stages, window, exhausted)
+
+
+# ---------------------------------------------------------------------------
+# The per-item decoder and the per-item diagonalizer that eager roots and
+# decoded runs replaced
+
+
+class PathCompressingPrefixState:
+    """The prefix decoder as it fed one item per call: a union points the
+    smaller block's root at the larger's, and `find` walks the parent chain
+    and compresses it.  Same union order, roots, births, negative masks and
+    errors as `PrefixState`."""
+
+    def __init__(self, kind: str = INFORMANT):
+        self.kind = kind
+        self.stage = 0
+        self.struct_rev = 0
+        self.neg_rev = 0
+        self._parent: dict[int, int] = {}
+        self._members: dict[int, list[int]] = {}
+        self._bit: dict[int, int] = {}
+        self._mask: dict[int, int] = {}
+        self._neg: dict[int, int] = {}
+        self.birth: dict[int, int] = {}
+        self.births_by_size: dict[int, list[tuple[int, int]]] = {}
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def _add_element(self, x: int) -> int:
+        self._parent[x] = x
+        self._members[x] = [x]
+        self._bit[x] = self._mask[x] = 1 << len(self._bit)
+        self._neg[x] = 0
+        self.birth[x] = self.stage
+        insort(self.births_by_size.setdefault(1, []), (self.stage, x))
+        self.struct_rev += 1
+        return x
+
+    def _union(self, a: int, b: int) -> None:
+        members, birth, by_size = self._members, self.birth, self.births_by_size
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for root in (a, b):
+            size = len(members[root])
+            entries = by_size[size]
+            del entries[bisect_left(entries, (birth[root], root))]
+            if not entries:
+                del by_size[size]
+        members[a].extend(members.pop(b))
+        self._parent[b] = a
+        self._mask[a] |= self._mask.pop(b)
+        self._neg[a] |= self._neg.pop(b)
+        del birth[b]
+        birth[a] = self.stage
+        insort(by_size.setdefault(len(members[a]), []), (self.stage, a))
+        self.struct_rev += 1
+
+    def feed(self, item) -> None:
+        index = self.stage
+        self.stage += 1
+        if self.kind == TEXT:
+            if item is None:
+                return
+            x, y = item
+            label = 1
+        else:
+            x, y, label = item
+        ra = self.find(x) if x in self._parent else self._add_element(x)
+        rb = self.find(y) if y in self._parent else self._add_element(y)
+        if label:
+            if ra != rb:
+                if self._neg[ra] & self._mask[rb]:
+                    raise ConsistencyError(
+                        f"item {index}: pair ({x},{y}) related but blocks separated", index)
+                self._union(ra, rb)
+        else:
+            if ra == rb:
+                raise ConsistencyError(
+                    f"item {index}: pair ({x},{y}) unrelated but positively connected", index)
+            if not self._neg[ra] & self._mask[rb]:
+                self._neg[ra] |= self._bit[y]
+                self._neg[rb] |= self._bit[x]
+                self.neg_rev += 1
+
+    def blocks(self) -> list[list[int]]:
+        return [sorted(m) for m in self._members.values()]
+
+    def block_roots(self) -> list[int]:
+        return list(self._members)
+
+    def separated(self, root_a: int, root_b: int) -> bool:
+        return bool(self._neg[root_a] & self._mask[root_b])
+
+
+def per_item_diagonalize(learner, class_size, stages):
+    """`diagonalize` with each stage's new pairs labeled and consumed one
+    item at a time, each side's conjecture read after the stage."""
+    e = class_size
+    learner.reset()
+    lrn_sigma = learner.clone()
+    lrn_tau = learner.clone()
+    sigma_class = list(range(e))
+    tau_class = [0] * e
+    next_class = e + 1
+    marks = []
+
+    def label_new_pairs(old_n):
+        n = len(sigma_class)
+        marks.append(n)
+        for x, y in _new_pairs(old_n, n):
+            lrn_sigma.consume((x, y, 1 if sigma_class[x] == sigma_class[y] else 0))
+            lrn_tau.consume((x, y, 1 if tau_class[x] == tau_class[y] else 0))
+        return lrn_sigma.conjecture(), lrn_tau.conjecture()
+
+    c_sigma, c_tau = label_new_pairs(0)
+    expansionary = []
+    nu_conjectures = []
+    for stage_no in range(1, stages + 1):
+        expand = not conjectures_equal(c_sigma, c_tau)
+        if expand:
+            expansionary.append(stage_no)
+            shared = [next_class] * e + [next_class + 1] * e
+            sigma_class += shared + list(range(next_class + 3, next_class + 3 + e))
+            tau_class += shared + [next_class + 2] * e
+            next_class += 3 + e
+        sigma_class.append(next_class)
+        tau_class.append(next_class + 1)
+        next_class += 2
+        c_sigma, c_tau = label_new_pairs(marks[-1])
+        if expand:
+            nu_conjectures.append(c_sigma)
+
+    m = len(expansionary)
+    case2 = stages - m
+    sigma_char = _census_of(sigma_class)
+    tau_char = _census_of(tau_class)
+    e_counts_ok = sigma_char.count(e) == 2 * m and tau_char.count(e) == 1 + 3 * m
+    singletons_ok = (
+        sigma_char.count(1) == e + m * (e + 1) + case2
+        and tau_char.count(1) == m + case2
+    )
+    nu_ok = all(
+        not conjectures_equal(a, b) for a, b in zip(nu_conjectures, nu_conjectures[1:])
+    )
+    distinct_ok = sigma_char != tau_char
+    nu_marks = [marks[t] ** 2 for t in [0] + expansionary]
+    return DiagonalizationReport(
+        e, stages, expansionary,
+        Prefix(INFORMANT, _Labeling(sigma_class, marks)),
+        Prefix(INFORMANT, _Labeling(tau_class, marks)),
+        nu_marks, sigma_char, tau_char,
+        e_counts_ok, singletons_ok, nu_ok, distinct_ok,
+    )

@@ -41,7 +41,7 @@ from families import (
     TWO_INF,
     census,
 )
-from oracles import full_labeling_extension, materialized_diagonalize
+from oracles import full_labeling_extension, materialized_diagonalize, per_item_diagonalize
 
 OM = "omega"
 
@@ -84,11 +84,12 @@ def test_limit_adversary_on_constant_limit_guesser():
 
 def test_limit_adversary_lets_a_decoder_defect_surface(monkeypatch):
     # only an inconsistent item counts against the stream; any other error
-    # from the monitor is a defect and must not read as `consistent: false`
-    def broken(self, item):
+    # from the decoder that checks it is a defect and must not read as
+    # `consistent: false`
+    def broken(self, items):
         raise TypeError("decoder defect")
 
-    monkeypatch.setattr(PrefixState, "feed", broken)
+    monkeypatch.setattr(PrefixState, "advance", broken)
     adv = limit_adversary(learner_constant(FIVE_OMEGA), FIVE_OMEGA, list(NONSEPARABLE))
     with pytest.raises(TypeError, match="decoder defect"):
         adv.run(50)
@@ -285,6 +286,59 @@ def test_diagonalizer_matches_materialized_reference(class_size):
             assert len(getattr(got, side)) == len(getattr(want, side))
         assert got.nu_marks == want.nu_marks
         assert got.to_json() == want.to_json()
+
+
+class ItemsModThree(Learner):
+    """Conjectures how many items it consumed, mod 3: the two sides see the
+    same number of pairs, so any item a side misses or sees twice shows."""
+
+    mode = "informant"
+    name = "items-mod-3"
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self._count = 0
+
+    def consume(self, item):
+        self._count += 1
+
+    def conjecture(self):
+        return census(0, {1: self._count % 3 + 1})
+
+
+def per_item_roster():
+    """One learner of each class the diagonalizer drives.  The second
+    one-shot learner's witnesses are a 3-block and two 2-blocks, so it
+    decodes to the next revision while every block is a singleton and
+    consumes one item at a time once a 2-block is decoded."""
+    chain = [census(0, {1: OM}), census(0, {2: 1, 1: OM}), census(0, {3: 1, 1: OM})]
+    return [
+        learner_constant(FIVE_OMEGA),
+        learner_split_on_negative(),
+        learner_one_shot(list(EXAMPLE1)),
+        learner_one_shot([census(0, {3: 1, 1: OM}), census(0, {2: 2, 1: OM})]),
+        learner_min_embed(chain),
+        learner_separator(chain),
+        learner_echo(),
+        ItemsModThree(),
+    ]
+
+
+@pytest.mark.parametrize("class_size", [2, 3])
+def test_diagonalizer_matches_the_per_item_reference(class_size):
+    # chunked runs through `advance` against one `consume` per item
+    for learner, reference in zip(per_item_roster(), per_item_roster()):
+        got = diagonalize(learner, class_size, 80)
+        want = per_item_diagonalize(reference, class_size, 80)
+        assert got.to_json() == want.to_json(), learner.name
+        assert (got.expansionary_stages, got.nu_marks) == (want.expansionary_stages, want.nu_marks)
+        for side in ("sigma_prefix", "tau_prefix"):
+            got_items, want_items = getattr(got, side).items, getattr(want, side).items
+            assert len(got_items) == len(want_items), (learner.name, side)
+            assert all(a == b for a, b in zip(got_items, want_items, strict=True)), \
+                (learner.name, side)
 
 
 @settings(max_examples=200, deadline=None)

@@ -66,6 +66,9 @@ CASES = {
     "simulate-separator-reorder-example1": (
         "simulate --family {example1} --learner separator --target 1 --seed 3 --horizon 4000"
         " --reorder negatives-first", 0),
+    # pins the stage at which the one-shot learner fires
+    "simulate-one-shot-example1": (
+        "simulate --family {example1} --learner one-shot --target 1 --seed 13 --horizon 2000", 0),
     "simulate-split-omega-pair": (
         "simulate --family {omega-pair} --learner split --target 1 --seed 4 --horizon 2000", 0),
     "adversary-limit-nonseparable": (
@@ -74,6 +77,10 @@ CASES = {
         "adversary --kind text --family {omega-pair} --learner txt-split --horizon 600", 0),
     "diagonalize-echo": (
         "diagonalize --learner echo --class-size 3 --horizon 40", 0),
+    # the separator learner's conjectures, and so the expansionary stages,
+    # depend on block births
+    "diagonalize-separator-tails3": (
+        "diagonalize --family {tails3} --learner separator --class-size 2 --horizon 40", 0),
     "locking-separator-kron4": (
         "locking --family {kron4} --learner separator --target 1 --depth 40 --width 6", 0),
     # omega-pair's target has infinite classes: the builder's round robin over them

@@ -60,7 +60,8 @@ from oracles import (
     cumulative_distinguishing_substructure,
     per_item_simulation,
 )
-from test_clone import ANTICHAIN, CASES, CHAIN, _learner_classes
+from test_clone import ANTICHAIN, CASES, CHAIN, _learner_classes, histories
+from test_clone import items as history_items
 
 OM = "omega"
 
@@ -463,6 +464,34 @@ def test_simulation_matches_the_per_item_reference(make, seed):
             (want.trace.changes, want.trace.length, want.converged, want.stage, want.exhausted), \
             (name, target)
         assert got.exhausted == (name == "finite")
+
+
+def test_one_shot_fires_on_the_union_that_completes_its_witness():
+    # a 3-block and a 4-block become C57's 7-block witness by one item, so the
+    # largest block jumps past every witness's largest block (6) in one revision
+    items = [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (2, 3, 1)]
+    got = run_simulation(learner_one_shot(list(EXAMPLE1)), iter(items), len(items), None, "iso", 1)
+    want = per_item_simulation(learner_one_shot(list(EXAMPLE1)), iter(items), len(items), None, "iso", 1)
+    assert got.trace.changes == want.trace.changes == [(0, None), (len(items), C57)]
+
+
+@pytest.mark.parametrize("make", [make for _, make in CASES], ids=[name for name, _ in CASES])
+@settings(max_examples=40, deadline=None)
+@given(histories())
+def test_consume_all_leaves_the_learner_where_consume_does(make, history):
+    """A batch replayed as `advance` runs gives the conjecture that
+    consuming it item by item gives, and the same conjectures after it."""
+    classes, a, b, _ = history
+    batched, single = make(), make()
+    head = history_items(batched.mode, classes, a + b)
+    tail = history_items(batched.mode, classes, b)
+    batched.consume_all(head)
+    for it in head:
+        single.consume(it)
+    assert conjectures_equal(batched.conjecture(), single.conjecture()), batched.name
+    for stage, it in enumerate(tail):
+        got, want = batched.feed(it), single.feed(it)
+        assert conjectures_equal(got, want), (batched.name, stage, it, got, want)
 
 
 def test_no_decoding_learner_overrides_consume():

@@ -35,6 +35,7 @@ from limitlearn.structures import pair_code, unpair_code
 
 from families import C57, FIVE_OMEGA, SEPARABLE_CORPUS, TWO_INF, census
 from oracles import (
+    PathCompressingPrefixState,
     SetPrefixState,
     counter_pattern_sizes,
     generator_fair_informant,
@@ -207,16 +208,17 @@ def _closure_blocks(items, kind):
 @given(_NAMES, st.data())
 def test_advance_matches_item_by_item_feeding(names, data):
     """`advance` over arbitrary runs of a prefix stops right after the
-    first item that moves `struct_rev`, leaves the decoder where feeding
-    item by item leaves it, fails on the same item, and decodes the
-    structure `structure_from_prefix` and a plain closure decode."""
+    first item that moves `struct_rev`, leaves the decoder where the
+    per-item, path-compressing decoder leaves it, fails on the same item,
+    and decodes the structure `structure_from_prefix` and a plain closure
+    decode."""
     kind = data.draw(st.sampled_from([INFORMANT, TEXT]))
     if kind == INFORMANT:
         items = data.draw(_any_informant(names))
     else:
         pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
         items = data.draw(st.lists(st.one_of(st.none(), pair), max_size=60))
-    state, ref = PrefixState(kind), PrefixState(kind)
+    state, ref = PrefixState(kind), PathCompressingPrefixState(kind)
     stream = iter(items)
     while ref.stage < len(items):
         run = data.draw(st.integers(0, 8))
@@ -228,6 +230,7 @@ def test_advance_matches_item_by_item_feeding(names, data):
                 for item in items[ref.stage:]:
                     ref.feed(item)
             assert err.index == want.value.index
+            _same_state(state, ref)
             with pytest.raises(ConsistencyError) as whole:
                 structure_from_prefix(informant_prefix(items))
             assert whole.value.index == err.index
@@ -244,6 +247,23 @@ def test_advance_matches_item_by_item_feeding(names, data):
     renamed = sorted(sorted(rename[x] for x in block) for block in state.blocks())
     assert renamed == sorted(sorted(block) for block in structure.blocks)
     assert sorted(state.blocks()) == _closure_blocks(items, kind)
+
+
+def test_a_failed_run_keeps_the_facts_before_its_error():
+    # the negative fact and the contradiction arrive in one run: the counters
+    # include the fact, and the stage the failing item
+    items = [(0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 1)]
+    state, ref = PrefixState(INFORMANT), PathCompressingPrefixState(INFORMANT)
+    run = iter(items)
+    assert state.advance(run) == 1 and state.advance(run) == 1  # two new elements
+    with pytest.raises(ConsistencyError) as err:
+        state.advance(run)
+    with pytest.raises(ConsistencyError) as want:
+        for item in items:
+            ref.feed(item)
+    assert err.value.index == want.value.index == 3
+    _same_state(state, ref)
+    assert (state.stage, state.neg_rev) == (4, 1)
 
 
 def test_pair_walk_follows_the_cantor_codes():
