@@ -89,15 +89,11 @@ from .adversaries import (
     weak_locking_search,
 )
 from .bridge import (
-    LANGUAGE,
     FinitePermutation,
     SizeSequence,
-    fair_language_text,
-    finite_permutations,
     lang_member,
     language_closure,
     permuted,
-    run_language_simulation,
     seq_eq,
     seq_le,
     size_sequence_of,

@@ -43,6 +43,19 @@ from .structures import (
 _EXHAUSTED = object()
 
 
+def _pairs_ahead(cursor: int, out: list, n: int, known: int, keep) -> list:
+    """`out` extended to n items by the pairs of the Cantor walk from `cursor`
+    that `keep` accepts; the walk gives up after 40 * (n + 1) * (known + 4)
+    codes, `known` being the number of elements already placed."""
+    for code in range(cursor, cursor + 40 * (n + 1) * (known + 4)):
+        if len(out) >= n:
+            break
+        x, y = unpair_code(code)
+        if keep(x, y):
+            out.append((x, y))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # A retargetable presentation builder (informant mode)
 
@@ -212,16 +225,9 @@ class _TargetBuilder:
 
     def upcoming_pairs(self, n: int) -> list[tuple[int, int]]:
         """The next pairs of the walk among already-assigned elements."""
-        out = []
-        code = self.cursor
-        fuel = 40 * (n + 1) * (len(self.slot_of) + 4)
-        while len(out) < n and fuel:
-            x, y = unpair_code(code)
-            code += 1
-            fuel -= 1
-            if x in self.slot_of and y in self.slot_of:
-                out.append((x, y))
-        return out
+        slot_of = self.slot_of
+        return _pairs_ahead(self.cursor, [], n, len(slot_of),
+                            lambda x, y: x in slot_of and y in slot_of)
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +545,9 @@ class _TextBuilder:
     def upcoming_positive_candidates(self, n: int) -> list:
         """Candidate single text items: a fresh self-pair plus upcoming
         positive pairs of the walk."""
-        fresh = self._next_elem
-        out: list = [(fresh, fresh)]
-        code = self.cursor
-        fuel = 40 * (n + 1) * (len(self.class_of) + 4)
-        while len(out) < n and fuel:
-            x, y = unpair_code(code)
-            code += 1
-            fuel -= 1
-            if x in self.class_of and y in self.class_of and self.class_of[x] == self.class_of[y]:
-                out.append((x, y))
-        return out
+        fresh, cls = self._next_elem, self.class_of
+        return _pairs_ahead(self.cursor, [(fresh, fresh)], n, len(cls),
+                            lambda x, y: x in cls and y in cls and cls[x] == cls[y])
 
 
 def weak_locking_search(

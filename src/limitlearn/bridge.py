@@ -5,24 +5,19 @@ to the language { <i,j> : j < g(i) }.  Size sequences are finitely described
 (explicit prefix, round-robin tail streams, finite overrides), which keeps
 membership, pointwise comparison, and subset checks on the induced languages
 exact.  Finite permutations of the slots give the language family a census
-maps to; all searches over that family are bounded and say so.
+maps to.  Two searches run over that family: `language_closure`, bounded to
+the transpositions of the first slots, and `telltale_search`, which reads the
+least separating codes off the sequences in closed form, bounded by the
+largest code and set size it may report.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .learners import Learner, SeparatorLearner, run_simulation
-from .presentations import (
-    INFORMANT,
-    PATTERN,
-    Stream,
-    pattern_size,
-    slot_demand,
-)
+from .learners import SeparatorLearner
+from .presentations import PATTERN, pattern_size, slot_demand
 from .structures import (
     OMEGA,
     ZERO,
@@ -33,8 +28,6 @@ from .structures import (
     pair_code,
     unpair_code,
 )
-
-LANGUAGE = "language"
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +207,6 @@ def lang_member(lang: SizeSequence, code: int) -> bool:
     return value.is_omega or j < value.finite
 
 
-def fair_language_text(lang: SizeSequence, seed: int = 0) -> Stream:
-    """Text for the language: member codes ascending (seed-shuffled in small
-    windows), pauses elsewhere."""
-    rng = random.Random(seed)
-
-    def gen():
-        code = 0
-        while True:
-            window = list(range(code, code + 16))
-            code += 16
-            rng.shuffle(window)
-            for c in window:
-                yield c if lang_member(lang, c) else None
-
-    return Stream(LANGUAGE, None, gen())
-
-
 # ---------------------------------------------------------------------------
 # Finite permutations
 
@@ -248,33 +224,6 @@ class FinitePermutation:
             raise ValueError("not a permutation")
         if any(a == b for a, b in self.moves):
             raise ValueError("fixed points do not belong in the support")
-
-    def apply(self, i: int) -> int:
-        for a, b in self.moves:
-            if a == i:
-                return b
-        return i
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(a for a, _ in self.moves))
-
-    def key(self) -> tuple:
-        supp = self.support
-        return (len(supp), supp, tuple(self.apply(a) for a in supp))
-
-
-IDENTITY = FinitePermutation()
-
-
-def finite_permutations(value_bound: int, support_bound: int):
-    """Canonical enumeration: by support size, then support set, then mapping."""
-    yield IDENTITY
-    for size in range(2, support_bound + 1):
-        for supp in itertools.combinations(range(value_bound), size):
-            for image in itertools.permutations(supp):
-                if all(a != b for a, b in zip(supp, image)):
-                    yield FinitePermutation(tuple(zip(supp, image)))
 
 
 def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
@@ -343,93 +292,6 @@ def telltale_search(
 
 
 # ---------------------------------------------------------------------------
-# Structure learning -> language learning
-
-
-class StructToLanguageLearner(Learner):
-    """Turns an informant learner into a language learner.
-
-    Language data is re-encoded as the finite structure relating codes with
-    equal first coordinate; the base learner's census conjecture is dressed
-    with the least finite permutation that keeps the data inside the conjectured
-    language.  Conjectures are size sequences (language descriptions).
-    """
-
-    mode = LANGUAGE
-    _owned = ("_codes", "_base", "_perm_cache")
-
-    def __init__(self, base: Learner, support_bound: int = 4, value_bound: int = 16):
-        if base.mode != INFORMANT:
-            raise ValueError("base learner must consume informants")
-        self._pristine = base.clone()
-        self._pristine.reset()
-        self.name = f"lang-{base.name}"
-        self.support_bound = support_bound
-        self.value_bound = value_bound
-        self.reset()
-
-    def reset(self) -> None:
-        self._codes: dict[int, int] = {}  # code -> first coordinate, in arrival order
-        self._tallest = 0  # the largest j + 1 over the codes <i, j> seen: a slot needs that size
-        self._base = self._pristine.clone()
-        self._cached: Optional[SizeSequence] = None
-        self._dirty = True  # the empty history already has a conjecture
-        # census -> (position, permutation): the least consistent one so far, None past the end
-        self._perm_cache: dict[Character, tuple[int, Optional[FinitePermutation]]] = {}
-
-    def consume(self, item) -> None:
-        if item is None or item in self._codes:
-            return
-        # encode the new code against the ones already seen: codes are related
-        # exactly when their first pairing coordinates agree
-        group, j = unpair_code(item)
-        self._tallest = max(self._tallest, j + 1)
-        run = [(item, item, 1)]
-        for other, other_group in self._codes.items():
-            label = 1 if other_group == group else 0
-            run += (item, other, label), (other, item, label)
-        self._base.consume_all(run)
-        self._codes[item] = group
-        self._dirty = True
-
-    def _least_consistent_perm(self, census: Character) -> Optional[FinitePermutation]:
-        seq = size_sequence_of(census)
-
-        def consistent(perm: FinitePermutation) -> bool:
-            candidate = permuted(seq, perm)
-            return all(lang_member(candidate, c) for c in self._codes)
-
-        pos, perm = self._perm_cache.get(census, (0, IDENTITY))
-        if perm is None:
-            return None
-        # a permutation moves slots, not sizes: no slot of the census fits a
-        # code that needs a class larger than its largest
-        bounded = census.default == ZERO and census.omega_count == ZERO
-        if bounded and self._tallest > max(census.sizes_of_interest, default=0):
-            self._perm_cache[census] = (pos, None)
-            return None
-        if consistent(perm):
-            return perm
-        # consistency only shrinks as data grows, so the pointer never backs
-        # up: the enumeration resumes past it, and no list of it is kept
-        rest = itertools.islice(finite_permutations(self.value_bound, self.support_bound), pos + 1, None)
-        pos, perm = next(((i, p) for i, p in enumerate(rest, pos + 1) if consistent(p)), (pos, None))
-        self._perm_cache[census] = (pos, perm)
-        return perm
-
-    def conjecture(self) -> Optional[SizeSequence]:
-        if self._dirty:
-            self._dirty = False
-            census = self._base.conjecture()
-            if census is None:
-                self._cached = None
-            else:
-                perm = self._least_consistent_perm(census)
-                self._cached = None if perm is None else permuted(size_sequence_of(census), perm)
-        return self._cached
-
-
-# ---------------------------------------------------------------------------
 # Language learning -> structure learning
 
 
@@ -455,18 +317,3 @@ class LanguageToStructLearner(SeparatorLearner):
         elif self._cached is None and self._cached_index is not None:
             self._cached = self.members[self._cached_index]
 
-
-# ---------------------------------------------------------------------------
-# Language-side convergence check
-
-
-def run_language_simulation(learner: Learner, stream, stages: int,
-                            target: SizeSequence, window: int = 200) -> dict:
-    """Bounded-horizon convergence for language learners: `run_simulation`'s
-    judge (constant over the last `window` stages, the stream not exhausted)
-    and a final conjecture pointwise equal to the target language."""
-    res = run_simulation(learner, stream, stages, None, "iso", window)
-    final = res.final
-    converged = res.converged and final is not None and seq_eq(final, target)
-    return {"converged": converged, "stage": res.stage if converged else None,
-            "final": final, "stages": stages, "exhausted": res.exhausted}

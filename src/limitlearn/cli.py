@@ -44,7 +44,6 @@ from .presentations import (
 from .separability import (
     Family,
     FamilyError,
-    GENERATORS,
     fin_antichain,
     finitely_separable,
     generated_limit_verdict,
@@ -182,17 +181,15 @@ def cmd_check(args) -> int:
         report["note"] = str(exc)
         violation = False
     if family.generator:
-        spec = GENERATORS[family.generator]
+        candidates = list(family.members)
+        companion = family.spec().companion_limit
+        if companion is not None:
+            candidates.append(companion)
         verdicts = []
-        for member in family.members:
-            verdict = generated_limit_verdict(member, family, args.bound)
-            verdicts.append({"candidate": member.to_json(), "verdict": verdict.kind,
+        for cand in candidates:
+            verdict = generated_limit_verdict(cand, family, args.bound)
+            verdicts.append({"candidate": cand.to_json(), "verdict": verdict.kind,
                              "bound": verdict.bound, "certified": verdict.certified})
-        if spec.companion_limit is not None:
-            verdict = generated_limit_verdict(spec.companion_limit, family, args.bound)
-            verdicts.append({"candidate": spec.companion_limit.to_json(),
-                             "verdict": verdict.kind, "bound": verdict.bound,
-                             "certified": verdict.certified})
         report["generator_verdicts"] = verdicts
     if args.out:
         _dump_json(_out_path(args, "check.json"), report)

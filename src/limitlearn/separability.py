@@ -10,7 +10,7 @@ which components recur infinitely often.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .structures import (
@@ -92,7 +92,6 @@ class Family:
 
     members: tuple[Character, ...] = ()
     generator: Optional[str] = None
-    generator_params: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self):
         for i, a in enumerate(self.members):
@@ -118,7 +117,7 @@ class Family:
     def to_json(self):
         data = {"members": [m.to_json() for m in self.members]}
         if self.generator:
-            data["generator"] = {"name": self.generator, "params": self.generator_params}
+            data["generator"] = {"name": self.generator}
         return data
 
     @classmethod
@@ -129,7 +128,7 @@ class Family:
         gen = data.get("generator")
         if gen is None:
             return cls(members)
-        return cls(members, gen["name"], gen.get("params", {}))
+        return cls(members, gen["name"])
 
     @classmethod
     def load(cls, path) -> "Family":

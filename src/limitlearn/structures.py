@@ -18,7 +18,6 @@ at the API and JSON edge.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -251,18 +250,6 @@ class Character:
         if self.default != ZERO:
             return (), (math.inf,)
         return profile_of({s: _plain(c) for s, c in self.exceptions}, _plain(self.omega_count))
-
-    def cumulative(self, threshold: "ExtNat | int | str") -> ExtNat:
-        """Number of classes of size >= threshold (infinite classes included),
-        read off the cumulative profile."""
-        threshold = ext(threshold)
-        if threshold.is_omega:
-            return self.omega_count
-        if threshold.finite < 1:
-            raise RepresentationError("cumulative threshold starts at 1")
-        sizes, counts = self.cumulative_profile
-        total = counts[bisect_left(sizes, threshold.finite)]
-        return OMEGA if total == math.inf else ExtNat(total)
 
     def has_component(self, comp: Component) -> bool:
         return self.count(comp.size) >= comp.index

@@ -2,9 +2,9 @@
 
 Everything here works on explicit finite truncations of the censuses;
 matchability is decided either by counting interchangeable uniform blocks or
-by an augmenting-path search over the materialized host list.  Nothing calls
-Character.cumulative, so agreement with the package's embedding tests is a
-genuine two-route check.  (The replaced forms kept at the end of this
+by an augmenting-path search over the materialized host list.  Nothing reads
+Character.cumulative_profile, so agreement with the package's embedding tests
+is a genuine two-route check.  (The replaced forms kept at the end of this
 module as differential references are not embedding oracles.)
 
 The counting oracles saturate materialized per-size counts at SATURATE and
@@ -39,14 +39,12 @@ from limitlearn import (
     conjectures_equal,
     embeds,
     ext,
-    finite_permutations,
     lang_member,
     pair_code,
     permuted,
-    size_sequence_of,
 )
 from limitlearn.adversaries import _census_of, _Labeling
-from limitlearn.bridge import StructToLanguageLearner, _vec_le, _window
+from limitlearn.bridge import _vec_le, _window
 from limitlearn.presentations import ClassAssignment, _new_pairs
 from limitlearn.learners import (
     Learner,
@@ -475,8 +473,7 @@ class ListTrace:
 
 
 # ---------------------------------------------------------------------------
-# The negative-fact bookkeeping and the permutation search the per-block
-# bitmasks and the resumed enumeration replaced
+# The negative-fact bookkeeping the per-block bitmasks replaced
 
 
 class SetPrefixState:
@@ -556,26 +553,6 @@ class SetPrefixState:
         dup._members = {r: list(m) for r, m in self._members.items()}
         dup._enemies = {r: set(e) for r, e in self._enemies.items()}
         return dup
-
-
-class ListPermLearner(StructToLanguageLearner):
-    """The structure-to-language learner with every census's permutation
-    enumeration materialized as a list and a pointer into it: the search the
-    resumable enumeration replaced."""
-
-    def _least_consistent_perm(self, census: Character):
-        seq = size_sequence_of(census)
-        if census not in self._perm_cache:
-            self._perm_cache[census] = (list(finite_permutations(self.value_bound, self.support_bound)), 0)
-        perms, pos = self._perm_cache[census]
-        while pos < len(perms):
-            candidate = permuted(seq, perms[pos])
-            if all(lang_member(candidate, c) for c in self._codes):
-                self._perm_cache[census] = (perms, pos)
-                return perms[pos]
-            pos += 1
-        self._perm_cache[census] = (perms, pos)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +665,7 @@ def probe_telltale_search(lang, family_langs, bound: int):
 
 def cumulative_distinguishing_substructure(member: Character, others, cap: int = 200):
     """`distinguishing_substructure` by comparing the partition's count of
-    parts >= t with `Character.cumulative(t)` at each part size t."""
+    parts >= t with `extnat_cumulative` at each part size t."""
 
     def parts_ge(profile, t):
         return sum(1 for p in profile if p >= t)
@@ -700,10 +677,10 @@ def cumulative_distinguishing_substructure(member: Character, others, cap: int =
     for total in range(1, cap + 1):
         for profile in sorted(_partitions(total, max_part)):
             thresholds = set(profile)
-            if any(not member.cumulative(t) >= parts_ge(profile, t) for t in thresholds):
+            if any(not extnat_cumulative(member, t) >= parts_ge(profile, t) for t in thresholds):
                 continue  # not realizable inside member
             if all(
-                any(parts_ge(profile, t) > other.cumulative(t) for t in thresholds)
+                any(parts_ge(profile, t) > extnat_cumulative(other, t) for t in thresholds)
                 for other in others
             ):
                 blocks, start = [], 0

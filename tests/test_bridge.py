@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +8,11 @@ from limitlearn import (
     FinitePermutation,
     OMEGA,
     fair_informant,
-    fair_language_text,
-    finite_permutations,
     lang_member,
     language_closure,
     learner_separator,
     pair_code,
     permuted,
-    run_language_simulation,
     run_simulation,
     seq_eq,
     seq_le,
@@ -25,7 +20,7 @@ from limitlearn import (
     telltale_search,
 )
 from limitlearn import bridge
-from limitlearn.bridge import LanguageToStructLearner, StructToLanguageLearner, slot_count
+from limitlearn.bridge import LanguageToStructLearner, slot_count
 
 from families import (
     C56,
@@ -38,7 +33,7 @@ from families import (
     census,
     kron_slice,
 )
-from oracles import ListPermLearner, pairwise_language_closure, probe_telltale_search
+from oracles import pairwise_language_closure, probe_telltale_search
 
 OM = "omega"
 
@@ -134,14 +129,10 @@ def test_seq_comparisons_match_explicit_prefix(char, swap, data):
     assert seq_eq(a, b) == (va == vb)
 
 
-def test_permutations_canonical_enumeration():
-    perms = list(finite_permutations(4, 3))
-    assert perms[0].moves == ()  # identity first
-    keys = [p.key() for p in perms]
-    assert keys == sorted(keys)
-    assert len({p.key() for p in perms}) == len(perms)
-    # support sizes 0, 2, 3 over 4 values: 1 + 6 + 4*2 = 15
-    assert len(perms) == 15
+def test_finite_permutation_rejects_non_bijections_and_fixed_points():
+    for moves in (((0, 1),), ((0, 1), (1, 0), (2, 0)), ((0, 1), (1, 0), (2, 2))):
+        with pytest.raises(ValueError):
+            FinitePermutation(moves)
 
 
 def test_permuted_sequences():
@@ -236,79 +227,7 @@ def test_telltale_search_probes_no_membership(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The two learner translations
-
-
-def test_struct_to_language_learner_converges():
-    for target, seed in ((C56, 0), (C57, 1)):
-        lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
-        target_lang = size_sequence_of(target)
-        res = run_language_simulation(
-            lrn, fair_language_text(target_lang, seed), 2500, target_lang, 150
-        )
-        assert res["converged"], (target, res)
-
-
-def test_struct_to_language_learner_on_permuted_target():
-    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
-    base = size_sequence_of(C57)
-    target_lang = permuted(base, FinitePermutation(((0, 2), (2, 0))))
-    res = run_language_simulation(lrn, fair_language_text(target_lang, 0), 2500, target_lang, 150)
-    assert res["converged"], res
-
-
-def test_language_simulation_reports_a_short_stream_as_exhausted():
-    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
-    target_lang = size_sequence_of(C56)
-    stream = list(itertools.islice(fair_language_text(target_lang, 0), 5))
-    res = run_language_simulation(lrn, stream, 10, target_lang, 5)
-    assert res["exhausted"] is True
-    assert not res["converged"] and res["stage"] is None
-
-
-def test_struct_to_language_empty_data():
-    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
-    conj = lrn.conjecture()
-    # the base learner's empty-history census dressed with the identity
-    assert conj is not None and seq_eq(conj, size_sequence_of(C56))
-
-
-def test_struct_to_language_inconsistent_data_gives_question_mark():
-    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)), value_bound=6)
-    # a fiber of height 9 exceeds every class size of both members
-    for j in range(9):
-        lrn.consume(pair_code(0, j))
-    assert lrn.conjecture() is None
-
-
-def _struct_to_language_data():
-    """The code streams of the struct-to-language tests above, and one more
-    permuted target, with the learners' bounds."""
-    for target, seed in ((C56, 0), (C57, 1)):
-        yield {}, list(itertools.islice(fair_language_text(size_sequence_of(target), seed), 2500))
-    swapped = permuted(size_sequence_of(C57), FinitePermutation(((0, 2), (2, 0))))
-    yield {}, list(itertools.islice(fair_language_text(swapped, 0), 2500))
-    # the second permutation of the enumeration, so the pointer moves by one
-    swapped = permuted(size_sequence_of(C57), FinitePermutation(((0, 1), (1, 0))))
-    yield {}, list(itertools.islice(fair_language_text(swapped, 0), 1000))
-    yield {"value_bound": 6}, [pair_code(0, j) for j in range(9)]
-
-
-def test_resumed_permutation_search_matches_the_listed_one():
-    picked = set()
-    for bounds, codes in _struct_to_language_data():
-        lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)), **bounds)
-        ref = ListPermLearner(learner_separator(list(EXAMPLE1)), **bounds)
-        for code in [None, *codes]:
-            lrn.consume(code)
-            ref.consume(code)
-            census = lrn._base.conjecture()
-            if census is not None:
-                perm = lrn._least_consistent_perm(census)
-                assert perm == ref._least_consistent_perm(census), (bounds, code)
-                picked.add(perm)
-    # the data moves the pointer past the identity and runs one search dry
-    assert len(picked - {FinitePermutation()}) > 1 and None in picked
+# The learner translation
 
 
 def test_language_to_struct_learner_converges_and_roundtrips():
@@ -329,23 +248,3 @@ def test_language_to_struct_question_marks():
         for j in range(8):
             lrn.consume((i, j, 1))
     assert lrn.conjecture() is None  # an 8-block exceeds every member
-
-
-def test_language_text_is_fair():
-    lang = size_sequence_of(census(0, {2: 1}))
-    it = iter(fair_language_text(lang, 0))
-    seen = {next(it) for _ in range(200)}
-    assert {pair_code(0, 0), pair_code(0, 1)} <= {c for c in seen if c is not None}
-    assert all(c is None or lang_member(lang, c) for c in seen)
-
-
-def test_impossible_census_skips_the_permutation_walk(monkeypatch):
-    lrn = StructToLanguageLearner(learner_separator(list(EXAMPLE1)))
-    for code in (pair_code(0, 0), pair_code(1, 2), pair_code(0, 6)):
-        lrn.consume(code)
-    # <0, 6> needs a class of size 7; C56's largest class has size 6
-    checked = []
-    monkeypatch.setattr(bridge, "permuted", lambda seq, perm: checked.append(perm))
-    assert lrn._least_consistent_perm(C56) is None
-    assert checked == []
-    assert lrn._perm_cache[C56][1] is None

@@ -27,10 +27,9 @@ from limitlearn import (
     learner_separator,
     learner_split_on_negative,
     locking_transform,
-    pair_code,
 )
 from limitlearn.adversaries import LockingNormalForm
-from limitlearn.bridge import LanguageToStructLearner, StructToLanguageLearner
+from limitlearn.bridge import LanguageToStructLearner
 from limitlearn.learners import (
     ConstantLearner,
     EchoLearner,
@@ -60,9 +59,6 @@ ROSTER = {
     LockingNormalForm: [
         ("locking-echo", lambda: locking_transform(learner_echo())),
         ("locking-separator", lambda: locking_transform(learner_separator(CHAIN))),
-    ],
-    StructToLanguageLearner: [
-        ("lang-separator", lambda: StructToLanguageLearner(learner_separator(CHAIN), 3, 6)),
     ],
     LanguageToStructLearner: [("lang-decode", lambda: LanguageToStructLearner(CHAIN))],
 }
@@ -97,16 +93,14 @@ def histories(draw):
 
 def items(mode: str, classes: list[int], pairs) -> list:
     """The pairs as items of the mode's presentation of the structure: labeled
-    facts, positive facts with pauses, or the codes <x, y> of related pairs."""
+    facts, or positive facts with pauses."""
     out = []
     for x, y in pairs:
         same = classes[x] == classes[y]
         if mode == INFORMANT:
             out.append((x, y, int(same)))
-        elif mode == TEXT:
-            out.append((x, y) if same else PAUSE)
         else:
-            out.append(pair_code(x, y) if same else None)
+            out.append((x, y) if same else PAUSE)
     return out
 
 
@@ -118,7 +112,7 @@ def items(mode: str, classes: list[int], pairs) -> list:
 # the clone marks (0, 1, 0) as no flip after moving its distilled prefix;
 # the original must still probe it
 @example(([0, 1], [(0, 0)], [(1, 1), (0, 1)], [(0, 1)]))
-# the original's code <0, 1> must not be related to the clone's <0, 0>
+# the clone and the original each give a different fact about one class
 @example(([0, 0], [], [(0, 0)], [(0, 1)]))
 def test_clone_evolves_like_a_fresh_learner(make, history):
     classes, *prefixes = history

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from limitlearn import (
     INFORMANT,
-    LANGUAGE,
     REORDER_STRATEGIES,
-    TEXT,
     Character,
     FamilyError,
     FiniteStructure,
@@ -16,7 +14,6 @@ from limitlearn import (
     conjectures_equal,
     distinguishing_substructure,
     fair_informant,
-    fair_language_text,
     fair_text,
     informant_prefix,
     learner_constant,
@@ -28,7 +25,6 @@ from limitlearn import (
     learner_split_on_negative,
     reordered_informant,
     run_simulation,
-    size_sequence_of,
     weak_locking_search,
 )
 from limitlearn.bridge import LanguageToStructLearner
@@ -442,13 +438,10 @@ def _differential_streams(mode: str, seed: int):
             yield "fair", lambda t=target: fair_informant(t, seed), target
             strategy = REORDER_STRATEGIES[seed % len(REORDER_STRATEGIES)]
             yield strategy, lambda t=target: reordered_informant(t, seed, strategy, 300), target
-        elif mode == TEXT:
-            yield "text", lambda t=target: fair_text(t, seed), target
         else:
-            yield "language", lambda t=target: fair_language_text(size_sequence_of(t), seed), None
-    if mode != LANGUAGE:
-        stream = fair_informant if mode == INFORMANT else fair_text
-        yield "finite", lambda: islice(stream(_FINITE, seed), 250), _FINITE
+            yield "text", lambda t=target: fair_text(t, seed), target
+    stream = fair_informant if mode == INFORMANT else fair_text
+    yield "finite", lambda: islice(stream(_FINITE, seed), 250), _FINITE
 
 
 @pytest.mark.parametrize("seed", [0, 1])

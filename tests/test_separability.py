@@ -217,7 +217,8 @@ def test_generated_verdict_requires_generator():
 
 
 def test_family_json_roundtrip(tmp_path):
-    fam = Family(EXAMPLE1, "kronecker", {})
+    fam = Family(EXAMPLE1, "kronecker")
+    assert fam.to_json()["generator"] == {"name": "kronecker"}
     fam.dump(tmp_path / "f.json")
     loaded = Family.load(tmp_path / "f.json")
     assert loaded.members == fam.members
