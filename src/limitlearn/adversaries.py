@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from typing import Optional
 
-from .learners import Conjecture, Learner, Trace, conjectures_equal
+from .learners import Learner, Trace, conjectures_equal, run_stages
 from .presentations import (
     INFORMANT,
     PATTERN,
@@ -288,39 +288,46 @@ class LimitAdversary:
             raise FamilyError(f"{limit} is not a limit of the given family")
 
     def run(self, stages: int) -> AdversaryReport:
-        learner = self.learner
+        """Emit `stages` items to the learner, which consumes them in
+        ``advance`` runs; its conjecture is read at each run's end and holds
+        before that, so a switch inside a run is judged by the last one read."""
+        learner, limit = self.learner, self.limit
         learner.reset()
-        builder = _TargetBuilder(self.limit)
-        in_limit_phase = True
-        current = self.limit
-        wit_idx = 0
+        builder = _TargetBuilder(limit)
+        witnesses = cycle(self.witnesses)
+        current = limit
         switches: list[tuple[int, str]] = []
         items = []
-        first = learner.conjecture()
+        last = first = learner.conjecture()
         pending = conjectures_equal(first, current)
 
-        def play(step: int) -> Conjecture:
-            nonlocal in_limit_phase, current, wit_idx, pending
-            if pending and builder.clean:
-                if in_limit_phase:
-                    current = self.witnesses[wit_idx % len(self.witnesses)]
-                    wit_idx += 1
-                    builder.retarget(current, freeze=True)
-                else:
-                    current = self.limit
-                    builder.retarget(current, freeze=False)
-                in_limit_phase = not in_limit_phase
-                switches.append((step, str(current)))
-                pending = False
-            builder.finishing = pending
-            item = builder.next_item()
-            items.append(item)
-            conj = learner.feed(item)
-            if conjectures_equal(conj, current):
-                pending = True
-            return conj
+        def emit():
+            nonlocal current, pending
+            for step in range(stages):
+                switched = pending and builder.clean
+                if switched:
+                    current = next(witnesses) if current is limit else limit
+                    builder.retarget(current, freeze=current is not limit)
+                    switches.append((step, str(current)))
+                    pending = False
+                builder.finishing = pending
+                item = builder.next_item()
+                items.append(item)
+                yield item
+                if switched:
+                    # the learner has consumed the switch item, after which it
+                    # conjectures what was last read
+                    pending = conjectures_equal(last, current)
 
-        trace = Trace.fold(first, play, enumerate(range(stages), 1))
+        def points():
+            nonlocal last, pending
+            for stage in run_stages(learner, emit()):
+                last = learner.conjecture()
+                if conjectures_equal(last, current):
+                    pending = True
+                yield stage, last
+
+        trace = Trace.fold(first, points())
         # the emitted prefix is consistent exactly when decoding it raises nothing
         try:
             PrefixState(INFORMANT).feed_all(items)
@@ -794,14 +801,12 @@ def text_adversary(
     state = PrefixState(TEXT)
     state.feed_all(sigma.items)
     builder = _TextBuilder(state.blocks(), 2, second_component_fresh=True)
-    for step in range(horizon):
-        item = builder.next_item()
-        probe.consume(item)
+    for stage in run_stages(probe, (builder.next_item() for _ in range(horizon))):
         if not conjectures_equal(probe.conjecture(), locked):
             return TextAdversaryReport(
                 "undecided",
                 "the learner moved off its locked conjecture during the two-class phase",
-                restarts, sigma, locked, step + 1,
+                restarts, sigma, locked, stage,
             )
     return TextAdversaryReport(
         "defeated",

@@ -404,55 +404,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, family_required=True):
+    shared = {
+        "learner": {"default": "separator"},
+        "target": {"type": int, "default": 0, "help": "member index"},
+        "seed": {"type": int, "default": None},
+        "horizon": {"type": int, "default": 10000},
+        "window": {"type": int, "default": 200},
+        "depth": {"type": int, "default": 50},
+        "width": {"type": int, "default": 8},
+        "bound": {"type": int, "default": 64},
+        "jobs": {"type": int, "default": 1},
+    }
+
+    def common(p, *options, family_required=True):
+        """--family, --out and the shared `options` the command reads."""
         p.add_argument("--family", required=family_required, help="family JSON file")
-        p.add_argument("--learner", default="separator")
-        p.add_argument("--target", type=int, default=0, help="member index")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=10000)
-        p.add_argument("--window", type=int, default=200)
-        p.add_argument("--depth", type=int, default=50)
-        p.add_argument("--width", type=int, default=8)
-        p.add_argument("--bound", type=int, default=64)
+        for name in options:
+            p.add_argument(f"--{name}", **shared[name])
         p.add_argument("--out", default=".")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("check", help="separability / anti-chain certificate")
-    common(p)
+    common(p, "bound")
     p.set_defaults(func=cmd_check)
     p.add_argument("--no-out", dest="out", action="store_const", const=None)
 
     p = sub.add_parser("simulate", help="run a learner on a fair stream")
-    common(p)
+    common(p, "learner", "target", "seed", "horizon", "window", "jobs")
     p.add_argument("--relation", choices=("iso", "biembed"), default="iso")
     p.add_argument("--reorder", choices=("",) + REORDER_STRATEGIES, default="")
     p.add_argument("--seeds", default="", help="seed range lo:hi for fan-out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("adversary", help="run the limit or text adversary")
-    common(p)
+    common(p, "learner", "target", "horizon", "depth", "width")
     p.add_argument("--kind", choices=("limit", "text"), default="limit")
     p.add_argument("--min-mind-changes", type=int, default=5)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("diagonalize", help="run the pairwise diagonalizer")
-    common(p, family_required=False)
+    common(p, "learner", "target", "horizon", family_required=False)
     p.add_argument("--class-size", type=int, default=2)
     p.set_defaults(func=cmd_diagonalize, horizon=600)
 
     p = sub.add_parser("locking", help="search for a weak locking sequence")
-    common(p)
+    common(p, "learner", "target", "depth", "width")
     p.add_argument("--start", default="", help="replay file with the start prefix")
     p.set_defaults(func=cmd_locking)
 
     p = sub.add_parser("bridge", help="language-learning translation tools")
     p.add_argument("action", choices=("translate", "telltale", "roundtrip"))
-    common(p)
+    common(p, "target", "seed", "horizon", "window", "bound")
     p.add_argument("--positions", type=int, default=12)
     p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("replay", help="re-run a recorded item file and compare")
-    common(p)
+    common(p, "learner", "target", "horizon", "window")
     p.add_argument("--items", required=True)
     p.add_argument("--summary", required=True)
     p.add_argument("--relation", choices=("iso", "biembed"), default="iso")

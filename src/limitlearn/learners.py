@@ -4,9 +4,12 @@ A learner is a deterministic, resettable state machine from fed items to
 conjectures.  A conjecture is either a census (Character) or None, printed as
 "?".  Learners cache their conjecture between items that cannot change it, so
 feeding a long stream is cheap; all of them are cloneable so adversaries can
-probe hypothetical extensions.  ``advance`` consumes a run of items over
-which the conjecture stays constant, so a simulation reads the conjecture
-only where it may change.  Where each learner's run stops:
+probe hypothetical extensions.  A learner steps one way: ``advance`` consumes
+a run of items over which the conjecture stays constant, and ``consume`` is a
+run of one item.  A subclass defines either method, and each default calls
+the other.  ``run_stages`` yields the stage each run reaches, so a
+simulation or an adversary reads the conjecture only where it may change.
+Where each learner's run stops:
 
 - ``ConstantLearner``: never; it drains its input.
 - ``SplitOnNegativeLearner``: at the first negative fact between distinct
@@ -27,7 +30,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, reorder_items
@@ -61,14 +64,14 @@ def conjecture_str(c: Conjecture) -> str:
 
 
 class Learner:
-    """Base interface: reset, feed one item, report the current conjecture.
+    """Base interface: reset, step, report the current conjecture.
 
-    ``consume`` updates state without forcing the (possibly lazy) conjecture;
-    callers that only sample conjectures occasionally should prefer it.
     ``advance(items)`` consumes items from an iterator until the conjecture
     may have changed and returns how many, 0 once the iterator is exhausted:
     the conjecture after all but the last of them is the one before the
-    call.  The default consumes one item.
+    call.  ``consume(item)`` is ``advance`` over that one item, and the
+    default ``advance`` consumes one item, so a subclass defines either
+    method.  Neither forces the (possibly lazy) conjecture.
 
     A learner names in ``_owned`` the attributes it mutates in place;
     ``clone`` gives the copy its own of each (a learner is cloned, anything
@@ -84,7 +87,7 @@ class Learner:
         raise NotImplementedError
 
     def consume(self, item) -> None:
-        raise NotImplementedError
+        self.advance(iter((item,)))
 
     def feed(self, item) -> Conjecture:
         self.consume(item)
@@ -117,6 +120,13 @@ class Learner:
         return dup
 
 
+def run_stages(learner: Learner, items: Iterator) -> Iterator[int]:
+    """Step `learner` through `items` one ``advance`` run after another,
+    yielding the stage each run reaches (counted from the learner's state on
+    entry): the conjecture can differ from the one before only there."""
+    return accumulate(iter(partial(learner.advance, items), 0))
+
+
 def _drain(items: Iterator) -> int:
     """Exhaust `items`; returns how many there were."""
     fed = 0
@@ -132,9 +142,6 @@ class ConstantLearner(Learner):
         self.name = f"constant{char}"
 
     def reset(self) -> None:
-        pass
-
-    def consume(self, item) -> None:
         pass
 
     def advance(self, items: Iterator) -> int:
@@ -160,11 +167,6 @@ class SplitOnNegativeLearner(Learner):
     def reset(self) -> None:
         self._split = False
 
-    def consume(self, item) -> None:
-        x, y, label = item
-        if not label and x != y:
-            self._split = True
-
     def advance(self, items: Iterator) -> int:
         if self._split:
             return _drain(items)
@@ -184,8 +186,8 @@ class EchoLearner(Learner):
     """Conjectures the census of whatever finite structure the prefix decodes
     to; the base of the decoding learners, which override ``_recompute``.
 
-    ``advance`` skips ``consume``, so a subclass must not override
-    ``consume``: whatever it reads of the items, it reads in ``_recompute``.
+    ``consume`` runs ``advance``, which feeds the decoder, so a subclass
+    reads whatever it reads of the items in ``_recompute``.
     """
 
     name = "echo"
@@ -201,9 +203,6 @@ class EchoLearner(Learner):
 
     def _recompute(self) -> None:
         self._cached = self._state.char()
-
-    def consume(self, item) -> None:
-        self._state.feed(item)
 
     def advance(self, items: Iterator) -> int:
         return self._state.advance(items)
@@ -435,23 +434,19 @@ class OneShotLearner(Learner):
                 self._fired = i
                 return
 
-    def consume(self, item) -> None:
-        self._state.feed(item)
-        if self._fired is None:
-            self._check()
-
     def advance(self, items: Iterator) -> int:
         state = self._state
         if self._fired is not None:
             start = state.stage
             state.feed_all(items)
             return state.stage - start
-        if max(state.births_by_size, default=0) < self._least_top:
-            # block sizes move only with `struct_rev`
-            fed = state.advance(items)
-            self._check()
-            return fed
-        return super().advance(items)
+        # block sizes move only with `struct_rev`, where `state.advance` stops,
+        # so only a witness that may fit already needs a check after each item
+        if max(state.births_by_size, default=0) >= self._least_top:
+            items = islice(items, 1)
+        fed = state.advance(items)
+        self._check()
+        return fed
 
     def conjecture(self) -> Conjecture:
         return None if self._fired is None else self.members[self._fired]
@@ -547,16 +542,15 @@ class Trace:
     length: int
 
     @classmethod
-    def fold(cls, first: Conjecture, step: Callable, inputs: Iterable) -> "Trace":
+    def fold(cls, first: Conjecture, points: Iterable) -> "Trace":
         """The trace of a run that conjectures `first` at stage 0, recorded
-        as it goes.  Each input (s, x) advances the run to stage s, one or
-        more stages past the last, where it conjectures `step(x)`; the
-        conjecture before holds through the stages in between.  Learners
-        hand back their cached conjecture objects, so an identity check
-        settles nearly every step before fields are compared."""
+        as it goes.  Each point (s, c) advances the run to stage s, one or
+        more stages past the last, where it conjectures c; the conjecture
+        before holds through the stages in between.  Learners hand back
+        their cached conjecture objects, so an identity check settles nearly
+        every point before fields are compared."""
         last, changes, stage = first, [(0, first)], 0
-        for stage, x in inputs:
-            c = step(x)
+        for stage, c in points:
             if c is not last and not conjectures_equal(c, last):
                 changes.append((stage, c))
                 last = c
@@ -664,11 +658,10 @@ def run_simulation(
     learner.reset()
     items, conjecture = islice(stream, stages), learner.conjecture
     if isinstance(learner, Learner):
-        # the stage each advance reaches, where the conjecture is read
-        reached = accumulate(iter(partial(learner.advance, items), 0))
-        trace = Trace.fold(conjecture(), lambda _: conjecture(), zip(reached, repeat(None)))
+        points = ((s, conjecture()) for s in run_stages(learner, items))
     else:  # any object with reset, feed and conjecture is judged item by item
-        trace = Trace.fold(conjecture(), learner.feed, enumerate(items, 1))
+        points = zip(count(1), map(learner.feed, items))
+    trace = Trace.fold(conjecture(), points)
     exhausted = trace.length <= stages
     stable = trace.stable_from()
     steady = trace.length - stable > window

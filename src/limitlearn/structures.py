@@ -335,12 +335,6 @@ class FiniteStructure:
             counts[len(block)] = counts.get(len(block), 0) + 1
         return Character.make(0, counts, 0)
 
-    def related(self, x: int, y: int) -> bool:
-        for block in self.blocks:
-            if x in block:
-                return y in block
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Embedding order on characters

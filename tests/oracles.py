@@ -20,6 +20,7 @@ from functools import lru_cache
 from itertools import count, islice
 
 from limitlearn import (
+    AdversaryReport,
     FamilyError,
     FiniteStructure,
     OMEGA,
@@ -33,6 +34,7 @@ from limitlearn import (
     RELATIONS,
     TEXT,
     Prefix,
+    PrefixState,
     SimulationResult,
     Stream,
     Trace,
@@ -43,7 +45,7 @@ from limitlearn import (
     pair_code,
     permuted,
 )
-from limitlearn.adversaries import _census_of, _Labeling
+from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import _vec_le, _window
 from limitlearn.presentations import ClassAssignment, _new_pairs
 from limitlearn.learners import (
@@ -919,3 +921,66 @@ def per_item_diagonalize(learner, class_size, stages):
         nu_marks, sigma_char, tau_char,
         e_counts_ok, singletons_ok, nu_ok, distinct_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# The adversaries' per-item loops that `advance` runs replaced
+
+
+def per_item_limit_adversary(adversary, stages: int) -> AdversaryReport:
+    """`LimitAdversary.run` with the learner fed one item at a time, its
+    conjecture compared with the current target after every item, and the
+    change points kept by a loop of its own."""
+    learner, limit, witnesses = adversary.learner, adversary.limit, adversary.witnesses
+    learner.reset()
+    builder = _TargetBuilder(limit)
+    in_limit_phase, current, wit_idx = True, limit, 0
+    switches, items = [], []
+    last = learner.conjecture()
+    pending = conjectures_equal(last, current)
+    changes = [(0, last)]
+    for step in range(stages):
+        if pending and builder.clean:
+            if in_limit_phase:
+                current = witnesses[wit_idx % len(witnesses)]
+                wit_idx += 1
+                builder.retarget(current, freeze=True)
+            else:
+                current = limit
+                builder.retarget(current, freeze=False)
+            in_limit_phase = not in_limit_phase
+            switches.append((step, str(current)))
+            pending = False
+        builder.finishing = pending
+        item = builder.next_item()
+        items.append(item)
+        conj = learner.feed(item)
+        if conjectures_equal(conj, current):
+            pending = True
+        if not conjectures_equal(conj, last):
+            changes.append((step + 1, conj))
+            last = conj
+    try:
+        PrefixState(INFORMANT).feed_all(items)
+        consistent = True
+    except ConsistencyError:
+        consistent = False
+    return AdversaryReport(Trace(changes, stages + 1), items, switches, current, consistent)
+
+
+def per_item_two_class_phase(learner, sigma: Prefix, horizon: int):
+    """The text adversary's second phase item by item: the stage at which a
+    learner fed `sigma` moves off its conjecture there while the stream turns
+    two-classed, or None when it stays through `horizon` items."""
+    learner = learner.clone()
+    learner.reset()
+    for item in sigma.items:
+        learner.consume(item)
+    locked = learner.conjecture()
+    state = PrefixState(TEXT)
+    state.feed_all(sigma.items)
+    builder = _TextBuilder(state.blocks(), 2, second_component_fresh=True)
+    for stage in range(1, horizon + 1):
+        if not conjectures_equal(learner.feed(builder.next_item()), locked):
+            return stage
+    return None

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from limitlearn import (
     weak_locking_search,
 )
 from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder
+from limitlearn.learners import EchoLearner
 from limitlearn.presentations import _new_pairs
 
 from families import (
@@ -41,7 +43,13 @@ from families import (
     TWO_INF,
     census,
 )
-from oracles import full_labeling_extension, materialized_diagonalize, per_item_diagonalize
+from oracles import (
+    full_labeling_extension,
+    materialized_diagonalize,
+    per_item_diagonalize,
+    per_item_limit_adversary,
+    per_item_two_class_phase,
+)
 
 OM = "omega"
 
@@ -102,32 +110,85 @@ def test_limit_adversary_dichotomy_over_roster():
         assert report.defeated(), (learner.name, report.mind_changes, report.final_target)
 
 
+class FaceValue(Learner):
+    """Takes transient two-blocks at face value; consumes one item per run."""
+
+    mode = "informant"
+    name = "face-value"
+    _owned = ("_st",)
+
+    def __init__(self):
+        self._st = PrefixState("informant")
+
+    def reset(self):
+        self._st = PrefixState("informant")
+
+    def consume(self, item):
+        self._st.feed(item)
+
+    def conjecture(self):
+        return FIVE_OMEGA_TWO if self._st.size_counts.get(2, 0) else FIVE_OMEGA
+
+
 def test_limit_adversary_forces_oscillation():
     """A learner that takes transient two-blocks at face value is driven to
     arbitrarily many phase switches."""
-
-    class FaceValue(Learner):
-        mode = "informant"
-        name = "face-value"
-        _owned = ("_st",)
-
-        def __init__(self):
-            self._st = PrefixState("informant")
-
-        def reset(self):
-            self._st = PrefixState("informant")
-
-        def consume(self, item):
-            self._st.feed(item)
-
-        def conjecture(self):
-            return FIVE_OMEGA_TWO if self._st.size_counts.get(2, 0) else FIVE_OMEGA
-
     report = limit_adversary(FaceValue(), FIVE_OMEGA, list(NONSEPARABLE)).run(8000)
     assert report.consistent
     assert len(report.phase_switches) >= 10
     assert report.mind_changes >= 5
     assert report.defeated()
+
+
+class Scripted(Learner):
+    """Conjectures nothing for stages 0-2, the limit 5:omega at stage 3 and
+    its witness from stage 4 on, which it never leaves: from there it
+    consumes everything in one ``advance`` run, so the adversary's switches
+    fall inside that run."""
+
+    mode = "informant"
+    name = "scripted"
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self._stage = 0
+
+    def advance(self, items):
+        fed = sum(1 for _ in (items if self._stage >= 4 else islice(items, 1)))
+        self._stage += fed
+        return fed
+
+    def conjecture(self):
+        if self._stage < 3:
+            return None
+        return FIVE_OMEGA if self._stage == 3 else FIVE_OMEGA_TWO
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 500])
+def test_limit_adversary_matches_the_per_item_reference(horizon):
+    # conjectures read at the end of each `advance` run against one `feed`
+    # and one comparison per item
+    roster = zip([*informant_roster(), FaceValue(), Scripted()],
+                 [*informant_roster(), FaceValue(), Scripted()])
+    for learner, reference in roster:
+        got = limit_adversary(learner, FIVE_OMEGA, list(NONSEPARABLE)).run(horizon)
+        want = per_item_limit_adversary(
+            limit_adversary(reference, FIVE_OMEGA, list(NONSEPARABLE)), horizon)
+        assert got.items == want.items, learner.name
+        assert got.trace.changes == want.trace.changes, learner.name
+        assert got.trace.length == want.trace.length == horizon + 1, learner.name
+        assert got.phase_switches == want.phase_switches, learner.name
+        assert got.final_target == want.final_target, learner.name
+        assert got.consistent == want.consistent, learner.name
+
+
+def test_limit_adversary_rechecks_the_conjecture_after_a_switch_inside_a_run():
+    # the scripted learner conjectures the witness when the stream retreats to
+    # it in the middle of a run, so the adversary turns back at the next item
+    report = limit_adversary(Scripted(), FIVE_OMEGA, list(NONSEPARABLE)).run(500)
+    assert report.phase_switches == [(11, str(FIVE_OMEGA_TWO)), (12, str(FIVE_OMEGA))]
 
 
 def test_target_builder_retarget_plans_only_classes_the_census_has():
@@ -462,6 +523,38 @@ def test_text_adversary_on_wrapped_learners():
     for base in (learner_split_on_negative(), learner_echo()):
         rep = text_adversary(learner_from_text(base))
         assert rep.verdict in ("defeated", "undecided"), (base.name, rep.reason)
+
+
+class TwoBigBlocks(EchoLearner):
+    """Conjectures two infinite classes once two blocks reach `size`, one
+    before, so it can lock on the single-class structure and leave the lock
+    in the two-class phase."""
+
+    def __init__(self, size):
+        self.size = size
+        self.name = f"two-blocks-of-{size}"
+        super().__init__("text")
+
+    def _recompute(self):
+        state = self._state
+        big = sum(state.block_size(r) >= self.size for r in state.block_roots())
+        self._cached = TWO_INF if big >= 2 else ONE_INF
+
+
+@pytest.mark.parametrize("horizon", [20, 600])
+def test_text_adversary_matches_the_per_item_reference(horizon):
+    # the second phase in `advance` runs against one `feed` per item
+    roster = [learner_constant(ONE_INF, mode="text"), *map(TwoBigBlocks, (2, 3, 4))]
+    verdicts = []
+    for learner in roster:
+        rep = text_adversary(learner, horizon=horizon)
+        assert rep.locked_conjecture == ONE_INF, learner.name
+        moved = per_item_two_class_phase(learner, rep.sigma, horizon)
+        assert rep.phase2_stages == (horizon if moved is None else moved), learner.name
+        assert rep.verdict == ("defeated" if moved is None else "undecided"), learner.name
+        verdicts.append(rep.verdict)
+    # the two-blocks learners leave the lock after 12, 23 and 38 items
+    assert set(verdicts) == {"defeated", "undecided"}
 
 
 def test_text_adversary_rejects_informant_learners():

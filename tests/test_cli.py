@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from limitlearn.cli import main
+
 CLI = [sys.executable, "-m", "limitlearn.cli"]
 
 
@@ -148,19 +150,50 @@ def test_exit_code_table(family_files, tmp_path, command, code, message):
 @pytest.mark.parametrize(
     "command",
     [
-        ("simulate", "--learner", "separator"),
-        ("simulate", "--learner", "constant"),
-        ("simulate", "--learner", "separator", "--seeds", "0:2", "--jobs", 2),
-        ("adversary", "--learner", "separator"),
+        ("simulate", "--learner", "separator", "--horizon", 50),
+        ("simulate", "--learner", "constant", "--horizon", 50),
+        ("simulate", "--learner", "separator", "--seeds", "0:2", "--jobs", 2, "--horizon", 50),
+        ("adversary", "--learner", "separator", "--horizon", 50),
         ("locking", "--learner", "constant"),
-        ("bridge", "roundtrip"),
+        ("bridge", "roundtrip", "--horizon", 50),
     ],
 )
 def test_negative_target_is_a_parse_error(family_files, tmp_path, command):
     res = run_cli(*command, "--family", family_files["example1"], "--target", -1,
-                  "--horizon", 50, "--out", tmp_path)
+                  "--out", tmp_path)
     assert res.returncode == 2
     assert "target index -1 outside the family" in res.stderr
+
+
+# The shared options each command does not read, which it refuses
+UNREAD_OPTIONS = {
+    "check": ("learner", "target", "seed", "horizon", "window", "depth", "width", "jobs"),
+    "simulate": ("depth", "width", "bound"),
+    "adversary": ("seed", "window", "bound", "jobs"),
+    "diagonalize": ("seed", "window", "depth", "width", "bound", "jobs"),
+    "locking": ("seed", "horizon", "window", "bound", "jobs"),
+    "bridge translate": ("learner", "depth", "width", "jobs"),
+    "replay": ("seed", "depth", "width", "bound", "jobs"),
+}
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, opts in UNREAD_OPTIONS.items()
+                                            for o in opts])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, command, option, capsys):
+    argv = [*command.split(), "--family", "fam.json", "--out", str(tmp_path),
+            f"--{option}", "separator" if option == "learner" else "1"]
+    if command == "replay":
+        argv += ["--items", "items.txt", "--summary", "summary.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+
+
+def test_an_unread_option_exits_2_from_the_command_line(family_files, tmp_path):
+    res = run_cli("locking", "--family", family_files["example1"], "--horizon", 50,
+                  "--out", tmp_path)
+    assert_exit(res, 2, "unrecognized arguments: --horizon")
 
 
 def test_simulate_writes_deterministic_outputs(family_files, tmp_path):

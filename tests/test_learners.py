@@ -66,7 +66,7 @@ def trace_of(conjectures):
     """The trace of a full conjecture list, stage 0 first."""
     if not conjectures:
         return Trace([], 0)
-    return Trace.fold(conjectures[0], lambda c: c, enumerate(conjectures[1:], 1))
+    return Trace.fold(conjectures[0], enumerate(conjectures[1:], 1))
 
 
 def feed_all(learner, items):
