@@ -13,12 +13,10 @@ from .structures import (
     Character,
     Component,
     ExtNat,
-    FiniteStructure,
     RepresentationError,
     biembeddable,
     char_diff_min,
     char_subset,
-    component,
     embeds,
     ext,
     fin_biembeddable,
@@ -40,11 +38,8 @@ from .presentations import (
     fair_text,
     informant_prefix,
     read_trace,
-    reorder_to_informant,
     reordered_informant,
     REORDER_STRATEGIES,
-    structure_from_prefix,
-    text_prefix,
     write_trace,
 )
 from .separability import (
@@ -59,7 +54,6 @@ from .separability import (
     generated_limit_verdict,
     limit_witness,
     separator_of,
-    separator_realized,
 )
 from .learners import (
     Learner,
@@ -91,11 +85,8 @@ from .adversaries import (
 from .bridge import (
     FinitePermutation,
     SizeSequence,
-    lang_member,
     language_closure,
     permuted,
-    seq_eq,
-    seq_le,
     size_sequence_of,
     telltale_search,
 )

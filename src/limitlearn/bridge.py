@@ -2,11 +2,12 @@
 
 A census translates to a size sequence g (slot index -> class size) and then
 to the language { <i,j> : j < g(i) }.  Size sequences are finitely described
-(explicit prefix, round-robin tail streams, finite overrides), which keeps
-membership, pointwise comparison, and subset checks on the induced languages
-exact.  Finite permutations of the slots give the language family a census
-maps to.  Two searches run over that family: `language_closure`, bounded to
-the transpositions of the first slots, and `telltale_search`, which reads the
+(explicit prefix, round-robin tail streams, finite overrides) and repeat
+past a settle index, so `_window` reads them on finitely many slots, which
+decide equality and inclusion of the induced languages exactly.  Finite
+permutations of the slots give the language family a census maps to.  Two
+searches run over that family: `language_closure`, bounded to the
+transpositions of the first slots, and `telltale_search`, which reads the
 least separating codes off the sequences in closed form, bounded by the
 largest code and set size it may report.
 """
@@ -24,9 +25,7 @@ from .structures import (
     Character,
     ExtNat,
     RepresentationError,
-    ext,
     pair_code,
-    unpair_code,
 )
 
 
@@ -99,10 +98,6 @@ class SizeSequence:
         ds = [s.per_size for s in self.streams if isinstance(s, _PatternStream)]
         return S * math.lcm(*ds) if ds else S
 
-    def __str__(self) -> str:
-        head = ",".join(repr(v) for v in self.prefix[:8])
-        return f"SizeSequence([{head}...], {len(self.streams)} streams)"
-
 
 def size_sequence_of(char: Character) -> SizeSequence:
     """The canonical slot layout for a census: its `slot_demand`, the finite
@@ -117,34 +112,6 @@ def size_sequence_of(char: Character) -> SizeSequence:
     streams = (_PatternStream(char.default.finite, char.sizes_of_interest) if s == PATTERN
                else _ConstStream(size(s)) for s in sources)
     return SizeSequence(tuple(map(size, finite)), tuple(streams))
-
-
-def slot_count(seq: SizeSequence, size: "ExtNat | int | str") -> ExtNat:
-    """How many slots carry exactly the given size (the census count property)."""
-    size = ext(size)
-    total = 0
-    for i in range(len(seq.prefix)):
-        if seq.eval(i) == size:
-            total += 1
-    checked = set(range(len(seq.prefix)))
-    for idx, value in seq.overrides:
-        if idx in checked:
-            continue
-        checked.add(idx)
-        if value == size:
-            total += 1
-        if seq.tail(idx) == size:
-            total -= 1  # the override hides one tail occurrence
-    for stream in seq.streams:
-        if isinstance(stream, _ConstStream):
-            if stream.value == size:
-                return OMEGA
-        else:
-            if size.is_omega:
-                continue
-            if size.finite >= 1 and size.finite not in stream.skip:
-                total += stream.per_size
-    return ExtNat(total)
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +147,6 @@ def _vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
     # where b is finite past the base, so is a (it is below b); a must not grow faster
     return all(vb[i] == math.inf or va[i + period] - va[i] <= vb[i + period] - vb[i]
                for i in range(base, base + period))
-
-
-def seq_le(a: SizeSequence, b: SizeSequence) -> bool:
-    """Pointwise comparison of two size sequences (= language inclusion)."""
-    if a == b:
-        return True
-    base, period, (va, vb) = _window((a, b))
-    return _vec_le(va, vb, base, period)
-
-
-def seq_eq(a: SizeSequence, b: SizeSequence) -> bool:
-    if a == b:
-        return True
-    _, _, (va, vb) = _window((a, b))
-    return va == vb
-
-
-# ---------------------------------------------------------------------------
-# Languages
-
-
-def lang_member(lang: SizeSequence, code: int) -> bool:
-    i, j = unpair_code(code)
-    value = lang.eval(i)
-    return value.is_omega or j < value.finite
 
 
 # ---------------------------------------------------------------------------

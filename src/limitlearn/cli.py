@@ -384,6 +384,9 @@ def cmd_replay(args) -> int:
             recorded = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse recorded summary: {exc}", EXIT_PARSE)
+    if not isinstance(recorded, dict):
+        raise CliError(f"cannot parse recorded summary: a summary is a JSON object, "
+                       f"not a {type(recorded).__name__}", EXIT_PARSE)
     keys = ("converged", "stage", "final", "mind_changes", "mind_change_stages")
     mismatches = {k: (summary.get(k), recorded.get(k))
                   for k in keys if summary.get(k) != recorded.get(k)}

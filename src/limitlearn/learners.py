@@ -36,9 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, reorder_items
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
 from .structures import (
-    ZERO,
     Character,
-    FiniteStructure,
     biembeddable,
     fin_biembeddable,
     fin_embeds,
@@ -243,12 +241,9 @@ class MinEmbedLearner(EchoLearner):
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         members = tuple(members)
-        if enforce:
-            for m in members:
-                if m.omega_count != ZERO:
-                    raise FamilyError("this learner requires families without infinite classes")
-            if not finitely_separable(members):
-                raise FamilyError("this learner requires a finitely separable family")
+        # `finitely_separable` raises FamilyError on infinite classes
+        if enforce and not finitely_separable(members):
+            raise FamilyError("this learner requires a finitely separable family")
         self.members = members
         self._profiles = tuple(m.cumulative_profile for m in members)
         n = len(members)
@@ -266,11 +261,6 @@ class MinEmbedLearner(EchoLearner):
         minimal = self._minimal_hosts()
         self._cached_index = min(minimal) if minimal else None
         self._cached = self.members[self._cached_index] if minimal else None
-
-    def conjectured_index(self) -> int | None:
-        """The index of the least minimal host (None when nothing hosts the data)."""
-        self.conjecture()
-        return self._cached_index
 
 
 class SeparatorLearner(MinEmbedLearner):
@@ -329,9 +319,9 @@ def _partitions(total: int, max_part: int):
 
 def distinguishing_substructure(
     member: Character, others: Sequence[Character], cap: int = 200
-) -> FiniteStructure:
+) -> tuple[int, ...]:
     """Smallest finite substructure of `member` (by total size, then profile)
-    embeddable into no other member.
+    embeddable into no other member, as its block sizes in descending order.
 
     One exists exactly when `member` finitely embeds into no other member, so
     that case raises ``FamilyError`` before any partition is tried.
@@ -349,11 +339,7 @@ def distinguishing_substructure(
         for parts in sorted(_partitions(total, max_part)):
             profile = profile_of(Counter(parts))
             if profile_le(profile, own) and not any(profile_le(profile, r) for r in rivals):
-                blocks, start = [], 0
-                for p in parts:
-                    blocks.append(range(start, start + p))
-                    start += p
-                return FiniteStructure.from_blocks(blocks)
+                return parts
     raise FamilyError(f"no distinguishing substructure of {member} within size {cap}")
 
 
@@ -361,8 +347,10 @@ class OneShotLearner(Learner):
     """Stays silent until a distinguishing finite substructure of some member
     shows up in explicitly separated blocks, then commits to that member forever.
 
-    Distinct witness blocks may only be used when the data has explicitly
-    labeled them apart; blocks that merely look distinct could still merge.
+    Each member's witness is a tuple of block sizes, by default its
+    ``distinguishing_substructure``.  Distinct witness blocks may only be
+    used when the data has explicitly labeled them apart; blocks that merely
+    look distinct could still merge.
     Block sizes move only with ``struct_rev``, so while no witness's largest
     block fits the largest decoded block, ``advance`` decodes up to the next
     structural revision and checks there.
@@ -374,7 +362,7 @@ class OneShotLearner(Learner):
     def __init__(
         self,
         members: Sequence[Character],
-        witnesses: Sequence[FiniteStructure] | None = None,
+        witnesses: Sequence[tuple[int, ...]] | None = None,
         enforce: bool = True,
     ):
         members = tuple(members)
@@ -388,9 +376,7 @@ class OneShotLearner(Learner):
                 for m in members
             ]
         self.witnesses = list(witnesses)
-        self._profiles = [
-            sorted((len(b) for b in w.blocks), reverse=True) for w in self.witnesses
-        ]
+        self._profiles = [sorted(w, reverse=True) for w in self.witnesses]
         # no witness is present while the largest decoded block is smaller
         self._least_top = min((p[0] for p in self._profiles), default=0)
         self.reset()
@@ -512,7 +498,7 @@ def learner_separator(members: Sequence[Character], enforce: bool = True) -> Sep
 
 def learner_one_shot(
     members: Sequence[Character],
-    witnesses: Sequence[FiniteStructure] | None = None,
+    witnesses: Sequence[tuple[int, ...]] | None = None,
     enforce: bool = True,
 ) -> OneShotLearner:
     return OneShotLearner(members, witnesses, enforce)

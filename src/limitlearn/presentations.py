@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .structures import (
     ZERO,
     Character,
-    FiniteStructure,
     RepresentationError,
     profile_of,
 )
@@ -55,10 +54,6 @@ class Prefix:
 
 def informant_prefix(items: Iterable[InformantItem] = ()) -> Prefix:
     return Prefix(INFORMANT, tuple(items))
-
-
-def text_prefix(items: Iterable[TextItem] = ()) -> Prefix:
-    return Prefix(TEXT, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +252,6 @@ class PrefixState:
         return dup
 
 
-def structure_from_prefix(prefix: Prefix) -> tuple[FiniteStructure, dict[int, int]]:
-    """Decode a prefix into the finite structure it determines.
-
-    The universe is every element mentioned (positively or negatively), the
-    relation is the reflexive-symmetric-transitive closure of the positive
-    pairs, and everything else is taken as negative.  Returns the structure on
-    a normalized universe {0..n-1} plus the original-name-to-normalized map.
-    """
-    state = PrefixState(prefix.kind)
-    state.feed_all(prefix.items)
-    names = sorted(state._parent)
-    rename = {name: i for i, name in enumerate(names)}
-    blocks = [[rename[x] for x in block] for block in state.blocks()]
-    return FiniteStructure.from_blocks(blocks), rename
-
-
 # ---------------------------------------------------------------------------
 # Trace / replay file format
 
@@ -460,9 +439,6 @@ class Stream:
     def __iter__(self):
         return self._iterator
 
-    def __next__(self):
-        return next(self._iterator)
-
 
 def _new_pairs(old_n: int, new_n: int):
     """The ordered pairs over range(new_n) outside the square range(old_n)²,
@@ -575,17 +551,3 @@ def reorder_items(blocks: list[list[int]]) -> list[InformantItem]:
         items.extend((x, y, 0) for x, y in cross)
     return items
 
-
-def reorder_to_informant(prefix: Prefix) -> Prefix:
-    """Rewrite a text prefix as the informant prefix that presents its classes
-    one at a time.
-
-    Classes (inferred from the positive closure) are ordered by least mentioned
-    element.  Each class contributes all its positive pairs, followed by the
-    assumed negative pairs between it and every earlier class.
-    """
-    if prefix.kind != TEXT:
-        raise ValueError("reorder_to_informant expects a text prefix")
-    state = PrefixState(TEXT)
-    state.feed_all(prefix.items)
-    return Prefix(INFORMANT, tuple(reorder_items(state.blocks())))

@@ -9,7 +9,6 @@ which components recur infinitely often.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -19,7 +18,6 @@ from .structures import (
     Character,
     Component,
     ExtNat,
-    FiniteStructure,
     RepresentationError,
     char_diff_min,
     char_subset,
@@ -114,12 +112,6 @@ class Family:
             raise FamilyError("family has no generator")
         return [spec.produce(i) for i in range(n)]
 
-    def to_json(self):
-        data = {"members": [m.to_json() for m in self.members]}
-        if self.generator:
-            data["generator"] = {"name": self.generator}
-        return data
-
     @classmethod
     def from_json(cls, data) -> "Family":
         if not isinstance(data, dict):
@@ -129,16 +121,6 @@ class Family:
         if gen is None:
             return cls(members)
         return cls(members, gen["name"])
-
-    @classmethod
-    def load(cls, path) -> "Family":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +255,6 @@ def separator_of(member: Character, members: Sequence[Character]) -> Separator:
         if diff is not None:  # always present when the family is finitely separable
             comps.add(diff)
     return Separator(member, frozenset(comps))
-
-
-def separator_realized(sep: Separator, structure: FiniteStructure) -> bool:
-    census = structure.character()
-    return all(census.has_component(c) for c in sep.components)
 
 
 def fin_antichain(members: Sequence[Character]) -> bool:

@@ -47,14 +47,6 @@ class ExtNat:
     def is_omega(self) -> bool:
         return self.finite is None
 
-    def __add__(self, other: "ExtNat | int") -> "ExtNat":
-        other = ext(other)
-        if self.is_omega or other.is_omega:
-            return OMEGA
-        return ExtNat(self.finite + other.finite)
-
-    __radd__ = __add__
-
     def __le__(self, other: "ExtNat | int") -> bool:
         other = ext(other)
         if other.is_omega:
@@ -156,10 +148,6 @@ class Component:
 
     def to_json(self):
         return [self.size.to_json(), self.index]
-
-
-def component(size: "ExtNat | int | str", index: int) -> Component:
-    return Component(ext(size), index)
 
 
 # ---------------------------------------------------------------------------
@@ -295,45 +283,11 @@ class Character:
             return cls.of(*[(s, c) for s, c in data])
         if not isinstance(data, dict):
             raise RepresentationError(f"cannot parse character from {data!r}")
-        exc = {int(k): v for k, v in data.get("exceptions", {}).items()}
+        exceptions = data.get("exceptions", {})
+        if not isinstance(exceptions, dict):
+            raise TypeError(f"exceptions are a JSON object, not a {type(exceptions).__name__}")
+        exc = {int(k): v for k, v in exceptions.items()}
         return cls.make(data.get("default", 0), exc, data.get("omega_count", 0))
-
-
-# ---------------------------------------------------------------------------
-# Finite structures
-
-
-@dataclass(frozen=True)
-class FiniteStructure:
-    """A concrete equivalence relation on {0..n-1}, given by its blocks."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise RepresentationError("blocks must be nonempty")
-            if block & seen:
-                raise RepresentationError("blocks must be disjoint")
-            seen |= block
-        if seen and seen != set(range(len(seen))):
-            raise RepresentationError("blocks must partition a prefix of the naturals")
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "FiniteStructure":
-        canon = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        return cls(canon)
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def character(self) -> Character:
-        counts: dict[int, int] = {}
-        for block in self.blocks:
-            counts[len(block)] = counts.get(len(block), 0) + 1
-        return Character.make(0, counts, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from itertools import count, islice
 
 from limitlearn import (
     AdversaryReport,
+    ExtNat,
     FamilyError,
-    FiniteStructure,
     OMEGA,
     ZERO,
     Character,
@@ -41,12 +41,12 @@ from limitlearn import (
     conjectures_equal,
     embeds,
     ext,
-    lang_member,
     pair_code,
     permuted,
+    unpair_code,
 )
 from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
-from limitlearn.bridge import _vec_le, _window
+from limitlearn.bridge import _ConstStream, _vec_le, _window
 from limitlearn.presentations import ClassAssignment, _new_pairs
 from limitlearn.learners import (
     Learner,
@@ -389,6 +389,10 @@ def sweep_pattern_sizes(skip, n):
 # The ExtNat census algebra the cumulative profile replaced
 
 
+def _extnat_sum(a: ExtNat, b: ExtNat) -> ExtNat:
+    return OMEGA if a.is_omega or b.is_omega else ExtNat(a.finite + b.finite)
+
+
 def extnat_cumulative(char: Character, threshold):
     """Classes of size >= threshold, re-summed over the exceptions."""
     threshold = ext(threshold)
@@ -399,7 +403,7 @@ def extnat_cumulative(char: Character, threshold):
     total = char.omega_count
     for size, cnt in char.exceptions:
         if size >= threshold.finite:
-            total = total + cnt
+            total = _extnat_sum(total, cnt)
     return total
 
 
@@ -640,6 +644,48 @@ class ComposedLanguageToStructLearner(Learner):
 
 
 # ---------------------------------------------------------------------------
+# Language membership and the slot count, read slot by slot off a size
+# sequence
+
+
+def lang_member(lang, code: int) -> bool:
+    """Whether the code <i, j> lies in the language of the size sequence:
+    j < g(i)."""
+    i, j = unpair_code(code)
+    value = lang.eval(i)
+    return value.is_omega or j < value.finite
+
+
+def slot_count(seq, size) -> ExtNat:
+    """How many slots of the size sequence carry exactly the given size (the
+    census count property), from its prefix, overrides and streams."""
+    size = ext(size)
+    total = 0
+    for i in range(len(seq.prefix)):
+        if seq.eval(i) == size:
+            total += 1
+    checked = set(range(len(seq.prefix)))
+    for idx, value in seq.overrides:
+        if idx in checked:
+            continue
+        checked.add(idx)
+        if value == size:
+            total += 1
+        if seq.tail(idx) == size:
+            total -= 1  # the override hides one tail occurrence
+    for stream in seq.streams:
+        if isinstance(stream, _ConstStream):
+            if stream.value == size:
+                return OMEGA
+        else:
+            if size.is_omega:
+                continue
+            if size.finite >= 1 and size.finite not in stream.skip:
+                total += stream.per_size
+    return ExtNat(total)
+
+
+# ---------------------------------------------------------------------------
 # The tell-tale probe and the cumulative-count substructure search the closed
 # forms replaced
 
@@ -685,11 +731,7 @@ def cumulative_distinguishing_substructure(member: Character, others, cap: int =
                 any(parts_ge(profile, t) > extnat_cumulative(other, t) for t in thresholds)
                 for other in others
             ):
-                blocks, start = [], 0
-                for p in profile:
-                    blocks.append(range(start, start + p))
-                    start += p
-                return FiniteStructure.from_blocks(blocks)
+                return profile
     raise FamilyError(f"no distinguishing substructure of {member} within size {cap}")
 
 

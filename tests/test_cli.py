@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from limitlearn.cli import main
+from limitlearn.cli import _build_parser, main
 
 CLI = [sys.executable, "-m", "limitlearn.cli"]
 
@@ -109,6 +110,12 @@ INPUT_FILES = {
     "family_list": "[[[2, 1]], [[3, 1]]]",
     "family_number": "3",
     "family_string": '"members"',
+    "exceptions_list": '{"members": [{"exceptions": [[2, 1]]}]}',
+    "exceptions_string": '{"members": [{"exceptions": "abc"}]}',
+    "exceptions_null": '{"members": [{"exceptions": null}]}',
+    "items": "P 0 0\n",
+    "summary_list": "[1, 2]",
+    "summary_string": '"x"',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -129,6 +136,13 @@ EXIT_CODE_TABLE = [
     (("check", "--family", "{family_list}"), 2, "cannot parse family file"),
     (("check", "--family", "{family_number}"), 2, "cannot parse family file"),
     (("check", "--family", "{family_string}"), 2, "cannot parse family file"),
+    (("check", "--family", "{exceptions_list}"), 2, "cannot parse family file"),
+    (("check", "--family", "{exceptions_string}"), 2, "cannot parse family file"),
+    (("check", "--family", "{exceptions_null}"), 2, "cannot parse family file"),
+    (("replay", "--items", "{items}", "--summary", "{summary_list}"), 2,
+     "cannot parse recorded summary"),
+    (("replay", "--items", "{items}", "--summary", "{summary_string}"), 2,
+     "cannot parse recorded summary"),
 ]
 
 
@@ -142,9 +156,50 @@ def test_exit_code_table(family_files, tmp_path, command, code, message):
     args = [str(a).format(**paths) for a in command]
     if "--family" not in args:
         args += ["--family", paths["example1"]]
-    if args[0] == "replay":
+    if args[0] == "replay" and "--summary" not in args:
         args += ["--summary", paths["missing"]]
     assert_exit(run_cli(*args, "--out", tmp_path), code, message)
+
+
+def _commands_reading_a_family():
+    """Every subcommand with a --family option, once per bridge action."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in sub.choices.items():
+        if "--family" not in command._option_string_actions:
+            continue
+        actions = [a.choices for a in command._actions if not a.option_strings and a.choices]
+        yield from ((name, action) for action in actions[0]) if actions else [(name,)]
+
+
+# Malformed family files and the exit code each must get from every command
+# that reads one: 2 for a parse error, 3 for a representation error
+MALFORMED_FAMILIES = {
+    "exceptions-list": ({"members": [{"exceptions": [[2, 1]]}]}, 2),
+    "exceptions-string": ({"members": [{"exceptions": "abc"}]}, 2),
+    "exceptions-null": ({"members": [{"exceptions": None}]}, 2),
+    "size-0-class": ({"members": [[[0, 1]]]}, 3),
+    "non-integer-size": ({"members": [{"exceptions": {"two": 1}}]}, 2),
+    "unknown-generator": ({"members": [[[2, 1]]], "generator": {"name": "nope"}}, 3),
+    "non-object-generator": ({"members": [[[2, 1]]], "generator": "kronecker"}, 2),
+}
+FAMILY_MESSAGES = {2: "cannot parse family file", 3: "invalid family"}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED_FAMILIES)
+@pytest.mark.parametrize("command", list(_commands_reading_a_family()), ids=" ".join)
+def test_a_malformed_family_exits_2_or_3_from_every_command(tmp_path, capsys, command,
+                                                           malformed):
+    payload, code = MALFORMED_FAMILIES[malformed]
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(payload))
+    argv = [*command, "--family", str(family), "--out", str(tmp_path)]
+    if command[0] == "replay":
+        argv += ["--items", "items.txt", "--summary", "summary.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    assert FAMILY_MESSAGES[code] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from limitlearn import (
     REORDER_STRATEGIES,
     Character,
     FamilyError,
-    FiniteStructure,
     Trace,
     conjectures_equal,
     distinguishing_substructure,
@@ -189,11 +188,8 @@ def test_separator_learner_distinguishes_one_class_family():
 
 
 def test_distinguishing_substructures_for_example1():
-    fam = list(EXAMPLE1)
-    k56 = distinguishing_substructure(C56, [C57])
-    k57 = distinguishing_substructure(C57, [C56])
-    assert sorted(len(b) for b in k56.blocks) == [6, 6]
-    assert sorted(len(b) for b in k57.blocks) == [7]
+    assert distinguishing_substructure(C56, [C57]) == (6, 6)
+    assert distinguishing_substructure(C57, [C56]) == (7,)
 
 
 def test_no_distinguishing_substructure_when_a_member_finitely_embeds_into_another():
@@ -251,13 +247,13 @@ def test_one_shot_requires_antichain():
 
 
 def test_one_shot_accepts_explicit_witnesses():
-    witnesses = [
-        FiniteStructure.from_blocks([range(6), range(6, 12)]),
-        FiniteStructure.from_blocks([range(7)]),
-    ]
-    lrn = learner_one_shot(list(EXAMPLE1), witnesses=witnesses)
-    items = [(i, j, 1) for i in range(7) for j in range(7)]
-    assert feed_all(lrn, items)[-1] == C57
+    # a lone 7-block is the default witness for C57 but not this one, whose
+    # sizes come in any order
+    lrn = learner_one_shot(list(EXAMPLE1), witnesses=[(6, 6), (5, 7)])
+    seven = [(i, j, 1) for i in range(7) for j in range(7)]
+    five = [(7 + i, 7 + j, 1) for i in range(5) for j in range(5)]
+    assert feed_all(lrn, seven + five)[-1] is None  # not yet labeled apart
+    assert lrn.feed((0, 7, 0)) == C57
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def test_profile_hosts_match_the_census_hosts(case):
         below = min_embed._strictly_below
         assert minimal_hosts(state.profile(), min_embed._profiles, below) == \
             char_minimal_hosts(state, family, below), stage
-        assert min_embed.conjectured_index() == pairs[0][1].conjectured_index()
+        assert min_embed._cached_index == pairs[0][1]._cached_index
 
 
 @settings(max_examples=60, deadline=None)

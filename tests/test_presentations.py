@@ -9,7 +9,6 @@ from limitlearn import (
     INFORMANT,
     TEXT,
     ConsistencyError,
-    FiniteStructure,
     OMEGA,
     Prefix,
     PrefixState,
@@ -18,17 +17,15 @@ from limitlearn import (
     fair_text,
     informant_prefix,
     read_trace,
-    reorder_to_informant,
     reordered_informant,
     REORDER_STRATEGIES,
-    structure_from_prefix,
-    text_prefix,
     write_trace,
 )
 from limitlearn.presentations import (
     PATTERN,
     pattern_size,
     pattern_sizes,
+    reorder_items,
     slot_demand,
 )
 from limitlearn.structures import pair_code, unpair_code
@@ -52,34 +49,39 @@ OM = "omega"
 # Prefix decoding
 
 
+def _decoded(kind, items):
+    """The decoded blocks of a whole prefix, each sorted, in sorted order."""
+    state = PrefixState(kind)
+    state.feed_all(items)
+    return sorted(state.blocks())
+
+
 def test_decode_informant_prefix():
-    s, names = structure_from_prefix(informant_prefix([(0, 1, 1), (2, 3, 0)]))
-    assert s == FiniteStructure.from_blocks([{0, 1}, {2}, {3}])
-    assert names == {0: 0, 1: 1, 2: 2, 3: 3}
+    items = [(0, 1, 1), (2, 3, 0)]
+    assert _decoded(INFORMANT, items) == [[0, 1], [2], [3]] == _closure_blocks(items, INFORMANT)
 
 
 def test_decode_text_transitivity():
-    s, _ = structure_from_prefix(text_prefix([(0, 1), (1, 2)]))
-    assert s == FiniteStructure.from_blocks([{0, 1, 2}])
+    items = [(0, 1), (1, 2)]
+    assert _decoded(TEXT, items) == [[0, 1, 2]] == _closure_blocks(items, TEXT)
 
 
 def test_decode_empty_prefix():
-    s, names = structure_from_prefix(informant_prefix())
-    assert s.n == 0 and names == {}
+    assert _decoded(INFORMANT, []) == [] == _closure_blocks([], INFORMANT)
 
 
 def test_decode_normalizes_names():
-    s, names = structure_from_prefix(text_prefix([(10, 30), None, (7, 7)]))
-    assert names == {7: 0, 10: 1, 30: 2}
-    assert s == FiniteStructure.from_blocks([{0}, {1, 2}])
+    # names are kept, pauses skipped, and the blocks listed in sorted order
+    items = [(10, 30), None, (7, 7)]
+    assert _decoded(TEXT, items) == [[7], [10, 30]] == _closure_blocks(items, TEXT)
 
 
 def test_inconsistent_prefix_reports_item_index():
     with pytest.raises(ConsistencyError) as err:
-        structure_from_prefix(informant_prefix([(0, 1, 1), (1, 2, 1), (0, 2, 0)]))
+        PrefixState(INFORMANT).feed_all([(0, 1, 1), (1, 2, 1), (0, 2, 0)])
     assert err.value.index == 2
     with pytest.raises(ConsistencyError):
-        structure_from_prefix(informant_prefix([(0, 1, 0), (0, 1, 1)]))
+        PrefixState(INFORMANT).feed_all([(0, 1, 0), (0, 1, 1)])
 
 
 @st.composite
@@ -209,9 +211,8 @@ def _closure_blocks(items, kind):
 def test_advance_matches_item_by_item_feeding(names, data):
     """`advance` over arbitrary runs of a prefix stops right after the
     first item that moves `struct_rev`, leaves the decoder where the
-    per-item, path-compressing decoder leaves it, fails on the same item,
-    and decodes the structure `structure_from_prefix` and a plain closure
-    decode."""
+    per-item, path-compressing decoder leaves it, fails on the same item as
+    a whole-prefix decode, and decodes the classes a plain closure does."""
     kind = data.draw(st.sampled_from([INFORMANT, TEXT]))
     if kind == INFORMANT:
         items = data.draw(_any_informant(names))
@@ -232,7 +233,7 @@ def test_advance_matches_item_by_item_feeding(names, data):
             assert err.index == want.value.index
             _same_state(state, ref)
             with pytest.raises(ConsistencyError) as whole:
-                structure_from_prefix(informant_prefix(items))
+                PrefixState(kind).feed_all(items)
             assert whole.value.index == err.index
             return
         assert fed <= run
@@ -243,9 +244,6 @@ def test_advance_matches_item_by_item_feeding(names, data):
             assert ref.struct_rev != rev
         _same_state(state, ref)
     assert state.advance(stream) == 0
-    structure, rename = structure_from_prefix(Prefix(kind, tuple(items)))
-    renamed = sorted(sorted(rename[x] for x in block) for block in state.blocks())
-    assert renamed == sorted(sorted(block) for block in structure.blocks)
     assert sorted(state.blocks()) == _closure_blocks(items, kind)
 
 
@@ -323,7 +321,7 @@ _text_items = st.lists(
 @given(_text_items)
 def test_text_trace_roundtrip(tmp_path_factory, items):
     path = tmp_path_factory.mktemp("traces") / "t.txt"
-    prefix = text_prefix(items)
+    prefix = Prefix(TEXT, tuple(items))
     write_trace(path, prefix)
     assert read_trace(path, "text") == prefix
 
@@ -335,7 +333,7 @@ def test_informant_trace_roundtrip(tmp_path):
 
 
 def test_trace_rejects_wrong_kind(tmp_path):
-    write_trace(tmp_path / "x.txt", text_prefix([None]))
+    write_trace(tmp_path / "x.txt", Prefix(TEXT, (None,)))
     with pytest.raises(ValueError):
         read_trace(tmp_path / "x.txt", "informant")
 
@@ -495,9 +493,15 @@ def test_reordered_streams_stay_consistent(strategy):
 # Text-to-informant reordering
 
 
+def _reordered(items):
+    """The informant items that present a text prefix's classes one at a time."""
+    state = PrefixState(TEXT)
+    state.feed_all(items)
+    return reorder_items(state.blocks())
+
+
 def test_reorder_golden_example():
-    got = reorder_to_informant(text_prefix([(0, 1), (2, 3)]))
-    assert list(got.items) == [
+    assert _reordered([(0, 1), (2, 3)]) == [
         (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1),
         (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1),
         (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0),
@@ -506,16 +510,14 @@ def test_reorder_golden_example():
 
 
 def test_reorder_trivial_cases():
-    assert reorder_to_informant(text_prefix()).items == ()
-    assert reorder_to_informant(text_prefix([(0, 0)])).items == ((0, 0, 1),)
+    assert _reordered([]) == []
+    assert _reordered([(0, 0)]) == [(0, 0, 1)]
 
 
 def test_reorder_output_is_consistent_and_structure_preserving():
-    prefix = text_prefix([(4, 9), (1, 2), None, (9, 9), (2, 4)])
-    out = reorder_to_informant(prefix)
-    s_text, _ = structure_from_prefix(prefix)
-    s_inf, _ = structure_from_prefix(out)  # raises if inconsistent
-    assert s_text == s_inf
+    items = [(4, 9), (1, 2), None, (9, 9), (2, 4)]
+    # decoding the informant raises if it is inconsistent
+    assert _decoded(INFORMANT, _reordered(items)) == _decoded(TEXT, items)
 
 
 def test_reorder_monotone_over_completed_classes():
@@ -526,12 +528,10 @@ def test_reorder_monotone_over_completed_classes():
     prev_positive: set = set()
     prev_blocks: list = []
     for cut in (500, 1000, 1500, 2000, 2500):
-        prefix = text_prefix(items[:cut])
         state = PrefixState("text")
-        state.feed_all(prefix.items)
+        state.feed_all(items[:cut])
         blocks = {frozenset(b) for b in state.blocks()}
-        reordered = reorder_to_informant(prefix)
-        positives = {(x, y) for x, y, lab in reordered.items if lab}
+        positives = {(x, y) for x, y, lab in reorder_items(state.blocks()) if lab}
         for block in prev_blocks:
             if block in blocks:  # class unchanged by the extension
                 for x in block:
