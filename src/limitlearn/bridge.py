@@ -5,7 +5,9 @@ to the language { <i,j> : j < g(i) }.  Size sequences are finitely described
 (explicit prefix, round-robin tail streams, finite overrides) and repeat
 past a settle index, so `_window` reads them on finitely many slots, which
 decide equality and inclusion of the induced languages exactly.  Finite
-permutations of the slots give the language family a census maps to.  Two
+permutations of the slots give the language family a census maps to; they
+change only the overrides, so `_window` settles and evaluates each slot
+layout (prefix and streams) once, however many permutations share it.  Two
 searches run over that family: `language_closure`, bounded to the
 transpositions of the first slots, and `telltale_search`, which reads the
 least separating codes off the sequences in closed form, bounded by the
@@ -25,6 +27,7 @@ from .structures import (
     Character,
     ExtNat,
     RepresentationError,
+    _plain,
     pair_code,
 )
 
@@ -62,7 +65,9 @@ class _PatternStream:
 
 @dataclass(frozen=True)
 class SizeSequence:
-    """A finitely described total map slot index -> class size (0 = no class)."""
+    """A finitely described total map slot index -> class size (0 = no class):
+    an explicit prefix, then round-robin streams, with overrides, sorted by
+    slot, in place of single values."""
 
     prefix: tuple[ExtNat, ...] = ()
     streams: tuple = ()
@@ -86,12 +91,16 @@ class SizeSequence:
     def settle_index(self) -> int:
         """Index past the prefix, overrides, and stream warm-up, from which the
         sequence is exactly periodic-affine."""
-        base = len(self.prefix)
-        if self.overrides:
-            base = max(base, 1 + max(i for i, _ in self.overrides))
+        return self.start() + self.warm_up()
+
+    def start(self) -> int:
+        """The first slot past the prefix and the overrides."""
+        return max(len(self.prefix), self.overrides[-1][0] + 1) if self.overrides else len(self.prefix)
+
+    def warm_up(self) -> int:
+        """Slots past `start` until the streams repeat; it depends only on the streams."""
         S = max(1, len(self.streams))
-        warm = max((s.settle() for s in self.streams), default=1)
-        return base + S * (warm + 1)
+        return S * (max((s.settle() for s in self.streams), default=1) + 1)
 
     def period(self) -> int:
         S = max(1, len(self.streams))
@@ -122,22 +131,25 @@ def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
     """(base, period, values): past `base` every sequence repeats with `period`
     up to a fixed step per residue, so the values on [0, base + 2 * period)
     decide equality and, with those steps, inclusion.  Values are plain
-    numbers (omega = math.inf); each layout (prefix and streams) is evaluated
-    once and overrides are patched on top."""
-    base = max((s.settle_index() for s in seqs), default=0)
-    period = math.lcm(*(s.period() for s in seqs))
-    layouts: dict = {}
+    numbers (omega = math.inf).  Each layout (prefix and streams) is settled
+    and evaluated once; a sequence adds only its overrides, to the base and
+    onto a copy of its layout's values."""
+    keys = [(seq.prefix, seq.streams) for seq in seqs]
+    layouts = {key: SizeSequence(*key) for key in dict.fromkeys(keys)}
+    warm = {key: layout.warm_up() for key, layout in layouts.items()}
+    base = max((seq.start() + warm[key] for seq, key in zip(seqs, keys)), default=0)
+    period = math.lcm(*(layout.period() for layout in layouts.values()))
+    values = {key: tuple(map(_plain, map(layout.eval, range(base + 2 * period))))
+              for key, layout in layouts.items()}
     out = []
-    for seq in seqs:
-        key = (seq.prefix, seq.streams)
-        if key not in layouts:
-            bare = SizeSequence(seq.prefix, seq.streams)
-            layouts[key] = [math.inf if v.is_omega else v.finite
-                            for v in map(bare.eval, range(base + 2 * period))]
-        vec = layouts[key].copy()
-        for i, v in seq.overrides:
-            vec[i] = math.inf if v.is_omega else v.finite
-        out.append(tuple(vec))
+    for seq, key in zip(seqs, keys):
+        vec = values[key]
+        if seq.overrides:
+            vec = list(vec)
+            for i, v in seq.overrides:
+                vec[i] = _plain(v)
+            vec = tuple(vec)
+        out.append(vec)
     return base, period, out
 
 

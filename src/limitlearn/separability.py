@@ -116,7 +116,10 @@ class Family:
     def from_json(cls, data) -> "Family":
         if not isinstance(data, dict):
             raise TypeError(f"a family is a JSON object, not a {type(data).__name__}")
-        members = tuple(Character.from_json(m) for m in data.get("members", []))
+        members = data.get("members", [])
+        if not isinstance(members, list):
+            raise TypeError(f"members are a JSON list, not a {type(members).__name__}")
+        members = tuple(map(Character.from_json, members))
         gen = data.get("generator")
         if gen is None:
             return cls(members)

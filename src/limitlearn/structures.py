@@ -154,6 +154,14 @@ class Component:
 # Characters
 
 
+def _size(value: object) -> int:
+    """A listed class size, which must be an integer (a float such as 2.5 or
+    a string is refused, not truncated or parsed)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"a class size is an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Character:
     """Census of an equivalence structure: classes per size, finitely described.
@@ -192,7 +200,7 @@ class Character:
     ) -> "Character":
         default = ext(default)
         items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        canon = sorted((int(k), ext(v)) for k, v in items)
+        canon = sorted((_size(k), ext(v)) for k, v in items)
         canon = tuple((k, v) for k, v in canon if v != default)
         return cls(default, canon, ext(omega_count))
 
@@ -208,7 +216,7 @@ class Character:
             if size == "omega" or (isinstance(size, ExtNat) and size.is_omega):
                 omega_count = ext(count)
             else:
-                exc.append((int(size), ext(count)))
+                exc.append((size, ext(count)))
         return cls.make(0, exc, omega_count)
 
     @cached_property

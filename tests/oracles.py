@@ -192,6 +192,21 @@ def brute_embeds_matching(a: Character, b: Character, copies_cap: int = 8) -> bo
 
 
 # ---------------------------------------------------------------------------
+# The window sequence by sequence
+
+
+def per_sequence_window(seqs):
+    """`_window` with nothing shared between sequences: the base is the largest
+    `settle_index()`, the period the lcm of the `period()`s, and each vector
+    the sequence's own `eval` on [0, base + 2 * period), omega as math.inf."""
+    base = max((seq.settle_index() for seq in seqs), default=0)
+    period = math.lcm(*(seq.period() for seq in seqs))
+    vecs = [tuple(math.inf if v.is_omega else v.finite for v in map(seq.eval, range(base + 2 * period)))
+            for seq in seqs]
+    return base, period, vecs
+
+
+# ---------------------------------------------------------------------------
 # Language closure by pairwise comparison
 
 

@@ -29,7 +29,13 @@ from families import (
     census,
     kron_slice,
 )
-from oracles import lang_member, pairwise_language_closure, probe_telltale_search, slot_count
+from oracles import (
+    lang_member,
+    pairwise_language_closure,
+    per_sequence_window,
+    probe_telltale_search,
+    slot_count,
+)
 
 OM = "omega"
 
@@ -135,6 +141,18 @@ def test_seq_comparisons_match_explicit_prefix(char, swap, data):
     assert seq_le(a, b) == all(x <= y for x, y in zip(va, vb))
     assert seq_le(b, a) == all(y <= x for x, y in zip(va, vb))
     assert seq_eq(a, b) == (va == vb)
+
+
+@given(st.lists(st.tuples(_censuses, st.lists(_swaps, max_size=3)), max_size=4), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_window_matches_the_per_sequence_reference(drawn, rnd):
+    """`_window`, which settles and evaluates each layout once, gives the same
+    base, period and vectors as sequence-by-sequence evaluation.  Each census
+    comes with some of its transpositions, so sequences with and without
+    overrides share a layout."""
+    seqs = [_swapped(char, swap) for char, swaps in drawn for swap in (None, *swaps)]
+    rnd.shuffle(seqs)
+    assert _window(seqs) == per_sequence_window(seqs)
 
 
 def test_finite_permutation_rejects_non_bijections_and_fixed_points():

@@ -180,6 +180,8 @@ MALFORMED_FAMILIES = {
     "exceptions-null": ({"members": [{"exceptions": None}]}, 2),
     "size-0-class": ({"members": [[[0, 1]]]}, 3),
     "non-integer-size": ({"members": [{"exceptions": {"two": 1}}]}, 2),
+    "fractional-size-shorthand": ({"members": [[[2.5, 1]]]}, 2),
+    "members-object": ({"members": {"a": 1}}, 2),
     "unknown-generator": ({"members": [[[2, 1]]], "generator": {"name": "nope"}}, 3),
     "non-object-generator": ({"members": [[[2, 1]]], "generator": "kronecker"}, 2),
 }

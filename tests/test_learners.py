@@ -93,6 +93,15 @@ def test_min_embed_tracks_hosts():
     assert conjectures[-1] == census(0, {6: OM})
 
 
+def test_a_merge_gives_a_member_back_its_host_status():
+    """A decoded prefix's profile does not only rise: merging two singletons
+    lowers its block count at threshold 1, so [2:1], which stops hosting two
+    singletons, hosts again once they merge into one 2-block."""
+    lrn = learner_min_embed([census(0, {2: 1}), census(0, {1: OM})])
+    assert feed_all(lrn, [(0, 0, 1), (1, 1, 1), (0, 1, 1)]) == [
+        census(0, {2: 1}), census(0, {2: 1}), census(0, {1: OM}), census(0, {2: 1})]
+
+
 def test_min_embed_answers_question_mark_when_nothing_hosts():
     lrn = learner_min_embed(list(EXAMPLE1))
     items = [(i, j, 1) for i in range(8) for j in range(8)]  # an 8-block
