@@ -1,21 +1,24 @@
 """Translation between structure learning and language learning.
 
 A census translates to a size sequence g (slot index -> class size) and then
-to the language { <i,j> : j < g(i) }.  Size sequences are finitely described
-(explicit prefix, round-robin tail streams, finite overrides) and repeat
-past a settle index, so `_window` reads them on finitely many slots, which
-decide equality and inclusion of the induced languages exactly.  Finite
-permutations of the slots give the language family a census maps to; they
-change only the overrides, so `_window` settles and evaluates each slot
-layout (prefix and streams) once, however many permutations share it.  Two
-searches run over that family: `language_closure`, bounded to the
-transpositions of the first slots, and `telltale_search`, which reads the
-least separating codes off the sequences in closed form, bounded by the
-largest code and set size it may report.
+to the language { <i,j> : j < g(i) }.  A size sequence is held settled: plain
+numbers (omega = math.inf) on the slots [0, base + 2 * period), past whose
+base each residue class gains a fixed step per period, so those values decide
+equality and inclusion of the induced languages exactly.  `size_sequence_of`
+settles a census's slot layout once, and `_window` stretches sequences to a
+common base and period only where theirs differ.  Finite permutations of the
+slots give the language family a census maps to.  Two searches run over that
+family: `language_closure`, bounded to the transpositions of the first slots,
+which swaps entries of its inputs' values on one window that every member
+shares, and `telltale_search`, which reads the least separating codes off
+those values in closed form, bounded by the largest code and set size it may
+report.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,11 +26,9 @@ from .learners import SeparatorLearner
 from .presentations import PATTERN, pattern_size, slot_demand
 from .structures import (
     OMEGA,
-    ZERO,
     Character,
     ExtNat,
     RepresentationError,
-    _plain,
     pair_code,
 )
 
@@ -37,90 +38,58 @@ from .structures import (
 
 
 @dataclass(frozen=True)
-class _ConstStream:
-    value: ExtNat
-
-    def nth(self, n: int) -> ExtNat:
-        return self.value
-
-    def settle(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class _PatternStream:
-    """The default count's sizes: `pattern_size` over the sorted `skip`."""
-
-    per_size: int
-    skip: tuple[int, ...]
-
-    def nth(self, n: int) -> ExtNat:
-        return ExtNat(pattern_size(n, self.per_size, self.skip))
-
-    def settle(self) -> int:
-        top = max(self.skip, default=0) + 2
-        admissible = sum(1 for s in range(1, top + 1) if s not in self.skip)
-        return self.per_size * (admissible + 1)
-
-
-@dataclass(frozen=True)
 class SizeSequence:
-    """A finitely described total map slot index -> class size (0 = no class):
-    an explicit prefix, then round-robin streams, with overrides, sorted by
-    slot, in place of single values."""
+    """A total map slot index -> class size (0 = no class), settled: `values`
+    on the slots [0, base + 2 * period) as plain numbers, omega as math.inf.
+    Past `base` each residue class mod `period` gains a fixed step per period
+    (0 where the class size is constant or infinite)."""
 
-    prefix: tuple[ExtNat, ...] = ()
-    streams: tuple = ()
-    overrides: tuple[tuple[int, ExtNat], ...] = ()
+    values: tuple
+    period: int
+
+    @property
+    def base(self) -> int:
+        return len(self.values) - 2 * self.period
+
+    def at(self, i: int) -> float:
+        """The size at slot i as a plain number."""
+        if i < len(self.values):
+            return self.values[i]
+        turns, residue = divmod(i - self.base, self.period)
+        first = self.values[self.base + residue]
+        if first == math.inf:
+            return first
+        return first + turns * (self.values[self.base + residue + self.period] - first)
 
     def eval(self, i: int) -> ExtNat:
-        for idx, value in self.overrides:
-            if idx == i:
-                return value
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.tail(i)
+        size = self.at(i)
+        return OMEGA if size == math.inf else ExtNat(size)
 
-    def tail(self, i: int) -> ExtNat:
-        """The streams' value at slot i past the prefix, overrides aside."""
-        if not self.streams:
-            return ZERO
-        j = i - len(self.prefix)
-        return self.streams[j % len(self.streams)].nth(j // len(self.streams))
-
-    def settle_index(self) -> int:
-        """Index past the prefix, overrides, and stream warm-up, from which the
-        sequence is exactly periodic-affine."""
-        return self.start() + self.warm_up()
-
-    def start(self) -> int:
-        """The first slot past the prefix and the overrides."""
-        return max(len(self.prefix), self.overrides[-1][0] + 1) if self.overrides else len(self.prefix)
-
-    def warm_up(self) -> int:
-        """Slots past `start` until the streams repeat; it depends only on the streams."""
-        S = max(1, len(self.streams))
-        return S * (max((s.settle() for s in self.streams), default=1) + 1)
-
-    def period(self) -> int:
-        S = max(1, len(self.streams))
-        ds = [s.per_size for s in self.streams if isinstance(s, _PatternStream)]
-        return S * math.lcm(*ds) if ds else S
+    def stretched(self, base: int, period: int) -> SizeSequence:
+        """The same sequence held on [0, base + 2 * period), for a base at
+        least this one's and a multiple of this period."""
+        return SizeSequence(tuple(map(self.at, range(base + 2 * period))), period)
 
 
 def size_sequence_of(char: Character) -> SizeSequence:
-    """The canonical slot layout for a census: its `slot_demand`, the finite
-    demands as the prefix and the sources as round-robin streams."""
+    """The canonical slot layout for a census, settled: its `slot_demand`,
+    the finite demands first and then one size from each source in turn.
+    Only the default count's sizes (PATTERN) warm up: they rise by 1 every
+    `per_size` turns once past the largest listed size, which takes
+    `per_size * (max(skip) - len(skip))` turns."""
     if char.default.is_omega:
         raise RepresentationError("size sequences for an infinite default are out of scope")
     finite, sources = slot_demand(char)
-
-    def size(s) -> ExtNat:
-        return OMEGA if s is None else ExtNat(s)
-
-    streams = (_PatternStream(char.default.finite, char.sizes_of_interest) if s == PATTERN
-               else _ConstStream(size(s)) for s in sources)
-    return SizeSequence(tuple(map(size, finite)), tuple(streams))
+    per_size, skip = char.default.finite, char.sizes_of_interest
+    warm_up, turns = 0, 1
+    if PATTERN in sources:
+        warm_up, turns = per_size * (max(skip, default=0) - len(skip)), per_size
+    width = max(1, len(sources))
+    base, period = len(finite) + width * warm_up, width * turns
+    tail = (pattern_size(n, per_size, skip) if s == PATTERN else s
+            for n in itertools.count() for s in sources) if sources else itertools.repeat(0)
+    values = itertools.islice(itertools.chain(finite, tail), base + 2 * period)
+    return SizeSequence(tuple(math.inf if s is None else s for s in values), period)
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +97,20 @@ def size_sequence_of(char: Character) -> SizeSequence:
 
 
 def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
-    """(base, period, values): past `base` every sequence repeats with `period`
-    up to a fixed step per residue, so the values on [0, base + 2 * period)
-    decide equality and, with those steps, inclusion.  Values are plain
-    numbers (omega = math.inf).  Each layout (prefix and streams) is settled
-    and evaluated once; a sequence adds only its overrides, to the base and
-    onto a copy of its layout's values."""
-    keys = [(seq.prefix, seq.streams) for seq in seqs]
-    layouts = {key: SizeSequence(*key) for key in dict.fromkeys(keys)}
-    warm = {key: layout.warm_up() for key, layout in layouts.items()}
-    base = max((seq.start() + warm[key] for seq, key in zip(seqs, keys)), default=0)
-    period = math.lcm(*(layout.period() for layout in layouts.values()))
-    values = {key: tuple(map(_plain, map(layout.eval, range(base + 2 * period))))
-              for key, layout in layouts.items()}
-    out = []
-    for seq, key in zip(seqs, keys):
-        vec = values[key]
-        if seq.overrides:
-            vec = list(vec)
-            for i, v in seq.overrides:
-                vec[i] = _plain(v)
-            vec = tuple(vec)
-        out.append(vec)
-    return base, period, out
+    """(base, period, values): the largest base, the lcm of the periods, and
+    each sequence's values on [0, base + 2 * period), which decide equality
+    and, with the steps past the base, inclusion.  A sequence already held
+    on that window (every member of one `language_closure`) gives its values
+    as they are; only the others are stretched."""
+    period = math.lcm(*{seq.period for seq in seqs})
+    base = max((seq.base for seq in seqs), default=0)
+    size = base + 2 * period
+    return base, period, [seq.values if len(seq.values) == size else seq.stretched(base, period).values
+                          for seq in seqs]
 
 
 def _vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
-    if any(x > y for x, y in zip(va, vb)):
+    if not all(map(operator.le, va, vb)):
         return False
     # where b is finite past the base, so is a (it is below b); a must not grow faster
     return all(vb[i] == math.inf or va[i + period] - va[i] <= vb[i + period] - vb[i]
@@ -181,31 +137,38 @@ class FinitePermutation:
 
 
 def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
-    """The sequence i -> seq(perm(i)); equal outside the permutation's support."""
+    """The sequence i -> seq(perm(i)); equal outside the permutation's support,
+    so its base is past the support."""
     if not perm.moves:
         return seq
-    overrides = {i: v for i, v in seq.overrides}
-    new_overrides = dict(overrides)
+    held = seq.stretched(max(seq.base, max(a for a, _ in perm.moves) + 1), seq.period)
+    values = list(held.values)
     for a, b in perm.moves:
-        new_overrides[a] = seq.eval(b)
-    return SizeSequence(seq.prefix, seq.streams, tuple(sorted(new_overrides.items())))
+        values[a] = held.values[b]
+    return SizeSequence(tuple(values), seq.period)
 
 
 def language_closure(langs: Sequence[SizeSequence], positions: int) -> list[SizeSequence]:
     """The given languages together with all transposition variants over the
     first `positions` slots (a bounded stand-in for the full permutation closure).
 
-    The input comes first, verbatim; each new language follows at the first
-    transposition that yields it."""
-    cands = [permuted(lang, FinitePermutation(((a, b), (b, a))))
-             for lang in langs for a in range(positions) for b in range(a + 1, positions)]
-    _, _, vecs = _window([*langs, *cands])
-    seen = set(vecs[:len(langs)])
-    out = list(langs)
-    for cand, vec in zip(cands, vecs[len(langs):]):
-        if vec not in seen:
-            seen.add(vec)
-            out.append(cand)
+    Every member is held on one window, with a base of at least `positions`:
+    the inputs come first, in order, stretched to it; each new language
+    follows at the first transposition that yields it, its values those of
+    its input with two entries swapped."""
+    base = max([positions, *(lang.base for lang in langs)])
+    period = math.lcm(*{lang.period for lang in langs})
+    out = [lang.stretched(base, period) for lang in langs]
+    seen = {lang.values for lang in out}
+    for lang in out[:len(langs)]:
+        for a in range(positions):
+            for b in range(a + 1, positions):
+                vec = list(lang.values)
+                vec[a], vec[b] = vec[b], vec[a]
+                vec = tuple(vec)
+                if vec not in seen:
+                    seen.add(vec)
+                    out.append(SizeSequence(vec, period))
     return out
 
 
@@ -223,13 +186,16 @@ def telltale_search(
 
     The set carries the least code of L \\ L' for each properly-included family
     language L': the least ``<i, L'(i)>`` over the slots where L'(i) < L(i).
-    That code lies in `_window`'s vectors: past their base each slot gains a
+    That code lies in the window's values: past their base each slot gains a
     fixed step per period, L' gains no more than L and neither loses, so a
     residue class whose gap opens at all opens within the window's two
-    periods, and its later codes are larger.  Codes and the set size are
-    capped by `bound`, so the bound must reach the largest separating code the
-    family needs: over kron slices 7 and 8 at 12 positions that is 72, 84 and
-    98, and the search fails at bound 64 though both slices are separable.
+    periods, and its later codes are larger.  Members of one
+    `language_closure` share a window, so their values are read as they are;
+    only `lang`, when it is not a member, is stretched to it.  Codes and the
+    set size are capped by `bound`, so the bound must reach the largest
+    separating code the family needs: over kron slices 7 and 8 at 12
+    positions that is 72, 84 and 98, and the search fails at bound 64 though
+    both slices are separable.
     """
     base, period, (vec, *vecs) = _window([lang, *family_langs])
     witnesses: set[int] = set()

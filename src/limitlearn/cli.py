@@ -400,6 +400,16 @@ def cmd_replay(args) -> int:
 # Argument parsing
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer no smaller than `floor`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitlearn",
@@ -413,9 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "seed": {"type": int, "default": None},
         "horizon": {"type": int, "default": 10000},
         "window": {"type": int, "default": 200},
-        "depth": {"type": int, "default": 50},
-        "width": {"type": int, "default": 8},
-        "bound": {"type": int, "default": 64},
+        "depth": {"type": _at_least(0), "default": 50},
+        "width": {"type": _at_least(1), "default": 8},
+        "bound": {"type": _at_least(0), "default": 64},
         "jobs": {"type": int, "default": 1},
     }
 
@@ -457,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="language-learning translation tools")
     p.add_argument("action", choices=("translate", "telltale", "roundtrip"))
     common(p, "target", "seed", "horizon", "window", "bound")
-    p.add_argument("--positions", type=int, default=12)
+    p.add_argument("--positions", type=_at_least(0), default=12)
     p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("replay", help="re-run a recorded item file and compare")

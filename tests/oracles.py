@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 from limitlearn import (
     AdversaryReport,
@@ -28,7 +28,6 @@ from limitlearn import (
     Character,
     ConsistencyError,
     DiagonalizationReport,
-    FinitePermutation,
     INFORMANT,
     PAUSE,
     RELATIONS,
@@ -42,12 +41,11 @@ from limitlearn import (
     embeds,
     ext,
     pair_code,
-    permuted,
     unpair_code,
 )
 from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
-from limitlearn.bridge import _ConstStream, _vec_le, _window
-from limitlearn.presentations import ClassAssignment, _new_pairs
+from limitlearn.bridge import SizeSequence, _vec_le, _window
+from limitlearn.presentations import PATTERN, ClassAssignment, _new_pairs, pattern_sizes, slot_demand
 from limitlearn.learners import (
     Learner,
     MinEmbedLearner,
@@ -192,18 +190,32 @@ def brute_embeds_matching(a: Character, b: Character, copies_cap: int = 8) -> bo
 
 
 # ---------------------------------------------------------------------------
-# The window sequence by sequence
+# Slot sizes straight from the census, and settled sequences read slot by slot
 
 
-def per_sequence_window(seqs):
-    """`_window` with nothing shared between sequences: the base is the largest
-    `settle_index()`, the period the lcm of the `period()`s, and each vector
-    the sequence's own `eval` on [0, base + 2 * period), omega as math.inf."""
-    base = max((seq.settle_index() for seq in seqs), default=0)
-    period = math.lcm(*(seq.period() for seq in seqs))
-    vecs = [tuple(math.inf if v.is_omega else v.finite for v in map(seq.eval, range(base + 2 * period)))
-            for seq in seqs]
-    return base, period, vecs
+def census_slot_sizes(char, n):
+    """The first n slot sizes of a census, straight from its `slot_demand`:
+    the finite demands, then one size from each source in turn (the default
+    count's from `pattern_sizes`), omega as math.inf, and 0 where nothing is
+    demanded."""
+    finite, sources = slot_demand(char)
+    streams = [pattern_sizes(char) if s == PATTERN else repeat(s) for s in sources]
+    sizes = list(finite)
+    while len(sizes) < n and streams:
+        sizes.extend(next(stream) for stream in streams)
+    sizes = [math.inf if s is None else s for s in sizes[:n]]
+    return sizes + [0] * (n - len(sizes))
+
+
+def plain_sizes(seq, n):
+    """The first n sizes of a settled size sequence, read off its `values` and
+    continued past them slot by slot: a slot repeats the slot one period
+    back, plus the step between the two slots a period apart before it."""
+    sizes = list(seq.values[:n])
+    for i in range(len(sizes), n):
+        prev = sizes[i - seq.period]
+        sizes.append(prev if prev == math.inf else 2 * prev - sizes[i - 2 * seq.period])
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -212,44 +224,42 @@ def per_sequence_window(seqs):
 
 def pairwise_language_closure(langs, positions):
     """The bridge's closure as first written: each transposition candidate is
-    kept unless it equals a language already kept.  Each pair is compared on
-    its own window, in ExtNat values, and a third period past the window
-    checks that both sequences have settled where their settle indices say."""
-    memo: dict = {}
-
-    def values(seq, n):
-        if (seq, n) not in memo:
-            memo[seq, n] = [seq.eval(i) for i in range(n)]
-        return memo[seq, n]
+    kept unless it equals a language already kept.  A candidate swaps two of
+    its language's sizes and moves the base past both.  Each pair is compared
+    on its own window, from the larger base and the lcm of the periods, and a
+    third period past the window checks that both sequences have settled
+    where their bases say."""
+    n = max([positions, *(lang.base for lang in langs)]) + 3 * math.lcm(*(lang.period for lang in langs))
 
     def steps(vals, base, period):
         out = []
         for rho in range(period):
             v0, v1, v2 = (vals[base + rho + k * period] for k in range(3))
-            if v0.is_omega:
-                assert v1.is_omega and v2.is_omega, "not settled"
+            if v0 == math.inf:
+                assert v1 == v2 == math.inf, "not settled"
                 out.append(None)
             else:
-                assert not (v1.is_omega or v2.is_omega), "not settled"
-                assert v2.finite - v1.finite == v1.finite - v0.finite >= 0, "not settled"
-                out.append(v1.finite - v0.finite)
+                assert v1 < math.inf and v2 < math.inf, "not settled"
+                assert v2 - v1 == v1 - v0 >= 0, "not settled"
+                out.append(v1 - v0)
         return out
 
-    def equal(a, b):
-        base = max(a.settle_index(), b.settle_index())
-        period = math.lcm(a.period(), b.period())
-        va, vb = values(a, base + 3 * period), values(b, base + 3 * period)
-        return (va[:base + 2 * period] == vb[:base + 2 * period]
-                and steps(va, base, period) == steps(vb, base, period))
+    def equal(x, y):
+        (vx, bx, px), (vy, by, py) = x, y
+        base, period = max(bx, by), math.lcm(px, py)
+        return (vx[:base + 2 * period] == vy[:base + 2 * period]
+                and steps(vx, base, period) == steps(vy, base, period))
 
-    out = list(langs)
-    for lang in langs:
+    out = [(plain_sizes(lang, n), lang.base, lang.period) for lang in langs]
+    for vals, base, period in out[:len(langs)]:
         for a in range(positions):
             for b in range(a + 1, positions):
-                cand = permuted(lang, FinitePermutation(((a, b), (b, a))))
+                swapped = list(vals)
+                swapped[a], swapped[b] = vals[b], vals[a]
+                cand = (swapped, max(base, b + 1), period)
                 if not any(equal(cand, seen) for seen in out):
                     out.append(cand)
-    return out
+    return [SizeSequence(tuple(vals[:base + 2 * period]), period) for vals, base, period in out]
 
 
 # ---------------------------------------------------------------------------
@@ -673,30 +683,19 @@ def lang_member(lang, code: int) -> bool:
 
 def slot_count(seq, size) -> ExtNat:
     """How many slots of the size sequence carry exactly the given size (the
-    census count property), from its prefix, overrides and streams."""
+    census count property): those below its base, and past it one for each
+    residue class whose progression of sizes meets the size, or infinitely
+    many where that progression stands still on it."""
     size = ext(size)
-    total = 0
-    for i in range(len(seq.prefix)):
-        if seq.eval(i) == size:
+    size = math.inf if size.is_omega else size.finite
+    base, period = seq.base, seq.period
+    total = seq.values[:base].count(size)
+    for first, second in zip(seq.values[base:base + period], seq.values[base + period:]):
+        step = 0 if first == math.inf else second - first
+        if first == size and step == 0:
+            return OMEGA
+        if first <= size < math.inf and step and (size - first) % step == 0:
             total += 1
-    checked = set(range(len(seq.prefix)))
-    for idx, value in seq.overrides:
-        if idx in checked:
-            continue
-        checked.add(idx)
-        if value == size:
-            total += 1
-        if seq.tail(idx) == size:
-            total -= 1  # the override hides one tail occurrence
-    for stream in seq.streams:
-        if isinstance(stream, _ConstStream):
-            if stream.value == size:
-                return OMEGA
-        else:
-            if size.is_omega:
-                continue
-            if size.finite >= 1 and size.finite not in stream.skip:
-                total += stream.per_size
     return ExtNat(total)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from limitlearn import (
     ExtNat,
     FinitePermutation,
     OMEGA,
+    SizeSequence,
     fair_informant,
     language_closure,
     learner_separator,
@@ -30,9 +33,10 @@ from families import (
     kron_slice,
 )
 from oracles import (
+    census_slot_sizes,
     lang_member,
     pairwise_language_closure,
-    per_sequence_window,
+    plain_sizes,
     probe_telltale_search,
     slot_count,
 )
@@ -125,6 +129,25 @@ def _swapped(char, swap):
     return seq if swap is None else permuted(seq, FinitePermutation((tuple(swap), tuple(swap[::-1]))))
 
 
+def _swapped_sizes(char, swap, n):
+    """`census_slot_sizes`, with the two slots of `swap` exchanged."""
+    sizes = census_slot_sizes(char, n)
+    if swap is not None:
+        a, b = swap
+        sizes[a], sizes[b] = sizes[b], sizes[a]
+    return sizes
+
+
+@given(_censuses, _swaps)
+@settings(max_examples=300, deadline=None)
+def test_size_sequence_matches_the_census_slot_sizes(char, swap):
+    """A settled size sequence, some transposed, reads the census's slot
+    sizes on its first 400 slots: its warm-up and period are long enough."""
+    seq = _swapped(char, swap)
+    got = [math.inf if v.is_omega else v.finite for v in map(seq.eval, range(400))]
+    assert got == _swapped_sizes(char, swap, 400)
+
+
 @given(_censuses, _swaps, st.data())
 @settings(max_examples=300, deadline=None)
 def test_seq_comparisons_match_explicit_prefix(char, swap, data):
@@ -146,13 +169,16 @@ def test_seq_comparisons_match_explicit_prefix(char, swap, data):
 @given(st.lists(st.tuples(_censuses, st.lists(_swaps, max_size=3)), max_size=4), st.randoms())
 @settings(max_examples=300, deadline=None)
 def test_window_matches_the_per_sequence_reference(drawn, rnd):
-    """`_window`, which settles and evaluates each layout once, gives the same
-    base, period and vectors as sequence-by-sequence evaluation.  Each census
-    comes with some of its transpositions, so sequences with and without
-    overrides share a layout."""
-    seqs = [_swapped(char, swap) for char, swaps in drawn for swap in (None, *swaps)]
-    rnd.shuffle(seqs)
-    assert _window(seqs) == per_sequence_window(seqs)
+    """`_window`'s values are each sequence's census slot sizes, and past its
+    base those sizes repeat with its period up to a fixed step per slot.
+    Each census comes with some of its transpositions, so sequences on
+    different windows and on the same one meet."""
+    pairs = [(_swapped(char, swap), (char, swap)) for char, swaps in drawn for swap in (None, *swaps)]
+    rnd.shuffle(pairs)
+    base, period, vecs = _window([seq for seq, _ in pairs])
+    for vec, (_, (char, swap)) in zip(vecs, pairs):
+        n = base + 3 * period
+        assert plain_sizes(SizeSequence(vec, period), n) == _swapped_sizes(char, swap, n)
 
 
 def test_finite_permutation_rejects_non_bijections_and_fixed_points():
@@ -175,7 +201,10 @@ def test_permuted_sequences():
                          ids=[*SEPARABLE_CORPUS, "nonseparable"])
 def test_language_closure_matches_pairwise_reference(family):
     langs = [size_sequence_of(m) for m in family]
-    assert language_closure(langs, 12) == pairwise_language_closure(langs, 12)
+    closure = language_closure(langs, 12)
+    assert len({(len(lang.values), lang.period) for lang in closure}) == 1  # one window
+    assert ([plain_sizes(lang, 200) for lang in closure]
+            == [plain_sizes(lang, 200) for lang in pairwise_language_closure(langs, 12)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +268,21 @@ def test_telltale_closed_form_matches_the_probe_loop(positions):
             for bound in (0, 5, 64, 100, 400):
                 want = probe_telltale_search(lang, closure, bound)
                 assert telltale_search(lang, closure, bound) == want, (name, bound)
+
+
+@pytest.mark.parametrize("name", TELLTALE_FAMILIES)
+def test_telltales_do_not_depend_on_the_closure_window(name):
+    """The closure's languages share one window; the same languages built one
+    by one with `permuted`, each on its own window and with the duplicates
+    left in, give the same tell-tales."""
+    langs = [size_sequence_of(m) for m in TELLTALE_FAMILIES[name]]
+    closure = language_closure(langs, 12)
+    apart = [*langs, *(permuted(lang, FinitePermutation(((a, b), (b, a))))
+                       for lang in langs for a in range(12) for b in range(a + 1, 12))]
+    assert len({(len(lang.values), lang.period) for lang in apart}) > 1
+    for lang in langs:
+        for bound in (64, 100):
+            assert telltale_search(lang, apart, bound) == telltale_search(lang, closure, bound), bound
 
 
 # ---------------------------------------------------------------------------

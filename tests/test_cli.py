@@ -128,6 +128,11 @@ EXIT_CODE_TABLE = [
     (("bridge", "roundtrip", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
     (("diagonalize", "--class-size", 1), 2, "--class-size >= 2"),
     (("diagonalize", "--horizon", -3), 2, "--horizon >= 0"),
+    (("bridge", "telltale", "--positions", -3), 2, "argument --positions: must be at least 0"),
+    (("bridge", "telltale", "--bound", -1), 2, "argument --bound: must be at least 0"),
+    (("check", "--bound", -1), 2, "argument --bound: must be at least 0"),
+    (("locking", "--depth", -1), 2, "argument --depth: must be at least 0"),
+    (("locking", "--width", 0), 2, "argument --width: must be at least 1"),
     (("replay", "--items", "{inconsistent}"), 3, "inconsistent item file"),
     (("replay", "--items", "{malformed}"), 2, "cannot read item file"),
     (("replay", "--items", "{missing}"), 2, "cannot read item file"),
