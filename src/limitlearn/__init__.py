@@ -56,29 +56,29 @@ from .separability import (
     separator_of,
 )
 from .learners import (
+    ConstantLearner,
+    EchoLearner,
     Learner,
+    MinEmbedLearner,
+    OneShotLearner,
     RELATIONS,
+    SeparatorLearner,
     SimulationResult,
+    SplitOnNegativeLearner,
+    TextFromInformantLearner,
     Trace,
     conjectures_equal,
     distinguishing_substructure,
-    learner_constant,
-    learner_echo,
-    learner_from_text,
-    learner_min_embed,
-    learner_one_shot,
-    learner_separator,
-    learner_split_on_negative,
     run_simulation,
 )
 from .adversaries import (
     AdversaryReport,
     DiagonalizationReport,
+    LimitAdversary,
+    LockingNormalForm,
     LockingSearchResult,
     TextAdversaryReport,
     diagonalize,
-    limit_adversary,
-    locking_transform,
     text_adversary,
     weak_locking_search,
 )
@@ -90,5 +90,16 @@ from .bridge import (
     size_sequence_of,
     telltale_search,
 )
+
+# The names the benchmark in perfbench/ calls the classes by.
+learner_constant = ConstantLearner
+learner_split_on_negative = SplitOnNegativeLearner
+learner_echo = EchoLearner
+learner_min_embed = MinEmbedLearner
+learner_separator = SeparatorLearner
+learner_one_shot = OneShotLearner
+learner_from_text = TextFromInformantLearner
+limit_adversary = LimitAdversary
+locking_transform = LockingNormalForm
 
 __all__ = [name for name in dir() if not name.startswith("_")]

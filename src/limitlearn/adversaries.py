@@ -9,6 +9,7 @@ form.  All searches are bounded and say so in their verdicts.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -107,8 +108,7 @@ class _TargetBuilder:
         self._rot = 0
 
     def _avail(self, size: Optional[int]) -> bool:
-        count = self.target.count(OMEGA if size is None else size)
-        return count.is_omega or self.used[size] < count.finite
+        return self.used[size] < self.target.count(OMEGA if size is None else size)
 
     def _match_sizes(self, sizes_desc: list[int]) -> list[Optional[int]]:
         """Plan a target size >= each block size, smallest available first;
@@ -335,10 +335,6 @@ class LimitAdversary:
         except ConsistencyError:
             consistent = False
         return AdversaryReport(trace, items, switches, current, consistent)
-
-
-def limit_adversary(learner: Learner, limit: Character, members: Sequence[Character]) -> LimitAdversary:
-    return LimitAdversary(learner, limit, members)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +568,9 @@ def weak_locking_search(
     conjecture differing from the one at `start` yields a violator pair;
     otherwise `start` is reported as a candidate locking sequence at these
     bounds.  Completability of informant prefixes is judged without merging
-    existing blocks, which is conservative.
+    existing blocks, which is conservative.  A text completion presents only
+    infinite classes, so in text mode a target with a finite class, a nonzero
+    default or infinitely many infinite classes is refused (``FamilyError``).
     """
     if learner.mode != start.kind:
         raise FamilyError("learner mode does not match the prefix kind")
@@ -583,9 +581,11 @@ def weak_locking_search(
             raise FamilyError("start prefix is not completable to the target census")
         builder = _TargetBuilder(target, state.blocks())
     else:
-        if target.omega_count == ZERO or target.omega_count.is_omega:
-            raise FamilyError("text locking search supports finitely many infinite classes")
-        builder = _TextBuilder(state.blocks(), target.omega_count.finite)
+        k = target.count(OMEGA)
+        if target.default != ZERO or target.exceptions or not 0 < k < math.inf:
+            raise FamilyError("text locking search completes only toward finitely many "
+                              "infinite classes and no finite ones")
+        builder = _TextBuilder(state.blocks(), k)
     base = learner.clone()
     base.reset()
     base.consume_all(start.items)
@@ -727,10 +727,6 @@ class LockingNormalForm(Learner):
         return Prefix(self.mode, tuple(self._sigma))
 
 
-def locking_transform(base: Learner) -> LockingNormalForm:
-    return LockingNormalForm(base)
-
-
 # ---------------------------------------------------------------------------
 # The text adversary
 
@@ -769,12 +765,15 @@ def text_adversary(
     """Defeat a text learner on the pair {one infinite class, two infinite classes}.
 
     Phase 1 hunts for a locking candidate on the single-class structure; phase
-    2 extends it with a second connected component.  A learner that never
-    locks within bounds, locks on a wrong conjecture, or stays locked while
-    the stream turns two-classed is defeated; anything else is undecided.
+    2 extends it with a second connected component for `horizon` items (at
+    least one: a verdict needs a two-class item).  A learner that never locks
+    within bounds, locks on a wrong conjecture, or stays locked while the
+    stream turns two-classed is defeated; anything else is undecided.
     """
     if learner.mode != TEXT:
         raise FamilyError("the text adversary drives text learners")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     sigma = Prefix(TEXT, ())
     restarts = 0
     result = weak_locking_search(learner, ONE_CLASS, sigma, depth, width)

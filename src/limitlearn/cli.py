@@ -15,16 +15,16 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from . import bridge as bridge_mod
-from .adversaries import diagonalize, limit_adversary, text_adversary, weak_locking_search
+from .adversaries import LimitAdversary, diagonalize, text_adversary, weak_locking_search
 from .learners import (
+    ConstantLearner,
+    EchoLearner,
     Learner,
-    learner_constant,
-    learner_echo,
-    learner_from_text,
-    learner_min_embed,
-    learner_one_shot,
-    learner_separator,
-    learner_split_on_negative,
+    MinEmbedLearner,
+    OneShotLearner,
+    SeparatorLearner,
+    SplitOnNegativeLearner,
+    TextFromInformantLearner,
     run_simulation,
 )
 from .presentations import (
@@ -131,22 +131,22 @@ def _make_learner(name: str, family: Family, target: int) -> Learner:
     members = family.members
     try:
         if base_name == "constant":
-            learner = learner_constant(_member(family, target))
+            learner = ConstantLearner(_member(family, target))
         elif base_name == "min-embed":
-            learner = learner_min_embed(members, enforce=False)
+            learner = MinEmbedLearner(members, enforce=False)
         elif base_name == "separator":
-            learner = learner_separator(members, enforce=False)
+            learner = SeparatorLearner(members, enforce=False)
         elif base_name == "one-shot":
-            learner = learner_one_shot(members, enforce=False)
+            learner = OneShotLearner(members, enforce=False)
         elif base_name == "split":
-            learner = learner_split_on_negative()
+            learner = SplitOnNegativeLearner()
         elif base_name == "echo":
-            learner = learner_echo()
+            learner = EchoLearner()
         else:
             raise CliError(f"unknown learner {name!r}", EXIT_PARSE)
     except FamilyError as exc:
         raise CliError(str(exc), EXIT_REPRESENTATION)
-    return learner_from_text(learner) if wrap_text else learner
+    return TextFromInformantLearner(learner) if wrap_text else learner
 
 
 def _out_path(args, filename: str) -> str:
@@ -272,7 +272,7 @@ def cmd_adversary(args) -> int:
     if limit_witness(limit, family.members) is None:
         raise CliError(f"member {args.target} is not a limit of the family",
                        EXIT_REPRESENTATION)
-    adv = limit_adversary(learner, limit, family.members)
+    adv = LimitAdversary(learner, limit, family.members)
     report = adv.run(args.horizon)
     write_trace(_out_path(args, "items.txt"), Prefix(INFORMANT, tuple(report.items)))
     payload = report.to_json()
@@ -347,7 +347,7 @@ def cmd_bridge(args) -> int:
         target = _member(family, args.target)
         _check_run_length(args.horizon, args.window)
         composed = bridge_mod.LanguageToStructLearner(family.members)
-        reference = learner_separator(family.members, enforce=False)
+        reference = SeparatorLearner(family.members, enforce=False)
         seed = _default_seed(args)
         res_composed = run_simulation(composed, fair_informant(target, seed),
                                       args.horizon, target, "iso", args.window)
@@ -449,9 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("adversary", help="run the limit or text adversary")
-    common(p, "learner", "target", "horizon", "depth", "width")
+    common(p, "learner", "target", "depth", "width")
+    p.add_argument("--horizon", type=_at_least(1), default=10000)
     p.add_argument("--kind", choices=("limit", "text"), default="limit")
-    p.add_argument("--min-mind-changes", type=int, default=5)
+    p.add_argument("--min-mind-changes", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("diagonalize", help="run the pairwise diagonalizer")

@@ -473,42 +473,6 @@ class TextFromInformantLearner(EchoLearner):
 
 
 # ---------------------------------------------------------------------------
-# Factories (the names the CLI understands)
-
-
-def learner_constant(char: Character, mode: str = INFORMANT) -> ConstantLearner:
-    return ConstantLearner(char, mode)
-
-
-def learner_split_on_negative() -> SplitOnNegativeLearner:
-    return SplitOnNegativeLearner()
-
-
-def learner_echo(mode: str = INFORMANT) -> EchoLearner:
-    return EchoLearner(mode)
-
-
-def learner_min_embed(members: Sequence[Character], enforce: bool = True) -> MinEmbedLearner:
-    return MinEmbedLearner(members, enforce)
-
-
-def learner_separator(members: Sequence[Character], enforce: bool = True) -> SeparatorLearner:
-    return SeparatorLearner(members, enforce)
-
-
-def learner_one_shot(
-    members: Sequence[Character],
-    witnesses: Sequence[tuple[int, ...]] | None = None,
-    enforce: bool = True,
-) -> OneShotLearner:
-    return OneShotLearner(members, witnesses, enforce)
-
-
-def learner_from_text(base: Learner) -> TextFromInformantLearner:
-    return TextFromInformantLearner(base)
-
-
-# ---------------------------------------------------------------------------
 # Traces and simulation
 
 

@@ -12,8 +12,12 @@ sorted exception sizes and the suffix sums of their counts, with ``math.inf``
 for omega), so an embedding test is one merge of two profiles
 (``profile_le``).  A census given as plain size counts, such as a decoded
 prefix, has its profile built by ``profile_of`` with no ``Character`` at
-all; learners check their hosts that way.  ``ExtNat`` stays
-at the API and JSON edge.
+all; learners check their hosts that way.
+
+``ExtNat`` is only what a census field, a component size and the JSON hold.
+Every comparison of counts is made on plain numbers: ``Character.count``
+answers an ``int`` or ``math.inf``, and ``ExtNat`` has no ordering of its
+own and equals only another ``ExtNat``.
 """
 from __future__ import annotations
 
@@ -33,7 +37,11 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class ExtNat:
-    """A natural number extended with an absorbing infinite value."""
+    """A natural number or omega, as a census field and the JSON hold it.
+
+    It has no ordering and equals only another ``ExtNat``: counts are
+    compared as the plain numbers ``Character.count`` answers.
+    """
 
     finite: Union[int, None] = None  # None encodes the infinite value
 
@@ -46,37 +54,6 @@ class ExtNat:
     @property
     def is_omega(self) -> bool:
         return self.finite is None
-
-    def __le__(self, other: "ExtNat | int") -> bool:
-        other = ext(other)
-        if other.is_omega:
-            return True
-        if self.is_omega:
-            return False
-        return self.finite <= other.finite
-
-    def __lt__(self, other: "ExtNat | int") -> bool:
-        other = ext(other)
-        return self <= other and self != other
-
-    def __ge__(self, other: "ExtNat | int") -> bool:
-        return ext(other) <= self
-
-    def __gt__(self, other: "ExtNat | int") -> bool:
-        return ext(other) < self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        return self.finite == other.finite
-
-    def __hash__(self) -> int:
-        # finite values compare equal to plain ints, so they must hash alike
-        return hash(self.finite) if self.finite is not None else hash(("ExtNat", None))
 
     def __repr__(self) -> str:
         return "omega" if self.is_omega else str(self.finite)
@@ -177,10 +154,15 @@ class Character:
     omega_count: ExtNat = ZERO
 
     def __post_init__(self):
+        # canonical form is checked by ExtNat equality, which no int meets
+        if not (isinstance(self.default, ExtNat) and isinstance(self.omega_count, ExtNat)):
+            raise RepresentationError("census counts are ExtNat values")
         seen = set()
         for size, count in self.exceptions:
             if not isinstance(size, int) or size < 1:
                 raise RepresentationError(f"class size must be a finite integer >= 1, got {size!r}")
+            if not isinstance(count, ExtNat):
+                raise RepresentationError(f"census counts are ExtNat values, not {count!r}")
             if size in seen:
                 raise RepresentationError(f"duplicate exception for size {size}")
             if count == self.default:
@@ -227,14 +209,15 @@ class Character:
     def sizes_of_interest(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.exceptions)
 
-    def count(self, size: "ExtNat | int | str") -> ExtNat:
-        """Number of classes of exactly the given size."""
+    def count(self, size: "ExtNat | int | str") -> int | float:
+        """Number of classes of exactly the given size, as a plain number:
+        an ``int``, or ``math.inf`` for omega."""
         size = ext(size)
         if size.is_omega:
-            return self.omega_count
+            return _plain(self.omega_count)
         if size.finite < 1:
             raise RepresentationError("class sizes start at 1")
-        return self.exception_map.get(size.finite, self.default)
+        return _plain(self.exception_map.get(size.finite, self.default))
 
     @cached_property
     def cumulative_profile(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -304,14 +287,12 @@ class Character:
 
 def char_subset(a: Character, b: Character) -> bool:
     """Pointwise count comparison: every class demand of `a` is met exactly in `b`."""
-    if not a.default <= b.default:
+    if _plain(a.default) > _plain(b.default):
         return False
-    if not a.omega_count <= b.omega_count:
+    if _plain(a.omega_count) > _plain(b.omega_count):
         return False
-    for size in set(a.sizes_of_interest) | set(b.sizes_of_interest):
-        if not a.count(size) <= b.count(size):
-            return False
-    return True
+    return all(a.count(size) <= b.count(size)
+               for size in {*a.sizes_of_interest, *b.sizes_of_interest})
 
 
 def char_diff_min(c: Character, s: Character) -> Component | None:
@@ -334,7 +315,7 @@ def char_diff_min(c: Character, s: Character) -> Component | None:
         have, bound = c.count(size), s.count(size)
         if have > bound:
             # bound is finite here since have > bound
-            cand = Component(ExtNat(size), bound.finite + 1)
+            cand = Component(ExtNat(size), bound + 1)
             if best is None or cand.sort_key() < best.sort_key():
                 best = cand
     return best

@@ -26,6 +26,7 @@ from limitlearn import (
     OMEGA,
     ZERO,
     Character,
+    Component,
     ConsistencyError,
     DiagonalizationReport,
     INFORMANT,
@@ -64,12 +65,8 @@ def truncation(char: Character, copies_cap: int, top: int) -> tuple:
     up to `top`, infinite classes as symbolic INF entries."""
     sizes: list = []
     for size in range(1, top + 1):
-        count = char.count(size)
-        n = copies_cap if count.is_omega else min(count.finite, copies_cap)
-        sizes.extend([size] * n)
-    omega = char.omega_count
-    n = copies_cap if omega.is_omega else min(omega.finite, copies_cap)
-    sizes.extend([INF] * n)
+        sizes.extend([size] * min(char.count(size), copies_cap))
+    sizes.extend([INF] * min(char.count(OMEGA), copies_cap))
     return tuple(sizes)
 
 
@@ -418,6 +415,10 @@ def _extnat_sum(a: ExtNat, b: ExtNat) -> ExtNat:
     return OMEGA if a.is_omega or b.is_omega else ExtNat(a.finite + b.finite)
 
 
+def _extnat_le(a: ExtNat, b: ExtNat) -> bool:
+    return b.is_omega or not a.is_omega and a.finite <= b.finite
+
+
 def extnat_cumulative(char: Character, threshold):
     """Classes of size >= threshold, re-summed over the exceptions."""
     threshold = ext(threshold)
@@ -441,11 +442,57 @@ def _breakpoints(a: Character, b: Character) -> list[int]:
 
 
 def extnat_fin_embeds(a: Character, b: Character) -> bool:
-    return all(extnat_cumulative(a, t) <= extnat_cumulative(b, t) for t in _breakpoints(a, b))
+    return all(_extnat_le(extnat_cumulative(a, t), extnat_cumulative(b, t))
+               for t in _breakpoints(a, b))
 
 
 def extnat_embeds(a: Character, b: Character) -> bool:
-    return a.omega_count <= b.omega_count and extnat_fin_embeds(a, b)
+    return _extnat_le(a.omega_count, b.omega_count) and extnat_fin_embeds(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The pointwise relations by listing components class by class
+
+
+def listed_components(char: Character, top: int, cap: int) -> set:
+    """The components (size, index) of the census with a finite size up to
+    `top`, or size None for the infinite classes, and index up to `cap`, read
+    off the ExtNat fields with no count comparison.  Exact when every size
+    above `top` counts as the default and `cap` exceeds every finite count."""
+    listed = dict(char.exceptions)
+    comps = set()
+    for size in [*range(1, top + 1), None]:
+        n = char.omega_count if size is None else listed.get(size, char.default)
+        comps.update((size, i) for i in range(1, cap + 1) if n.is_omega or i <= n.finite)
+    return comps
+
+
+def listing_bounds(*chars: Character) -> tuple[int, int]:
+    """A `top` and a `cap` for which `listed_components` is exact on all of
+    `chars`: one past their largest listed size, one past their largest
+    finite count."""
+    sizes = [s for c in chars for s in c.sizes_of_interest]
+    counts = [n.finite for c in chars
+              for n in (c.default, c.omega_count, *(n for _, n in c.exceptions))
+              if not n.is_omega]
+    return max(sizes, default=0) + 1, max(counts, default=0) + 1
+
+
+def listed_char_subset(a: Character, b: Character) -> bool:
+    top, cap = listing_bounds(a, b)
+    return listed_components(a, top, cap) <= listed_components(b, top, cap)
+
+
+def listed_char_diff_min(c: Character, s: Character):
+    """The least component of `c` missing from `s` in canonical order, or
+    None.  Past `top` both counts are the defaults, so a missing component
+    there is also missing, with a smaller code, at `top`."""
+    top, cap = listing_bounds(c, s)
+    missing = listed_components(c, top, cap) - listed_components(s, top, cap)
+    if not missing:
+        return None
+    size, index = min(missing, key=lambda ki: pair_code(*ki))
+    return Component(ExtNat(size), index)
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +728,11 @@ def lang_member(lang, code: int) -> bool:
     return value.is_omega or j < value.finite
 
 
-def slot_count(seq, size) -> ExtNat:
+def slot_count(seq, size) -> int | float:
     """How many slots of the size sequence carry exactly the given size (the
     census count property): those below its base, and past it one for each
     residue class whose progression of sizes meets the size, or infinitely
-    many where that progression stands still on it."""
+    many (``math.inf``) where that progression stands still on it."""
     size = ext(size)
     size = math.inf if size.is_omega else size.finite
     base, period = seq.base, seq.period
@@ -693,10 +740,10 @@ def slot_count(seq, size) -> ExtNat:
     for first, second in zip(seq.values[base:base + period], seq.values[base + period:]):
         step = 0 if first == math.inf else second - first
         if first == size and step == 0:
-            return OMEGA
+            return math.inf
         if first <= size < math.inf and step and (size - first) % step == 0:
             total += 1
-    return ExtNat(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +777,7 @@ def cumulative_distinguishing_substructure(member: Character, others, cap: int =
     parts >= t with `extnat_cumulative` at each part size t."""
 
     def parts_ge(profile, t):
-        return sum(1 for p in profile if p >= t)
+        return ExtNat(sum(1 for p in profile if p >= t))
 
     max_part = 1
     for c in (member, *others):
@@ -739,10 +786,12 @@ def cumulative_distinguishing_substructure(member: Character, others, cap: int =
     for total in range(1, cap + 1):
         for profile in sorted(_partitions(total, max_part)):
             thresholds = set(profile)
-            if any(not extnat_cumulative(member, t) >= parts_ge(profile, t) for t in thresholds):
+            if any(not _extnat_le(parts_ge(profile, t), extnat_cumulative(member, t))
+                   for t in thresholds):
                 continue  # not realizable inside member
             if all(
-                any(parts_ge(profile, t) > extnat_cumulative(other, t) for t in thresholds)
+                any(not _extnat_le(parts_ge(profile, t), extnat_cumulative(other, t))
+                    for t in thresholds)
                 for other in others
             ):
                 return profile

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
+    TEXT,
     FamilyError,
     Learner,
+    Prefix,
     PrefixState,
     conjectures_equal,
     diagonalize,
@@ -203,7 +205,7 @@ def test_target_builder_retarget_plans_only_classes_the_census_has():
     for _ in range(600):
         builder.next_item()
     for size, planned in Counter(builder.slot_target).items():
-        assert planned <= target.count(size).finite, (size, planned)
+        assert planned <= target.count(size), (size, planned)
 
 
 def test_target_builder_from_blocks_plans_only_classes_the_census_has():
@@ -466,6 +468,18 @@ def test_locking_search_toward_a_finite_census_stops_when_every_fact_is_given(st
     PrefixState("informant").feed_all(res.tau.items)
 
 
+@pytest.mark.parametrize("target", [
+    census(0, {3: 1}, 2),  # a finite class besides the infinite ones
+    census(1, {}, 1),  # a nonzero default
+    census(0, {}, OM),  # infinitely many infinite classes
+    census(0, {}, 0),  # no class at all
+])
+def test_text_locking_search_refuses_a_census_it_does_not_complete_toward(target):
+    # a text completion presents only its finitely many infinite classes
+    with pytest.raises(FamilyError, match="completes only toward"):
+        weak_locking_search(learner_constant(target, mode="text"), target, Prefix(TEXT, ()))
+
+
 def test_locking_search_rejects_bad_start():
     bad = informant_prefix([(i, j, 1) for i in range(8) for j in range(8)])
     with pytest.raises(FamilyError):
@@ -555,6 +569,12 @@ def test_text_adversary_matches_the_per_item_reference(horizon):
         verdicts.append(rep.verdict)
     # the two-blocks learners leave the lock after 12, 23 and 38 items
     assert set(verdicts) == {"defeated", "undecided"}
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_text_adversary_needs_a_two_class_item(horizon):
+    with pytest.raises(ValueError):
+        text_adversary(learner_constant(ONE_INF, mode="text"), horizon=horizon)
 
 
 def test_text_adversary_rejects_informant_learners():

@@ -78,10 +78,10 @@ def test_count_property(char):
     for size in range(1, 9):
         seen = sum(1 for i in range(400) if seq.eval(i) == ExtNat(size))
         expected = char.count(size)
-        if expected.is_omega:
+        if expected == math.inf:
             assert seen >= 20
         else:
-            assert seen == expected.finite
+            assert seen == expected
 
 
 def test_language_membership():
@@ -160,7 +160,8 @@ def test_seq_comparisons_match_explicit_prefix(char, swap, data):
         _censuses,
     ))
     a, b = _swapped(char, swap), _swapped(other, data.draw(_swaps))
-    va, vb = ([s.eval(i) for i in range(200)] for s in (a, b))
+    va, vb = ([math.inf if v.is_omega else v.finite for v in map(s.eval, range(200))]
+              for s in (a, b))
     assert seq_le(a, b) == all(x <= y for x, y in zip(va, vb))
     assert seq_le(b, a) == all(y <= x for x, y in zip(va, vb))
     assert seq_eq(a, b) == (va == vb)

@@ -116,6 +116,9 @@ INPUT_FILES = {
     "items": "P 0 0\n",
     "summary_list": "[1, 2]",
     "summary_string": '"x"',
+    "thm9": '{"members": [[[5, "omega"]], [[5, "omega"], [2, 1]]]}',
+    "omega_pair": '{"members": [[["omega", 1]], [["omega", 2]]]}',
+    "finite_and_infinite": '{"members": [[[3, 1], ["omega", 2]], [["omega", 2]]]}',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -133,6 +136,17 @@ EXIT_CODE_TABLE = [
     (("check", "--bound", -1), 2, "argument --bound: must be at least 0"),
     (("locking", "--depth", -1), 2, "argument --depth: must be at least 0"),
     (("locking", "--width", 0), 2, "argument --width: must be at least 1"),
+    # a text adversary needs a two-class item and a limit adversary an item
+    # for a verdict, and zero mind changes would make "defeated" vacuous
+    (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",
+      "--horizon", 0), 2, "argument --horizon: must be at least 1"),
+    (("adversary", "--family", "{thm9}", "--learner", "constant", "--horizon", -5), 2,
+     "argument --horizon: must be at least 1"),
+    (("adversary", "--family", "{thm9}", "--learner", "constant", "--min-mind-changes", 0), 2,
+     "argument --min-mind-changes: must be at least 1"),
+    # a text completion presents only infinite classes
+    (("locking", "--learner", "txt-constant", "--family", "{finite_and_infinite}"), 3,
+     "text locking search completes only toward"),
     (("replay", "--items", "{inconsistent}"), 3, "inconsistent item file"),
     (("replay", "--items", "{malformed}"), 2, "cannot read item file"),
     (("replay", "--items", "{missing}"), 2, "cannot read item file"),

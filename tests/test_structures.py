@@ -33,6 +33,10 @@ from oracles import (
     extnat_cumulative,
     extnat_embeds,
     extnat_fin_embeds,
+    listed_char_diff_min,
+    listed_char_subset,
+    listed_components,
+    listing_bounds,
 )
 
 OM = "omega"
@@ -42,18 +46,9 @@ OM = "omega"
 # Extended naturals
 
 
-def test_extnat_order_and_addition():
-    assert ExtNat(3) < OMEGA
-    assert not OMEGA < ExtNat(3)
-    assert OMEGA <= OMEGA
+def test_ext_coerces_ints_and_omega():
     assert ext("omega").is_omega
     assert ext(4) == ExtNat(4)
-
-
-@given(st.integers(0, 100), st.integers(0, 100))
-def test_extnat_total_order_matches_integers(a, b):
-    assert (ExtNat(a) <= ExtNat(b)) == (a <= b)
-    assert ExtNat(a) < OMEGA
 
 
 def test_extnat_rejects_negatives():
@@ -70,10 +65,14 @@ def test_extnat_rejects_bools(value):
     assert ExtNat(1) != True  # noqa: E712
 
 
-def test_extnat_hash_matches_int_equality():
-    assert ExtNat(3) == 3 and hash(ExtNat(3)) == hash(3)
-    assert OMEGA != 3 and OMEGA == OMEGA
-    assert len({ExtNat(2), 2, OMEGA}) == 2
+def test_extnat_equals_only_extnat():
+    # counts are compared as plain numbers, so an ExtNat has no ordering and
+    # is never equal to an int
+    assert ExtNat(3) != 3 and OMEGA == OMEGA
+    assert hash(ExtNat(3)) == hash(ExtNat(3))
+    assert len({ExtNat(2), 2, OMEGA}) == 3
+    with pytest.raises(TypeError):
+        ExtNat(3) < OMEGA
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +101,10 @@ def test_unpairing_exact_beyond_float_range():
 
 
 def test_count_reads_description():
-    assert Character.of((5, OM)).count(5) == OMEGA
-    assert census(1, {2: 0}).count(2) == ZERO
-    assert census(1, {2: 0}).count(7) == ExtNat(1)
+    assert Character.of((5, OM)).count(5) == math.inf
+    assert census(1, {2: 0}).count(2) == 0
+    assert census(1, {2: 0}).count(7) == 1
+    assert census(0, {}, 2).count(OMEGA) == 2
 
 
 def test_count_rejects_size_zero():
@@ -167,6 +167,14 @@ def test_canonical_form_is_enforced():
     assert Character.make(1, {3: 1}, 0) == census(1)
 
 
+def test_census_counts_must_be_extnat_values():
+    # an int count equals no ExtNat, so canonical form could not be checked
+    with pytest.raises(RepresentationError):
+        Character(default=ZERO, exceptions=((2, 0),))
+    with pytest.raises(RepresentationError):
+        Character(default=1)
+
+
 # ---------------------------------------------------------------------------
 # Subset and least missing component
 
@@ -190,6 +198,31 @@ def test_char_diff_min_examples():
     expected = min(comps_c - comps_s, key=lambda ki: pair_code(*ki))
     got = char_diff_min(c, s)
     assert (got.size.finite, got.index) == expected
+
+
+def _raised(c: Character, default: bool, sizes, omega: bool) -> Character:
+    """`c` with omega put in for the default, for the counts at `sizes` and
+    for the infinite-class count, where asked: pointwise at least `c`."""
+    return census(OM if default else c.default, {**c.exception_map, **dict.fromkeys(sizes, OM)},
+                  OM if omega else c.omega_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_censuses(), _censuses(), st.data())
+def test_pointwise_relations_match_the_listed_components(a, b, data):
+    up = _raised(a, data.draw(st.booleans()), data.draw(st.sets(st.integers(1, 12), max_size=3)),
+                 data.draw(st.booleans()))
+    assert char_subset(a, up) and listed_char_subset(a, up)
+    for x, y in ((a, b), (b, a), (a, up), (up, a)):
+        assert char_subset(x, y) == listed_char_subset(x, y), (x, y)
+        x, y = census(x.default, x.exceptions), census(y.default, y.exceptions)
+        assert char_diff_min(x, y) == listed_char_diff_min(x, y), (x, y)
+    top, cap = listing_bounds(a)
+    listed = listed_components(a, top, cap)
+    for size in [*range(1, top + 1), None]:
+        for index in range(1, cap + 1):
+            comp = Component(OMEGA if size is None else ExtNat(size), index)
+            assert a.has_component(comp) == ((size, index) in listed), (a, comp)
 
 
 def test_char_diff_min_rejects_infinite_classes():
