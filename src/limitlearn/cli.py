@@ -450,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="run the limit or text adversary")
     common(p, "learner", "target", "depth", "width")
-    p.add_argument("--horizon", type=_at_least(1), default=10000)
+    p.add_argument("--horizon", **{**shared["horizon"], "type": _at_least(1)})
     p.add_argument("--kind", choices=("limit", "text"), default="limit")
     p.add_argument("--min-mind-changes", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_adversary)
