@@ -422,13 +422,14 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     second (plus singleton padding); other stages add one shared singleton.
     The report checks the claims that hold on either branch: exact class
     counts per expansionary stage, singleton growth, and a mind change between
-    consecutive expansionary snapshots of the first side's presentation.
+    consecutive expansionary snapshots of the first side's presentation.  It
+    runs at least one stage: with none, every check would hold vacuously.
     """
     e = class_size
     if e < 2:
         raise ValueError("class size must be >= 2")
-    if stages < 0:
-        raise ValueError("stages must be >= 0")
+    if stages < 1:
+        raise ValueError("stages must be >= 1")
     if learner.mode != INFORMANT:
         raise FamilyError("the diagonalizer drives informant learners")
     learner.reset()

@@ -261,6 +261,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    # the parser leaves the options in KIND_OPTIONS unset: the kind that
+    # reads one takes its default, and the other refuses it
+    for kind, names in KIND_OPTIONS.items():
+        for name in names:
+            dest = name.replace("-", "_")
+            if getattr(args, dest) is None:
+                setattr(args, dest, OPTIONS[name]["default"])
+            elif kind != args.kind:
+                raise CliError(f"adversary --kind {args.kind} does not read --{name}", EXIT_PARSE)
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
     if args.kind == "text":
@@ -285,8 +294,8 @@ def cmd_adversary(args) -> int:
 def cmd_diagonalize(args) -> int:
     family = _load_family(args.family) if args.family else Family.of()
     learner = _make_learner(args.learner, family, args.target)
-    if args.class_size < 2 or args.horizon < 0:
-        raise CliError("diagonalize needs --class-size >= 2 and --horizon >= 0", EXIT_PARSE)
+    if args.class_size < 2:
+        raise CliError("diagonalize needs --class-size >= 2", EXIT_PARSE)
     report = diagonalize(learner, args.class_size, args.horizon)
     _dump_json(_out_path(args, "diagonalization.json"), report.to_json())
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -410,6 +419,23 @@ def _at_least(floor: int):
     return integer
 
 
+# the options several commands read, and those of one adversary kind
+OPTIONS = {
+    "learner": {"default": "separator"},
+    "target": {"type": int, "default": 0, "help": "member index"},
+    "seed": {"type": int, "default": None},
+    "horizon": {"type": int, "default": 10000},
+    "window": {"type": int, "default": 200},
+    "depth": {"type": _at_least(0), "default": 50},
+    "width": {"type": _at_least(1), "default": 8},
+    "bound": {"type": _at_least(0), "default": 64},
+    "jobs": {"type": int, "default": 1},
+    "min-mind-changes": {"type": _at_least(1), "default": 5},
+}
+# the options only one adversary kind reads; the other kind refuses them
+KIND_OPTIONS = {"limit": ("min-mind-changes",), "text": ("depth", "width")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitlearn",
@@ -417,23 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {
-        "learner": {"default": "separator"},
-        "target": {"type": int, "default": 0, "help": "member index"},
-        "seed": {"type": int, "default": None},
-        "horizon": {"type": int, "default": 10000},
-        "window": {"type": int, "default": 200},
-        "depth": {"type": _at_least(0), "default": 50},
-        "width": {"type": _at_least(1), "default": 8},
-        "bound": {"type": _at_least(0), "default": 64},
-        "jobs": {"type": int, "default": 1},
-    }
-
     def common(p, *options, family_required=True):
         """--family, --out and the shared `options` the command reads."""
         p.add_argument("--family", required=family_required, help="family JSON file")
         for name in options:
-            p.add_argument(f"--{name}", **shared[name])
+            p.add_argument(f"--{name}", **OPTIONS[name])
         p.add_argument("--out", default=".")
 
     p = sub.add_parser("check", help="separability / anti-chain certificate")
@@ -449,16 +463,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("adversary", help="run the limit or text adversary")
-    common(p, "learner", "target", "depth", "width")
-    p.add_argument("--horizon", **{**shared["horizon"], "type": _at_least(1)})
+    kind_options = KIND_OPTIONS["limit"] + KIND_OPTIONS["text"]
+    common(p, "learner", "target", *kind_options)
+    p.add_argument("--horizon", **{**OPTIONS["horizon"], "type": _at_least(1)})
     p.add_argument("--kind", choices=("limit", "text"), default="limit")
-    p.add_argument("--min-mind-changes", type=_at_least(1), default=5)
-    p.set_defaults(func=cmd_adversary)
+    p.set_defaults(func=cmd_adversary, **{name.replace("-", "_"): None for name in kind_options})
 
     p = sub.add_parser("diagonalize", help="run the pairwise diagonalizer")
-    common(p, "learner", "target", "horizon", family_required=False)
+    common(p, "learner", "target", family_required=False)
+    p.add_argument("--horizon", **{**OPTIONS["horizon"], "type": _at_least(1), "default": 600})
     p.add_argument("--class-size", type=int, default=2)
-    p.set_defaults(func=cmd_diagonalize, horizon=600)
+    p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("locking", help="search for a weak locking sequence")
     common(p, "learner", "target", "depth", "width")

@@ -17,8 +17,9 @@ Where each learner's run stops:
 - ``EchoLearner`` and the decoding learners that extend it (one decoder and
   one ``_recompute``, run once per structural revision; ``SeparatorLearner``
   and the bridge's ``LanguageToStructLearner`` refine ``MinEmbedLearner``'s
-  host computation there): at the item that moves ``struct_rev``, where
-  ``PrefixState.advance`` stops.
+  host computation there, which is memoized by the prefix's block-size
+  census clamped at the family's bounds): at the item that moves
+  ``struct_rev``, where ``PrefixState.advance`` stops.
 - ``OneShotLearner``: before firing, at the next structural revision while
   no witness's largest block fits the largest decoded block, else after one
   item; once fired, never.
@@ -26,6 +27,7 @@ Where each learner's run stops:
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -74,7 +76,9 @@ class Learner:
     A learner names in ``_owned`` the attributes it mutates in place;
     ``clone`` gives the copy its own of each (a learner is cloned, anything
     else copied) and shares everything else, which must be immutable or only
-    ever replaced, never changed in place.
+    ever replaced, never changed in place.  The one exception is a memo whose
+    entries are derived only from immutable fields: a clone may share it and
+    add to it, since either side would compute the same entries.
     """
 
     mode: str = INFORMANT
@@ -228,9 +232,17 @@ class MinEmbedLearner(EchoLearner):
     """Conjectures the least-indexed family member that hosts the data and is
     minimal in the finite-embedding order among the hosts.
 
-    Host checks read the prefix's plain-number profile (``PrefixState.profile``)
-    against each member's, cached at construction, so no census is built per
-    structural revision.
+    Host checks read plain-number profiles against each member's, cached at
+    construction, so no census is built per structural revision.  The minimal
+    hosts are memoized by the prefix's block-size census clamped at the
+    family's bounds: block sizes at ``_top``, one past the largest size any
+    member lists, and block counts at ``_cap``, one past the largest finite
+    cumulative count any member has.  Every member's profile is flat past
+    the size bound, and a count at the count bound exceeds every finite one,
+    so a clamped census is hosted by exactly the members that host the
+    census itself.  The memo depends only on the members, so
+    clones share it and ``reset`` keeps it; a merge can make a member a host
+    again, so it is keyed by census rather than narrowed as the prefix grows.
 
     This learner stabilizes on the finite-bi-embeddability type of the target;
     when run on its own it should be judged up to that equivalence.
@@ -246,6 +258,10 @@ class MinEmbedLearner(EchoLearner):
             raise FamilyError("this learner requires a finitely separable family")
         self.members = members
         self._profiles = tuple(m.cumulative_profile for m in members)
+        self._top = 1 + max((s for sizes, _ in self._profiles for s in sizes), default=0)
+        self._cap = 1 + max((c for _, counts in self._profiles for c in counts if c != math.inf),
+                            default=0)
+        self._hosts: dict[frozenset, list[int]] = {}
         n = len(members)
         self._strictly_below = [
             [fin_embeds(members[j], members[i]) and not fin_embeds(members[i], members[j])
@@ -255,7 +271,18 @@ class MinEmbedLearner(EchoLearner):
         self.reset()
 
     def _minimal_hosts(self) -> list[int]:
-        return minimal_hosts(self._state.profile(), self._profiles, self._strictly_below)
+        top, cap, census = self._top, self._cap, {}
+        for size, entries in self._state.births_by_size.items():
+            if size > top:
+                size = top
+            n = census.get(size, 0) + len(entries)
+            census[size] = n if n < cap else cap
+        key = frozenset(census.items())
+        hosts = self._hosts.get(key)
+        if hosts is None:
+            hosts = self._hosts[key] = minimal_hosts(
+                profile_of(census), self._profiles, self._strictly_below)
+        return hosts
 
     def _recompute(self) -> None:
         minimal = self._minimal_hosts()

@@ -297,8 +297,10 @@ def test_diagonalizer_rejects_small_class_size():
 
 
 def test_diagonalizer_rejects_negative_horizon():
-    with pytest.raises(ValueError):
-        diagonalize(learner_constant(FIVE_OMEGA), 2, -1)
+    # zero stages too: every check would hold vacuously
+    for stages in (-1, 0):
+        with pytest.raises(ValueError):
+            diagonalize(learner_constant(FIVE_OMEGA), 2, stages)
 
 
 class BlocksModThree(Learner):

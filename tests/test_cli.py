@@ -130,7 +130,9 @@ EXIT_CODE_TABLE = [
     (("simulate", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
     (("bridge", "roundtrip", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
     (("diagonalize", "--class-size", 1), 2, "--class-size >= 2"),
-    (("diagonalize", "--horizon", -3), 2, "--horizon >= 0"),
+    (("diagonalize", "--horizon", -3), 2, "argument --horizon: must be at least 1"),
+    # zero stages would pass every check vacuously
+    (("diagonalize", "--horizon", 0), 2, "argument --horizon: must be at least 1"),
     (("bridge", "telltale", "--positions", -3), 2, "argument --positions: must be at least 0"),
     (("bridge", "telltale", "--bound", -1), 2, "argument --bound: must be at least 0"),
     (("check", "--bound", -1), 2, "argument --bound: must be at least 0"),
@@ -144,6 +146,13 @@ EXIT_CODE_TABLE = [
      "argument --horizon: must be at least 1"),
     (("adversary", "--family", "{thm9}", "--learner", "constant", "--min-mind-changes", 0), 2,
      "argument --min-mind-changes: must be at least 1"),
+    # each adversary kind refuses the options only the other reads
+    (("adversary", "--family", "{thm9}", "--learner", "constant", "--depth", 3), 2,
+     "adversary --kind limit does not read --depth"),
+    (("adversary", "--family", "{thm9}", "--learner", "constant", "--width", 2), 2,
+     "adversary --kind limit does not read --width"),
+    (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",
+      "--min-mind-changes", 3), 2, "adversary --kind text does not read --min-mind-changes"),
     # a text completion presents only infinite classes
     (("locking", "--learner", "txt-constant", "--family", "{finite_and_infinite}"), 3,
      "text locking search completes only toward"),

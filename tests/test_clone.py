@@ -6,6 +6,8 @@ match a fresh learner fed A+B or A+C.  A learner that forgets to name an
 attribute it mutates in place (``Learner._owned``) shares it with its clone,
 and one side's items then leak into the other's conjectures.
 """
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from limitlearn import (
     TEXT,
     Learner,
     conjectures_equal,
+    fair_informant,
     finitely_separable,
     fin_antichain,
     learner_constant,
@@ -40,7 +43,7 @@ from limitlearn.learners import (
     TextFromInformantLearner,
 )
 
-from families import FIVE_OMEGA, census
+from families import C56, C57, EXAMPLE1, FIVE_OMEGA, census
 
 OM = "omega"
 
@@ -130,3 +133,26 @@ def test_clone_evolves_like_a_fresh_learner(make, history):
             assert conjectures_equal(got, want), (learner.name, stage, it, got, want)
             if isinstance(learner, LockingNormalForm):
                 assert learner.distilled() == fresh.distilled(), (learner.name, stage, it)
+
+
+@pytest.mark.parametrize("make", [MinEmbedLearner, SeparatorLearner, LanguageToStructLearner])
+def test_a_clone_and_its_original_fill_one_host_memo_apart(make):
+    """A clone shares its original's memo of minimal hosts, and each side
+    adds the censuses it meets: fed different suffixes, a fair informant of
+    C56 on one side and one of C57 on fresh elements on the other, each still
+    agrees after every item with a fresh learner fed the same items."""
+    prefix = list(islice(fair_informant(C56, 0), 200))
+    suffixes = (
+        [(x + 10**6, y + 10**6, label) for x, y, label in islice(fair_informant(C57, 1), 600)],
+        list(islice(fair_informant(C56, 0), 200, 800)),
+    )
+    original = make(EXAMPLE1)
+    original.consume_all(prefix)
+    dup = original.clone()
+    assert dup._hosts is original._hosts
+    for learner, tail in zip((dup, original), suffixes):
+        fresh = make(EXAMPLE1)
+        fresh.consume_all(prefix)
+        for stage, item in enumerate(tail):
+            got, want = learner.feed(item), fresh.feed(item)
+            assert conjectures_equal(got, want), (learner.name, stage, got, want)

@@ -1,7 +1,7 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
@@ -27,7 +27,7 @@ from limitlearn import (
     weak_locking_search,
 )
 from limitlearn.bridge import LanguageToStructLearner
-from limitlearn.learners import EchoLearner, minimal_hosts
+from limitlearn.learners import EchoLearner, MinEmbedLearner, SeparatorLearner, minimal_hosts
 
 from families import (
     ANTICHAIN_FAMILIES,
@@ -571,6 +571,84 @@ def test_profile_hosts_match_the_census_hosts(case):
         assert minimal_hosts(state.profile(), min_embed._profiles, below) == \
             char_minimal_hosts(state, family, below), stage
         assert min_embed._cached_index == pairs[0][1]._cached_index
+
+
+# Families whose profiles end in infinite counts, where the memo's count
+# bound skips them: infinite classes, or a nonzero default
+BOUND_FAMILIES = {
+    "nonseparable": NONSEPARABLE,
+    "infinite": (ONE_INF, TWO_INF),
+    "default": (census(1, {2: 3}), census(0, {1: 2, 3: 1}), census(0, {3: OM})),
+}
+
+
+@st.composite
+def prefixes_past_the_bounds(draw):
+    """A family, corpus or ``BOUND_FAMILIES``, and a consistent informant
+    prefix: items of a fair informant of one of its members, or the positive
+    facts, in a random order, of a structure whose blocks reach two past the
+    memo's size bound and whose blocks of one size reach two past its count
+    bound."""
+    families = {**SEPARABLE_CORPUS, **BOUND_FAMILIES}
+    family = families[draw(st.sampled_from(sorted(families)))]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(family))
+        length = draw(st.integers(0, 1500))
+        return family, list(islice(fair_informant(target, draw(st.integers(0, 50))), length))
+    bounds = MinEmbedLearner(family, enforce=False)
+    counts = draw(st.dictionaries(st.integers(1, bounds._top + 2),
+                                  st.integers(1, bounds._cap + 2), min_size=1, max_size=3))
+    return family, draw(st.permutations(_blocks(counts)))
+
+
+def _blocks(counts: dict) -> list:
+    """The positive facts of a structure with `counts[size]` blocks of each
+    size, block by block: a self-fact on each block's first element, then a
+    chain through the rest."""
+    facts, start = [], 0
+    for size, n in sorted(counts.items()):
+        for _ in range(n):
+            facts.append((start, start, 1))
+            facts.extend((x, x + 1, 1) for x in range(start, start + size - 1))
+            start += size
+    return facts
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefixes_past_the_bounds())
+# prefixes that no member hosts but that one would host if clamped one
+# step lower: an 8-block past example1's largest size 7, three 6-blocks past
+# C56's two, and three singletons past the two infinite classes
+@example((EXAMPLE1, _blocks({8: 1})))
+@example((EXAMPLE1, _blocks({6: 3})))
+@example(((ONE_INF, TWO_INF), _blocks({1: 3})))
+def test_memoized_hosts_match_the_census_hosts_past_the_bounds(case):
+    """The memoized learners agree after every item with references that
+    build the census and test every member, on families with infinite counts
+    and on blocks and block counts past the memo's bounds."""
+    family, items = case
+    pairs = [(MinEmbedLearner(family, enforce=False), CharMinEmbedLearner(family, enforce=False))]
+    if all(m.count(OM) == 0 for m in family):
+        pairs.append((SeparatorLearner(family, enforce=False),
+                      CharSeparatorLearner(family, enforce=False)))
+    for stage, item in enumerate(items):
+        for learner, reference in pairs:
+            got, want = learner.feed(item), reference.feed(item)
+            assert conjectures_equal(got, want), (learner.name, stage, got, want)
+
+
+def test_the_host_memo_repeats_its_keys_on_fair_informants():
+    """Fair informants of the example1 and kron4 members at horizon 10^4
+    leave at most one memo key per ten structural revisions over the runs
+    together; a census keyed unclamped takes nearly one per revision."""
+    keys = revisions = 0
+    for family in (EXAMPLE1, SEPARABLE_CORPUS["kron4"]):
+        for target in family:
+            learner = MinEmbedLearner(family)
+            run_simulation(learner, fair_informant(target, 3), 10**4, target, "biembed")
+            keys += len(learner._hosts)
+            revisions += learner._state.struct_rev
+    assert 10 * keys <= revisions, (keys, revisions)
 
 
 @settings(max_examples=60, deadline=None)
