@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
     if family.generator:
         candidates = list(family.members)
         companion = family.spec().companion_limit
-        if companion is not None:
+        if companion is not None and companion not in family.members:
             candidates.append(companion)
         verdicts = []
         for cand in candidates:
@@ -451,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".")
 
     p = sub.add_parser("check", help="separability / anti-chain certificate")
-    common(p, "bound")
+    common(p)
+    p.add_argument("--bound", **{**OPTIONS["bound"], "type": _at_least(1)})
     p.set_defaults(func=cmd_check)
     p.add_argument("--no-out", dest="out", action="store_const", const=None)
 

@@ -9,7 +9,7 @@ which components recur infinitely often.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .structures import (
@@ -47,13 +47,20 @@ class GeneratorSpec:
 
     ``component_recurs`` decides, in closed form, whether a component occurs
     in infinitely many generated members; None means unknown for purposes of
-    bounded limit verdicts.
+    bounded limit verdicts.  A spec builds each member once, on first use, and
+    keeps it.
     """
 
     name: str
     produce: Callable[[int], Character]
     component_recurs: Optional[Callable[[Component], bool]] = None
     companion_limit: Optional[Character] = None
+    _built: list[Character] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def members(self, n: int) -> list[Character]:
+        """The first `n` generated members, in order."""
+        self._built.extend(map(self.produce, range(len(self._built), n)))
+        return self._built[:n]
 
 
 def _five_n_tail(n: int) -> Character:
@@ -105,12 +112,6 @@ class Family:
 
     def spec(self) -> Optional[GeneratorSpec]:
         return GENERATORS[self.generator] if self.generator else None
-
-    def generated(self, n: int) -> list[Character]:
-        spec = self.spec()
-        if spec is None:
-            raise FamilyError("family has no generator")
-        return [spec.produce(i) for i in range(n)]
 
     @classmethod
     def from_json(cls, data) -> "Family":
@@ -164,9 +165,11 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
     spec = family.spec()
     if spec is None:
         raise FamilyError("bounded limit verdicts require a generator")
+    if bound < 1:
+        raise ValueError(f"a limit verdict needs a bound >= 1, got {bound}")
     if candidate.omega_count != ZERO:
         raise FamilyError("the limit test is only defined without infinite classes")
-    members = family.generated(bound)
+    members = spec.members(bound)
     _require_finite_classes(members, "the limit test")
     for i, member in enumerate(members):
         if member == candidate:

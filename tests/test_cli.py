@@ -78,6 +78,17 @@ def test_check_generator_verdicts(family_files, tmp_path):
     assert all(v["certified"] for v in report["generator_verdicts"])
 
 
+def test_check_lists_a_companion_member_once(tmp_path):
+    # 5:omega is both the only member and five_n_tail's companion limit
+    family = tmp_path / "five-tail.json"
+    family.write_text(json.dumps({"members": [[[5, "omega"]]], "generator": {"name": "five_n_tail"}}))
+    res = run_cli("check", "--family", family, "--out", tmp_path, "--bound", 8)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "check.json").read_text())
+    assert [v["candidate"] for v in report["generator_verdicts"]] == [[[5, "omega"]]]
+    assert report["generator_verdicts"][0]["verdict"] == "limit"
+
+
 def assert_exit(res, code, message):
     assert res.returncode == code, res.stderr
     assert message in res.stderr
@@ -119,6 +130,7 @@ INPUT_FILES = {
     "thm9": '{"members": [[[5, "omega"]], [[5, "omega"], [2, 1]]]}',
     "omega_pair": '{"members": [[["omega", 1]], [["omega", 2]]]}',
     "finite_and_infinite": '{"members": [[[3, 1], ["omega", 2]], [["omega", 2]]]}',
+    "five_tail_gen": '{"members": [[[5, "omega"]]], "generator": {"name": "five_n_tail"}}',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -135,7 +147,10 @@ EXIT_CODE_TABLE = [
     (("diagonalize", "--horizon", 0), 2, "argument --horizon: must be at least 1"),
     (("bridge", "telltale", "--positions", -3), 2, "argument --positions: must be at least 0"),
     (("bridge", "telltale", "--bound", -1), 2, "argument --bound: must be at least 0"),
-    (("check", "--bound", -1), 2, "argument --bound: must be at least 0"),
+    (("check", "--bound", -1), 2, "argument --bound: must be at least 1"),
+    # a bound of 0 checks no generated member and no component
+    (("check", "--family", "{five_tail_gen}", "--bound", 0), 2,
+     "argument --bound: must be at least 1"),
     (("locking", "--depth", -1), 2, "argument --depth: must be at least 0"),
     (("locking", "--width", 0), 2, "argument --width: must be at least 1"),
     # a text adversary needs a two-class item and a limit adversary an item

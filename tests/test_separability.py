@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from limitlearn import (
@@ -161,13 +163,18 @@ def test_clause_one_refutation():
     assert "finitely embed" in verdict.detail
 
 
-def test_certified_finite_component_refutation():
-    # a registered-for-this-test generator whose closed form rules a component out
-    GENERATORS["test-six"] = GeneratorSpec(
-        "test-six",
+def _six_spec(name):
+    # a generator whose closed form rules out every component but sizes 1 and 6
+    return GeneratorSpec(
+        name,
         lambda n: Character.make(0, {6: n + 1, 1: OM}, 0),
         lambda comp: not comp.size.is_omega and comp.size.finite in (1, 6),
     )
+
+
+def test_certified_finite_component_refutation():
+    # a registered-for-this-test generator whose closed form rules a component out
+    GENERATORS["test-six"] = _six_spec("test-six")
     try:
         fam = Family(generator="test-six")
         verdict = generated_limit_verdict(census(0, {6: OM, 2: 1}), fam, 24)
@@ -190,6 +197,63 @@ def test_heuristic_verdict_without_closed_form():
         assert not verdict.certified  # heuristic witness only
     finally:
         del GENERATORS["test-blind"]
+
+
+def test_generated_verdict_needs_a_positive_bound():
+    # at bound 0 no member and no component is checked, so "limit" would be vacuous
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound >= 1"):
+            generated_limit_verdict(FIVE_OMEGA, Family(generator="five_n_tail"), bound)
+
+
+def test_kept_members_match_a_fresh_enumeration():
+    for name in ("five_n_tail", "kronecker"):
+        # the registered spec, and a fresh copy with nothing built yet
+        for spec in (GENERATORS[name], replace(GENERATORS[name])):
+            for n in (32, 8, 40):
+                assert spec.members(n) == [spec.produce(i) for i in range(n)], (name, n)
+            # a member read again is the one built first, not a rebuilt copy
+            assert spec.members(8)[7] is spec.members(40)[7]
+
+
+def test_limit_verdicts_match_on_a_cold_and_a_warm_store(monkeypatch):
+    # fresh copies of the specs start with nothing built
+    for name in ("kronecker", "five_n_tail"):
+        monkeypatch.setitem(GENERATORS, name, replace(GENERATORS[name]))
+    monkeypatch.setitem(GENERATORS, "test-six", _six_spec("test-six"))
+    cases = [(kron(i), "kronecker", 32) for i in range(5)]
+    cases += [(FIVE_OMEGA, "five_n_tail", 32), (census(0, {6: OM, 2: 1}), "test-six", 24)]
+
+    def verdicts():
+        return [generated_limit_verdict(cand, Family(generator=gen), bound)
+                for cand, gen, bound in cases]
+
+    assert not any(GENERATORS[gen]._built for _, gen, _ in cases)
+    cold = verdicts()
+    assert all(GENERATORS[gen]._built for _, gen, _ in cases)
+    assert verdicts() == cold
+    assert [v.kind for v in cold] == ["limit"] * 6 + ["not-limit"]
+    assert all(v.certified for v in cold)
+
+
+def test_a_spec_registered_again_under_a_name_builds_its_own_members():
+    GENERATORS["test-reused"] = _six_spec("test-reused")
+    try:
+        generated_limit_verdict(census(0, {6: OM, 2: 1}), Family(generator="test-reused"), 24)
+    finally:
+        del GENERATORS["test-reused"]
+    GENERATORS["test-reused"] = GeneratorSpec(
+        "test-reused",
+        lambda n: Character.make(0, {5: n + 1, 1: OM}, 0),
+        None,
+    )
+    try:
+        spec = Family(generator="test-reused").spec()
+        assert spec.members(30) == [census(0, {5: n + 1, 1: OM}) for n in range(30)]
+        verdict = generated_limit_verdict(FIVE_OMEGA, Family(generator="test-reused"), 32)
+        assert verdict.kind == "limit" and not verdict.certified
+    finally:
+        del GENERATORS["test-reused"]
 
 
 def test_generated_verdict_requires_generator():
