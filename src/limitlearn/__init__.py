@@ -65,10 +65,11 @@ from .learners import (
     SeparatorLearner,
     SimulationResult,
     SplitOnNegativeLearner,
-    TextFromInformantLearner,
+    TextSplitLearner,
     Trace,
     conjectures_equal,
     distinguishing_substructure,
+    learner_from_text,
     run_simulation,
 )
 from .adversaries import (
@@ -98,7 +99,6 @@ learner_echo = EchoLearner
 learner_min_embed = MinEmbedLearner
 learner_separator = SeparatorLearner
 learner_one_shot = OneShotLearner
-learner_from_text = TextFromInformantLearner
 limit_adversary = LimitAdversary
 locking_transform = LockingNormalForm
 

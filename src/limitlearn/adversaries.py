@@ -673,8 +673,8 @@ class LockingNormalForm(Learner):
     _owned = ("_history", "_sigma", "_shadow", "_no_flip")
 
     def __init__(self, base: Learner):
-        self._pristine = base.clone()
-        self._pristine.reset()
+        self._at_empty = base.clone()
+        self._at_empty.reset()
         self.mode = base.mode
         self.name = f"locking-{base.name}"
         self.reset()
@@ -682,7 +682,7 @@ class LockingNormalForm(Learner):
     def reset(self) -> None:
         self._history: list = []
         self._sigma: list = []
-        self._at_sigma = self._pristine  # never fed: probes clone it
+        self._at_sigma = self._at_empty  # never fed: probes clone it
         self._conj = self._at_sigma.conjecture()
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()

@@ -24,7 +24,7 @@ from .learners import (
     OneShotLearner,
     SeparatorLearner,
     SplitOnNegativeLearner,
-    TextFromInformantLearner,
+    learner_from_text,
     run_simulation,
 )
 from .presentations import (
@@ -123,11 +123,7 @@ def _check_run_length(horizon: int, window: int) -> None:
 
 
 def _make_learner(name: str, family: Family, target: int) -> Learner:
-    base_name = name
-    wrap_text = False
-    if name.startswith("txt-"):
-        wrap_text = True
-        base_name = name[4:]
+    base_name = name.removeprefix("txt-")
     members = family.members
     try:
         if base_name == "constant":
@@ -144,9 +140,11 @@ def _make_learner(name: str, family: Family, target: int) -> Learner:
             learner = EchoLearner()
         else:
             raise CliError(f"unknown learner {name!r}", EXIT_PARSE)
+        return learner if base_name == name else learner_from_text(learner)
     except FamilyError as exc:
         raise CliError(str(exc), EXIT_REPRESENTATION)
-    return TextFromInformantLearner(learner) if wrap_text else learner
+    except ValueError as exc:  # a learner with no text reading
+        raise CliError(f"learner {name!r}: {exc}", EXIT_PARSE)
 
 
 def _out_path(args, filename: str) -> str:
@@ -305,7 +303,7 @@ def cmd_locking(args) -> int:
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
     target = _member(family, args.target)
-    kind = TEXT if learner.mode == TEXT else INFORMANT
+    kind = learner.mode
     start = _read_items(args.start, kind) if args.start else Prefix(kind, ())
     result = weak_locking_search(learner, target, start, args.depth, args.width)
     payload = {
@@ -379,7 +377,7 @@ def cmd_bridge(args) -> int:
 def cmd_replay(args) -> int:
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
-    kind = TEXT if learner.mode == TEXT else INFORMANT
+    kind = learner.mode
     prefix = _read_items(args.items, kind)
     target = _member(family, args.target)
     horizon = min(args.horizon, len(prefix.items))

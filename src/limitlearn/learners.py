@@ -18,7 +18,8 @@ Where each learner's run stops:
   one ``_recompute``, run once per structural revision; ``SeparatorLearner``
   and the bridge's ``LanguageToStructLearner`` refine ``MinEmbedLearner``'s
   host computation there, which is memoized by the prefix's block-size
-  census clamped at the family's bounds): at the item that moves
+  census clamped at the family's bounds; ``TextSplitLearner``, the split
+  learner's text reading, counts the decoded blocks): at the item that moves
   ``struct_rev``, where ``PrefixState.advance`` stops.
 - ``OneShotLearner``: before firing, at the next structural revision while
   no witness's largest block fits the largest decoded block, else after one
@@ -35,7 +36,7 @@ from functools import partial
 from itertools import accumulate, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .presentations import INFORMANT, TEXT, PrefixState, Stream, reorder_items
+from .presentations import INFORMANT, TEXT, PrefixState, Stream
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
 from .structures import (
     Character,
@@ -160,7 +161,6 @@ class SplitOnNegativeLearner(Learner):
     ONE = Character.make(0, {}, 1)
     TWO = Character.make(0, {}, 2)
 
-    mode = INFORMANT
     name = "split-on-negative"
 
     def __init__(self):
@@ -195,8 +195,7 @@ class EchoLearner(Learner):
     name = "echo"
     _owned = ("_state",)
 
-    def __init__(self, mode: str = INFORMANT):
-        self.mode = mode
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -248,7 +247,6 @@ class MinEmbedLearner(EchoLearner):
     when run on its own it should be judged up to that equivalence.
     """
 
-    mode = INFORMANT
     name = "min-embed"
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
@@ -383,7 +381,6 @@ class OneShotLearner(Learner):
     structural revision and checks there.
     """
 
-    mode = INFORMANT
     _owned = ("_state",)
 
     def __init__(
@@ -465,38 +462,36 @@ class OneShotLearner(Learner):
         return None if self._fired is None else self.members[self._fired]
 
 
-class TextFromInformantLearner(EchoLearner):
-    """Runs an informant learner on the class-by-class reordering of the text.
-
-    The reordered prefix depends only on the decoded classes, so the base
-    learner is re-run only at a structural revision; when the new reordering
-    extends the one it was fed, the retained base instance is fed just the
-    appended items.
-    """
+class TextSplitLearner(EchoLearner):
+    """The text reading of ``SplitOnNegativeLearner``: a text states no
+    negative fact, so the split is read off the decoded blocks, two infinite
+    classes while the prefix decodes to at least two, one before."""
 
     mode = TEXT
-    _owned = ("_state", "_base")
-
-    def __init__(self, base: Learner):
-        if base.mode != INFORMANT:
-            raise ValueError("base learner must consume informants")
-        self._pristine = base.clone()
-        self._pristine.reset()
-        self.name = f"txt-{base.name}"
-        self.reset()
-
-    def reset(self) -> None:
-        super().reset()
-        self._base = self._pristine.clone()
-        self._fed: list = []
+    name = "txt-split-on-negative"
 
     def _recompute(self) -> None:
-        items = reorder_items(self._state.blocks())
-        if items[: len(self._fed)] != self._fed:
-            self._base, self._fed = self._pristine.clone(), []
-        self._base.consume_all(items[len(self._fed):])
-        self._fed = items
-        self._cached = self._base.conjecture()
+        split = len(self._state.block_roots()) >= 2
+        self._cached = SplitOnNegativeLearner.TWO if split else SplitOnNegativeLearner.ONE
+
+
+def learner_from_text(base: Learner) -> Learner:
+    """The text reading of the informant learner `base`, reset: for a
+    constant or decoding learner, which reads only the decoded blocks, a
+    clone that decodes a text; ``TextSplitLearner`` for the split learner;
+    and ValueError for any other, such as the one-shot learner, which reads
+    explicit separations that a text never states."""
+    if base.mode != INFORMANT:
+        raise ValueError("base learner must consume informants")
+    if isinstance(base, SplitOnNegativeLearner):
+        return TextSplitLearner()
+    if not isinstance(base, (ConstantLearner, EchoLearner)):
+        raise ValueError(f"learner {base.name!r} has no text reading")
+    learner = base.clone()
+    learner.mode = TEXT
+    learner.name = f"txt-{base.name}"
+    learner.reset()
+    return learner
 
 
 # ---------------------------------------------------------------------------

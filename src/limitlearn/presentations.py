@@ -534,7 +534,10 @@ def reordered_informant(char: Character, seed: int, strategy: str, window: int =
 
 def reorder_items(blocks: list[list[int]]) -> list[InformantItem]:
     """Informant items presenting the given classes one at a time: each class's
-    positive pairs, then the assumed negatives between it and earlier classes."""
+    positive pairs, then the assumed negatives between it and earlier classes.
+    No learner reads texts this way: the rewrite stays only as the reference
+    the benchmark's layer probe and the text learners' differential test
+    replay, and goes with the next revision of the benchmark."""
     classes = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
     items: list[InformantItem] = []
     for idx, cls in enumerate(classes):

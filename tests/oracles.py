@@ -46,7 +46,14 @@ from limitlearn import (
 )
 from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import SizeSequence, _vec_le, _window
-from limitlearn.presentations import PATTERN, ClassAssignment, _new_pairs, pattern_sizes, slot_demand
+from limitlearn.presentations import (
+    PATTERN,
+    ClassAssignment,
+    _new_pairs,
+    pattern_sizes,
+    reorder_items,
+    slot_demand,
+)
 from limitlearn.learners import (
     Learner,
     MinEmbedLearner,
@@ -1089,3 +1096,15 @@ def per_item_two_class_phase(learner, sigma: Prefix, horizon: int):
         if not conjectures_equal(learner.feed(builder.next_item()), locked):
             return stage
     return None
+
+
+def rewrite_text_conjecture(base: Learner, state: PrefixState):
+    """The conjecture of the text-to-informant rewrite on a text prefix
+    decoded to `state`: a fresh clone of the informant learner `base`, fed
+    the decoded classes one at a time by ``reorder_items``, with a negative
+    fact between every two of them: the reference for the text readings that
+    ``learner_from_text`` gives, which read the text decoder directly."""
+    fresh = base.clone()
+    fresh.reset()
+    fresh.consume_all(reorder_items(state.blocks()))
+    return fresh.conjecture()

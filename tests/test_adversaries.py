@@ -546,10 +546,12 @@ class TwoBigBlocks(EchoLearner):
     before, so it can lock on the single-class structure and leave the lock
     in the two-class phase."""
 
+    mode = TEXT
+
     def __init__(self, size):
         self.size = size
         self.name = f"two-blocks-of-{size}"
-        super().__init__("text")
+        super().__init__()
 
     def _recompute(self):
         state = self._state

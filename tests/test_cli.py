@@ -168,6 +168,9 @@ EXIT_CODE_TABLE = [
      "adversary --kind limit does not read --width"),
     (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",
       "--min-mind-changes", 3), 2, "adversary --kind text does not read --min-mind-changes"),
+    # the one-shot learner reads explicit separations, which a text never states
+    (("simulate", "--learner", "txt-one-shot", "--horizon", 50, "--window", 10), 2,
+     "learner 'txt-one-shot': learner 'one-shot' has no text reading"),
     # a text completion presents only infinite classes
     (("locking", "--learner", "txt-constant", "--family", "{finite_and_infinite}"), 3,
      "text locking search completes only toward"),

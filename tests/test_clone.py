@@ -16,7 +16,6 @@ import limitlearn
 from limitlearn import (
     INFORMANT,
     PAUSE,
-    TEXT,
     Learner,
     conjectures_equal,
     fair_informant,
@@ -40,7 +39,7 @@ from limitlearn.learners import (
     OneShotLearner,
     SeparatorLearner,
     SplitOnNegativeLearner,
-    TextFromInformantLearner,
+    TextSplitLearner,
 )
 
 from families import C56, C57, EXAMPLE1, FIVE_OMEGA, census
@@ -54,11 +53,14 @@ ANTICHAIN = (census(0, {3: 1, 1: OM}), census(0, {2: 2, 1: OM}))
 ROSTER = {
     ConstantLearner: [("constant", lambda: learner_constant(FIVE_OMEGA))],
     SplitOnNegativeLearner: [("split", learner_split_on_negative)],
-    EchoLearner: [("echo", learner_echo), ("echo-text", lambda: learner_echo(TEXT))],
+    TextSplitLearner: [("txt-split", lambda: learner_from_text(learner_split_on_negative()))],
+    EchoLearner: [("echo", learner_echo), ("txt-echo", lambda: learner_from_text(learner_echo()))],
     MinEmbedLearner: [("min-embed", lambda: learner_min_embed(CHAIN))],
-    SeparatorLearner: [("separator", lambda: learner_separator(CHAIN))],
+    SeparatorLearner: [
+        ("separator", lambda: learner_separator(CHAIN)),
+        ("txt-separator", lambda: learner_from_text(learner_separator(CHAIN))),
+    ],
     OneShotLearner: [("one-shot", lambda: learner_one_shot(ANTICHAIN))],
-    TextFromInformantLearner: [("txt-separator", lambda: learner_from_text(learner_separator(CHAIN)))],
     LockingNormalForm: [
         ("locking-echo", lambda: locking_transform(learner_echo())),
         ("locking-separator", lambda: locking_transform(learner_separator(CHAIN))),

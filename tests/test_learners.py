@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from limitlearn import (
     INFORMANT,
     REORDER_STRATEGIES,
+    TEXT,
     Character,
     FamilyError,
+    PrefixState,
     Trace,
     conjectures_equal,
     distinguishing_substructure,
@@ -22,6 +24,7 @@ from limitlearn import (
     learner_one_shot,
     learner_separator,
     learner_split_on_negative,
+    locking_transform,
     reordered_informant,
     run_simulation,
     weak_locking_search,
@@ -54,6 +57,7 @@ from oracles import (
     char_minimal_hosts,
     cumulative_distinguishing_substructure,
     per_item_simulation,
+    rewrite_text_conjecture,
 )
 from test_clone import ANTICHAIN, CASES, CHAIN, _learner_classes, histories
 from test_clone import items as history_items
@@ -266,7 +270,7 @@ def test_one_shot_accepts_explicit_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# Text learning via reordering
+# Text readings
 
 
 def test_text_learner_matches_base_on_fair_texts():
@@ -287,14 +291,84 @@ def test_text_learner_starts_from_an_empty_base_history():
     base = learner_echo()
     base.feed((0, 1, 0))
     lrn = learner_from_text(base)
+    assert (lrn.mode, lrn.name) == (TEXT, "txt-echo")
     assert lrn.conjecture() == Character.make()
+    assert lrn.feed((2, 3)) == census(0, {2: 1})
     lrn.reset()
     assert lrn.conjecture() == Character.make()
+    # the base keeps its own decoder and its mode
+    assert (base.mode, base.conjecture()) == (INFORMANT, census(0, {1: 2}))
 
 
 def test_text_learner_requires_informant_base():
     with pytest.raises(ValueError):
         learner_from_text(learner_constant(FIVE_OMEGA, mode="text"))
+
+
+def test_learners_that_read_separations_have_no_text_reading():
+    # a text never labels two blocks apart
+    for base in (learner_one_shot(list(EXAMPLE1)), locking_transform(learner_echo())):
+        with pytest.raises(ValueError, match="no text reading"):
+            learner_from_text(base)
+
+
+TEXT_READINGS = {
+    "constant": lambda members: learner_constant(members[0]),
+    "split": lambda members: learner_split_on_negative(),
+    "echo": lambda members: learner_echo(),
+    "min-embed": lambda members: learner_min_embed(members, enforce=False),
+}
+
+
+def rewrite_mismatches(base, items) -> list[int]:
+    """The stages, the empty prefix and each structural revision of the text
+    `items`, at which the text reading of `base` and the rewrite of the
+    decoded prefix into an informant for `base` conjecture differently."""
+    learner, state = learner_from_text(base), PrefixState(TEXT)
+
+    def agree():
+        return conjectures_equal(learner.conjecture(), rewrite_text_conjecture(base, state))
+
+    mismatches = [] if agree() else [0]
+    for stage, item in enumerate(items, 1):
+        learner.consume(item)
+        rev = state.struct_rev
+        state.feed(item)
+        if state.struct_rev != rev and not agree():
+            mismatches.append(stage)
+    return mismatches
+
+
+@pytest.mark.parametrize("reading", TEXT_READINGS)
+def test_text_readings_match_the_rewrite_on_fair_texts(reading):
+    for name, fam in SEPARABLE_CORPUS.items():
+        for target in fam:
+            items = list(islice(fair_text(target, 0), 2000))
+            base = TEXT_READINGS[reading](list(fam))
+            assert rewrite_mismatches(base, items) == [], (name, target)
+
+
+@pytest.mark.parametrize("reading", TEXT_READINGS)
+@settings(max_examples=60, deadline=None)
+@given(histories())
+def test_text_readings_match_the_rewrite_on_random_texts(reading, history):
+    classes, *prefixes = history
+    items = [it for pairs in prefixes for it in history_items(TEXT, classes, pairs)]
+    assert rewrite_mismatches(TEXT_READINGS[reading](list(CHAIN)), items) == []
+
+
+def test_text_separator_ends_where_the_rewrite_does_on_fair_texts():
+    # births count text stages rather than rewrite positions, so the traces
+    # may differ on the way; the finals agree
+    for name, fam in SEPARABLE_CORPUS.items():
+        for target in fam:
+            base = learner_separator(list(fam))
+            learner, state = learner_from_text(base), PrefixState(TEXT)
+            items = list(islice(fair_text(target, 0), 2000))
+            learner.consume_all(items)
+            state.feed_all(items)
+            want = rewrite_text_conjecture(base, state)
+            assert conjectures_equal(learner.conjecture(), want), (name, target)
 
 
 # ---------------------------------------------------------------------------
