@@ -84,10 +84,8 @@ from .adversaries import (
     weak_locking_search,
 )
 from .bridge import (
-    FinitePermutation,
     SizeSequence,
     language_closure,
-    permuted,
     size_sequence_of,
     telltale_search,
 )

@@ -397,7 +397,10 @@ class _Labeling(Sequence):
                 yield x, y, 1 if cls[x] == cls[y] else 0
             old_n = n
 
-    def __getitem__(self, index: int):  # replays up to the item
+    def __getitem__(self, index):  # replays up to the item; a slice is a tuple
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            return tuple(islice(self, start, stop, step)) if step > 0 else tuple(self)[index]
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):

@@ -117,37 +117,6 @@ def _vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
                for i in range(base, base + period))
 
 
-# ---------------------------------------------------------------------------
-# Finite permutations
-
-
-@dataclass(frozen=True)
-class FinitePermutation:
-    """A bijection on the naturals that moves only finitely many points."""
-
-    moves: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        src = [a for a, _ in self.moves]
-        dst = [b for _, b in self.moves]
-        if sorted(src) != sorted(dst) or len(set(src)) != len(src):
-            raise ValueError("not a permutation")
-        if any(a == b for a, b in self.moves):
-            raise ValueError("fixed points do not belong in the support")
-
-
-def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
-    """The sequence i -> seq(perm(i)); equal outside the permutation's support,
-    so its base is past the support."""
-    if not perm.moves:
-        return seq
-    held = seq.stretched(max(seq.base, max(a for a, _ in perm.moves) + 1), seq.period)
-    values = list(held.values)
-    for a, b in perm.moves:
-        values[a] = held.values[b]
-    return SizeSequence(tuple(values), seq.period)
-
-
 def language_closure(langs: Sequence[SizeSequence], positions: int) -> list[SizeSequence]:
     """The given languages together with all transposition variants over the
     first `positions` slots (a bounded stand-in for the full permutation closure).

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, repeat
 
@@ -49,7 +50,6 @@ from limitlearn.bridge import SizeSequence, _vec_le, _window
 from limitlearn.presentations import (
     PATTERN,
     ClassAssignment,
-    _new_pairs,
     pattern_sizes,
     reorder_items,
     slot_demand,
@@ -754,6 +754,38 @@ def slot_count(seq, size) -> int | float:
 
 
 # ---------------------------------------------------------------------------
+# Finite permutations of a size sequence, one language at a time: the
+# reference for `language_closure`, which swaps entries on one shared window
+
+
+@dataclass(frozen=True)
+class FinitePermutation:
+    """A bijection on the naturals that moves only finitely many points."""
+
+    moves: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        src = [a for a, _ in self.moves]
+        dst = [b for _, b in self.moves]
+        if sorted(src) != sorted(dst) or len(set(src)) != len(src):
+            raise ValueError("not a permutation")
+        if any(a == b for a, b in self.moves):
+            raise ValueError("fixed points do not belong in the support")
+
+
+def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
+    """The sequence i -> seq(perm(i)); equal outside the permutation's support,
+    so its base is past the support."""
+    if not perm.moves:
+        return seq
+    held = seq.stretched(max(seq.base, max(a for a, _ in perm.moves) + 1), seq.period)
+    values = list(held.values)
+    for a, b in perm.moves:
+        values[a] = held.values[b]
+    return SizeSequence(tuple(values), seq.period)
+
+
+# ---------------------------------------------------------------------------
 # The tell-tale probe and the cumulative-count substructure search the closed
 # forms replaced
 
@@ -819,7 +851,19 @@ def pair_walk(universe: int | None):
                 yield d - y, y
     else:
         while True:
-            yield from _new_pairs(0, universe)
+            yield from cantor_new_pairs(0, universe)
+
+
+def cantor_new_pairs(old_n: int, new_n: int):
+    """`presentations._new_pairs` as a per-diagonal generator: the ordered
+    pairs over range(new_n) outside the square range(old_n)², in Cantor
+    order, one diagonal at a time."""
+    for d in range(old_n, 2 * new_n - 1):
+        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
+        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
+            yield d - y, y
+        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
+            yield d - y, y
 
 
 def generator_fair_informant(char: Character, seed: int = 0) -> Stream:
@@ -974,9 +1018,21 @@ class PathCompressingPrefixState:
         return bool(self._neg[root_a] & self._mask[root_b])
 
 
+class CantorLabeling(_Labeling):
+    """`_Labeling` replayed through the per-diagonal walk."""
+
+    def __iter__(self):
+        cls, old_n = self._cls, 0
+        for n in self._marks:
+            for x, y in cantor_new_pairs(old_n, n):
+                yield x, y, 1 if cls[x] == cls[y] else 0
+            old_n = n
+
+
 def per_item_diagonalize(learner, class_size, stages):
-    """`diagonalize` with each stage's new pairs labeled and consumed one
-    item at a time, each side's conjecture read after the stage."""
+    """`diagonalize` with each stage's new pairs walked one diagonal at a
+    time, labeled and consumed one item at a time, each side's conjecture
+    read after the stage; its prefixes replay through the same walk."""
     e = class_size
     learner.reset()
     lrn_sigma = learner.clone()
@@ -989,7 +1045,7 @@ def per_item_diagonalize(learner, class_size, stages):
     def label_new_pairs(old_n):
         n = len(sigma_class)
         marks.append(n)
-        for x, y in _new_pairs(old_n, n):
+        for x, y in cantor_new_pairs(old_n, n):
             lrn_sigma.consume((x, y, 1 if sigma_class[x] == sigma_class[y] else 0))
             lrn_tau.consume((x, y, 1 if tau_class[x] == tau_class[y] else 0))
         return lrn_sigma.conjecture(), lrn_tau.conjecture()
@@ -1028,8 +1084,8 @@ def per_item_diagonalize(learner, class_size, stages):
     nu_marks = [marks[t] ** 2 for t in [0] + expansionary]
     return DiagonalizationReport(
         e, stages, expansionary,
-        Prefix(INFORMANT, _Labeling(sigma_class, marks)),
-        Prefix(INFORMANT, _Labeling(tau_class, marks)),
+        Prefix(INFORMANT, CantorLabeling(sigma_class, marks)),
+        Prefix(INFORMANT, CantorLabeling(tau_class, marks)),
         nu_marks, sigma_char, tau_char,
         e_counts_ok, singletons_ok, nu_ok, distinct_ok,
     )

@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
@@ -414,6 +414,30 @@ def test_new_pairs_are_the_new_square_in_cantor_order(bounds):
     assert list(_new_pairs(old_n, new_n)) == [(x, y) for x, y, _ in reference]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 8))
+@example(400, 8)
+def test_new_pairs_match_the_new_square_at_diagonalizer_stage_shapes(old_n, k):
+    # a diagonalizer stage adds one element, or 3 * class_size + 1, to
+    # hundreds: both the edge diagonals and the row/column pattern between
+    # them are checked at those sizes
+    reference = full_labeling_extension(old_n, old_n + k, lambda x, y: False)
+    assert list(_new_pairs(old_n, old_n + k)) == [(x, y) for x, y, _ in reference]
+
+
+def test_new_pairs_stay_lazy():
+    # a stage's pairs are walked, never held: the first of four million comes
+    # without building the rest
+    tracemalloc.start()
+    try:
+        first = next(iter(_new_pairs(10**6, 10**6 + 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (10**6, 0)
+    assert peak < 2**16, f"peak {peak} bytes"
+
+
 @pytest.mark.parametrize("learner", [learner_echo(), learner_split_on_negative()])
 def test_diagonalizer_prefixes_replay(learner):
     report = diagonalize(learner, 2, 6)
@@ -425,6 +449,17 @@ def test_diagonalizer_prefixes_replay(learner):
         assert prefix.items[-1] == items[-1]
         with pytest.raises(IndexError):
             prefix.items[len(items)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diagonalizer_prefixes_slice_like_tuples(data):
+    report = diagonalize(learner_echo(), 2, 3)
+    for prefix in (report.sigma_prefix, report.tau_prefix):
+        items = tuple(prefix.items)
+        s = data.draw(st.slices(len(items) + 3))
+        assert prefix.items[s] == items[s]
+    assert report.sigma_prefix.items[0:3] == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 # ---------------------------------------------------------------------------

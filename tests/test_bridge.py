@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from limitlearn import (
     Character,
     ExtNat,
-    FinitePermutation,
     OMEGA,
     SizeSequence,
     fair_informant,
     language_closure,
     learner_separator,
     pair_code,
-    permuted,
     run_simulation,
     size_sequence_of,
     telltale_search,
@@ -33,9 +31,11 @@ from families import (
     kron_slice,
 )
 from oracles import (
+    FinitePermutation,
     census_slot_sizes,
     lang_member,
     pairwise_language_closure,
+    permuted,
     plain_sizes,
     probe_telltale_search,
     slot_count,
