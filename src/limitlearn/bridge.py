@@ -10,9 +10,12 @@ common base and period only where theirs differ.  Finite permutations of the
 slots give the language family a census maps to.  Two searches run over that
 family: `language_closure`, bounded to the transpositions of the first slots,
 which swaps entries of its inputs' values on one window that every member
-shares, and `telltale_search`, which reads the least separating codes off
-those values in closed form, bounded by the largest code and set size it may
-report.
+shares and keeps its inputs with its members, and `telltale_search`, which
+reads the least separating codes off those values in closed form, bounded by
+the largest code and set size it may report.  It scans a closure's inputs,
+not its members: the slots where an input exceeds the language name the
+transpositions that can lie below it, at most one pair or the pairs through
+one slot, unless the input lies below it already.
 """
 from __future__ import annotations
 
@@ -93,7 +96,8 @@ def size_sequence_of(char: Character) -> SizeSequence:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise comparison (exact, via eventual periodicity)
+# One window for many sequences (exact, via eventual periodicity), and the
+# bounded permutation closure held on one
 
 
 def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
@@ -109,27 +113,32 @@ def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
                           for seq in seqs]
 
 
-def _vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
-    if not all(map(operator.le, va, vb)):
-        return False
-    # where b is finite past the base, so is a (it is below b); a must not grow faster
-    return all(vb[i] == math.inf or va[i + period] - va[i] <= vb[i + period] - vb[i]
-               for i in range(base, base + period))
+class Closure(tuple):
+    """The languages of one `language_closure`, in order, with the `inputs`
+    they were built from (held on the same window) and the number of leading
+    slots, `positions`, whose transpositions they add."""
+
+    def __new__(cls, members, inputs: tuple, positions: int):
+        closure = super().__new__(cls, members)
+        closure.inputs, closure.positions = inputs, positions
+        return closure
 
 
-def language_closure(langs: Sequence[SizeSequence], positions: int) -> list[SizeSequence]:
+def language_closure(langs: Sequence[SizeSequence], positions: int) -> Closure:
     """The given languages together with all transposition variants over the
     first `positions` slots (a bounded stand-in for the full permutation closure).
 
     Every member is held on one window, with a base of at least `positions`:
     the inputs come first, in order, stretched to it; each new language
     follows at the first transposition that yields it, its values those of
-    its input with two entries swapped."""
+    its input with two entries swapped.  The stretched inputs and `positions`
+    are kept with the members, so `telltale_search` can scan the inputs."""
     base = max([positions, *(lang.base for lang in langs)])
     period = math.lcm(*{lang.period for lang in langs})
-    out = [lang.stretched(base, period) for lang in langs]
+    inputs = tuple(lang.stretched(base, period) for lang in langs)
+    out = list(inputs)
     seen = {lang.values for lang in out}
-    for lang in out[:len(langs)]:
+    for lang in inputs:
         for a in range(positions):
             for b in range(a + 1, positions):
                 vec = list(lang.values)
@@ -138,7 +147,7 @@ def language_closure(langs: Sequence[SizeSequence], positions: int) -> list[Size
                 if vec not in seen:
                     seen.add(vec)
                     out.append(SizeSequence(vec, period))
-    return out
+    return Closure(out, inputs, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +167,61 @@ def telltale_search(
     That code lies in the window's values: past their base each slot gains a
     fixed step per period, L' gains no more than L and neither loses, so a
     residue class whose gap opens at all opens within the window's two
-    periods, and its later codes are larger.  Members of one
-    `language_closure` share a window, so their values are read as they are;
-    only `lang`, when it is not a member, is stretched to it.  Codes and the
-    set size are capped by `bound`, so the bound must reach the largest
-    separating code the family needs: over kron slices 7 and 8 at 12
-    positions that is 72, 84 and 98, and the search fails at bound 64 though
-    both slices are separable.
+    periods, and its later codes are larger.  Codes and the set size are
+    capped by `bound`, so the bound must reach the largest separating code
+    the family needs: over kron slices 7 and 8 at 12 positions that is 72,
+    84 and 98, and the search fails at bound 64 though both slices are
+    separable.
+
+    A `Closure` is scanned through its inputs, not its members: each member
+    is an input u, or u with two slots below `positions` exchanged, and the
+    window over the language and the inputs has its base past those slots.
+    So u's growth past the base decides for all its transpositions; the
+    slots where u exceeds L must be at most two, all below `positions`, and
+    a transposition must move each of them (u itself counts when there are
+    none); and a transposition's least code is the least of u's codes below
+    L away from its two slots and of the two swapped entries' codes where
+    they fall below L.  Any other sequence of languages is scanned as a
+    closure of no positions.
     """
-    base, period, (vec, *vecs) = _window([lang, *family_langs])
+    if isinstance(family_langs, Closure):
+        inputs, positions = family_langs.inputs, family_langs.positions
+    else:
+        inputs, positions = family_langs, 0
+    base, period, (vec, *vecs) = _window([lang, *inputs])
     witnesses: set[int] = set()
-    for other_vec in vecs:
-        if other_vec == vec or not _vec_le(other_vec, vec, base, period):
+    for u in vecs:
+        # the slots where u exceeds the language: a transposition below it moves each
+        over = list(itertools.compress(itertools.count(), map(operator.gt, u, vec)))
+        if len(over) > 2 or over and over[-1] >= positions:
             continue
-        found = min(pair_code(i, b) for i, (a, b) in enumerate(zip(vec, other_vec)) if b < a)
-        if found > bound:
-            return None
-        witnesses.add(found)
+        # where the language is finite past the base, u must not grow faster
+        if not all(vec[i] == math.inf or u[i + period] - u[i] <= vec[i + period] - vec[i]
+                   for i in range(base, base + period)):
+            continue
+        # a pair's two slots skip at most two of these, so three are enough
+        below = sorted((pair_code(i, x), i) for i, (x, y) in enumerate(zip(u, vec)) if x < y)[:3]
+        codes = [below[0][0]] if below and not over else []
+        if len(over) == 2:
+            pairs = [over]
+        elif over:
+            pairs = [sorted((over[0], x)) for x in range(positions) if x != over[0]]
+        else:
+            pairs = itertools.combinations(range(positions), 2)
+        for a, b in pairs:
+            if u[b] > vec[a] or u[a] > vec[b]:
+                continue
+            least = [c for c, i in below if i != a and i != b][:1]
+            if u[b] < vec[a]:
+                least.append(pair_code(a, u[b]))
+            if u[a] < vec[b]:
+                least.append(pair_code(b, u[a]))
+            if least:
+                codes.append(min(least))
+        for found in codes:
+            if found > bound:
+                return None
+            witnesses.add(found)
         if len(witnesses) > bound:
             return None
     return witnesses

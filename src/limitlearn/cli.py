@@ -258,16 +258,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_adversary(args) -> int:
-    # the parser leaves the options in KIND_OPTIONS unset: the kind that
-    # reads one takes its default, and the other refuses it
-    for kind, names in KIND_OPTIONS.items():
+def _read_choice_options(args, command: str, chosen: str, label: str) -> None:
+    """The parser leaves the command's options in CHOICE_OPTIONS unset: the
+    chosen kind or action gives those it reads their defaults, and refuses
+    those only another one reads."""
+    for choice, names in CHOICE_OPTIONS[command].items():
         for name in names:
             dest = name.replace("-", "_")
             if getattr(args, dest) is None:
                 setattr(args, dest, OPTIONS[name]["default"])
-            elif kind != args.kind:
-                raise CliError(f"adversary --kind {args.kind} does not read --{name}", EXIT_PARSE)
+            elif choice != chosen:
+                raise CliError(f"{label} does not read --{name}", EXIT_PARSE)
+
+
+def cmd_adversary(args) -> int:
+    _read_choice_options(args, "adversary", args.kind, f"adversary --kind {args.kind}")
     family = _load_family(args.family)
     learner = _make_learner(args.learner, family, args.target)
     if args.kind == "text":
@@ -319,7 +324,12 @@ def cmd_locking(args) -> int:
 
 
 def cmd_bridge(args) -> int:
+    _read_choice_options(args, "bridge", args.action, f"bridge {args.action}")
     family = _load_family(args.family)
+    if not family.members:
+        unread = f"; its generator {family.generator!r} is not expanded" if family.generator else ""
+        raise CliError(f"invalid family: the bridge translates listed members, and it lists none{unread}",
+                       EXIT_REPRESENTATION)
     langs = [bridge_mod.size_sequence_of(m) for m in family.members]
     if args.action == "translate":
         payload = [
@@ -429,9 +439,19 @@ OPTIONS = {
     "bound": {"type": _at_least(0), "default": 64},
     "jobs": {"type": int, "default": 1},
     "min-mind-changes": {"type": _at_least(1), "default": 5},
+    "positions": {"type": _at_least(0), "default": 12},
 }
-# the options only one adversary kind reads; the other kind refuses them
-KIND_OPTIONS = {"limit": ("min-mind-changes",), "text": ("depth", "width")}
+# the options only one adversary kind or bridge action reads; the command's
+# other kinds or actions refuse them
+CHOICE_OPTIONS = {
+    "adversary": {"limit": ("min-mind-changes",), "text": ("depth", "width")},
+    "bridge": {"translate": (), "telltale": ("bound", "positions"),
+               "roundtrip": ("target", "seed", "horizon", "window")},
+}
+
+
+def _choice_options(command: str) -> tuple:
+    return tuple(name for names in CHOICE_OPTIONS[command].values() for name in names)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -462,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("adversary", help="run the limit or text adversary")
-    kind_options = KIND_OPTIONS["limit"] + KIND_OPTIONS["text"]
+    kind_options = _choice_options("adversary")
     common(p, "learner", "target", *kind_options)
     p.add_argument("--horizon", **{**OPTIONS["horizon"], "type": _at_least(1)})
-    p.add_argument("--kind", choices=("limit", "text"), default="limit")
+    p.add_argument("--kind", choices=tuple(CHOICE_OPTIONS["adversary"]), default="limit")
     p.set_defaults(func=cmd_adversary, **{name.replace("-", "_"): None for name in kind_options})
 
     p = sub.add_parser("diagonalize", help="run the pairwise diagonalizer")
@@ -480,10 +500,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_locking)
 
     p = sub.add_parser("bridge", help="language-learning translation tools")
-    p.add_argument("action", choices=("translate", "telltale", "roundtrip"))
-    common(p, "target", "seed", "horizon", "window", "bound")
-    p.add_argument("--positions", type=_at_least(0), default=12)
-    p.set_defaults(func=cmd_bridge)
+    p.add_argument("action", choices=tuple(CHOICE_OPTIONS["bridge"]))
+    action_options = _choice_options("bridge")
+    common(p, *action_options)
+    p.set_defaults(func=cmd_bridge, **{name.replace("-", "_"): None for name in action_options})
 
     p = sub.add_parser("replay", help="re-run a recorded item file and compare")
     common(p, "learner", "target", "horizon", "window")

@@ -15,6 +15,7 @@ over at most a handful of sizes).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,7 @@ from limitlearn import (
     unpair_code,
 )
 from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
-from limitlearn.bridge import SizeSequence, _vec_le, _window
+from limitlearn.bridge import SizeSequence, _window
 from limitlearn.presentations import (
     PATTERN,
     ClassAssignment,
@@ -786,8 +787,36 @@ def permuted(seq: SizeSequence, perm: FinitePermutation) -> SizeSequence:
 
 
 # ---------------------------------------------------------------------------
-# The tell-tale probe and the cumulative-count substructure search the closed
-# forms replaced
+# The tell-tale scan over every member and the probe loop, and the
+# cumulative-count substructure search, which the closed forms replaced
+
+
+def vec_le(va: tuple, vb: tuple, base: int, period: int) -> bool:
+    """Inclusion of two languages held on one window: pointwise on its
+    values, and past its base the included one grows no faster."""
+    if not all(map(operator.le, va, vb)):
+        return False
+    # where b is finite past the base, so is a (it is below b); a must not grow faster
+    return all(vb[i] == math.inf or va[i + period] - va[i] <= vb[i + period] - vb[i]
+               for i in range(base, base + period))
+
+
+def flat_telltale_search(lang, family_langs, bound: int):
+    """`telltale_search` by ordering the language against every family
+    language on their common window, one by one, and reading each least
+    separating code off the two vectors."""
+    base, period, (vec, *vecs) = _window([lang, *family_langs])
+    witnesses: set[int] = set()
+    for other_vec in vecs:
+        if other_vec == vec or not vec_le(other_vec, vec, base, period):
+            continue
+        found = min(pair_code(i, b) for i, (a, b) in enumerate(zip(vec, other_vec)) if b < a)
+        if found > bound:
+            return None
+        witnesses.add(found)
+        if len(witnesses) > bound:
+            return None
+    return witnesses
 
 
 def probe_telltale_search(lang, family_langs, bound: int):
@@ -796,7 +825,7 @@ def probe_telltale_search(lang, family_langs, bound: int):
     base, period, (vec, *vecs) = _window([lang, *family_langs])
     witnesses: set[int] = set()
     for other, other_vec in zip(family_langs, vecs):
-        if other_vec == vec or not _vec_le(other_vec, vec, base, period):
+        if other_vec == vec or not vec_le(other_vec, vec, base, period):
             continue
         found = None
         for code in range(bound + 1):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
@@ -17,7 +17,7 @@ from limitlearn import (
     size_sequence_of,
     telltale_search,
 )
-from limitlearn.bridge import LanguageToStructLearner, _vec_le, _window
+from limitlearn.bridge import LanguageToStructLearner, _window
 
 from families import (
     C56,
@@ -33,12 +33,14 @@ from families import (
 from oracles import (
     FinitePermutation,
     census_slot_sizes,
+    flat_telltale_search,
     lang_member,
     pairwise_language_closure,
     permuted,
     plain_sizes,
     probe_telltale_search,
     slot_count,
+    vec_le,
 )
 
 OM = "omega"
@@ -95,7 +97,7 @@ def test_language_membership():
 def seq_le(a, b):
     """Pointwise comparison (= language inclusion) as `telltale_search` reads it."""
     base, period, (va, vb) = _window((a, b))
-    return _vec_le(va, vb, base, period)
+    return vec_le(va, vb, base, period)
 
 
 def seq_eq(a, b):
@@ -151,7 +153,7 @@ def test_size_sequence_matches_the_census_slot_sizes(char, swap):
 @given(_censuses, _swaps, st.data())
 @settings(max_examples=300, deadline=None)
 def test_seq_comparisons_match_explicit_prefix(char, swap, data):
-    """`_window` and `_vec_le` agree with pointwise comparison over 200 slots, for
+    """`_window` and `vec_le` agree with pointwise comparison over 200 slots, for
     random censuses, some transposed; the second census is often a variant of
     the first, so inclusions and equalities come up, not only misses."""
     other = data.draw(st.one_of(
@@ -284,6 +286,38 @@ def test_telltales_do_not_depend_on_the_closure_window(name):
     for lang in langs:
         for bound in (64, 100):
             assert telltale_search(lang, apart, bound) == telltale_search(lang, closure, bound), bound
+
+
+# censuses whose sequences often have a larger base than a closure of
+# `_censuses` (a larger skipped size) or a period it does not divide
+_off_window = st.builds(
+    census,
+    st.integers(3, 5),
+    st.dictionaries(st.integers(1, 12), st.integers(0, 2), max_size=2),
+    st.sampled_from([0, 1]),
+)
+
+
+@given(st.lists(_censuses, min_size=1, max_size=4), st.integers(0, 16), _off_window)
+# 1, 2, 3, ... lies below 2, 2, 2, ... on their short window, not past it:
+# a scan that skipped the growth check would take it for a smaller language
+@example([census(1, {}, 0), census(0, {2: OM}, 0)], 0, census(3, {}, 0))
+# a transposition through slot 1, past the one position, would lie below the
+# second member: a scan that let a slot past the positions be moved finds it
+@example([census(1, {}, 1), census(1, {1: OM}, 0)], 1, census(3, {}, 0))
+@settings(max_examples=300, deadline=None)
+def test_telltale_scan_of_the_inputs_matches_the_flat_scan(family, positions, outside):
+    """Scanning a closure's inputs and the transpositions that can lie below
+    the language finds the tell-tales that ordering the language against
+    every member finds, for each family member and for a language off the
+    closure's window."""
+    langs = [size_sequence_of(c) for c in family]
+    closure = language_closure(langs, positions)
+    away = size_sequence_of(outside)
+    assume(away.base > closure[0].base or closure[0].period % away.period)
+    for lang in (*langs, away):
+        for bound in (0, 1, 5, 64, 10**9):
+            assert telltale_search(lang, closure, bound) == flat_telltale_search(lang, list(closure), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ INPUT_FILES = {
     "omega_pair": '{"members": [[["omega", 1]], [["omega", 2]]]}',
     "finite_and_infinite": '{"members": [[[3, 1], ["omega", 2]], [["omega", 2]]]}',
     "five_tail_gen": '{"members": [[[5, "omega"]]], "generator": {"name": "five_n_tail"}}',
+    "no_members": '{"members": []}',
+    "kronecker_gen": '{"generator": {"name": "kronecker"}}',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -168,6 +170,20 @@ EXIT_CODE_TABLE = [
      "adversary --kind limit does not read --width"),
     (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",
       "--min-mind-changes", 3), 2, "adversary --kind text does not read --min-mind-changes"),
+    # each bridge action refuses the options only another action reads
+    (("bridge", "translate", "--bound", 5, "--horizon", 3), 2, "bridge translate does not read --bound"),
+    (("bridge", "telltale", "--horizon", 3, "--seed", 4, "--target", 1), 2,
+     "bridge telltale does not read --target"),
+    (("bridge", "roundtrip", "--bound", 7, "--positions", 3), 2, "bridge roundtrip does not read --bound"),
+    (("bridge", "translate", "--positions", 3), 2, "bridge translate does not read --positions"),
+    (("bridge", "telltale", "--window", 10), 2, "bridge telltale does not read --window"),
+    # the bridge reads listed members only: with none, every verdict would be vacuous
+    (("bridge", "translate", "--family", "{no_members}"), 3, "invalid family: the bridge translates"),
+    (("bridge", "telltale", "--family", "{no_members}"), 3, "invalid family: the bridge translates"),
+    (("bridge", "translate", "--family", "{kronecker_gen}"), 3,
+     "its generator 'kronecker' is not expanded"),
+    (("bridge", "telltale", "--family", "{kronecker_gen}"), 3,
+     "its generator 'kronecker' is not expanded"),
     # the one-shot learner reads explicit separations, which a text never states
     (("simulate", "--learner", "txt-one-shot", "--horizon", 50, "--window", 10), 2,
      "learner 'txt-one-shot': learner 'one-shot' has no text reading"),
