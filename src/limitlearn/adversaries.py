@@ -13,7 +13,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import chain, count, cycle, islice
 from typing import Optional
 
 from .learners import Learner, Trace, conjectures_equal, run_stages
@@ -93,7 +93,7 @@ class _TargetBuilder:
         if blocks:
             order = sorted(((len(b), i) for i, b in enumerate(blocks)), reverse=True)
             self.slot_members = [sorted(blocks[i]) for _, i in order]
-            self.slot_target = self._match_sizes([s for s, _ in order])
+            self.slot_target = self._fit([s for s, _ in order])
             for idx, members in enumerate(self.slot_members):
                 for x in members:
                     self.slot_of[x] = idx
@@ -110,18 +110,24 @@ class _TargetBuilder:
     def _avail(self, size: Optional[int]) -> bool:
         return self.used[size] < self.target.count(OMEGA if size is None else size)
 
-    def _match_sizes(self, sizes_desc: list[int]) -> list[Optional[int]]:
-        """Plan a target size >= each block size, smallest available first;
-        blocks that no finite class can host go to infinite classes."""
+    def _fit(self, sizes: list[int]) -> list[Optional[int]]:
+        """Plan a class of the census for each block size, largest block
+        first: the smallest available size >= the block's up to one past
+        every listed size, else an infinite class, else (under a nonzero
+        default, which has classes of every larger size) a larger size.
+        The blocks' hosts are nested, so this fails exactly when the blocks'
+        profile exceeds the census's (``FamilyError``)."""
         self.used = Counter()
-        planned: list[Optional[int]] = []
-        limit = max([*self.target.sizes_of_interest, *sizes_desc, 1]) + 1
-        for size in sizes_desc:
-            k = next((k for k in range(size, limit + 1) if self._avail(k)), None)
-            if k is None and not self._avail(None):
+        planned: list[Optional[int]] = [None] * len(sizes)
+        limit = max([*self.target.sizes_of_interest, *sizes, 1]) + 1
+        for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+            beyond = count(limit + 1) if self.target.default != ZERO else ()
+            hosts = chain(range(sizes[i], limit + 1), [None], beyond)
+            k = next((k for k in hosts if self._avail(k)), _EXHAUSTED)
+            if k is _EXHAUSTED:
                 raise FamilyError(f"existing classes do not fit the census {self.target}")
             self.used[k] += 1
-            planned.append(k)
+            planned[i] = k
         return planned
 
     def _next_spawn_target(self):
@@ -161,12 +167,7 @@ class _TargetBuilder:
             self.slot_target = list(sizes)
             self.used = Counter(sizes)
         else:
-            order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-            planned = self._match_sizes([sizes[i] for i in order])
-            new_targets: list[Optional[int]] = [0] * len(sizes)
-            for rank, i in enumerate(order):
-                new_targets[i] = planned[rank]
-            self.slot_target = new_targets
+            self.slot_target = self._fit(sizes)
         self.finishing = False
 
     # -- emission -----------------------------------------------------------
@@ -223,11 +224,37 @@ class _TargetBuilder:
     def _label(self, x: int, y: int) -> tuple[int, int, int]:
         return (x, y, 1 if self.slot_of[x] == self.slot_of[y] else 0)
 
-    def upcoming_pairs(self, n: int) -> list[tuple[int, int]]:
-        """The next pairs of the walk among already-assigned elements."""
+    def candidates(self, state: PrefixState, width: int) -> list:
+        """Up to `width` single items a locking search probes: the next pairs
+        of the walk among placed elements, each as labeled here and, when
+        `state` (the decoded prefix so far) leaves the pair open, with the
+        other label if the census still fits it."""
         slot_of = self.slot_of
-        return _pairs_ahead(self.cursor, [], n, len(slot_of),
-                            lambda x, y: x in slot_of and y in slot_of)
+        cands: list = []
+        # every placed element came with an emitted pair, which `state` was fed
+        for x, y in _pairs_ahead(self.cursor, [], width, len(slot_of),
+                                 lambda x, y: x in slot_of and y in slot_of):
+            same = slot_of[x] == slot_of[y]
+            cands.append((x, y, 1 if same else 0))
+            if len(cands) >= width:
+                break
+            rx, ry = state.find(x), state.find(y)
+            if rx == ry or state.separated(rx, ry):
+                continue
+            if same:
+                cands.append((x, y, 0))
+            else:
+                # merging the two blocks must still fit the census
+                merged = state.size_counts
+                for size in (state.block_size(rx), state.block_size(ry)):
+                    merged[size] -= 1
+                    if not merged[size]:
+                        del merged[size]
+                big = state.block_size(rx) + state.block_size(ry)
+                merged[big] = merged.get(big, 0) + 1
+                if profile_le(profile_of(merged), self.target.cumulative_profile):
+                    cands.append((x, y, 1))
+        return cands[:width]
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +541,22 @@ class LockingSearchResult:
 
 
 class _TextBuilder:
-    """Completes a text prefix toward a census of `omega_classes` infinite
-    classes: existing components are distributed over the classes and every
-    pair of the growing universe is visited in Cantor order."""
+    """Completes a text prefix toward a census of finitely many infinite
+    classes and no finite ones, the only censuses a text completion
+    presents (any other is refused, ``FamilyError``): existing components
+    are distributed over the classes and every pair of the growing universe
+    is visited in Cantor order."""
 
-    def __init__(self, blocks: Sequence[Sequence[int]], omega_classes: int,
+    def __init__(self, target: Character, blocks: Sequence[Sequence[int]],
                  second_component_fresh: bool = False):
-        self.k = omega_classes
+        self.k = target.count(OMEGA)
+        if target.default != ZERO or target.exceptions or not 0 < self.k < math.inf:
+            raise FamilyError("text locking search completes only toward finitely many "
+                              "infinite classes and no finite ones")
         self.class_of: dict[int, int] = {}
         ordered = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
         for i, block in enumerate(ordered):
-            cls = 0 if second_component_fresh else i % omega_classes
+            cls = 0 if second_component_fresh else i % self.k
             for x in block:
                 self.class_of[x] = cls
         self._fresh_rot = 1 if second_component_fresh else len(ordered)
@@ -549,12 +581,14 @@ class _TextBuilder:
             return (x, y)
         return PAUSE
 
-    def upcoming_positive_candidates(self, n: int) -> list:
-        """Candidate single text items: a fresh self-pair plus upcoming
-        positive pairs of the walk."""
+    def candidates(self, state: PrefixState, width: int) -> list:
+        """Up to `width` single items a locking search probes: a pause, a
+        fresh self-pair and upcoming positive pairs of the walk; a text
+        prefix rules none of them out, so `state` is not read."""
         fresh, cls = self._next_elem, self.class_of
-        return _pairs_ahead(self.cursor, [(fresh, fresh)], n, len(cls),
-                            lambda x, y: x in cls and y in cls and cls[x] == cls[y])
+        pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), len(cls),
+                             lambda x, y: x in cls and y in cls and cls[x] == cls[y])
+        return [PAUSE, *pairs][:width]
 
 
 def weak_locking_search(
@@ -571,25 +605,15 @@ def weak_locking_search(
     elements, probing up to `width` single-item variations at every step.  Any
     conjecture differing from the one at `start` yields a violator pair;
     otherwise `start` is reported as a candidate locking sequence at these
-    bounds.  Completability of informant prefixes is judged without merging
-    existing blocks, which is conservative.  A text completion presents only
-    infinite classes, so in text mode a target with a finite class, a nonzero
-    default or infinitely many infinite classes is refused (``FamilyError``).
+    bounds.  The completion's builder refuses a start it cannot complete
+    toward the target (``FamilyError``); it keeps the start's blocks
+    unmerged.
     """
     if learner.mode != start.kind:
         raise FamilyError("learner mode does not match the prefix kind")
     state = PrefixState(start.kind)
     state.feed_all(start.items)  # raises on inconsistency
-    if start.kind == INFORMANT:
-        if not profile_le(state.profile(), target.cumulative_profile):
-            raise FamilyError("start prefix is not completable to the target census")
-        builder = _TargetBuilder(target, state.blocks())
-    else:
-        k = target.count(OMEGA)
-        if target.default != ZERO or target.exceptions or not 0 < k < math.inf:
-            raise FamilyError("text locking search completes only toward finitely many "
-                              "infinite classes and no finite ones")
-        builder = _TextBuilder(state.blocks(), k)
+    builder = (_TargetBuilder if start.kind == INFORMANT else _TextBuilder)(target, state.blocks())
     base = learner.clone()
     base.reset()
     base.consume_all(start.items)
@@ -602,7 +626,7 @@ def weak_locking_search(
         return LockingSearchResult("violator", start, tau, depth, width, probes)
 
     for _ in range(depth):
-        for cand in _candidate_items(builder, state, target, width, start.kind):
+        for cand in builder.candidates(state, width):
             probes += 1
             probe = base.clone()
             probe.consume(cand)
@@ -625,37 +649,6 @@ def weak_locking_search(
         if not conjectures_equal(base.conjecture(), base_conj):
             return violator([])
     return LockingSearchResult("candidate", start, None, depth, width, probes)
-
-
-def _candidate_items(builder, state: PrefixState, target: Character, width: int, kind: str):
-    if kind == TEXT:
-        cands = [PAUSE]
-        cands.extend(builder.upcoming_positive_candidates(max(1, width - 1)))
-        return cands[:width]
-    cands: list = []
-    # every assigned element came with an emitted pair, which `state` was fed
-    for x, y in builder.upcoming_pairs(width):
-        same = builder.slot_of[x] == builder.slot_of[y]
-        cands.append((x, y, 1 if same else 0))
-        if len(cands) >= width:
-            break
-        rx, ry = state.find(x), state.find(y)
-        if rx == ry or state.separated(rx, ry):
-            continue
-        if same:
-            cands.append((x, y, 0))
-        else:
-            # merging the two blocks must still fit the census
-            merged = state.size_counts
-            for s in (state.block_size(rx), state.block_size(ry)):
-                merged[s] -= 1
-                if not merged[s]:
-                    del merged[s]
-            big = state.block_size(rx) + state.block_size(ry)
-            merged[big] = merged.get(big, 0) + 1
-            if profile_le(profile_of(merged), target.cumulative_profile):
-                cands.append((x, y, 1))
-    return cands[:width]
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +729,8 @@ class LockingNormalForm(Learner):
 
 
 ONE_CLASS = Character.make(0, {}, 1)
+TWO_CLASSES = Character.make(0, {}, 2)
+MAX_RESTARTS = 25  # locking searches restarted from a violator before phase 1 gives up
 
 
 @dataclass
@@ -764,7 +759,6 @@ def text_adversary(
     depth: int = 40,
     width: int = 6,
     horizon: int = 2000,
-    max_restarts: int = 25,
 ) -> TextAdversaryReport:
     """Defeat a text learner on the pair {one infinite class, two infinite classes}.
 
@@ -781,7 +775,7 @@ def text_adversary(
     sigma = Prefix(TEXT, ())
     restarts = 0
     result = weak_locking_search(learner, ONE_CLASS, sigma, depth, width)
-    while result.kind == "violator" and restarts < max_restarts:
+    while result.kind == "violator" and restarts < MAX_RESTARTS:
         sigma = result.tau
         restarts += 1
         result = weak_locking_search(learner, ONE_CLASS, sigma, depth, width)
@@ -803,7 +797,7 @@ def text_adversary(
         )
     state = PrefixState(TEXT)
     state.feed_all(sigma.items)
-    builder = _TextBuilder(state.blocks(), 2, second_component_fresh=True)
+    builder = _TextBuilder(TWO_CLASSES, state.blocks(), second_component_fresh=True)
     for stage in run_stages(probe, (builder.next_item() for _ in range(horizon))):
         if not conjectures_equal(probe.conjecture(), locked):
             return TextAdversaryReport(

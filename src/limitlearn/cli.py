@@ -47,7 +47,6 @@ from .separability import (
     fin_antichain,
     finitely_separable,
     generated_limit_verdict,
-    limit_witness,
     separator_of,
 )
 from .structures import RepresentationError
@@ -280,11 +279,7 @@ def cmd_adversary(args) -> int:
                                 horizon=args.horizon)
         _dump_json(_out_path(args, "adversary.json"), report.to_json())
         return EXIT_OK if report.verdict in ("defeated", "undecided") else EXIT_VIOLATION
-    limit = _member(family, args.target)
-    if limit_witness(limit, family.members) is None:
-        raise CliError(f"member {args.target} is not a limit of the family",
-                       EXIT_REPRESENTATION)
-    adv = LimitAdversary(learner, limit, family.members)
+    adv = LimitAdversary(learner, _member(family, args.target), family.members)
     report = adv.run(args.horizon)
     write_trace(_out_path(args, "items.txt"), Prefix(INFORMANT, tuple(report.items)))
     payload = report.to_json()

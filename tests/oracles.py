@@ -46,7 +46,7 @@ from limitlearn import (
     pair_code,
     unpair_code,
 )
-from limitlearn.adversaries import _census_of, _Labeling, _TargetBuilder, _TextBuilder
+from limitlearn.adversaries import TWO_CLASSES, _census_of, _Labeling, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import SizeSequence, _window
 from limitlearn.presentations import (
     PATTERN,
@@ -1176,7 +1176,7 @@ def per_item_two_class_phase(learner, sigma: Prefix, horizon: int):
     locked = learner.conjecture()
     state = PrefixState(TEXT)
     state.feed_all(sigma.items)
-    builder = _TextBuilder(state.blocks(), 2, second_component_fresh=True)
+    builder = _TextBuilder(TWO_CLASSES, state.blocks(), second_component_fresh=True)
     for stage in range(1, horizon + 1):
         if not conjectures_equal(learner.feed(builder.next_item()), locked):
             return stage

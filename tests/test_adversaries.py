@@ -26,6 +26,8 @@ from limitlearn import (
     learner_split_on_negative,
     limit_adversary,
     locking_transform,
+    profile_le,
+    profile_of,
     run_simulation,
     text_adversary,
     weak_locking_search,
@@ -230,6 +232,40 @@ def test_target_builder_on_a_finite_census_labels_every_pair_then_is_exhausted(b
     state = PrefixState("informant")
     state.feed_all(items)
     assert state.char() == target
+
+
+@st.composite
+def _fit_cases(draw):
+    """A census of default 0-2, up to three exceptions (omega allowed) and 0-2
+    or omega infinite classes, and the block sizes of a start prefix."""
+    count = st.one_of(st.integers(0, 3), st.just(OM))
+    target = census(
+        draw(st.integers(0, 2)),
+        draw(st.dictionaries(st.integers(1, 6), count, max_size=3)),
+        draw(st.one_of(st.integers(0, 2), st.just(OM))),
+    )
+    return target, draw(st.lists(st.integers(1, 9), max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fit_cases())
+@example((census(1), [3] * 5))  # more blocks of one size than the listed window holds
+@example((census(1, {}, 1), [3, 3, 3]))  # the third block goes to the infinite class
+def test_target_builder_fits_exactly_the_blocks_the_census_profile_admits(case):
+    target, sizes = case
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [list(range(a, a + size)) for a, size in zip(starts, sizes)]
+    fits = profile_le(profile_of(Counter(sizes)), target.cumulative_profile)
+    try:
+        builder = _TargetBuilder(target, blocks)
+    except FamilyError:
+        assert not fits
+        return
+    assert fits
+    for members, planned in zip(builder.slot_members, builder.slot_target):
+        assert planned is None or planned >= len(members), (members, planned)
+    for size, planned in Counter(builder.slot_target).items():
+        assert planned <= target.count(OM if size is None else size), (size, planned)
 
 
 def test_target_builder_spreads_elements_over_two_infinite_classes():
@@ -515,6 +551,15 @@ def test_text_locking_search_refuses_a_census_it_does_not_complete_toward(target
     # a text completion presents only its finitely many infinite classes
     with pytest.raises(FamilyError, match="completes only toward"):
         weak_locking_search(learner_constant(target, mode="text"), target, Prefix(TEXT, ()))
+
+
+def test_locking_search_completes_more_blocks_of_one_size_than_the_census_lists():
+    # under a nonzero default every size has classes, so five 3-blocks fit [*:1]
+    start = informant_prefix([(x, y, 1) for b in range(5)
+                              for x in range(3 * b, 3 * b + 3) for y in range(3 * b, 3 * b + 3)])
+    target = census(1)
+    res = weak_locking_search(learner_constant(target), target, start, depth=20)
+    assert res.kind == "candidate" and res.sigma == start
 
 
 def test_locking_search_rejects_bad_start():

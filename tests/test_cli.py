@@ -445,6 +445,21 @@ def test_locking_command_toward_a_finite_census(tmp_path):
     assert report["kind"] == "candidate" and report["depth"] == 10
 
 
+def test_locking_command_completes_a_start_past_the_listed_sizes(tmp_path):
+    # five 3-blocks fit [*:1], which has a class of every size
+    family = tmp_path / "default.json"
+    family.write_text(json.dumps({"members": [{"default": 1},
+                                              {"default": 1, "exceptions": {"3": 2}}]}))
+    start = tmp_path / "start.txt"
+    start.write_text("".join(f"P {x} {y}\n" for b in range(5)
+                             for x in range(3 * b, 3 * b + 3) for y in range(3 * b, 3 * b + 3)))
+    res = run_cli("locking", "--family", family, "--learner", "constant",
+                  "--target", 0, "--start", start, "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "locking.json").read_text())
+    assert report["sigma_length"] == 45
+
+
 def test_locking_command_toward_a_census_with_no_classes(tmp_path):
     # the all-zero census has no element to place, so its presentation is
     # exhausted before the first probe
