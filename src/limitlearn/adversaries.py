@@ -439,9 +439,6 @@ def _census_of(cls: list[int]) -> Character:
     return Character.make(0, Counter(Counter(cls).values()), 0)
 
 
-_CHUNK = 512  # pairs labeled at a time, so a stage's items are never all held
-
-
 def diagonalize(learner: Learner, class_size: int, stages: int) -> DiagonalizationReport:
     """Grow paired structures that differ by one class of the given size,
     expanding both every time the learner's conjectures tell them apart.
@@ -454,6 +451,8 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     counts per expansionary stage, singleton growth, and a mind change between
     consecutive expansionary snapshots of the first side's presentation.  It
     runs at least one stage: with none, every check would hold vacuously.
+    Each side's learner takes each stage whole (``Learner.consume_stage``),
+    and its conjecture is read after it.
     """
     e = class_size
     if e < 2:
@@ -470,20 +469,14 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
     next_class = e + 1
     marks: list[int] = []  # element count after each stage, stage 0 first
 
-    def label_new_pairs(old_n: int):
-        # each side's conjecture is read only after the stage, so each
-        # chunk of the stage's pairs is labeled and fed to it as one run
+    def run_stage(old_n: int):
         n = len(sigma_class)
         marks.append(n)
-        pairs = _new_pairs(old_n, n)
-        while chunk := list(islice(pairs, _CHUNK)):
-            lrn_sigma.consume_all([(x, y, 1 if sigma_class[x] == sigma_class[y] else 0)
-                                   for x, y in chunk])
-            lrn_tau.consume_all([(x, y, 1 if tau_class[x] == tau_class[y] else 0)
-                                 for x, y in chunk])
+        lrn_sigma.consume_stage(sigma_class, old_n, n)
+        lrn_tau.consume_stage(tau_class, old_n, n)
         return lrn_sigma.conjecture(), lrn_tau.conjecture()
 
-    c_sigma, c_tau = label_new_pairs(0)
+    c_sigma, c_tau = run_stage(0)
     expansionary: list[int] = []
     nu_conjectures = []  # sigma's conjectures after the expansionary stages
     for stage_no in range(1, stages + 1):
@@ -499,7 +492,7 @@ def diagonalize(learner: Learner, class_size: int, stages: int) -> Diagonalizati
         sigma_class.append(next_class)
         tau_class.append(next_class + 1)
         next_class += 2
-        c_sigma, c_tau = label_new_pairs(marks[-1])
+        c_sigma, c_tau = run_stage(marks[-1])
         if expand:
             nu_conjectures.append(c_sigma)
 

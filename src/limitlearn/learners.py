@@ -25,6 +25,9 @@ Where each learner's run stops:
   no witness's largest block fits the largest decoded block, else after one
   item; once fired, never.
 - any other learner: after one item.
+
+The diagonalizer hands a learner a whole stage with ``consume_stage``: the
+constant, split and decoding learners read it without its items.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from functools import partial
 from itertools import accumulate, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .presentations import INFORMANT, TEXT, PrefixState, Stream
+from .presentations import INFORMANT, TEXT, PrefixState, Stream, _new_pairs
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
 from .structures import (
     Character,
@@ -48,6 +51,8 @@ from .structures import (
 )
 
 Conjecture = Optional[Character]
+
+_CHUNK = 512  # pairs labeled at a time, so a stage's items are never all held
 
 
 def conjectures_equal(a: Conjecture, b: Conjecture) -> bool:
@@ -109,6 +114,17 @@ class Learner:
         while self.advance(items):
             pass
 
+    def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        """Consume a diagonalizer stage: elements old_n..n-1 arrive, and
+        `cls[x]` is element x's class.  Its items label the pairs of
+        range(n)² outside range(old_n)² in Cantor order, 1 within a class,
+        and the conjecture is read only after them.  By default they are
+        labeled `_CHUNK` at a time, each chunk replayed by ``consume_all``;
+        a learner that reads less of a stage overrides this."""
+        pairs = _new_pairs(old_n, n)
+        while chunk := list(islice(pairs, _CHUNK)):
+            self.consume_all([(x, y, 1 if cls[x] == cls[y] else 0) for x, y in chunk])
+
     def conjecture(self) -> Conjecture:
         raise NotImplementedError
 
@@ -150,6 +166,9 @@ class ConstantLearner(Learner):
     def advance(self, items: Iterator) -> int:
         return _drain(items)
 
+    def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        pass
+
     def conjecture(self) -> Conjecture:
         return self.char
 
@@ -180,6 +199,12 @@ class SplitOnNegativeLearner(Learner):
                 break
         return fed
 
+    def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        # unsplit, every old element is in element 0's class, and the stage
+        # pairs each new element with element 0
+        if not self._split:
+            self._split = any(cls[x] != cls[0] for x in range(old_n, n))
+
     def conjecture(self) -> Conjecture:
         return self.TWO if self._split else self.ONE
 
@@ -207,6 +232,9 @@ class EchoLearner(Learner):
 
     def advance(self, items: Iterator) -> int:
         return self._state.advance(items)
+
+    def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        self._state.decode_stage(cls, old_n, n)
 
     def conjecture(self) -> Conjecture:
         if self._rev != self._state.struct_rev:

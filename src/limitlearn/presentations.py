@@ -16,7 +16,6 @@ from .structures import (
     ZERO,
     Character,
     RepresentationError,
-    profile_of,
 )
 
 InformantItem = tuple[int, int, int]
@@ -81,10 +80,15 @@ class PrefixState:
     (birth stage, root) pairs, sorted, with no empty list.  Its lengths are
     the census of block sizes, and the k-th smallest birth among the blocks
     of one size is its list's k-th entry.  The decoder keeps no census:
-    `profile()` and `char()` are built on each call, and a learner caches
-    what it reads of them by `struct_rev`.
+    `char()` is built on each call, and a learner caches what it reads of
+    it by `struct_rev`.
 
-    `advance` is the one decoding loop; `feed` and `feed_all` run it.
+    `advance` decodes items one at a time, and `feed` and `feed_all` run
+    it; there `neg_rev` counts the negative facts that first separated two
+    blocks.  `decode_stage` decodes a whole diagonalizer stage from its
+    class map, without its items: there `neg_rev` moves once per stage that
+    adds an element, and each block's negatives name every element outside
+    it.
     """
 
     __slots__ = (
@@ -205,6 +209,44 @@ class PrefixState:
         while self.advance(items):
             pass
 
+    def decode_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        """Decode a diagonalizer stage: the informant items labeling the
+        pairs of range(n)² outside range(old_n)² in Cantor order
+        (`_new_pairs`), 1 where `cls` gives both elements one class, once
+        the state holds the decoding of range(old_n)² so labeled.
+
+        Only the structural events are replayed, each at its pair's stage:
+        a new element x is first mentioned by the pair (x, 0) and joins its
+        class by the pair (x, m), m the class's least element, old or new.
+        Every other pair is positive within a block or negative between
+        classes, and after the stage every two blocks are separated."""
+        if n <= old_n:
+            return
+        # the least element of each class: the last write of a reversed scan
+        least = dict(zip(reversed(cls[:n]), range(n - 1, -1, -1)))
+
+        def rank(x: int, y: int) -> int:  # the pair's place among the stage's pairs
+            return _cantor_rank(n, x, y) - _cantor_rank(old_n, x, y)
+
+        events = []  # (rank, joins, x, partner)
+        for x in range(old_n, n):
+            events.append((rank(x, 0), False, x, 0))
+            m = least[cls[x]]
+            if m != x:
+                events.append((rank(x, m), True, x, m))
+        events.sort()  # a first mention comes before a join at the same pair
+        parent, start = self._parent, self.stage + 1
+        for at, joins, x, m in events:
+            if joins:
+                self._union(parent[x], parent[m], start + at)
+            else:
+                self._add_element(x, start + at)
+        full, neg = (1 << len(self._bit)) - 1, self._neg
+        for root, mask in self._mask.items():
+            neg[root] = full ^ mask
+        self.stage += n * n - old_n * old_n
+        self.neg_rev += 1
+
     # -- queries ----------------------------------------------------------
 
     @property
@@ -227,11 +269,6 @@ class PrefixState:
 
     def separated(self, root_a: int, root_b: int) -> bool:
         return bool(self._neg[root_a] & self._mask[root_b])
-
-    def profile(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The cumulative profile of the block-size census, as plain numbers:
-        ``char().cumulative_profile`` without building the census."""
-        return profile_of(self.size_counts)
 
     def char(self) -> Character:
         return Character.make(0, self.size_counts, 0)
@@ -458,6 +495,17 @@ def _new_pairs(old_n: int, new_n: int):
     return itertools.chain(_diagonal_walk(old_n, new_n, range(old_n, lo)),
                            itertools.chain.from_iterable(zip(*rows, *cols)),
                            _diagonal_walk(old_n, new_n, range(hi + 1, 2 * new_n - 1)))
+
+
+def _cantor_rank(n: int, x: int, y: int) -> int:
+    """How many pairs of range(n)² come before (x, y) in Cantor order."""
+    d = x + y
+    if d <= n:
+        below = d * (d + 1) // 2  # pairs on the diagonals under d
+    else:
+        top = max(2 * n - 1 - d, 0)  # the square's pairs on diagonals d and up
+        below = n * n - top * (top + 1) // 2
+    return below + max(0, min(y, n) - max(0, d - n + 1))
 
 
 def _diagonal_walk(old_n: int, new_n: int, diagonals: range):

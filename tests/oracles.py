@@ -44,6 +44,7 @@ from limitlearn import (
     embeds,
     ext,
     pair_code,
+    profile_of,
     unpair_code,
 )
 from limitlearn.adversaries import TWO_CLASSES, _census_of, _Labeling, _TargetBuilder, _TextBuilder
@@ -710,7 +711,7 @@ class ComposedLanguageToStructLearner(Learner):
         if state.n_mentioned == 0:
             self._cached = None
             return None
-        minimal = minimal_hosts(state.profile(), self._profiles, self._strictly_below)
+        minimal = minimal_hosts(profile_of(state.size_counts), self._profiles, self._strictly_below)
         if not minimal:
             self._cached = None
             return None

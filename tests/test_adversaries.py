@@ -54,6 +54,7 @@ from oracles import (
     per_item_limit_adversary,
     per_item_two_class_phase,
 )
+from test_presentations import stage_items, staged_classes
 
 OM = "omega"
 
@@ -440,6 +441,36 @@ def test_diagonalizer_matches_the_per_item_reference(class_size):
             assert len(got_items) == len(want_items), (learner.name, side)
             assert all(a == b for a, b in zip(got_items, want_items, strict=True)), \
                 (learner.name, side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(staged_classes())
+def test_a_whole_stage_leaves_the_conjecture_its_items_do(case):
+    # `consume_stage` against `consume_all` over the stage's labeled pairs
+    cls, marks = case
+    for learner, reference in zip(per_item_roster(), per_item_roster()):
+        old_n = 0
+        for n in marks:
+            learner.consume_stage(cls, old_n, n)
+            reference.consume_all(stage_items(cls, old_n, n))
+            assert conjectures_equal(learner.conjecture(), reference.conjecture()), \
+                (learner.name, old_n, n)
+            old_n = n
+
+
+def test_the_stage_learners_decode_no_item(monkeypatch):
+    # the constant, split and decoding learners take a diagonalizer stage
+    # whole: a fallback to labeling its pairs would reach either method
+    def refuse(self, items):
+        raise AssertionError("a diagonalizer stage was decoded item by item")
+
+    monkeypatch.setattr(PrefixState, "advance", refuse)
+    monkeypatch.setattr(Learner, "consume_all", refuse)
+    tails = [census(0, {1: OM}), census(0, {2: 1, 1: OM})]
+    roster = [learner_constant(FIVE_OMEGA), learner_split_on_negative(), learner_echo(),
+              learner_separator(tails)]
+    for learner in roster:
+        assert diagonalize(learner, 2, 60).ok, learner.name
 
 
 @settings(max_examples=200, deadline=None)

@@ -137,6 +137,49 @@ def test_clone_evolves_like_a_fresh_learner(make, history):
                 assert learner.distilled() == fresh.distilled(), (learner.name, stage, it)
 
 
+@st.composite
+def staged_histories(draw):
+    """A class map of a few elements and the element counts after each of
+    its stages, then two extensions of it, each with its own stages."""
+    a = draw(st.integers(0, 4))
+    shared = draw(st.lists(st.integers(0, 2), min_size=a, max_size=a))
+    sides = []
+    for _ in range(2):
+        k = draw(st.integers(0, 4))
+        cls = shared + draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        sides.append((cls, sorted(draw(st.lists(st.integers(a, a + k), max_size=2)) + [a + k])))
+    return shared, sorted(draw(st.lists(st.integers(0, a), max_size=2)) + [a]), sides
+
+
+def give_stages(learner, cls, marks, old_n=0):
+    """Give `learner` the stages ending at `marks`, reading its conjecture
+    after each as the diagonalizer does; yields those conjectures."""
+    for n in marks:
+        learner.consume_stage(cls, old_n, n)
+        old_n = n
+        yield learner.conjecture()
+
+
+STAGE_CASES = [(name, make) for name, make in CASES if make().mode == INFORMANT]
+
+
+@pytest.mark.parametrize("make", [make for _, make in STAGE_CASES],
+                         ids=[name for name, _ in STAGE_CASES])
+@settings(max_examples=30, deadline=None)
+@given(staged_histories())
+def test_a_clone_between_stages_evolves_like_a_fresh_learner(make, history):
+    shared, head, sides = history
+    original = make()
+    list(give_stages(original, shared, head))
+    dup = original.clone()
+    for learner, (cls, marks) in zip((dup, original), sides):
+        fresh = make()
+        list(give_stages(fresh, shared, head))
+        for stage, (got, want) in enumerate(zip(give_stages(learner, cls, marks, len(shared)),
+                                                give_stages(fresh, cls, marks, len(shared)))):
+            assert conjectures_equal(got, want), (learner.name, stage, got, want)
+
+
 @pytest.mark.parametrize("make", [MinEmbedLearner, SeparatorLearner, LanguageToStructLearner])
 def test_a_clone_and_its_original_fill_one_host_memo_apart(make):
     """A clone shares its original's memo of minimal hosts, and each side

@@ -25,6 +25,7 @@ from limitlearn import (
     learner_separator,
     learner_split_on_negative,
     locking_transform,
+    profile_of,
     reordered_informant,
     run_simulation,
     weak_locking_search,
@@ -640,9 +641,9 @@ def test_profile_hosts_match_the_census_hosts(case):
             got, want = learner.feed(item), reference.feed(item)
             assert conjectures_equal(got, want), (learner.name, stage, got, want)
         state = min_embed._state
-        assert state.profile() == state.char().cumulative_profile
+        assert profile_of(state.size_counts) == state.char().cumulative_profile
         below = min_embed._strictly_below
-        assert minimal_hosts(state.profile(), min_embed._profiles, below) == \
+        assert minimal_hosts(profile_of(state.size_counts), min_embed._profiles, below) == \
             char_minimal_hosts(state, family, below), stage
         assert min_embed._cached_index == pairs[0][1]._cached_index
 
@@ -740,7 +741,7 @@ def test_language_decoding_learner_matches_the_composed_reference(case):
         got, want = decode.feed(item), reference.feed(item)
         assert conjectures_equal(got, want), (stage, got, want)
         refined = separator.feed(item)
-        minimal = minimal_hosts(separator._state.profile(), separator._profiles,
+        minimal = minimal_hosts(profile_of(separator._state.size_counts), separator._profiles,
                                 separator._strictly_below)
         assert refined is None or any(family[i] == refined for i in minimal), (stage, refined)
 

@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
@@ -24,6 +24,7 @@ from limitlearn import (
 )
 from limitlearn.presentations import (
     PATTERN,
+    _new_pairs,
     pattern_size,
     pattern_sizes,
     reorder_items,
@@ -246,6 +247,47 @@ def test_advance_matches_item_by_item_feeding(names, data):
         _same_state(state, ref)
     assert state.advance(stream) == 0
     assert sorted(state.blocks()) == _closure_blocks(items, kind)
+
+
+@st.composite
+def staged_classes(draw, max_elements=16):
+    """A class per element and the element count after each diagonalizer
+    stage, from 0: some stages add no element, and later stages add
+    elements to earlier ones' classes."""
+    n = draw(st.integers(0, max_elements))
+    cls = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return cls, sorted(draw(st.lists(st.integers(0, n), max_size=5)) + [n])
+
+
+def stage_items(cls, old_n, n):
+    """A diagonalizer stage's informant items: the new pairs in Cantor
+    order, labeled by the class map."""
+    return [(x, y, 1 if cls[x] == cls[y] else 0) for x, y in _new_pairs(old_n, n)]
+
+
+def _decoded_fields(state):
+    """A decoder's fields but `neg_rev` and the raw negative bits, and the
+    separations between its blocks."""
+    roots = state.block_roots()
+    return (state.stage, state.struct_rev, state._parent, state._members, state._bit,
+            state._mask, state.birth, state.births_by_size,
+            {(a, b) for a in roots for b in roots if state.separated(a, b)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(staged_classes())
+# an empty stage, then one that grows both old classes and starts a new one
+@example(([0, 1, 0, 1, 2, 0, 1], [2, 2, 7]))
+# the diagonalizer's first expansion at class size 2, on its tau side
+@example(([0, 0, 3, 3, 4, 4, 5, 5, 9], [2, 9]))
+def test_stage_decode_matches_feeding_the_stage_items(case):
+    cls, marks = case
+    state, ref, old_n = PrefixState(INFORMANT), PrefixState(INFORMANT), 0
+    for n in marks:
+        state.decode_stage(cls, old_n, n)
+        ref.feed_all(stage_items(cls, old_n, n))
+        assert _decoded_fields(state) == _decoded_fields(ref), (old_n, n)
+        old_n = n
 
 
 def test_a_failed_run_keeps_the_facts_before_its_error():
