@@ -27,7 +27,8 @@ Where each learner's run stops:
 - any other learner: after one item.
 
 The diagonalizer hands a learner a whole stage with ``consume_stage``: the
-constant, split and decoding learners read it without its items.
+constant, split, decoding and one-shot learners read it without its items,
+but for the one stage that fires the one-shot learner.
 """
 from __future__ import annotations
 
@@ -120,7 +121,8 @@ class Learner:
         range(n)² outside range(old_n)² in Cantor order, 1 within a class,
         and the conjecture is read only after them.  By default they are
         labeled `_CHUNK` at a time, each chunk replayed by ``consume_all``;
-        a learner that reads less of a stage overrides this."""
+        the constant, split, decoding and one-shot learners read less of a
+        stage and override this."""
         pairs = _new_pairs(old_n, n)
         while chunk := list(islice(pairs, _CHUNK)):
             self.consume_all([(x, y, 1 if cls[x] == cls[y] else 0) for x, y in chunk])
@@ -407,6 +409,13 @@ class OneShotLearner(Learner):
     Block sizes move only with ``struct_rev``, so while no witness's largest
     block fits the largest decoded block, ``advance`` decodes up to the next
     structural revision and checks there.
+
+    A witness, once present, stays: unions only grow blocks and keep their
+    separations.  So ``consume_stage`` decodes a diagonalizer stage whole
+    and checks its end state, and only a stage that fires the learner is
+    replayed item by item.  A stage whose new elements cannot bring the
+    largest block to a witness's largest is decoded with no check, and
+    once fired the learner only decodes.
     """
 
     _owned = ("_state",)
@@ -430,7 +439,8 @@ class OneShotLearner(Learner):
         self.witnesses = list(witnesses)
         self._profiles = [sorted(w, reverse=True) for w in self.witnesses]
         # no witness is present while the largest decoded block is smaller
-        self._least_top = min((p[0] for p in self._profiles), default=0)
+        # (none ever, with no witness)
+        self._least_top = min((p[0] for p in self._profiles), default=math.inf)
         self.reset()
 
     def reset(self) -> None:
@@ -485,6 +495,19 @@ class OneShotLearner(Learner):
         fed = state.advance(items)
         self._check()
         return fed
+
+    def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
+        state = self._state
+        if (self._fired is not None
+                or max(state.births_by_size, default=0) + n - old_n < self._least_top):
+            state.decode_stage(cls, old_n, n)  # no witness can appear
+            return
+        before, rev = state.copy(), self._rev
+        state.decode_stage(cls, old_n, n)
+        self._check()
+        if self._fired is not None:  # replayed to find the item and the member
+            self._state, self._fired, self._rev = before, None, rev
+            super().consume_stage(cls, old_n, n)
 
     def conjecture(self) -> Conjecture:
         return None if self._fired is None else self.members[self._fired]

@@ -87,13 +87,16 @@ class PrefixState:
     it; there `neg_rev` counts the negative facts that first separated two
     blocks.  `decode_stage` decodes a whole diagonalizer stage from its
     class map, without its items: there `neg_rev` moves once per stage that
-    adds an element, and each block's negatives name every element outside
-    it.
+    adds an element.  A stage leaves every two blocks separated, which
+    `_apart` records in place of the negatives: `separated` reads it, and
+    `advance` rewrites each block's negatives to every element outside it
+    before its first item.  `_least` memoizes each class's least element
+    over the first `_read` elements of the class map.
     """
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_bit", "_mask", "_neg", "birth", "births_by_size",
+        "_bit", "_mask", "_neg", "birth", "births_by_size", "_apart", "_least", "_read",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -108,6 +111,9 @@ class PrefixState:
         self._neg: dict[int, int] = {}
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
+        self._apart = False
+        self._least: dict[int, int] = {}
+        self._read = 0
 
     # -- blocks -----------------------------------------------------------
 
@@ -151,11 +157,21 @@ class PrefixState:
 
     # -- decoding -----------------------------------------------------------
 
+    def _write_apart(self) -> None:
+        """Write out what `_apart` records, once: each block's negatives
+        become every element outside it."""
+        full, neg = (1 << len(self._bit)) - 1, self._neg
+        for root, mask in self._mask.items():
+            neg[root] = full ^ mask
+        self._apart = False
+
     def advance(self, items: Iterable) -> int:
         """Decode items until one moves `struct_rev`; returns how many were
         decoded, 0 once `items` is exhausted.  Raises ConsistencyError on the
         first contradictory label, with `stage` counting that item."""
         parent, neg, mask, bit = self._parent, self._neg, self._mask, self._bit
+        if self._apart:
+            self._write_apart()
         text = self.kind == TEXT
         start = stage = self.stage
         neg_rev = self.neg_rev
@@ -213,7 +229,9 @@ class PrefixState:
         """Decode a diagonalizer stage: the informant items labeling the
         pairs of range(n)² outside range(old_n)² in Cantor order
         (`_new_pairs`), 1 where `cls` gives both elements one class, once
-        the state holds the decoding of range(old_n)² so labeled.
+        the state holds the decoding of range(old_n)² so labeled.  `cls`
+        extends the class map of every earlier call, which the memo of each
+        class's least element reads.
 
         Only the structural events are replayed, each at its pair's stage:
         a new element x is first mentioned by the pair (x, 0) and joins its
@@ -222,8 +240,11 @@ class PrefixState:
         classes, and after the stage every two blocks are separated."""
         if n <= old_n:
             return
-        # the least element of each class: the last write of a reversed scan
-        least = dict(zip(reversed(cls[:n]), range(n - 1, -1, -1)))
+        # extended from the memo's own end: stages decoded item by item skip it
+        least = self._least
+        for x in range(self._read, n):
+            least.setdefault(cls[x], x)
+        self._read = n
 
         def rank(x: int, y: int) -> int:  # the pair's place among the stage's pairs
             return _cantor_rank(n, x, y) - _cantor_rank(old_n, x, y)
@@ -241,9 +262,7 @@ class PrefixState:
                 self._union(parent[x], parent[m], start + at)
             else:
                 self._add_element(x, start + at)
-        full, neg = (1 << len(self._bit)) - 1, self._neg
-        for root, mask in self._mask.items():
-            neg[root] = full ^ mask
+        self._apart = True
         self.stage += n * n - old_n * old_n
         self.neg_rev += 1
 
@@ -268,6 +287,8 @@ class PrefixState:
         return len(self._members[root])
 
     def separated(self, root_a: int, root_b: int) -> bool:
+        if self._apart:
+            return root_a != root_b
         return bool(self._neg[root_a] & self._mask[root_b])
 
     def char(self) -> Character:
@@ -286,6 +307,9 @@ class PrefixState:
         dup._neg = dict(self._neg)
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
+        dup._apart = self._apart
+        dup._least = dict(self._least)
+        dup._read = self._read
         return dup
 
 

@@ -32,6 +32,7 @@ from limitlearn import (
     text_adversary,
     weak_locking_search,
 )
+from limitlearn import learners
 from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder
 from limitlearn.learners import EchoLearner
 from limitlearn.presentations import _new_pairs
@@ -414,13 +415,16 @@ def per_item_roster():
     """One learner of each class the diagonalizer drives.  The second
     one-shot learner's witnesses are a 3-block and two 2-blocks, so it
     decodes to the next revision while every block is a singleton and
-    consumes one item at a time once a 2-block is decoded."""
+    consumes one item at a time once a 2-block is decoded.  The third's
+    witness is one singleton, so a stage that adds one element to an empty
+    prefix fires it with no room to spare in the bound its stages check."""
     chain = [census(0, {1: OM}), census(0, {2: 1, 1: OM}), census(0, {3: 1, 1: OM})]
     return [
         learner_constant(FIVE_OMEGA),
         learner_split_on_negative(),
         learner_one_shot(list(EXAMPLE1)),
         learner_one_shot([census(0, {3: 1, 1: OM}), census(0, {2: 2, 1: OM})]),
+        learner_one_shot([FIVE_OMEGA]),
         learner_min_embed(chain),
         learner_separator(chain),
         learner_echo(),
@@ -428,10 +432,15 @@ def per_item_roster():
     ]
 
 
-@pytest.mark.parametrize("class_size", [2, 3])
+@pytest.mark.parametrize("class_size", [2, 3, 7, 8])
 def test_diagonalizer_matches_the_per_item_reference(class_size):
-    # chunked runs through `advance` against one `consume` per item
-    for learner, reference in zip(per_item_roster(), per_item_roster()):
+    # whole stages against one `consume` per item; at class sizes 7 and 8
+    # example1's one-shot learner fires inside a stage, on the item that
+    # completes a 7-block, so only it runs there
+    def roster():
+        return per_item_roster() if class_size < 7 else [learner_one_shot(list(EXAMPLE1))]
+
+    for learner, reference in zip(roster(), roster()):
         got = diagonalize(learner, class_size, 80)
         want = per_item_diagonalize(reference, class_size, 80)
         assert got.to_json() == want.to_json(), learner.name
@@ -445,6 +454,7 @@ def test_diagonalizer_matches_the_per_item_reference(class_size):
 
 @settings(max_examples=100, deadline=None)
 @given(staged_classes())
+@example(([0, 0], [1, 2]))  # a first stage of one element
 def test_a_whole_stage_leaves_the_conjecture_its_items_do(case):
     # `consume_stage` against `consume_all` over the stage's labeled pairs
     cls, marks = case
@@ -467,10 +477,24 @@ def test_the_stage_learners_decode_no_item(monkeypatch):
     monkeypatch.setattr(PrefixState, "advance", refuse)
     monkeypatch.setattr(Learner, "consume_all", refuse)
     tails = [census(0, {1: OM}), census(0, {2: 1, 1: OM})]
+    # example1's one-shot learner never fires at class size 2
     roster = [learner_constant(FIVE_OMEGA), learner_split_on_negative(), learner_echo(),
-              learner_separator(tails)]
+              learner_separator(tails), learner_one_shot(list(EXAMPLE1))]
     for learner in roster:
         assert diagonalize(learner, 2, 60).ok, learner.name
+
+
+def test_diagonalizer_stages_cost_their_new_elements(monkeypatch):
+    # per-stage work in the elements already decoded would be writing out
+    # every block's negatives or labeling the stage's pairs: both raise here
+    def refuse(*args):
+        raise AssertionError("a diagonalizer stage did work over its old elements")
+
+    monkeypatch.setattr(PrefixState, "_write_apart", refuse)
+    monkeypatch.setattr(learners, "_new_pairs", refuse)
+    tails = [census(0, {1: OM}), census(0, {2: 1, 1: OM})]
+    for learner in (learner_echo(), learner_one_shot(list(EXAMPLE1)), learner_separator(tails)):
+        assert diagonalize(learner, 2, 400).ok, learner.name
 
 
 @settings(max_examples=200, deadline=None)

@@ -81,6 +81,9 @@ CASES = {
     # depend on block births
     "diagonalize-separator-tails3": (
         "diagonalize --family {tails3} --learner separator --class-size 2 --horizon 40", 0),
+    # tau's 7-class fires the one-shot learner inside the first stage
+    "diagonalize-one-shot-example1": (
+        "diagonalize --family {example1} --learner one-shot --class-size 7 --horizon 40", 0),
     "locking-separator-kron4": (
         "locking --family {kron4} --learner separator --target 1 --depth 40 --width 6", 0),
     # omega-pair's target has infinite classes: the builder's round robin over them

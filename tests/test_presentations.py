@@ -290,6 +290,51 @@ def test_stage_decode_matches_feeding_the_stage_items(case):
         old_n = n
 
 
+@st.composite
+def mixed_stages(draw):
+    """A staged class map; for each stage whether it is decoded whole or
+    fed its items, and whether the decoder is copied after it; and two
+    elements of distinct classes (None if there are none)."""
+    cls, marks = draw(staged_classes())
+    steps = draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                          min_size=len(marks), max_size=len(marks)))
+    n = marks[-1]
+    apart = [(x, y) for x in range(n) for y in range(n) if cls[x] != cls[y]]
+    return cls, marks, steps, draw(st.sampled_from(apart)) if apart else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_stages())
+# class 1 starts in a stage fed item by item and grows in a decoded one
+@example(([0, 0, 1, 1, 1], [2, 3, 5], [(True, False), (False, False), (True, False)], (0, 4)))
+# two decoded stages, the second copied, then a stage fed its items
+@example(([0, 1, 0, 1, 2, 0, 1], [2, 4, 7], [(True, False), (True, True), (False, False)],
+          (1, 4)))
+def test_mixed_stage_paths_match_feeding_every_item(case):
+    # decoded stages record their separations lazily, and item-fed stages
+    # skip the memo of each class's least element; after either, a positive
+    # item between two classes contradicts the same item of the reference
+    cls, marks, steps, pair = case
+    state, ref, old_n = PrefixState(INFORMANT), PrefixState(INFORMANT), 0
+    for n, (at_once, copied) in zip(marks, steps):
+        if at_once:
+            state.decode_stage(cls, old_n, n)
+        else:
+            state.feed_all(stage_items(cls, old_n, n))
+        if copied:
+            state = state.copy()
+        ref.feed_all(stage_items(cls, old_n, n))
+        assert _decoded_fields(state) == _decoded_fields(ref), (old_n, n)
+        old_n = n
+    if pair is not None:
+        indices = []
+        for decoder in (state, ref):
+            with pytest.raises(ConsistencyError) as err:
+                decoder.feed((*pair, 1))
+            indices.append(err.value.index)
+        assert indices[0] == indices[1] == marks[-1] ** 2
+
+
 def test_a_failed_run_keeps_the_facts_before_its_error():
     # the negative fact and the contradiction arrive in one run: the counters
     # include the fact, and the stage the failing item
