@@ -657,6 +657,12 @@ class LockingNormalForm(Learner):
     probed as one fragment, in that order; whichever flips the conjecture is
     appended.  After a change every remembered item is probed again.  The
     wrapper locks once nothing it remembers flips it.
+
+    `_no_flip` holds the probes that left the conjecture alone since the
+    distilled prefix last moved, keyed by the learner's ``probe_key`` there:
+    for a decoding learner the blocks an item touches, so each kind of item
+    is probed once; for any other learner the item itself.  An item the
+    wrapped learner refuses (ConsistencyError) leaves the wrapper as it was.
     """
 
     _owned = ("_history", "_sigma", "_shadow", "_no_flip")
@@ -676,6 +682,10 @@ class LockingNormalForm(Learner):
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()
 
+    def _replay(self) -> None:
+        self._shadow = self._at_sigma.clone()
+        self._shadow.consume_all(self._history)
+
     def _changed(self, new_at_sigma, appended: list) -> deque:
         """Move sigma and return the history's distinct items, in first-seen
         order, to be probed again."""
@@ -683,25 +693,29 @@ class LockingNormalForm(Learner):
         self._at_sigma = new_at_sigma
         self._conj = new_at_sigma.conjecture()
         self._no_flip.clear()
-        self._shadow = new_at_sigma.clone()
-        self._shadow.consume_all(self._history)
+        self._replay()
         return deque(dict.fromkeys(self._history))
 
     def consume(self, item) -> None:
+        try:
+            self._shadow.consume(item)
+        except ConsistencyError:
+            self._replay()  # the shadow may hold part of the refused item
+            raise
         self._history.append(item)
-        self._shadow.consume(item)
-        pending = deque() if item in self._no_flip else deque([item])
+        pending = deque([item])
         progress = True
         while progress:
             progress = False
             while pending:
                 it = pending.popleft()
-                if it in self._no_flip:
+                key = self._at_sigma.probe_key(it)
+                if key in self._no_flip:
                     continue
                 probe = self._at_sigma.clone()
                 probe.consume(it)
                 if conjectures_equal(probe.conjecture(), self._conj):
-                    self._no_flip.add(it)
+                    self._no_flip.add(key)
                 else:
                     pending = self._changed(probe, [it])
                     progress = True

@@ -29,6 +29,12 @@ Where each learner's run stops:
 The diagonalizer hands a learner a whole stage with ``consume_stage``: the
 constant, split, decoding and one-shot learners read it without its items,
 but for the one stage that fires the one-shot learner.
+
+The locking normal form (``adversaries.LockingNormalForm``) keys its memo
+of probes that leave the conjecture alone, ``_no_flip``, by ``probe_key``:
+the item itself, but for a decoding learner, which reads a prefix only up to
+a renaming of elements, the blocks the item touches, its label and whether
+it names one element twice.
 """
 from __future__ import annotations
 
@@ -130,6 +136,12 @@ class Learner:
     def conjecture(self) -> Conjecture:
         raise NotImplementedError
 
+    def probe_key(self, item):
+        """A key for `item` such that every item with the same key leaves
+        the same conjecture when fed to this learner next; by default the
+        item itself."""
+        return item
+
     def clone(self) -> "Learner":
         # attributes are set one by one: a clone given a whole __dict__ reads
         # its attributes through that dict, which slows every item it is fed
@@ -216,7 +228,12 @@ class EchoLearner(Learner):
     to; the base of the decoding learners, which override ``_recompute``.
 
     ``consume`` runs ``advance``, which feeds the decoder, so a subclass
-    reads whatever it reads of the items in ``_recompute``.
+    reads whatever it reads of the items in ``_recompute``.  It reads the
+    decoded blocks, their births and their separations only up to a renaming
+    of elements: a prefix and its image under an injective renaming leave
+    equal conjectures.  So the next item's effect is fixed by its
+    ``probe_key``: the blocks its elements lie in (None for an element not
+    yet mentioned), its label and whether it names one element twice.
     """
 
     name = "echo"
@@ -237,6 +254,12 @@ class EchoLearner(Learner):
 
     def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
         self._state.decode_stage(cls, old_n, n)
+
+    def probe_key(self, item):
+        if item is None:  # a text pause
+            return None
+        parent, x, y = self._state._parent, item[0], item[1]
+        return parent.get(x), parent.get(y), item[2:], x == y
 
     def conjecture(self) -> Conjecture:
         if self._rev != self._state.struct_rev:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -1194,3 +1195,64 @@ def rewrite_text_conjecture(base: Learner, state: PrefixState):
     fresh.reset()
     fresh.consume_all(reorder_items(state.blocks()))
     return fresh.conjecture()
+
+
+class ItemKeyedLockingNormalForm(Learner):
+    """``LockingNormalForm`` as it was when its memo of probes that leave the
+    conjecture alone was keyed by the item itself, so every new item is
+    probed: the reference for the memo keyed by ``Learner.probe_key``."""
+
+    _owned = ("_history", "_sigma", "_shadow", "_no_flip")
+
+    def __init__(self, base: Learner):
+        self._at_empty = base.clone()
+        self._at_empty.reset()
+        self.mode = base.mode
+        self.name = f"item-keyed-locking-{base.name}"
+        self.reset()
+
+    def reset(self) -> None:
+        self._history: list = []
+        self._sigma: list = []
+        self._at_sigma = self._at_empty
+        self._conj = self._at_sigma.conjecture()
+        self._shadow = self._at_sigma.clone()
+        self._no_flip: set = set()
+
+    def _changed(self, new_at_sigma, appended: list) -> deque:
+        self._sigma.extend(appended)
+        self._at_sigma = new_at_sigma
+        self._conj = new_at_sigma.conjecture()
+        self._no_flip.clear()
+        self._shadow = new_at_sigma.clone()
+        self._shadow.consume_all(self._history)
+        return deque(dict.fromkeys(self._history))
+
+    def consume(self, item) -> None:
+        self._history.append(item)
+        self._shadow.consume(item)
+        pending = deque() if item in self._no_flip else deque([item])
+        progress = True
+        while progress:
+            progress = False
+            while pending:
+                it = pending.popleft()
+                if it in self._no_flip:
+                    continue
+                probe = self._at_sigma.clone()
+                probe.consume(it)
+                if conjectures_equal(probe.conjecture(), self._conj):
+                    self._no_flip.add(it)
+                else:
+                    pending = self._changed(probe, [it])
+                    progress = True
+                    break
+            if not progress and not conjectures_equal(self._shadow.conjecture(), self._conj):
+                pending = self._changed(self._shadow, list(self._history))
+                progress = True
+
+    def conjecture(self):
+        return self._conj
+
+    def distilled(self) -> Prefix:
+        return Prefix(self.mode, tuple(self._sigma))

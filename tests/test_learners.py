@@ -573,6 +573,38 @@ def test_no_decoding_learner_overrides_consume():
     assert subclasses and all(c.consume is EchoLearner.consume for c in subclasses)
 
 
+DECODING_CASES = [(name, make) for name, make in CASES if isinstance(make(), EchoLearner)] + [
+    ("txt-min-embed", lambda: learner_from_text(learner_min_embed(CHAIN))),
+    ("txt-lang-decode", lambda: learner_from_text(LanguageToStructLearner(CHAIN))),
+]
+
+
+def test_the_renaming_cases_cover_every_decoding_learner_in_both_modes():
+    covered = {(type(make()), make().mode) for _, make in DECODING_CASES}
+    for cls in (EchoLearner, *_learner_classes(EchoLearner)):
+        if cls.__module__.startswith("limitlearn."):
+            modes = (TEXT,) if cls.mode == TEXT else (INFORMANT, TEXT)
+            assert {(cls, mode) for mode in modes} <= covered, cls.__name__
+
+
+@pytest.mark.parametrize("make", [make for _, make in DECODING_CASES],
+                         ids=[name for name, _ in DECODING_CASES])
+@settings(max_examples=60, deadline=None)
+@given(histories(), st.lists(st.integers(0, 20), min_size=6, max_size=6, unique=True))
+@example(([0, 0, 1, 1], [(0, 1), (2, 3)], [(1, 2)], []), [10**6, 7, 3, 0, 1, 2])
+def test_a_decoding_learner_reads_a_prefix_up_to_renaming(make, history, names):
+    """A decoding learner gives equal conjectures on a prefix and on its
+    image under an injective renaming of elements, at every stage: the
+    invariant that makes ``EchoLearner.probe_key`` an exact key for the
+    locking normal form's memo of probes."""
+    classes, *prefixes = history
+    plain, renamed = make(), make()
+    for stage, it in enumerate(history_items(plain.mode, classes, sum(prefixes, []))):
+        image = it if it is None else (names[it[0]], names[it[1]], *it[2:])
+        got, want = renamed.feed(image), plain.feed(it)
+        assert conjectures_equal(got, want), (plain.name, stage, it, image, got, want)
+
+
 class _FeedOnly:
     """A learner that is no ``Learner``: reset, feed and conjecture only."""
 
