@@ -19,15 +19,15 @@ from typing import Optional
 from .learners import Learner, Trace, conjectures_equal, run_stages
 from .presentations import (
     INFORMANT,
-    PATTERN,
     PAUSE,
     TEXT,
     ConsistencyError,
     Prefix,
     PrefixState,
-    _new_pairs,
     pattern_sizes,
     slot_demand,
+    spawn_sizes,
+    stage_items,
 )
 from .separability import FamilyError, imitates
 from .structures import (
@@ -101,11 +101,15 @@ class _TargetBuilder:
     # -- demand bookkeeping ----------------------------------------------
 
     def _plan(self, target: Character) -> None:
-        """Read the census's slot demand and restart its sources."""
+        """Read the census's slot demand and restart its spawn order, whose
+        finite demands and pattern sizes are taken only if `_avail` when
+        drawn: `used` only grows between plans, so a passed one never
+        reopens."""
         self.target = target
-        self._finite, self._sources = slot_demand(target)
-        self._pattern = pattern_sizes(target)
-        self._rot = 0
+        finite, sources = slot_demand(target)
+        avail = self._avail
+        self._spawns = spawn_sizes(filter(avail, finite), sources,
+                                   filter(avail, pattern_sizes(target)))
 
     def _avail(self, size: Optional[int]) -> bool:
         return self.used[size] < self.target.count(OMEGA if size is None else size)
@@ -131,17 +135,10 @@ class _TargetBuilder:
         return planned
 
     def _next_spawn_target(self):
-        """The first open finite demand, else the next source in turn; the
-        default pattern skips sizes that are already planned in full."""
-        size = next((s for s in self._finite if self._avail(s)), _EXHAUSTED)
-        if size is _EXHAUSTED:
-            if not self._sources:
-                return _EXHAUSTED
-            size = self._sources[self._rot % len(self._sources)]
-            self._rot += 1
-            if size == PATTERN:
-                size = next(s for s in self._pattern if self._avail(s))
-        self.used[size] += 1
+        """The size of the next slot to spawn, planned, or ``_EXHAUSTED``."""
+        size = next(self._spawns, _EXHAUSTED)
+        if size is not _EXHAUSTED:
+            self.used[size] += 1
         return size
 
     # -- retargeting -------------------------------------------------------
@@ -418,11 +415,9 @@ class _Labeling(Sequence):
         return self._marks[-1] ** 2
 
     def __iter__(self):
-        cls, old_n = self._cls, 0
-        for n in self._marks:
-            for x, y in _new_pairs(old_n, n):
-                yield x, y, 1 if cls[x] == cls[y] else 0
-            old_n = n
+        cls, marks = self._cls, self._marks
+        stages = zip([0, *marks], marks)
+        return chain.from_iterable(stage_items(cls, old_n, n) for old_n, n in stages)
 
     def __getitem__(self, index):  # replays up to the item; a slice is a tuple
         if isinstance(index, slice):
@@ -662,7 +657,8 @@ class LockingNormalForm(Learner):
     distilled prefix last moved, keyed by the learner's ``probe_key`` there:
     for a decoding learner the blocks an item touches, so each kind of item
     is probed once; for any other learner the item itself.  An item the
-    wrapped learner refuses (ConsistencyError) leaves the wrapper as it was.
+    wrapped learner refuses (ConsistencyError) leaves the wrapper as it was,
+    and the error gives the item's index in the wrapper's own input.
     """
 
     _owned = ("_history", "_sigma", "_shadow", "_no_flip")
@@ -699,9 +695,11 @@ class LockingNormalForm(Learner):
     def consume(self, item) -> None:
         try:
             self._shadow.consume(item)
-        except ConsistencyError:
+        except ConsistencyError as err:
             self._replay()  # the shadow may hold part of the refused item
-            raise
+            # the shadow's index counts sigma's items and the history's
+            index, reason = len(self._history), str(err).split(": ", 1)[-1]
+            raise ConsistencyError(f"item {index}: {reason}", index) from err
         self._history.append(item)
         pending = deque([item])
         progress = True

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .learners import SeparatorLearner
-from .presentations import PATTERN, pattern_size, slot_demand
+from .presentations import PATTERN, pattern_sizes, slot_demand, spawn_sizes
 from .structures import (
     OMEGA,
     Character,
@@ -75,11 +75,10 @@ class SizeSequence:
 
 
 def size_sequence_of(char: Character) -> SizeSequence:
-    """The canonical slot layout for a census, settled: its `slot_demand`,
-    the finite demands first and then one size from each source in turn.
-    Only the default count's sizes (PATTERN) warm up: they rise by 1 every
-    `per_size` turns once past the largest listed size, which takes
-    `per_size * (max(skip) - len(skip))` turns."""
+    """The canonical slot layout for a census, settled: its `slot_demand` in
+    `spawn_sizes` order, then 0.  Only the default count's sizes (PATTERN)
+    warm up: they rise by 1 every `per_size` turns once past the largest
+    listed size, which takes `per_size * (max(skip) - len(skip))` turns."""
     if char.default.is_omega:
         raise RepresentationError("size sequences for an infinite default are out of scope")
     finite, sources = slot_demand(char)
@@ -89,9 +88,8 @@ def size_sequence_of(char: Character) -> SizeSequence:
         warm_up, turns = per_size * (max(skip, default=0) - len(skip)), per_size
     width = max(1, len(sources))
     base, period = len(finite) + width * warm_up, width * turns
-    tail = (pattern_size(n, per_size, skip) if s == PATTERN else s
-            for n in itertools.count() for s in sources) if sources else itertools.repeat(0)
-    values = itertools.islice(itertools.chain(finite, tail), base + 2 * period)
+    spawns = spawn_sizes(finite, sources, pattern_sizes(char))
+    values = itertools.islice(itertools.chain(spawns, itertools.repeat(0)), base + 2 * period)
     return SizeSequence(tuple(math.inf if s is None else s for s in values), period)
 
 

@@ -46,7 +46,7 @@ from functools import partial
 from itertools import accumulate, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .presentations import INFORMANT, TEXT, PrefixState, Stream, _new_pairs
+from .presentations import INFORMANT, TEXT, PrefixState, Stream, stage_items
 from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
 from .structures import (
     Character,
@@ -58,8 +58,6 @@ from .structures import (
 )
 
 Conjecture = Optional[Character]
-
-_CHUNK = 512  # pairs labeled at a time, so a stage's items are never all held
 
 
 def conjectures_equal(a: Conjecture, b: Conjecture) -> bool:
@@ -125,13 +123,11 @@ class Learner:
         """Consume a diagonalizer stage: elements old_n..n-1 arrive, and
         `cls[x]` is element x's class.  Its items label the pairs of
         range(n)² outside range(old_n)² in Cantor order, 1 within a class,
-        and the conjecture is read only after them.  By default they are
-        labeled `_CHUNK` at a time, each chunk replayed by ``consume_all``;
-        the constant, split, decoding and one-shot learners read less of a
-        stage and override this."""
-        pairs = _new_pairs(old_n, n)
-        while chunk := list(islice(pairs, _CHUNK)):
-            self.consume_all([(x, y, 1 if cls[x] == cls[y] else 0) for x, y in chunk])
+        and the conjecture is read only after them.  By default
+        ``consume_all`` replays them from `stage_items`; the constant,
+        split, decoding and one-shot learners read less of a stage and
+        override this."""
+        self.consume_all(stage_items(cls, old_n, n))
 
     def conjecture(self) -> Conjecture:
         raise NotImplementedError

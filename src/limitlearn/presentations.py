@@ -1,12 +1,18 @@
-"""Texts, informants, prefix decoding, and fair stream generation.
+"""Texts, informants, prefix decoding, the slot plan and fair stream generation.
 
 Items are plain tuples for speed: an informant item is ``(x, y, label)`` with
 label 1 for related and 0 for unrelated; a text item is ``(x, y)`` or ``None``
 for a pause.  Streams are single-consumer iterators tagged with their kind.
+
+The slot plan turns a census into class slots: `slot_demand` lists the
+classes it demands and `spawn_sizes` gives the order they are spawned in.
+Fair streams (`class_slots`), the adversaries' presentation builder and the
+bridge's size sequences all spawn their slots in that order.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -389,21 +395,12 @@ def slot_demand(char: Character) -> tuple[list[int | None], list]:
     return finite, sources
 
 
-def pattern_size(n: int, per_size: int, skip: Sequence[int]) -> int:
-    """The n-th size (from 0) of a finite default count: ascending sizes
-    outside the sorted `skip`, each repeated `per_size` times."""
-    size = n // per_size + 1
-    for s in skip:
-        if s > size:
-            break
-        size += 1
-    return size
-
-
 def pattern_sizes(char: Character) -> Iterator[int]:
-    """The sizes PATTERN spawns for the census, in order.  An infinite
-    default sweeps 1; 1, 2; 1, 2, 3; ... so that every admissible size
-    recurs unboundedly often."""
+    """The sizes PATTERN spawns for the census, in order.  A finite default
+    count d gives the sizes outside the listed ones, ascending, each repeated
+    d times (under a zero default, drawing one never returns).  An infinite
+    default sweeps 1; 1, 2; 1, 2, 3; ... so that every admissible size recurs
+    unboundedly often."""
     skip = char.sizes_of_interest
     if char.default.is_omega:
         for top in itertools.count(1):
@@ -411,80 +408,57 @@ def pattern_sizes(char: Character) -> Iterator[int]:
                 if size not in skip:
                     yield size
     else:
-        for n in itertools.count():
-            yield pattern_size(n, char.default.finite, skip)
+        for size in itertools.count(1):
+            if size not in skip:
+                yield from itertools.repeat(size, char.default.finite)
 
 
-class ClassAssignment:
-    """Deterministic assignment of elements 0,1,2,... to classes realizing a census.
+def spawn_sizes(finite: Iterable, sources: Sequence, pattern: Iterator[int]) -> Iterator:
+    """The order in which class slots are spawned: the `finite` demands, then
+    one size from each of the `sources` in turn, PATTERN taking the next size
+    from `pattern`, which is drawn nowhere else."""
+    yield from finite
+    for source in itertools.cycle(sources):
+        yield next(pattern) if source == PATTERN else source
 
-    Slots are instantiated by a seed-shuffled round-robin schedule: finitely
-    demanded classes are spawned first (one every other round), while
-    open-ended demands (omega counts, default-pattern sizes, infinite classes)
-    spawn progressively forever.  Every unfull slot grows by one element per
-    round, so finite classes complete and infinite ones grow unboundedly.
-    """
 
-    SPAWN_PERIOD = 2
+def class_slots(char: Character, seed: int = 0) -> Iterator[int]:
+    """The class slots of elements 0, 1, 2, ... in a presentation of the
+    census; for a census with finitely many elements they end with the last.
 
-    def __init__(self, char: Character, seed: int = 0):
-        if char.is_empty:
-            raise RepresentationError("cannot present the all-zero census")
-        rng = random.Random(seed)
-        self._finite_demands, self._sources = slot_demand(char)
-        rng.shuffle(self._finite_demands)
-        rng.shuffle(self._sources)
-        self._pattern = pattern_sizes(char)
-        self._source_idx = 0
-        self._rng = rng
-        self._round = 0
-        # slots: parallel lists of target size (None = infinite) and member count
-        self._targets: list[int | None] = []
-        self._filled: list[int] = []
-        self._slot_of: dict[int, int] = {}
-        self._next_element = 0
-        self.finite_universe = char.total_size_finite
-        self.universe_size = char.finite_universe_size() if self.finite_universe else None
+    Slots are spawned in `spawn_sizes` order, the finite demands and the
+    sources each shuffled by the seed: one slot every other round, finitely
+    demanded classes first, while open-ended demands (omega counts,
+    default-pattern sizes, infinite classes) spawn progressively forever.
+    Every round each unfull slot takes one element, in slot order rotated to
+    a seeded pivot, so finite classes complete and infinite ones grow
+    unboundedly."""
+    if char.is_empty:
+        raise RepresentationError("cannot present the all-zero census")
+    rng = random.Random(seed)
+    finite, sources = slot_demand(char)
+    rng.shuffle(finite)
+    rng.shuffle(sources)
+    return _filled_slots(spawn_sizes(reversed(finite), sources, pattern_sizes(char)), rng)
 
-    def _spawn_next(self) -> None:
-        if self._finite_demands:
-            target = self._finite_demands.pop()
-        elif self._sources:
-            target = self._sources[self._source_idx % len(self._sources)]
-            self._source_idx += 1
-            if target == PATTERN:
-                target = next(self._pattern)
-        else:
+
+def _filled_slots(spawns: Iterator, rng: random.Random) -> Iterator[int]:
+    """The rounds of `class_slots` over the slot sizes `spawns` yields (None
+    for an infinite class): a generator of its own, so that `class_slots`
+    checks the census when it is called, not at the first slot drawn."""
+    room: list = []  # what each slot still takes, math.inf for an infinite class
+    for size in itertools.chain(spawns, itertools.repeat(0)):
+        if size != 0:
+            room.append(math.inf if size is None else size)
+        elif not any(room):  # every slot full and none to come
             return
-        self._targets.append(target)
-        self._filled.append(0)
-
-    def _run_round(self) -> None:
-        if self._round % self.SPAWN_PERIOD == 0:
-            self._spawn_next()
-        order = list(range(len(self._targets)))
-        if len(order) > 1:
-            pivot = self._rng.randrange(len(order))
-            order = order[pivot:] + order[:pivot]
-        for slot in order:
-            target = self._targets[slot]
-            if target is None or self._filled[slot] < target:
-                self._slot_of[self._next_element] = slot
-                self._filled[slot] += 1
-                self._next_element += 1
-        self._round += 1
-
-    def slot_of(self, x: int) -> int:
-        if self.finite_universe and x >= self.universe_size:
-            raise RepresentationError(f"element {x} outside the finite universe")
-        guard = 0
-        while x not in self._slot_of:
-            before = self._next_element
-            self._run_round()
-            guard = guard + 1 if self._next_element == before else 0
-            if guard > 4:  # demand exhausted: finite structure fully assigned
-                raise RepresentationError(f"element {x} outside the finite universe")
-        return self._slot_of[x]
+        for _ in range(2):  # two rounds per spawn
+            k = len(room)
+            pivot = rng.randrange(k) if k > 1 else 0
+            for slot in itertools.chain(range(pivot, k), range(pivot)):
+                if room[slot]:
+                    room[slot] -= 1
+                    yield slot
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +495,13 @@ def _new_pairs(old_n: int, new_n: int):
                            _diagonal_walk(old_n, new_n, range(hi + 1, 2 * new_n - 1)))
 
 
+def stage_items(cls: Sequence[int], old_n: int, n: int) -> Iterator[InformantItem]:
+    """The informant items of one diagonalizer stage: the pairs `_new_pairs`
+    walks, labeled 1 where `cls` puts both elements in one class.  Lazy, so
+    a stage's items are never all held."""
+    return ((x, y, 1 if cls[x] == cls[y] else 0) for x, y in _new_pairs(old_n, n))
+
+
 def _cantor_rank(n: int, x: int, y: int) -> int:
     """How many pairs of range(n)² come before (x, y) in Cantor order."""
     d = x + y
@@ -542,12 +523,13 @@ def _diagonal_walk(old_n: int, new_n: int, diagonals: range):
             yield d - y, y
 
 
-def _diagonals(plan: ClassAssignment, square: bool):
+def _diagonals(char: Character, slots: Iterator[int], square: bool):
     """The Cantor diagonals d = 0, 1, 2, ... as (d, ys, slot): diagonal d's
     pairs are (d - y, y) for y in `ys`, ascending, and `slot[x]` is element
-    x's class slot, None outside a finite universe.  With `square`, a finite
-    universe's diagonals are cut to its square and repeat forever."""
-    n = plan.universe_size
+    x's class slot, drawn from the census's `slots`, None outside a finite
+    universe.  With `square`, a finite universe's diagonals are cut to its
+    square and repeat forever."""
+    n = char.finite_universe_size() if char.total_size_finite else None
     cut = square and n is not None
     if cut:
         walk = itertools.chain.from_iterable(itertools.repeat(range(2 * n - 1)))
@@ -556,7 +538,7 @@ def _diagonals(plan: ClassAssignment, square: bool):
     slot: list = []
     for d in walk:
         if d == len(slot):  # element d is first reached on diagonal d
-            slot.append(plan.slot_of(d) if n is None or d < n else None)
+            slot.append(next(slots) if n is None or d < n else None)
         yield d, range(max(0, d - n + 1), min(d, n - 1) + 1) if cut else range(d + 1), slot
 
 
@@ -567,19 +549,19 @@ def fair_informant(char: Character, seed: int = 0) -> Stream:
     universe repeat forever (informants may repeat items).  Items are built
     one diagonal at a time.
     """
-    plan = ClassAssignment(char, seed)
+    slots = class_slots(char, seed)
     diagonals = ([(d - y, y, 1 if slot[d - y] == slot[y] else 0) for y in ys]
-                 for d, ys, slot in _diagonals(plan, True))
+                 for d, ys, slot in _diagonals(char, slots, True))
     return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals))
 
 
 def fair_text(char: Character, seed: int = 0) -> Stream:
     """Deterministic text: related pairs in Cantor order, pauses elsewhere,
     built one diagonal at a time."""
-    plan = ClassAssignment(char, seed)
+    slots = class_slots(char, seed)
     # a pair with an element outside a finite universe is a pause
     diagonals = ([(d - y, y) if slot[d - y] == slot[y] is not None else PAUSE for y in ys]
-                 for d, ys, slot in _diagonals(plan, False))
+                 for d, ys, slot in _diagonals(char, slots, False))
     return Stream(TEXT, char, itertools.chain.from_iterable(diagonals))
 
 

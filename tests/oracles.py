@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
+import random
+from collections import Counter, deque
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +36,7 @@ from limitlearn import (
     INFORMANT,
     PAUSE,
     RELATIONS,
+    RepresentationError,
     TEXT,
     Prefix,
     PrefixState,
@@ -52,7 +54,7 @@ from limitlearn.adversaries import TWO_CLASSES, _census_of, _Labeling, _TargetBu
 from limitlearn.bridge import SizeSequence, _window
 from limitlearn.presentations import (
     PATTERN,
-    ClassAssignment,
+    class_slots,
     pattern_sizes,
     reorder_items,
     slot_demand,
@@ -212,6 +214,34 @@ def census_slot_sizes(char, n):
         sizes.extend(next(stream) for stream in streams)
     sizes = [math.inf if s is None else s for s in sizes[:n]]
     return sizes + [0] * (n - len(sizes))
+
+
+def rescan_spawn_sizes(target, used, n):
+    """The first n sizes the presentation builder spawns for `target` once
+    `used` slots per size are planned, by the rescan it once ran on every
+    draw: the first finite demand `used` leaves open, else the next source
+    in turn, the default's pattern skipping sizes planned in full."""
+    used = Counter(used)
+
+    def avail(size):
+        return used[size] < target.count(OMEGA if size is None else size)
+
+    finite, sources = slot_demand(target)
+    pattern, turn, sizes = pattern_sizes(target), 0, []
+    while len(sizes) < n:
+        open_demands = [s for s in finite if avail(s)]
+        if open_demands:
+            size = open_demands[0]
+        elif sources:
+            size = sources[turn % len(sources)]
+            turn += 1
+            if size == PATTERN:
+                size = next(s for s in pattern if avail(s))
+        else:
+            break
+        used[size] += 1
+        sizes.append(size)
+    return sizes
 
 
 def plain_sizes(seq, n):
@@ -897,36 +927,116 @@ def cantor_new_pairs(old_n: int, new_n: int):
             yield d - y, y
 
 
+def _slot_reader(char: Character, seed: int):
+    """Element x's class slot from `class_slots`, drawn up to x on demand,
+    and the size of a finite universe (None for an infinite one)."""
+    slots, placed = class_slots(char, seed), []
+
+    def slot(x):
+        if x >= len(placed):
+            placed.extend(islice(slots, x + 1 - len(placed)))
+        return placed[x]
+
+    return slot, char.finite_universe_size() if char.total_size_finite else None
+
+
 def generator_fair_informant(char: Character, seed: int = 0) -> Stream:
     """`fair_informant` as a generator that labels one pair at a time."""
-    plan = ClassAssignment(char, seed)
+    slot, bound = _slot_reader(char, seed)
 
     def gen():
-        placed, place = plan._slot_of, plan.slot_of
-        for x, y in pair_walk(plan.universe_size):
-            sx = placed[x] if x in placed else place(x)
-            sy = placed[y] if y in placed else place(y)
-            yield (x, y, 1 if sx == sy else 0)
+        for x, y in pair_walk(bound):
+            yield (x, y, 1 if slot(x) == slot(y) else 0)
 
     return Stream(INFORMANT, char, gen())
 
 
 def generator_fair_text(char: Character, seed: int = 0) -> Stream:
     """`fair_text` as a generator that decides one pair at a time."""
-    plan = ClassAssignment(char, seed)
+    slot, bound = _slot_reader(char, seed)
 
     def gen():
-        bound = plan.universe_size
-        placed, place = plan._slot_of, plan.slot_of
         for x, y in pair_walk(None):
             if bound is not None and (x >= bound or y >= bound):
                 yield PAUSE
             else:
-                sx = placed[x] if x in placed else place(x)
-                sy = placed[y] if y in placed else place(y)
-                yield (x, y) if sx == sy else PAUSE
+                yield (x, y) if slot(x) == slot(y) else PAUSE
 
     return Stream(TEXT, char, gen())
+
+
+class ClassAssignment:
+    """The round-robin class assignment fair streams were first built on,
+    kept as the reference for `class_slots`: element x's slot is
+    ``slot_of(x)``, placed by running rounds until x is reached.
+
+    Slots are instantiated by a seed-shuffled round-robin schedule: finitely
+    demanded classes are spawned first (one every other round), while
+    open-ended demands (omega counts, default-pattern sizes, infinite classes)
+    spawn progressively forever.  Every unfull slot grows by one element per
+    round, so finite classes complete and infinite ones grow unboundedly.
+    """
+
+    SPAWN_PERIOD = 2
+
+    def __init__(self, char: Character, seed: int = 0):
+        if char.is_empty:
+            raise RepresentationError("cannot present the all-zero census")
+        rng = random.Random(seed)
+        self._finite_demands, self._sources = slot_demand(char)
+        rng.shuffle(self._finite_demands)
+        rng.shuffle(self._sources)
+        self._pattern = pattern_sizes(char)
+        self._source_idx = 0
+        self._rng = rng
+        self._round = 0
+        # slots: parallel lists of target size (None = infinite) and member count
+        self._targets: list[int | None] = []
+        self._filled: list[int] = []
+        self._slot_of: dict[int, int] = {}
+        self._next_element = 0
+        self.finite_universe = char.total_size_finite
+        self.universe_size = char.finite_universe_size() if self.finite_universe else None
+
+    def _spawn_next(self) -> None:
+        if self._finite_demands:
+            target = self._finite_demands.pop()
+        elif self._sources:
+            target = self._sources[self._source_idx % len(self._sources)]
+            self._source_idx += 1
+            if target == PATTERN:
+                target = next(self._pattern)
+        else:
+            return
+        self._targets.append(target)
+        self._filled.append(0)
+
+    def _run_round(self) -> None:
+        if self._round % self.SPAWN_PERIOD == 0:
+            self._spawn_next()
+        order = list(range(len(self._targets)))
+        if len(order) > 1:
+            pivot = self._rng.randrange(len(order))
+            order = order[pivot:] + order[:pivot]
+        for slot in order:
+            target = self._targets[slot]
+            if target is None or self._filled[slot] < target:
+                self._slot_of[self._next_element] = slot
+                self._filled[slot] += 1
+                self._next_element += 1
+        self._round += 1
+
+    def slot_of(self, x: int) -> int:
+        if self.finite_universe and x >= self.universe_size:
+            raise RepresentationError(f"element {x} outside the finite universe")
+        guard = 0
+        while x not in self._slot_of:
+            before = self._next_element
+            self._run_round()
+            guard = guard + 1 if self._next_element == before else 0
+            if guard > 4:  # demand exhausted: finite structure fully assigned
+                raise RepresentationError(f"element {x} outside the finite universe")
+        return self._slot_of[x]
 
 
 def per_item_simulation(learner: Learner, stream, stages: int, target=None,

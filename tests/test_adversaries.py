@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from itertools import islice
@@ -38,7 +39,7 @@ from limitlearn import (
 )
 from limitlearn import learners
 from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder
-from limitlearn.bridge import LanguageToStructLearner
+from limitlearn.bridge import LanguageToStructLearner, size_sequence_of
 from limitlearn.learners import EchoLearner
 from limitlearn.presentations import _new_pairs
 
@@ -60,6 +61,7 @@ from oracles import (
     per_item_diagonalize,
     per_item_limit_adversary,
     per_item_two_class_phase,
+    rescan_spawn_sizes,
 )
 from test_clone import ANTICHAIN, CHAIN
 from test_presentations import stage_items, staged_classes
@@ -275,6 +277,37 @@ def test_target_builder_fits_exactly_the_blocks_the_census_profile_admits(case):
         assert planned is None or planned >= len(members), (members, planned)
     for size, planned in Counter(builder.slot_target).items():
         assert planned <= target.count(OM if size is None else size), (size, planned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_cases())
+@example((census(1, {2: 1, 3: OM}, 1), [2, 2, 1, 1]))  # a block planned on a pattern size
+def test_target_builder_spawns_what_a_rescan_of_the_demand_spawns(case):
+    # one spawn iterator, its finite demands and pattern sizes filtered when
+    # drawn, against rescanning the demand on every draw: `_fit` sets `used`
+    # after the plan, and `used` only grows until the next one
+    target, sizes = case
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    try:
+        builder = _TargetBuilder(target, [list(range(a, a + n)) for a, n in zip(starts, sizes)])
+    except FamilyError:
+        return
+    want = rescan_spawn_sizes(target, builder.used, 40)
+    assert list(islice(iter(builder._next_spawn_target, _EXHAUSTED), 40)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_cases().map(lambda case: case[0]))
+def test_target_builder_spawns_the_bridge_slot_layout(target):
+    # one slot plan: from an empty start the builder spawns the census's
+    # size sequence (omega as math.inf), exhausted where it turns to 0
+    layout, builder = size_sequence_of(target), _TargetBuilder(target)
+    for i in range(60):
+        size = builder._next_spawn_target()
+        if layout.at(i) == 0:
+            assert size is _EXHAUSTED, (i, size)
+        else:
+            assert (math.inf if size is None else size) == layout.at(i), i
 
 
 def test_target_builder_spreads_elements_over_two_infinite_classes():
@@ -498,7 +531,7 @@ def test_diagonalizer_stages_cost_their_new_elements(monkeypatch):
         raise AssertionError("a diagonalizer stage did work over its old elements")
 
     monkeypatch.setattr(PrefixState, "_write_apart", refuse)
-    monkeypatch.setattr(learners, "_new_pairs", refuse)
+    monkeypatch.setattr(learners, "stage_items", refuse)
     tails = [census(0, {1: OM}), census(0, {2: 1, 1: OM})]
     for learner in (learner_echo(), learner_one_shot(list(EXAMPLE1)), learner_separator(tails)):
         assert diagonalize(learner, 2, 400).ok, learner.name
@@ -663,6 +696,21 @@ def test_locking_transform_distilled_prefix_stabilizes():
         wrapped.feed(next(it))
         sizes.append(len(wrapped.distilled()))
     assert sizes[-1] == sizes[-500], "distilled prefix still growing at the horizon"
+
+
+@pytest.mark.parametrize("fed, refused, index", [
+    ([(0, 1, 1)], (0, 1, 0), 1),
+    ([(0, 1, 1), (2, 3, 1), (0, 2, 0)], (0, 3, 1), 3),
+])
+def test_the_locking_normal_form_reports_a_refused_item_at_its_own_index(fed, refused, index):
+    # the shadow learner counts sigma's items before the history's, and
+    # reported items 2 and 5
+    wrapped = locking_transform(learner_echo())
+    for item in fed:
+        wrapped.feed(item)
+    with pytest.raises(ConsistencyError, match=f"^item {index}: pair") as err:
+        wrapped.feed(refused)
+    assert err.value.index == index
 
 
 @pytest.mark.parametrize("refused", [(0, 1, 0), (5, 5, 0)])

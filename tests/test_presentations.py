@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -22,18 +23,21 @@ from limitlearn import (
     REORDER_STRATEGIES,
     write_trace,
 )
+from limitlearn import adversaries, bridge, presentations
 from limitlearn.presentations import (
     PATTERN,
     _new_pairs,
-    pattern_size,
+    class_slots,
     pattern_sizes,
     reorder_items,
     slot_demand,
+    spawn_sizes,
 )
 from limitlearn.structures import pair_code, unpair_code
 
 from families import C57, FIVE_OMEGA, SEPARABLE_CORPUS, TWO_INF, census
 from oracles import (
+    ClassAssignment,
     PathCompressingPrefixState,
     SetPrefixState,
     counter_pattern_sizes,
@@ -454,10 +458,62 @@ def test_slot_demand_and_pattern_reproduce_the_census(default, exceptions, omega
 def test_pattern_arithmetic_matches_the_counters(per_size, skip):
     skip = tuple(sorted(skip))
     counted = counter_pattern_sizes(per_size, skip, 500)
-    assert [pattern_size(n, per_size, skip) for n in range(500)] == counted
     zeros = {s: 0 for s in skip}
     assert list(islice(pattern_sizes(census(per_size, zeros)), 500)) == counted
     assert list(islice(pattern_sizes(census(OM, zeros)), 500)) == sweep_pattern_sizes(skip, 500)
+
+
+def test_the_pattern_is_drawn_only_where_pattern_is_a_source(monkeypatch):
+    # under a zero default the pattern never yields a size, so a slot plan
+    # may draw it only at PATTERN
+    def refused(char):
+        raise AssertionError(f"the pattern of {char} was drawn")
+        yield
+
+    for module in (presentations, adversaries, bridge):
+        monkeypatch.setattr(module, "pattern_sizes", refused)
+    assert list(islice(spawn_sizes([2, None], [5, PATTERN], iter([1, 1, 3])), 8)) == \
+        [2, None, 5, 1, 5, 1, 5, 3]
+    for zero in (census(0, {2: 1, 3: OM}), census(0, {4: 2}, OM), census(0, {1: 3}, 2)):
+        assert len(list(islice(class_slots(zero, 1), 300))) == 300
+        builder = adversaries._TargetBuilder(zero)
+        for _ in range(50):
+            builder._next_spawn_target()
+        bridge.size_sequence_of(zero)
+    # with a nonzero default each plan draws it (so the patch reaches each)
+    with pytest.raises(AssertionError):
+        next(class_slots(census(1)))
+    with pytest.raises(AssertionError):
+        adversaries._TargetBuilder(census(1))._next_spawn_target()
+    with pytest.raises(AssertionError):
+        bridge.size_sequence_of(census(1))
+
+
+_CENSUSES = st.builds(census, COUNTS, st.dictionaries(st.integers(1, 8), COUNTS, max_size=4),
+                      st.sampled_from([0, 1, 2, OM])).filter(lambda char: not char.is_empty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CENSUSES, st.integers(0, 2**32))
+def test_class_slots_match_the_round_robin_reference(char, seed):
+    # equal slots need the same random draws in the same order: the finite
+    # demands shuffled, then the sources, then one pivot per round that
+    # holds two or more slots
+    plan = ClassAssignment(char, seed)
+    n = min(300, char.finite_universe_size()) if char.total_size_finite else 300
+    assert list(islice(class_slots(char, seed), 300)) == [plan.slot_of(x) for x in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(1, 8), st.integers(0, 3), min_size=1)
+       .filter(lambda counts: any(counts.values())), st.integers(0, 2**32))
+def test_class_slots_of_a_finite_universe_end_at_its_last_element(counts, seed):
+    # the slots end once every class is full, however many idle rounds the
+    # schedule had left
+    char = census(0, counts)
+    slots = list(class_slots(char, seed))
+    assert len(slots) == char.finite_universe_size()
+    assert Counter(Counter(slots).values()) == +Counter(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +565,10 @@ def test_fair_informant_two_class_prefixes_stay_two_colorable():
 def test_fair_informant_rejects_empty_census():
     from limitlearn import RepresentationError
 
-    with pytest.raises(RepresentationError):
-        fair_informant(census(0, {}), 0)
+    # the census is checked when the stream is built, not at its first item
+    for stream in (fair_informant, fair_text):
+        with pytest.raises(RepresentationError):
+            stream(census(0, {}), 0)
 
 
 def test_fair_informant_two_infinite_classes_cap():
