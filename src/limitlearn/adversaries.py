@@ -35,7 +35,6 @@ from .structures import (
     ZERO,
     Character,
     char_subset,
-    pair_code,
     profile_le,
     profile_of,
     unpair_code,
@@ -57,15 +56,40 @@ def _pairs_ahead(cursor: int, out: list, n: int, known: int, keep) -> list:
     return out
 
 
+class _Walk:
+    """A completion builder's walk over the Cantor diagonals, as fair streams
+    walk them: element d, first seen as (d, 0), is placed (``_place``) on
+    reaching diagonal d, and each pair (d - y, y) of placed elements is
+    emitted as ``_label(x, y)``, `cursor` being the code after it.  Once an
+    element finds no place, which happens only when a census with finitely
+    many elements has all of them placed, the walk ends with their square."""
+
+    cursor = 0
+
+    def next_item(self):
+        """The next item of the walk, or ``_EXHAUSTED`` once it has ended."""
+        return next(self._walk, _EXHAUSTED)
+
+    def _items(self):
+        placed = self.slot_of
+        for d in count():
+            if d not in placed and not self._place(d) and d > 2 * max(placed, default=-1):
+                return
+            for y in range(d + 1):
+                if d - y in placed and y in placed:
+                    self.cursor = d * (d + 1) // 2 + y + 1
+                    yield self._label(d - y, y)
+
+
 # ---------------------------------------------------------------------------
 # A retargetable presentation builder (informant mode)
 
 
-class _TargetBuilder:
+class _TargetBuilder(_Walk):
     """Emits informant items in Cantor pair order while steering the resulting
     structure toward a target census.
 
-    Elements are assigned to class slots as the pair walk reaches them; labels
+    Elements are assigned to class slots as the walk reaches them; labels
     are read off the slot assignment, which never changes retroactively, so
     every emitted prefix stays consistent.  Retargeting maps the existing
     slots into the new census's demand; with ``freeze`` the slots keep their
@@ -73,10 +97,8 @@ class _TargetBuilder:
     planned to grow.  Slots planned as infinite classes have target None and
     absorb elements round-robin forever.
 
-    A pair whose new element finds no slot is skipped for good: element k
-    first appears as (k, 0), and placement fails only once a census with
-    finitely many elements has all of them placed (``finishing`` is set only
-    while a slot is open).
+    ``finishing`` holds back new slots and is set only while a slot is open:
+    set on a clean builder, the next placement raises ``FamilyError``.
     """
 
     def __init__(self, target: Character, blocks: Sequence[Sequence[int]] = ()):
@@ -86,7 +108,6 @@ class _TargetBuilder:
         self.slot_target: list[Optional[int]] = []
         self.slot_of: dict[int, int] = {}
         self.used: Counter = Counter()  # planned slots per size, None for infinite
-        self.cursor = 0
         self.finishing = False
         self._inf_rot = 0
         self._plan(target)
@@ -97,6 +118,7 @@ class _TargetBuilder:
             for idx, members in enumerate(self.slot_members):
                 for x in members:
                     self.slot_of[x] = idx
+        self._walk = self._items()
 
     # -- demand bookkeeping ----------------------------------------------
 
@@ -169,7 +191,7 @@ class _TargetBuilder:
 
     # -- emission -----------------------------------------------------------
 
-    def _assign(self, e: int) -> bool:
+    def _place(self, e: int) -> bool:
         for idx, members in enumerate(self.slot_members):
             t = self.slot_target[idx]
             if t is not None and len(members) < t:
@@ -190,33 +212,9 @@ class _TargetBuilder:
             self.slot_members[idx].append(e)
             self.slot_of[e] = idx
             return True
+        if self.finishing:
+            raise FamilyError("builder made no progress; retarget before emitting")
         return False
-
-    def _try_pair(self, x: int, y: int) -> bool:
-        for e in dict.fromkeys((x, y)):
-            if e not in self.slot_of and not self._assign(e):
-                return False
-        return True
-
-    def next_item(self):
-        """The next labeled pair of the walk, or ``_EXHAUSTED`` once a census
-        with finitely many elements has every element placed and every pair
-        among them emitted."""
-        for _ in range(100000):
-            x, y = unpair_code(self.cursor)
-            self.cursor += 1
-            if self._try_pair(x, y):
-                return self._label(x, y)
-            if self._complete():
-                return _EXHAUSTED
-        raise FamilyError("builder made no progress; retarget before emitting")
-
-    def _complete(self) -> bool:
-        target = self.target
-        if not target.total_size_finite or len(self.slot_of) < target.finite_universe_size():
-            return False
-        last = max(self.slot_of, default=-1)
-        return self.cursor > pair_code(last, last)
 
     def _label(self, x: int, y: int) -> tuple[int, int, int]:
         return (x, y, 1 if self.slot_of[x] == self.slot_of[y] else 0)
@@ -528,52 +526,41 @@ class LockingSearchResult:
     probes: int
 
 
-class _TextBuilder:
+class _TextBuilder(_Walk):
     """Completes a text prefix toward a census of finitely many infinite
     classes and no finite ones, the only censuses a text completion
-    presents (any other is refused, ``FamilyError``): existing components
-    are distributed over the classes and every pair of the growing universe
-    is visited in Cantor order."""
+    presents (any other is refused, ``FamilyError``): existing blocks, by
+    least element, and then the elements the walk places are dealt to the
+    classes in rotation, and a pair of the walk is emitted as itself when
+    its elements share a class and as a pause otherwise."""
 
-    def __init__(self, target: Character, blocks: Sequence[Sequence[int]],
-                 second_component_fresh: bool = False):
+    def __init__(self, target: Character, blocks: Sequence[Sequence[int]]):
         self.k = target.count(OMEGA)
         if target.default != ZERO or target.exceptions or not 0 < self.k < math.inf:
             raise FamilyError("text locking search completes only toward finitely many "
                               "infinite classes and no finite ones")
-        self.class_of: dict[int, int] = {}
+        self.slot_of: dict[int, int] = {}
         ordered = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
         for i, block in enumerate(ordered):
-            cls = 0 if second_component_fresh else i % self.k
             for x in block:
-                self.class_of[x] = cls
-        self._fresh_rot = 1 if second_component_fresh else len(ordered)
-        self.cursor = 0
-        self._next_elem = max(self.class_of, default=-1) + 1
+                self.slot_of[x] = i % self.k
+        self._rot = len(ordered)
+        self._walk = self._items()
 
-    def _ensure(self, e: int) -> None:
-        while self._next_elem <= e:
-            if self._next_elem not in self.class_of:
-                self.class_of[self._next_elem] = self._fresh_rot % self.k
-                self._fresh_rot += 1
-            self._next_elem += 1
-        if e not in self.class_of:
-            self.class_of[e] = self._fresh_rot % self.k
-            self._fresh_rot += 1
+    def _place(self, e: int) -> bool:
+        self.slot_of[e] = self._rot % self.k
+        self._rot += 1
+        return True
 
-    def next_item(self):
-        x, y = unpair_code(self.cursor)
-        self.cursor += 1
-        self._ensure(max(x, y))
-        if self.class_of[x] == self.class_of[y]:
-            return (x, y)
-        return PAUSE
+    def _label(self, x: int, y: int):
+        return (x, y) if self.slot_of[x] == self.slot_of[y] else PAUSE
 
     def candidates(self, state: PrefixState, width: int) -> list:
         """Up to `width` single items a locking search probes: a pause, a
         fresh self-pair and upcoming positive pairs of the walk; a text
         prefix rules none of them out, so `state` is not read."""
-        fresh, cls = self._next_elem, self.class_of
+        cls = self.slot_of
+        fresh = max(cls, default=-1) + 1  # one past every placed element
         pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), len(cls),
                              lambda x, y: x in cls and y in cls and cls[x] == cls[y])
         return [PAUSE, *pairs][:width]
@@ -802,7 +789,8 @@ def text_adversary(
         )
     state = PrefixState(TEXT)
     state.feed_all(sigma.items)
-    builder = _TextBuilder(TWO_CLASSES, state.blocks(), second_component_fresh=True)
+    merged = [x for block in state.blocks() for x in block]
+    builder = _TextBuilder(TWO_CLASSES, [merged] if merged else [])
     for stage in run_stages(probe, (builder.next_item() for _ in range(horizon))):
         if not conjectures_equal(probe.conjecture(), locked):
             return TextAdversaryReport(

@@ -50,7 +50,15 @@ from limitlearn import (
     profile_of,
     unpair_code,
 )
-from limitlearn.adversaries import TWO_CLASSES, _census_of, _Labeling, _TargetBuilder, _TextBuilder
+from limitlearn.adversaries import (
+    _EXHAUSTED,
+    TWO_CLASSES,
+    _census_of,
+    _Labeling,
+    _pairs_ahead,
+    _TargetBuilder,
+    _TextBuilder,
+)
 from limitlearn.bridge import SizeSequence, _window
 from limitlearn.presentations import (
     PATTERN,
@@ -1288,7 +1296,8 @@ def per_item_two_class_phase(learner, sigma: Prefix, horizon: int):
     locked = learner.conjecture()
     state = PrefixState(TEXT)
     state.feed_all(sigma.items)
-    builder = _TextBuilder(TWO_CLASSES, state.blocks(), second_component_fresh=True)
+    merged = [x for block in state.blocks() for x in block]
+    builder = _TextBuilder(TWO_CLASSES, [merged] if merged else [])
     for stage in range(1, horizon + 1):
         if not conjectures_equal(learner.feed(builder.next_item()), locked):
             return stage
@@ -1366,3 +1375,82 @@ class ItemKeyedLockingNormalForm(Learner):
 
     def distilled(self) -> Prefix:
         return Prefix(self.mode, tuple(self._sigma))
+
+
+# ---------------------------------------------------------------------------
+# The completion builders' walks over Cantor codes that the diagonal walk
+# replaced
+
+
+class CodeWalkTargetBuilder(_TargetBuilder):
+    """``_TargetBuilder`` emitting as it did before it walked diagonals: one
+    Cantor code per step, a pair skipped when one of its elements finds no
+    slot (that element is retried at its next pair), the end found by
+    checking that a census with finitely many elements has all of them
+    placed and the cursor past the last one's self-pair, and 100,000
+    skipped codes in a row taken as misuse."""
+
+    def _try_pair(self, x: int, y: int) -> bool:
+        for e in dict.fromkeys((x, y)):
+            if e not in self.slot_of and not self._place(e):
+                return False
+        return True
+
+    def next_item(self):
+        for _ in range(100000):
+            x, y = unpair_code(self.cursor)
+            self.cursor += 1
+            if self._try_pair(x, y):
+                return self._label(x, y)
+            if self._complete():
+                return _EXHAUSTED
+        raise FamilyError("builder made no progress; retarget before emitting")
+
+    def _complete(self) -> bool:
+        target = self.target
+        if not target.total_size_finite or len(self.slot_of) < target.finite_universe_size():
+            return False
+        last = max(self.slot_of, default=-1)
+        return self.cursor > pair_code(last, last)
+
+
+class CodeWalkTextBuilder:
+    """``_TextBuilder`` as it was before it walked diagonals: one Cantor code
+    per step, every element up to the pair's larger one placed first
+    (`_ensure`), from `_next_elem`, one past the largest element placed,
+    which is also the fresh element the candidates name."""
+
+    def __init__(self, target: Character, blocks):
+        self.k = target.count(OMEGA)
+        self.class_of: dict[int, int] = {}
+        ordered = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
+        for i, block in enumerate(ordered):
+            for x in block:
+                self.class_of[x] = i % self.k
+        self._fresh_rot = len(ordered)
+        self.cursor = 0
+        self._next_elem = max(self.class_of, default=-1) + 1
+
+    def _ensure(self, e: int) -> None:
+        while self._next_elem <= e:
+            if self._next_elem not in self.class_of:
+                self.class_of[self._next_elem] = self._fresh_rot % self.k
+                self._fresh_rot += 1
+            self._next_elem += 1
+        if e not in self.class_of:
+            self.class_of[e] = self._fresh_rot % self.k
+            self._fresh_rot += 1
+
+    def next_item(self):
+        x, y = unpair_code(self.cursor)
+        self.cursor += 1
+        self._ensure(max(x, y))
+        if self.class_of[x] == self.class_of[y]:
+            return (x, y)
+        return PAUSE
+
+    def candidates(self, state, width: int) -> list:
+        fresh, cls = self._next_elem, self.class_of
+        pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), len(cls),
+                             lambda x, y: x in cls and y in cls and cls[x] == cls[y])
+        return [PAUSE, *pairs][:width]

@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
@@ -20,6 +20,7 @@ from limitlearn import (
     embeds,
     fair_informant,
     fair_text,
+    finitely_separable,
     informant_prefix,
     learner_constant,
     learner_echo,
@@ -38,7 +39,7 @@ from limitlearn import (
     weak_locking_search,
 )
 from limitlearn import learners
-from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder
+from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import LanguageToStructLearner, size_sequence_of
 from limitlearn.learners import EchoLearner
 from limitlearn.presentations import _new_pairs
@@ -55,6 +56,8 @@ from families import (
     census,
 )
 from oracles import (
+    CodeWalkTargetBuilder,
+    CodeWalkTextBuilder,
     ItemKeyedLockingNormalForm,
     full_labeling_extension,
     materialized_diagonalize,
@@ -123,6 +126,37 @@ def test_limit_adversary_dichotomy_over_roster():
         report = limit_adversary(learner, FIVE_OMEGA, list(NONSEPARABLE)).run(6000)
         assert report.consistent, learner.name
         assert report.defeated(), (learner.name, report.mind_changes, report.final_target)
+
+
+_RANDOM_MEMBERS = st.builds(
+    census, st.integers(0, 2),
+    st.dictionaries(st.integers(1, 6), st.one_of(st.integers(0, 3), st.just(OM)), max_size=3),
+).filter(lambda char: not char.is_empty)
+
+
+@seed(1)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(_RANDOM_MEMBERS, min_size=2, max_size=3, unique=True))
+def test_the_infex_dichotomy_holds_on_random_families(members):
+    # exactly one half holds, and `finitely_separable` says which: the
+    # separator learner converges on every member of a separable family, and
+    # the limit adversary built from the counterexample defeats the roster
+    verdict = finitely_separable(members)
+    if verdict.separable:
+        for target in members:
+            res = run_simulation(learner_separator(members), fair_informant(target, 0),
+                                 10_000, target, "iso", 200)
+            assert res.converged, (members, target, res.final)
+        return
+    limit, witness = verdict.counterexample
+    roster = [learner_constant(limit), learner_constant(witness),
+              learner_min_embed(members, enforce=False),
+              learner_separator(members, enforce=False),
+              learner_split_on_negative(), learner_echo()]
+    for learner in roster:
+        report = limit_adversary(learner, limit, members).run(10_000)
+        assert report.consistent, (members, learner.name)
+        assert report.defeated(), (members, learner.name, report.mind_changes)
 
 
 class FaceValue(Learner):
@@ -316,6 +350,116 @@ def test_target_builder_spreads_elements_over_two_infinite_classes():
     state.feed_all(builder.next_item() for _ in range(2000))  # raises on an inconsistent item
     sizes = [state.block_size(r) for r in state.block_roots()]
     assert len(sizes) == 2 and abs(sizes[0] - sizes[1]) <= 1, sizes
+
+
+def test_target_builder_refuses_to_finish_a_clean_builder():
+    # `finishing` set with no slot open would leave the next element unplaced
+    # for good; the builder raises at that element, before the rest of the
+    # placed elements' square
+    builder = _TargetBuilder(census(1))
+    for _ in range(300):
+        builder.next_item()
+    builder.finishing = True
+    while not builder.clean:
+        builder.next_item()
+    placed = len(builder.slot_of)
+    assert sorted(builder.slot_of) == list(range(placed))
+    with pytest.raises(FamilyError, match="made no progress"):
+        for _ in range(placed + 1):  # at most the rest of the current diagonal
+            builder.next_item()
+
+
+def _outcome(call, *args):
+    """What a builder call returns, or the error it raises, for comparing two
+    builders."""
+    try:
+        return call(*args)
+    except FamilyError as exc:
+        return ("FamilyError", str(exc))
+
+
+def _sparse_blocks(elements: int, blocks: int):
+    """Up to `blocks` disjoint blocks over 0 .. elements - 1, gaps allowed."""
+    return st.lists(st.tuples(st.integers(0, elements - 1), st.integers(0, blocks - 1)),
+                    unique_by=lambda pair: pair[0], max_size=6).map(
+        lambda pairs: [sorted(x for x, b in pairs if b == i)
+                       for i in range(blocks) if any(b == i for _, b in pairs)])
+
+
+_COUNT = st.one_of(st.integers(0, 2), st.just(OM))
+_SIZES = st.dictionaries(st.integers(1, 4), _COUNT, max_size=2)
+_BUILDER_CENSUSES = st.builds(census, st.sampled_from([0, 0, 1, 2]), _SIZES,
+                              st.sampled_from([0, 0, 1, 2]))
+# what the limit adversary retargets to: censuses with infinitely many
+# elements (a nonzero default, else an omega-counted size)
+_INFINITE_CENSUSES = st.builds(
+    lambda default, sizes, size, omega: census(default, sizes if default else {**sizes, size: OM},
+                                               omega),
+    st.integers(0, 2), _SIZES, st.integers(1, 4), st.sampled_from([0, 0, 1]))
+
+
+def _blocks_state(blocks) -> PrefixState:
+    state = PrefixState("informant")
+    state.feed_all((b[0], x, 1) for b in blocks for x in b)
+    return state
+
+
+@settings(max_examples=120, deadline=None)
+@given(_BUILDER_CENSUSES, _sparse_blocks(8, 3), st.integers(1, 4), st.data())
+@example(census(0, {2: 1, 3: 1}), [[3]], 3, None)
+@example(census(1), [[1], [4, 5]], 2, None)
+@example(census(0, {1: 1, 2: 1}), [[1], [4, 5]], 2, None)  # element 0 is never placed
+def test_target_builder_walk_matches_the_code_walk(target, blocks, width, data):
+    # the diagonal walk against the walk over Cantor codes it replaced:
+    # items, cursor and candidates at every step, under the limit adversary's
+    # switch rule (retargets only from censuses with infinitely many elements)
+    builders = [_outcome(cls, target, blocks) for cls in (_TargetBuilder, CodeWalkTargetBuilder)]
+    if not isinstance(builders[0], _TargetBuilder):
+        assert builders[0] == builders[1]
+        return
+    got, want = builders
+    state = _blocks_state(blocks)
+    pending = False
+    switching = data is not None and not target.total_size_finite
+    for step in range(250):
+        if pending and got.clean:
+            assert want.clean
+            freeze = data.draw(st.booleans())
+            if freeze:  # a witness: the current classes and more
+                extra = data.draw(_SIZES)
+                new = census(data.draw(st.integers(1, 2)),
+                             {**extra, **Counter(map(len, got.slot_members))})
+            else:
+                new = data.draw(_INFINITE_CENSUSES)
+            outcomes = [_outcome(b.retarget, new, freeze) for b in (got, want)]
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is not None:
+                return
+            pending = False
+        got.finishing = want.finishing = pending
+        item = got.next_item()
+        assert item == want.next_item(), step
+        if item is _EXHAUSTED:
+            assert target.total_size_finite
+            return
+        assert got.cursor == want.cursor, step
+        state.feed(item)
+        assert got.candidates(state, width) == want.candidates(state, width), step
+        if switching and not pending:
+            pending = data.draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), _sparse_blocks(8, 4), st.integers(1, 5))
+@example(2, [[3]], 4)
+@example(3, [[1], [4, 5]], 3)
+def test_text_builder_walk_matches_the_code_walk(k, blocks, width):
+    target = census(0, {}, k)
+    got, want = _TextBuilder(target, blocks), CodeWalkTextBuilder(target, blocks)
+    for step in range(200):
+        assert got.next_item() == want.next_item(), step
+        assert got.cursor == want.cursor, step
+        assert got.candidates(None, width) == want.candidates(None, width), step
 
 
 # ---------------------------------------------------------------------------

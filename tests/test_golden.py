@@ -42,6 +42,8 @@ FAMILIES = {
 
 # a consistent start prefix for a member of example1: blocks {0,1,2}, {3}, {4,5}
 START_ITEMS = "P 0 1\nP 1 2\nN 0 3\nP 4 5\nN 3 4\n"
+# a text start prefix with sparse blocks {0, 2}, {5, 6} and {3}
+TEXT_START_ITEMS = "P 0 2\n#\nP 5 6\nP 3 3\n"
 
 # case name -> (command line, expected exit code); "{...}" is a family file
 # or the start prefix
@@ -91,6 +93,9 @@ CASES = {
         "locking --family {omega-pair} --learner constant --target 1 --depth 60 --width 6", 0),
     "locking-start-example1": (
         "locking --family {example1} --learner separator --target 1 --start {start}", 0),
+    # the text completion of a start with several blocks, and its candidates
+    "locking-txt-echo-omega-pair": (
+        "locking --family {omega-pair} --learner txt-echo --target 1 --start {text-start}", 0),
     "bridge-translate-layouts": (
         "bridge translate --family {layouts}", 0),
     "bridge-roundtrip-example1": (
@@ -111,6 +116,8 @@ def run_case(name: str, root: Path) -> tuple[int, Path]:
         paths[fam].write_text(json.dumps(payload))
     paths["start"] = root / "start.txt"
     paths["start"].write_text(START_ITEMS)
+    paths["text-start"] = root / "text-start.txt"
+    paths["text-start"].write_text(TEXT_START_ITEMS)
     out = root / "out"
     command, _ = CASES[name]
     argv = command.format(**paths).split() + ["--out", str(out)]
