@@ -35,6 +35,7 @@ from .structures import (
     ZERO,
     Character,
     char_subset,
+    pair_code,
     profile_le,
     profile_of,
     unpair_code,
@@ -43,11 +44,11 @@ from .structures import (
 _EXHAUSTED = object()
 
 
-def _pairs_ahead(cursor: int, out: list, n: int, known: int, keep) -> list:
+def _pairs_ahead(cursor: int, out: list, n: int, top: int, keep) -> list:
     """`out` extended to n items by the pairs of the Cantor walk from `cursor`
-    that `keep` accepts; the walk gives up after 40 * (n + 1) * (known + 4)
-    codes, `known` being the number of elements already placed."""
-    for code in range(cursor, cursor + 40 * (n + 1) * (known + 4)):
+    that `keep` accepts, `keep` accepting only pairs of elements up to `top`:
+    the walk ends at (top, top), the last pair of their square."""
+    for code in range(cursor, pair_code(top, top) + 1):
         if len(out) >= n:
             break
         x, y = unpair_code(code)
@@ -227,7 +228,7 @@ class _TargetBuilder(_Walk):
         slot_of = self.slot_of
         cands: list = []
         # every placed element came with an emitted pair, which `state` was fed
-        for x, y in _pairs_ahead(self.cursor, [], width, len(slot_of),
+        for x, y in _pairs_ahead(self.cursor, [], width, max(slot_of, default=-1),
                                  lambda x, y: x in slot_of and y in slot_of):
             same = slot_of[x] == slot_of[y]
             cands.append((x, y, 1 if same else 0))
@@ -561,7 +562,7 @@ class _TextBuilder(_Walk):
         prefix rules none of them out, so `state` is not read."""
         cls = self.slot_of
         fresh = max(cls, default=-1) + 1  # one past every placed element
-        pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), len(cls),
+        pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), fresh - 1,
                              lambda x, y: x in cls and y in cls and cls[x] == cls[y])
         return [PAUSE, *pairs][:width]
 
@@ -576,7 +577,8 @@ def weak_locking_search(
     """Semi-decide whether `start` locks the learner on the target census.
 
     Walks one canonical completion of `start` toward the target for `depth`
-    items, or until it has given every fact of a target with finitely many
+    items new to the decoded prefix, skipping the items it already implies,
+    or until it has given every fact of a target with finitely many
     elements, probing up to `width` single-item variations at every step.  Any
     conjecture differing from the one at `start` yields a violator pair;
     otherwise `start` is reported as a candidate locking sequence at these
@@ -607,8 +609,11 @@ def weak_locking_search(
             probe.consume(cand)
             if not conjectures_equal(probe.conjecture(), base_conj):
                 return violator([cand])
-        # advance the spine by the first item new to the decoder (builders never contradict it)
-        for _skip in range(100000):
+        # advance the spine by the first item new to the decoder (builders
+        # never contradict it).  The skip ends: each diagonal d of the walk
+        # either places a new element, whose pair (d, 0) is a new fact (in
+        # text its self-pair (d, d) is), or the walk ends with the placed square
+        while True:
             item = builder.next_item()
             if item is _EXHAUSTED:
                 break

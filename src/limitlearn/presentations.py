@@ -477,22 +477,16 @@ class Stream:
 
 def _new_pairs(old_n: int, new_n: int):
     """The ordered pairs over range(new_n) outside the square range(old_n)²,
-    in Cantor order: diagonal x + y ascending, then y ascending.
-
-    With k = new_n - old_n, each diagonal d in [new_n - 1, 2 * old_n - 1]
-    holds exactly 2k new pairs: first the rows x = new_n - 1 ... old_n
-    (y = d - x), then the columns y = old_n ... new_n - 1 (x = d - y).  Those
-    diagonals interleave 2k C-level sequences, one per row and column; the
-    few diagonals on either side are walked one at a time.  The result is
-    lazy, so a stage's pairs are never all held."""
-    lo = new_n - 1
-    hi = max(2 * old_n, lo) - 1  # the pattern's diagonals are [lo, hi], maybe none
-    rows = [zip(itertools.repeat(x), range(lo - x, hi + 1 - x))
-            for x in range(new_n - 1, old_n - 1, -1)]
-    cols = [zip(range(lo - y, hi + 1 - y), itertools.repeat(y)) for y in range(old_n, new_n)]
-    return itertools.chain(_diagonal_walk(old_n, new_n, range(old_n, lo)),
-                           itertools.chain.from_iterable(zip(*rows, *cols)),
-                           _diagonal_walk(old_n, new_n, range(hi + 1, 2 * new_n - 1)))
+    in Cantor order: diagonal x + y ascending, then y ascending.  Only the
+    diagonals old_n to 2 * new_n - 2 hold new pairs: (old_n, 0) is the first
+    pair outside the old square and (new_n - 1, new_n - 1) the last of the
+    new one.  A generator, so a stage's pairs are never all held."""
+    for d in range(old_n, 2 * new_n - 1):
+        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
+        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
+            yield d - y, y
+        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
+            yield d - y, y
 
 
 def stage_items(cls: Sequence[int], old_n: int, n: int) -> Iterator[InformantItem]:
@@ -511,16 +505,6 @@ def _cantor_rank(n: int, x: int, y: int) -> int:
         top = max(2 * n - 1 - d, 0)  # the square's pairs on diagonals d and up
         below = n * n - top * (top + 1) // 2
     return below + max(0, min(y, n) - max(0, d - n + 1))
-
-
-def _diagonal_walk(old_n: int, new_n: int, diagonals: range):
-    """`_new_pairs` on the given diagonals, one diagonal at a time."""
-    for d in diagonals:
-        lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
-        for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
-            yield d - y, y
-        for y in range(max(lo, old_n, d - old_n + 1), hi + 1):  # y >= old_n
-            yield d - y, y
 
 
 def _diagonals(char: Character, slots: Iterator[int], square: bool):

@@ -55,7 +55,6 @@ from limitlearn.adversaries import (
     TWO_CLASSES,
     _census_of,
     _Labeling,
-    _pairs_ahead,
     _TargetBuilder,
     _TextBuilder,
 )
@@ -924,9 +923,11 @@ def pair_walk(universe: int | None):
 
 
 def cantor_new_pairs(old_n: int, new_n: int):
-    """`presentations._new_pairs` as a per-diagonal generator: the ordered
-    pairs over range(new_n) outside the square range(old_n)², in Cantor
-    order, one diagonal at a time."""
+    """A verbatim copy of `presentations._new_pairs`: the ordered pairs over
+    range(new_n) outside the square range(old_n)², in Cantor order, one
+    diagonal at a time.  The references that walk stages use it so that they
+    share no code with the library; the independent check of its order is
+    `full_labeling_extension`, which sorts the new square by Cantor code."""
     for d in range(old_n, 2 * new_n - 1):
         lo, hi = max(0, d - new_n + 1), min(d, new_n - 1)
         for y in range(lo, min(hi, d - old_n) + 1):  # x >= old_n
@@ -1412,6 +1413,20 @@ class CodeWalkTargetBuilder(_TargetBuilder):
             return False
         last = max(self.slot_of, default=-1)
         return self.cursor > pair_code(last, last)
+
+
+def _pairs_ahead(cursor: int, out: list, n: int, known: int, keep) -> list:
+    """`adversaries._pairs_ahead` as it was with a give-up bound: `out`
+    extended to n items by the pairs of the Cantor walk from `cursor` that
+    `keep` accepts; the walk gives up after 40 * (n + 1) * (known + 4)
+    codes, `known` being the number of elements already placed."""
+    for code in range(cursor, cursor + 40 * (n + 1) * (known + 4)):
+        if len(out) >= n:
+            break
+        x, y = unpair_code(code)
+        if keep(x, y):
+            out.append((x, y))
+    return out
 
 
 class CodeWalkTextBuilder:

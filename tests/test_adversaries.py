@@ -8,6 +8,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from limitlearn import (
+    PAUSE,
     REORDER_STRATEGIES,
     TEXT,
     ConsistencyError,
@@ -462,6 +463,24 @@ def test_text_builder_walk_matches_the_code_walk(k, blocks, width):
         assert got.candidates(None, width) == want.candidates(None, width), step
 
 
+def test_target_builder_candidates_reach_a_sparse_start():
+    # the look-ahead walks to the last pair of the placed square, however far
+    # the start's elements lie apart: a bound on the codes walked found only
+    # (0, 0) here, 180,600 codes short of (300, 300)
+    state = PrefixState("informant")
+    state.feed_all([(0, 0, 1), (300, 300, 1), (0, 300, 0)])
+    builder = _TargetBuilder(census(0, {1: OM}), state.blocks())
+    assert builder.candidates(state, 8) == [(0, 0, 1), (300, 0, 0), (0, 300, 0), (300, 300, 1)]
+
+
+def test_text_builder_candidates_reach_a_sparse_start():
+    state = PrefixState("text")
+    state.feed_all([(0, 0), (300, 300)])
+    builder = _TextBuilder(ONE_INF, state.blocks())
+    assert builder.candidates(state, 8) == [PAUSE, (301, 301), (0, 0), (300, 0), (0, 300),
+                                            (300, 300)]
+
+
 # ---------------------------------------------------------------------------
 # The diagonalizer
 
@@ -694,8 +713,8 @@ def test_new_pairs_are_the_new_square_in_cantor_order(bounds):
 @example(400, 8)
 def test_new_pairs_match_the_new_square_at_diagonalizer_stage_shapes(old_n, k):
     # a diagonalizer stage adds one element, or 3 * class_size + 1, to
-    # hundreds: both the edge diagonals and the row/column pattern between
-    # them are checked at those sizes
+    # hundreds: the walk's first and last diagonals and the order within
+    # each are checked at those sizes
     reference = full_labeling_extension(old_n, old_n + k, lambda x, y: False)
     assert list(_new_pairs(old_n, old_n + k)) == [(x, y) for x, y, _ in reference]
 
