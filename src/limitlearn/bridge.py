@@ -56,13 +56,15 @@ class SizeSequence:
 
     def at(self, i: int) -> float:
         """The size at slot i as a plain number."""
-        if i < len(self.values):
-            return self.values[i]
-        turns, residue = divmod(i - self.base, self.period)
-        first = self.values[self.base + residue]
+        values = self.values
+        if i < len(values):
+            return values[i]
+        base = self.base
+        turns, residue = divmod(i - base, self.period)
+        first = values[base + residue]
         if first == math.inf:
             return first
-        return first + turns * (self.values[self.base + residue + self.period] - first)
+        return first + turns * (values[base + residue + self.period] - first)
 
     def eval(self, i: int) -> ExtNat:
         size = self.at(i)

@@ -20,7 +20,10 @@ Where each learner's run stops:
   host computation there, which is memoized by the prefix's block-size
   census clamped at the family's bounds; ``TextSplitLearner``, the split
   learner's text reading, counts the decoded blocks): at the item that moves
-  ``struct_rev``, where ``PrefixState.advance`` stops.
+  ``struct_rev``, where ``PrefixState.advance`` stops.  On an unread fair
+  stream ``run_simulation`` skips the items altogether: past a reordered
+  head it goes from one structural event to the next
+  (``PrefixState.run_fair``).
 - ``OneShotLearner``: before firing, at the next structural revision while
   no witness's largest block fits the largest decoded block, else after one
   item; once fired, never.
@@ -43,11 +46,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, stage_items
-from .separability import FamilyError, Separator, fin_antichain, finitely_separable, separator_of
+from .separability import FamilyError, fin_antichain, finitely_separable, separator_of
 from .structures import (
     Character,
     biembeddable,
@@ -224,9 +227,11 @@ class EchoLearner(Learner):
     to; the base of the decoding learners, which override ``_recompute``.
 
     ``consume`` runs ``advance``, which feeds the decoder, so a subclass
-    reads whatever it reads of the items in ``_recompute``.  It reads the
-    decoded blocks, their births and their separations only up to a renaming
-    of elements: a prefix and its image under an injective renaming leave
+    reads whatever it reads of the items in ``_recompute``.  It reads only
+    the decoded blocks and their births, never the negatives or the stage,
+    so ``run_simulation`` may move it through a fair stream from one
+    structural event to the next.  It reads them only up to a renaming of
+    elements: a prefix and its image under an injective renaming leave
     equal conjectures.  So the next item's effect is fixed by its
     ``probe_key``: the blocks its elements lie in (None for an element not
     yet mentioned), its label and whether it names one element twice.
@@ -344,15 +349,17 @@ class SeparatorLearner(MinEmbedLearner):
     member whose separator has been realized the longest by a fixed set of
     witness blocks.  Tracking witnesses (rather than bare realization) is what
     makes transient block sizes harmless: a block that is still growing keeps
-    resetting the age of any separator it helped realize.
+    resetting the age of any separator it helped realize.  Each member's
+    separator is held as plain (size, index) pairs, one per component.
     """
 
     name = "separator"
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         super().__init__(members, enforce)
-        self._separators: list[Separator] = [
-            separator_of(m, self.members) for m in self.members
+        self._separators: list[tuple[tuple[int, int], ...]] = [
+            tuple((c.size.finite, c.index) for c in separator_of(m, self.members).components)
+            for m in self.members
         ]
         n = len(self.members)
         self._class_of: list[list[int]] = [
@@ -360,16 +367,19 @@ class SeparatorLearner(MinEmbedLearner):
             for i in range(n)
         ]
 
-    def _realized_since(self, sep: Separator) -> int | None:
+    def _realized_since(self, sep: tuple[tuple[int, int], ...]) -> int | None:
         """Earliest stage from which one fixed witness assignment for every
-        component has persisted; None when some component is unrealized."""
+        component (size, index) of the separator `sep` has persisted; None
+        when some component is unrealized."""
         by_size = self._state.births_by_size
         since = 0
-        for comp in sep.components:
-            entries = by_size.get(comp.size.finite, ())
-            if len(entries) < comp.index:
+        for size, index in sep:
+            entries = by_size.get(size, ())
+            if len(entries) < index:
                 return None
-            since = max(since, entries[comp.index - 1][0])
+            birth = entries[index - 1][0]
+            if birth > since:
+                since = birth
         return since
 
     def _recompute(self) -> None:
@@ -684,7 +694,15 @@ def run_simulation(
     """Feed `stages` items and judge bounded-horizon convergence.
 
     A ``Learner`` is stepped by ``advance``, so its conjecture is read once
-    per step rather than once per item.
+    per step rather than once per item.  A decoding learner (an
+    ``EchoLearner``) on a ``Stream`` that still holds its fair plan takes
+    the event path: the stream's head, up to the plan's start, is fed by
+    ``advance``, and past it ``PrefixState.run_fair`` applies the fair
+    stream's structural events with no item built, the conjecture read once
+    per stage that has events and once at the horizon.  The trace and the
+    decoder's blocks and births are those of the item-by-item run.  Any
+    other learner, a stream already read and a plain iterator (``simulate``
+    and ``replay`` pass items) go item by item.
 
     Converged means: the conjecture is constant over the final `window` stages
     and, when a target is given, the final conjecture matches it under the
@@ -698,8 +716,14 @@ def run_simulation(
     if isinstance(stream, Stream) and stream.kind != learner.mode:
         raise ValueError(f"{learner.mode} learner cannot read a {stream.kind} stream")
     learner.reset()
+    plan = stream.plan if isinstance(stream, Stream) and isinstance(learner, EchoLearner) else None
     items, conjecture = islice(stream, stages), learner.conjecture
-    if isinstance(learner, Learner):
+    if plan is not None:  # the head item by item, then the fair stream's events
+        seed, start = plan
+        stops = chain(run_stages(learner, islice(items, start)),
+                      learner._state.run_fair(stream.character, seed, start, stages), (stages,))
+        points = ((s, conjecture()) for s in stops)
+    elif isinstance(learner, Learner):
         points = ((s, conjecture()) for s in run_stages(learner, items))
     else:  # any object with reset, feed and conjecture is judged item by item
         points = zip(count(1), map(learner.feed, items))

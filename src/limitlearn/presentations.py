@@ -2,12 +2,18 @@
 
 Items are plain tuples for speed: an informant item is ``(x, y, label)`` with
 label 1 for related and 0 for unrelated; a text item is ``(x, y)`` or ``None``
-for a pause.  Streams are single-consumer iterators tagged with their kind.
+for a pause.  Streams are single-consumer iterators tagged with their kind
+and, while unread, a fair stream's plan.
 
 The slot plan turns a census into class slots: `slot_demand` lists the
 classes it demands and `spawn_sizes` gives the order they are spawned in.
 Fair streams (`class_slots`), the adversaries' presentation builder and the
 bridge's size sequences all spawn their slots in that order.
+
+Diagonalizer stages and fair streams walk a class map's pairs in Cantor
+order, so where blocks are born and merge follows from the class map alone:
+`_events` lists those structural events for both, and `PrefixState._apply`
+applies them (`decode_stage`, `run_fair`).
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .structures import (
@@ -97,12 +104,17 @@ class PrefixState:
     `_apart` records in place of the negatives: `separated` reads it, and
     `advance` rewrites each block's negatives to every element outside it
     before its first item.  `_least` memoizes each class's least element
-    over the first `_read` elements of the class map.
+    over the first `_read` elements of the class map.  `run_fair` decodes a
+    run of a fair stream from its events alone, leaving blocks, births,
+    `stage` and `struct_rev` as decoding its items would; `_skipped` names
+    the items it skipped, whose negatives `advance` and `separated` write
+    before they read any.
     """
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_bit", "_mask", "_neg", "birth", "births_by_size", "_apart", "_least", "_read",
+        "_bit", "_mask", "_neg", "birth", "births_by_size", "_apart", "_skipped", "_least",
+        "_read",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -118,6 +130,7 @@ class PrefixState:
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
         self._apart = False
+        self._skipped: tuple | None = None
         self._least: dict[int, int] = {}
         self._read = 0
 
@@ -178,6 +191,8 @@ class PrefixState:
         parent, neg, mask, bit = self._parent, self._neg, self._mask, self._bit
         if self._apart:
             self._write_apart()
+        if self._skipped:
+            self._write_skipped()
         text = self.kind == TEXT
         start = stage = self.stage
         neg_rev = self.neg_rev
@@ -231,6 +246,20 @@ class PrefixState:
         while self.advance(items):
             pass
 
+    def _apply(self, events: list, offset: int) -> Iterator[int]:
+        """Apply structural events, as `_events` lists them, each at stage
+        offset + its code; yields each stage that has events once they are
+        all applied, with `stage` standing there."""
+        parent = self._parent
+        for stage, group in itertools.groupby(events, lambda event: offset + event[0]):
+            for _, joins, x, m in group:
+                if joins:
+                    self._union(parent[x], parent[m], stage)
+                else:
+                    self._add_element(x, stage)
+            self.stage = stage
+            yield stage
+
     def decode_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
         """Decode a diagonalizer stage: the informant items labeling the
         pairs of range(n)² outside range(old_n)² in Cantor order
@@ -239,38 +268,68 @@ class PrefixState:
         extends the class map of every earlier call, which the memo of each
         class's least element reads.
 
-        Only the structural events are replayed, each at its pair's stage:
-        a new element x is first mentioned by the pair (x, 0) and joins its
-        class by the pair (x, m), m the class's least element, old or new.
-        Every other pair is positive within a block or negative between
-        classes, and after the stage every two blocks are separated."""
+        Only the structural events (`_events`) are replayed, each at its
+        pair's stage.  Every other pair is positive within a block or
+        negative between classes, and after the stage every two blocks are
+        separated."""
         if n <= old_n:
             return
         # extended from the memo's own end: stages decoded item by item skip it
         least = self._least
-        for x in range(self._read, n):
+        for x in range(self._read, old_n):
             least.setdefault(cls[x], x)
         self._read = n
 
         def rank(x: int, y: int) -> int:  # the pair's place among the stage's pairs
             return _cantor_rank(n, x, y) - _cantor_rank(old_n, x, y)
 
-        events = []  # (rank, joins, x, partner)
-        for x in range(old_n, n):
-            events.append((rank(x, 0), False, x, 0))
-            m = least[cls[x]]
-            if m != x:
-                events.append((rank(x, m), True, x, m))
-        events.sort()  # a first mention comes before a join at the same pair
-        parent, start = self._parent, self.stage + 1
-        for at, joins, x, m in events:
-            if joins:
-                self._union(parent[x], parent[m], start + at)
-            else:
-                self._add_element(x, start + at)
+        end = self.stage + n * n - old_n * old_n
+        for _ in self._apply(_events(INFORMANT, cls, least, old_n, n, rank), self.stage + 1):
+            pass
         self._apart = True
-        self.stage += n * n - old_n * old_n
+        self.stage = end
         self.neg_rev += 1
+
+    def run_fair(self, char: Character, seed: int, start: int, stop: int) -> Iterator[int]:
+        """Decode items start..stop-1 of the fair stream of the census
+        (`fair_informant` or `fair_text`, by the state's kind) from their
+        structural events, once the state holds the decoding of its first
+        `start` items, in any order; yields each stage that has events, as
+        `_apply` does, and stands at stage `stop` after the last.
+
+        An informant's skipped items are negative between classes or
+        positive within a block; the negatives, which no event shows, are
+        written before the next `advance` or `separated` reads them, and
+        `neg_rev` moves once for them."""
+        if stop <= start:
+            return
+        universe = char.finite_universe_size() if char.total_size_finite else None
+        # element x is not mentioned before the code of (x, 0), x(x+1)/2
+        n = math.isqrt(2 * stop) + 1
+        if universe is not None:
+            n = min(n, universe)
+        # a finite universe's informant walks its square, then repeats it
+        # with no event; elsewhere a square wider than every pair's diagonal
+        # ranks pairs by their Cantor codes
+        square = universe if universe is not None and self.kind == INFORMANT else 2 * n
+        slot = list(itertools.islice(class_slots(char, seed), n))
+        events = [e for e in _events(self.kind, slot, {}, 0, n, partial(_cantor_rank, square))
+                  if start <= e[0] < stop]
+        yield from self._apply(events, 1)
+        self.stage = stop
+        if self.kind == INFORMANT:
+            self._skipped = (char, seed, start, stop)
+            self.neg_rev += 1
+
+    def _write_skipped(self) -> None:
+        """Write out the negatives of the items `run_fair` skipped, once."""
+        char, seed, start, stop = self._skipped
+        self._skipped = None
+        parent, neg, bit = self._parent, self._neg, self._bit
+        for x, y, label in itertools.islice(fair_informant(char, seed), start, stop):
+            if not label:
+                neg[parent[x]] |= bit[y]
+                neg[parent[y]] |= bit[x]
 
     # -- queries ----------------------------------------------------------
 
@@ -295,6 +354,8 @@ class PrefixState:
     def separated(self, root_a: int, root_b: int) -> bool:
         if self._apart:
             return root_a != root_b
+        if self._skipped:
+            self._write_skipped()
         return bool(self._neg[root_a] & self._mask[root_b])
 
     def char(self) -> Character:
@@ -314,6 +375,7 @@ class PrefixState:
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
         dup._apart = self._apart
+        dup._skipped = self._skipped
         dup._least = dict(self._least)
         dup._read = self._read
         return dup
@@ -467,11 +529,23 @@ def _filled_slots(spawns: Iterator, rng: random.Random) -> Iterator[int]:
 
 @dataclass
 class Stream:
+    """A single-consumer stream of items of one kind.
+
+    `plan` is (seed, start) when the items from stage `start` on are those
+    of the fair stream of `character` drawn with `seed`: 0 for
+    `fair_informant` and `fair_text`, the window for `reordered_informant`.
+    A stream built from items has none.  Iterating the stream drops the
+    plan, since a stream once read no longer starts at stage 0;
+    `learners.run_simulation` reads an unread plan to skip to the stream's
+    structural events."""
+
     kind: str
     character: Character | None
     _iterator: Iterator = field(repr=False)
+    plan: tuple[int, int] | None = None
 
     def __iter__(self):
+        self.plan = None
         return self._iterator
 
 
@@ -507,6 +581,29 @@ def _cantor_rank(n: int, x: int, y: int) -> int:
     return below + max(0, min(y, n) - max(0, d - n + 1))
 
 
+def _events(kind: str, slot: Sequence, least: dict, lo: int, hi: int, code) -> list:
+    """The structural events of elements lo..hi-1 in a presentation that
+    walks pairs in Cantor order, sorted, as (code, joins, x, partner):
+    `slot[x]` is element x's class and `code(x, y)` the place of the pair
+    (x, y) in the walk.  `least` maps each class to its least element and
+    holds every class of the elements below lo; it is extended here.
+
+    In an informant, element x is first mentioned by the pair (x, 0) and
+    joins its class by the pair (x, m), m the class's least element: no
+    earlier pair relates x to a class-mate.  In a text, where only related
+    pairs are stated, both happen at the pair (x, m), m being x itself when
+    x is the least element, and then x joins nothing.  A first mention sorts
+    before a join at the same pair."""
+    events = []
+    for x in range(lo, hi):
+        m = least.setdefault(slot[x], x)
+        events.append((code(x, m if kind == TEXT else 0), False, x, m))
+        if m != x:
+            events.append((code(x, m), True, x, m))
+    events.sort()
+    return events
+
+
 def _diagonals(char: Character, slots: Iterator[int], square: bool):
     """The Cantor diagonals d = 0, 1, 2, ... as (d, ys, slot): diagonal d's
     pairs are (d - y, y) for y in `ys`, ascending, and `slot[x]` is element
@@ -536,7 +633,7 @@ def fair_informant(char: Character, seed: int = 0) -> Stream:
     slots = class_slots(char, seed)
     diagonals = ([(d - y, y, 1 if slot[d - y] == slot[y] else 0) for y in ys]
                  for d, ys, slot in _diagonals(char, slots, True))
-    return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals))
+    return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals), (seed, 0))
 
 
 def fair_text(char: Character, seed: int = 0) -> Stream:
@@ -546,7 +643,7 @@ def fair_text(char: Character, seed: int = 0) -> Stream:
     # a pair with an element outside a finite universe is a pause
     diagonals = ([(d - y, y) if slot[d - y] == slot[y] is not None else PAUSE for y in ys]
                  for d, ys, slot in _diagonals(char, slots, False))
-    return Stream(TEXT, char, itertools.chain.from_iterable(diagonals))
+    return Stream(TEXT, char, itertools.chain.from_iterable(diagonals), (seed, 0))
 
 
 REORDER_STRATEGIES = (
@@ -582,7 +679,7 @@ def reordered_informant(char: Character, seed: int, strategy: str, window: int =
     else:
         raise ValueError(f"unknown reorder strategy {strategy!r}")
 
-    return Stream(INFORMANT, char, itertools.chain(head, it))
+    return Stream(INFORMANT, char, itertools.chain(head, it), (seed, window))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -9,6 +10,7 @@ from limitlearn import (
     REORDER_STRATEGIES,
     TEXT,
     Character,
+    ConsistencyError,
     FamilyError,
     PrefixState,
     Trace,
@@ -818,3 +820,163 @@ def test_renaming_the_elements_changes_no_trace(rename):
                             for its in (items, _rename(items, rename)))
                     assert (a.trace.changes, a.converged, a.final) == \
                         (b.trace.changes, b.converged, b.final), (name, target, seed, learner.name)
+
+
+# ---------------------------------------------------------------------------
+# Fair streams run as structural events
+
+
+EVENT_LEARNERS = {
+    INFORMANT: (
+        ("echo", lambda members: learner_echo()),
+        ("min-embed", learner_min_embed),
+        ("separator", learner_separator),
+        ("lang-decode", LanguageToStructLearner),
+    ),
+    TEXT: (
+        ("txt-separator", lambda members: learner_from_text(learner_separator(members))),
+        ("txt-split", lambda members: learner_from_text(learner_split_on_negative())),
+    ),
+}
+
+
+def _decoder_view(learner):
+    state = learner._state
+    return (state.stage, state.struct_rev, state.birth, state.births_by_size, state.blocks())
+
+
+def _assert_event_run_matches_items(make, stream, horizon, target, window=100):
+    """`run_simulation` on a planned stream (the event path for a decoding
+    learner) against the same items as a plain iterator (item by item):
+    equal traces, summaries and decoders.  Returns both learners."""
+    by_events, by_items = make(), make()
+    assert stream().plan is not None
+    got = run_simulation(by_events, stream(), horizon, target, "iso", window)
+    want = run_simulation(by_items, iter(stream()), horizon, target, "iso", window)
+    assert (got.trace.changes, got.trace.length, got.summary()) == \
+        (want.trace.changes, want.trace.length, want.summary())
+    assert _decoder_view(by_events) == _decoder_view(by_items)
+    return by_events, by_items
+
+
+def _corpus_targets():
+    for name, members in SEPARABLE_CORPUS.items():
+        for index, target in enumerate(members):
+            yield pytest.param(members, target, id=f"{name}[{index}]")
+
+
+@pytest.mark.parametrize("members, target", list(_corpus_targets()))
+def test_fair_stream_events_match_the_items_over_the_corpus(members, target):
+    """Every corpus target, 20 stream seeds: the fair informant and one
+    reordered informant per seed (the strategies in turn) under every
+    decoding informant learner, and the fair text under the text readings."""
+    for seed in range(20):
+        strategy = REORDER_STRATEGIES[seed % len(REORDER_STRATEGIES)]
+        for _, factory in EVENT_LEARNERS[INFORMANT]:
+            for stream in (lambda: fair_informant(target, seed),
+                           lambda: reordered_informant(target, seed, strategy, 300)):
+                _assert_event_run_matches_items(partial(factory, members), stream, 900, target)
+        for _, factory in EVENT_LEARNERS[TEXT]:
+            _assert_event_run_matches_items(
+                partial(factory, members), lambda: fair_text(target, seed), 900, target)
+
+
+@pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
+def test_reordered_stream_events_match_past_the_default_window(strategy):
+    members = SEPARABLE_CORPUS["example1-plus"]
+    for target in members:
+        _assert_event_run_matches_items(
+            partial(learner_separator, members),
+            lambda: reordered_informant(target, 3, strategy), 2600, target, 200)
+
+
+# finite universes, whose informant repeats its square and whose text pauses
+_FINITE_UNIVERSES = st.builds(
+    census, st.just(0), st.dictionaries(st.integers(1, 6), st.integers(0, 3), max_size=3),
+    st.integers(0, 0)).filter(lambda char: not char.is_empty)
+_ANY_CENSUS = st.builds(
+    census, st.sampled_from([0, 1, 2, 3, OM]),
+    st.dictionaries(st.integers(1, 8), st.sampled_from([0, 1, 2, 3, OM]), max_size=4),
+    st.sampled_from([0, 1, 2, OM])).filter(lambda char: not char.is_empty)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_FINITE_UNIVERSES, _ANY_CENSUS), st.integers(0, 2**16),
+       st.sampled_from(("fair", "text", *REORDER_STRATEGIES)), st.integers(1, 60),
+       st.integers(1, 1500), st.integers(0, 5))
+def test_fair_stream_events_match_the_items_over_random_censuses(
+        char, seed, stream_kind, window, horizon, pick):
+    """Random censuses, finite universes among them, with horizons that may
+    end inside a reorder window or a finite universe's first square."""
+    mode = TEXT if stream_kind == "text" else INFORMANT
+    _, factory = EVENT_LEARNERS[mode][pick % len(EVENT_LEARNERS[mode])]
+    if stream_kind == "fair":
+        stream = partial(fair_informant, char, seed)
+    elif stream_kind == "text":
+        stream = partial(fair_text, char, seed)
+    else:
+        stream = partial(reordered_informant, char, seed, stream_kind, window)
+    _assert_event_run_matches_items(partial(factory, CHAIN), stream, horizon, char, 1)
+
+
+def test_a_stream_read_before_the_run_is_run_item_by_item():
+    stream = fair_informant(C57, 2)
+    skipped = list(islice(stream, 40))
+    assert stream.plan is None
+    got = run_simulation(learner_separator(EXAMPLE1), stream, 3000, C57)
+    rest = iter(fair_informant(C57, 2))
+    assert list(islice(rest, 40)) == skipped
+    want = run_simulation(learner_separator(EXAMPLE1), rest, 3000, C57)
+    assert (got.trace, got.summary()) == (want.trace, want.summary())
+
+
+def _probe_items(learner):
+    state = learner._state
+    elements = sorted(state._parent)
+    fresh = max(elements) + 1
+    for x in elements[::3] + [fresh]:
+        for y in elements[::2] + [fresh]:
+            for label in (0, 1):
+                yield (x, y, label)
+
+
+@pytest.mark.parametrize("stream", [
+    lambda: fair_informant(C57, 0),
+    lambda: fair_informant(census(0, {2: 3, 3: 1}), 1),
+    lambda: reordered_informant(C56, 4, "negatives-first", 150),
+], ids=["fair", "finite-universe", "reordered"])
+def test_an_item_fed_after_an_event_run_is_judged_as_item_by_item(stream):
+    """The negatives an event run skips are written before the next item:
+    every probe item is accepted, or refused with ConsistencyError, as on
+    the decoder that read every item, and leaves the same conjecture."""
+    by_events, by_items = _assert_event_run_matches_items(learner_echo, stream, 400, None)
+    for item in _probe_items(by_items):
+        outcomes = []
+        for learner in (by_events.clone(), by_items.clone()):
+            try:
+                outcomes.append(learner.feed(item))
+            except ConsistencyError:
+                outcomes.append(ConsistencyError)
+        assert outcomes[0] == outcomes[1], item
+    state, reference = by_events._state, by_items._state
+    roots = state.block_roots()
+    assert [[state.separated(a, b) for b in roots] for a in roots] == \
+        [[reference.separated(a, b) for b in roots] for a in roots]
+
+
+def test_the_separator_learner_is_held_back_by_the_horizon_not_by_its_reading():
+    """Separator learner, [2:3 default, 3:ω] against [1:ω, 6:ω], target 0,
+    fair informant seed 0: the only fact against the wrong member is a
+    class of size 7, and the stream completes its first 7-class at stage
+    11,095.  A horizon of 10^4 ends before it; 10^5 converges exactly
+    there, on the event path and item by item."""
+    members = [census(2, {3: OM}), census(0, {1: OM, 6: OM})]
+    short = run_simulation(learner_separator(members), fair_informant(members[0], 0),
+                           10**4, members[0])
+    assert not short.converged and short.final == members[1]
+    by_events = run_simulation(learner_separator(members), fair_informant(members[0], 0),
+                               10**5, members[0])
+    by_items = run_simulation(learner_separator(members), iter(fair_informant(members[0], 0)),
+                              10**5, members[0])
+    assert by_events.converged and by_events.stage == 11_095
+    assert by_events.summary() == by_items.summary()
