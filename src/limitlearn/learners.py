@@ -29,6 +29,12 @@ Where each learner's run stops:
   item; once fired, never.
 - any other learner: after one item.
 
+A learner is ``settled`` once no later item can change its conjecture: the
+constant learner always, the split learner once split and the one-shot
+learner once fired.  On an unread planned stream, which is consistent and
+never ends, ``run_simulation`` stops reading there and closes the trace at
+the horizon.
+
 The diagonalizer hands a learner a whole stage with ``consume_stage``: the
 constant, split, decoding and one-shot learners read it without its items,
 but for the one stage that fires the one-shot learner.
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, islice
@@ -135,6 +141,14 @@ class Learner:
     def conjecture(self) -> Conjecture:
         raise NotImplementedError
 
+    @property
+    def settled(self) -> bool:
+        """True when no later item can change the conjecture, so a run on a
+        stream that is consistent and never ends may stop reading: always
+        for the constant learner, once split for the split learner, once
+        fired for the one-shot learner, and never by default."""
+        return False
+
     def probe_key(self, item):
         """A key for `item` such that every item with the same key leaves
         the same conjecture when fed to this learner next; by default the
@@ -168,6 +182,8 @@ def _drain(items: Iterator) -> int:
 
 
 class ConstantLearner(Learner):
+    settled = True
+
     def __init__(self, char: Character, mode: str = INFORMANT):
         self.char = char
         self.mode = mode
@@ -200,6 +216,10 @@ class SplitOnNegativeLearner(Learner):
 
     def reset(self) -> None:
         self._split = False
+
+    @property
+    def settled(self) -> bool:
+        return self._split
 
     def advance(self, items: Iterator) -> int:
         if self._split:
@@ -391,16 +411,6 @@ class SeparatorLearner(MinEmbedLearner):
             self._cached = self.members[best[1]] if best else None
 
 
-def _partitions(total: int, max_part: int):
-    """Descending partitions of `total` with parts bounded by `max_part`."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def distinguishing_substructure(
     member: Character, others: Sequence[Character], cap: int = 200
 ) -> tuple[int, ...]:
@@ -409,21 +419,53 @@ def distinguishing_substructure(
 
     One exists exactly when `member` finitely embeds into no other member, so
     that case raises ``FamilyError`` before any partition is tried.
+
+    Each total's partitions are searched depth first, each next part taken
+    in ascending order, which visits them in ascending tuple order.  A
+    prefix of k parts whose smallest is q holds k blocks of size >= p for
+    every p <= q; so it leaves `member` once k exceeds the member's count
+    of blocks of size >= q, and beats a rival once k exceeds the rival's.
+    Both facts only grow with the prefix: a prefix that leaves `member` is
+    pruned, and a bitmask keeps the rivals it beats.
     """
     if any(fin_embeds(member, other) for other in others):
         raise FamilyError(f"{member} finitely embeds into another member: "
                           "no finite substructure distinguishes it")
-    own = member.cumulative_profile
-    rivals = [other.cumulative_profile for other in others]
     max_part = 1
     for c in (member, *others):
         for size, _ in c.exceptions:
             max_part = max(max_part, size + 1)
+
+    def at_least(c: Character) -> list:
+        # the census's count of blocks of size >= p, for p = 0..max_part
+        sizes, counts = c.cumulative_profile
+        return [counts[bisect_left(sizes, p)] for p in range(max_part + 1)]
+
+    own = at_least(member)
+    rivals = list(enumerate(at_least(o) for o in others))
+    everyone = (1 << len(rivals)) - 1
+
+    def search(rest: int, largest: int, k: int, beaten: int) -> tuple[int, ...] | None:
+        # the first completion of a prefix of k parts, the last `largest`
+        if rest == 0:
+            return () if beaten == everyone else None
+        k += 1
+        for q in range(1, min(rest, largest) + 1):
+            if k > own[q]:  # so for every larger q too
+                break
+            now = beaten
+            for j, ge in rivals:
+                if k > ge[q]:
+                    now |= 1 << j
+            found = search(rest - q, q, k, now)
+            if found is not None:
+                return (q,) + found
+        return None
+
     for total in range(1, cap + 1):
-        for parts in sorted(_partitions(total, max_part)):
-            profile = profile_of(Counter(parts))
-            if profile_le(profile, own) and not any(profile_le(profile, r) for r in rivals):
-                return parts
+        found = search(total, max_part, 0, 0)
+        if found is not None:
+            return found
     raise FamilyError(f"no distinguishing substructure of {member} within size {cap}")
 
 
@@ -437,7 +479,8 @@ class OneShotLearner(Learner):
     look distinct could still merge.
     Block sizes move only with ``struct_rev``, so while no witness's largest
     block fits the largest decoded block, ``advance`` decodes up to the next
-    structural revision and checks there.
+    structural revision and checks there.  Once fired it is ``settled``, and
+    a run on a planned stream reads no further.
 
     A witness, once present, stays: unions only grow blocks and keep their
     separations.  So ``consume_stage`` decodes a diagonalizer stage whole
@@ -537,6 +580,10 @@ class OneShotLearner(Learner):
         if self._fired is not None:  # replayed to find the item and the member
             self._state, self._fired, self._rev = before, None, rev
             super().consume_stage(cls, old_n, n)
+
+    @property
+    def settled(self) -> bool:
+        return self._fired is not None
 
     def conjecture(self) -> Conjecture:
         return None if self._fired is None else self.members[self._fired]
@@ -701,8 +748,12 @@ def run_simulation(
     stream's structural events with no item built, the conjecture read once
     per stage that has events and once at the horizon.  The trace and the
     decoder's blocks and births are those of the item-by-item run.  Any
-    other learner, a stream already read and a plain iterator (``simulate``
-    and ``replay`` pass items) go item by item.
+    other learner reads a planned stream by ``advance`` only until it is
+    ``settled``, and the trace then holds its conjecture to the horizon: a
+    planned stream never ends and never contradicts itself, so the trace is
+    the item-by-item one.  A stream already read and a plain iterator
+    (``simulate`` and ``replay`` pass items) go item by item to the end, so
+    a run on them still reports exhaustion and inconsistency.
 
     Converged means: the conjecture is constant over the final `window` stages
     and, when a target is given, the final conjecture matches it under the
@@ -716,13 +767,16 @@ def run_simulation(
     if isinstance(stream, Stream) and stream.kind != learner.mode:
         raise ValueError(f"{learner.mode} learner cannot read a {stream.kind} stream")
     learner.reset()
-    plan = stream.plan if isinstance(stream, Stream) and isinstance(learner, EchoLearner) else None
+    plan = stream.plan if isinstance(stream, Stream) and isinstance(learner, Learner) else None
     items, conjecture = islice(stream, stages), learner.conjecture
-    if plan is not None:  # the head item by item, then the fair stream's events
-        seed, start = plan
-        stops = chain(run_stages(learner, islice(items, start)),
-                      learner._state.run_fair(stream.character, seed, start, stages), (stages,))
-        points = ((s, conjecture()) for s in stops)
+    if plan is not None:
+        if isinstance(learner, EchoLearner):  # the head item by item, then the events
+            seed, start = plan
+            stops = chain(run_stages(learner, islice(items, start)),
+                          learner._state.run_fair(stream.character, seed, start, stages))
+        else:  # read only until the learner is settled
+            stops = accumulate(iter(lambda: 0 if learner.settled else learner.advance(items), 0))
+        points = ((s, conjecture()) for s in chain(stops, (stages,)))
     elif isinstance(learner, Learner):
         points = ((s, conjecture()) for s in run_stages(learner, items))
     else:  # any object with reset, feed and conjecture is judged item by item

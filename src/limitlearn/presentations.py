@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -662,13 +663,13 @@ def reordered_informant(char: Character, seed: int, strategy: str, window: int =
     The window keeps the adversarial mention-to-link lag inside a 10^4-stage
     horizon; facts are order-independent, so any permutation stays a fair
     presentation of the census."""
-    base = fair_informant(char, seed)
-    it = iter(base)
-    head = [next(it) for _ in range(window)]
+    it = iter(fair_informant(char, seed))
+    head = list(itertools.islice(it, window))
+    # sorts are stable, reversed ones too, so equal keys keep the fair order
     if strategy == "negatives-first":
-        head.sort(key=lambda item: item[2])
+        head.sort(key=operator.itemgetter(2))
     elif strategy == "positives-first":
-        head.sort(key=lambda item: -item[2])
+        head.sort(key=operator.itemgetter(2), reverse=True)
     elif strategy == "reverse":
         head.reverse()
     elif strategy == "interleave-swap":

@@ -46,6 +46,7 @@ from limitlearn import (
     conjectures_equal,
     embeds,
     ext,
+    fair_informant,
     pair_code,
     profile_of,
     unpair_code,
@@ -70,7 +71,6 @@ from limitlearn.learners import (
     Learner,
     MinEmbedLearner,
     SeparatorLearner,
-    _partitions,
     conjecture_str,
     minimal_hosts,
 )
@@ -879,6 +879,16 @@ def probe_telltale_search(lang, family_langs, bound: int):
     return witnesses
 
 
+def _partitions(total: int, max_part: int):
+    """Descending partitions of `total` with parts bounded by `max_part`."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
 def cumulative_distinguishing_substructure(member: Character, others, cap: int = 200):
     """`distinguishing_substructure` by comparing the partition's count of
     parts >= t with `extnat_cumulative` at each part size t."""
@@ -972,6 +982,27 @@ def generator_fair_text(char: Character, seed: int = 0) -> Stream:
                 yield (x, y) if slot(x) == slot(y) else PAUSE
 
     return Stream(TEXT, char, gen())
+
+
+def next_call_reordered_head(char: Character, seed: int, strategy: str, window: int = 2000) -> list:
+    """The head of `reordered_informant`, drawn by `window` calls to `next`
+    and sorted on negated keys, as the stream first built it."""
+    it = iter(fair_informant(char, seed))
+    head = [next(it) for _ in range(window)]
+    if strategy == "negatives-first":
+        head.sort(key=lambda item: item[2])
+    elif strategy == "positives-first":
+        head.sort(key=lambda item: -item[2])
+    elif strategy == "reverse":
+        head.reverse()
+    elif strategy == "interleave-swap":
+        for i in range(0, len(head) - 1, 2):
+            head[i], head[i + 1] = head[i + 1], head[i]
+    elif strategy == "large-pairs-first":
+        head.sort(key=lambda item: -(item[0] + item[1]))
+    else:
+        raise ValueError(f"unknown reorder strategy {strategy!r}")
+    return head
 
 
 class ClassAssignment:

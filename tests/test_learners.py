@@ -13,6 +13,7 @@ from limitlearn import (
     ConsistencyError,
     FamilyError,
     PrefixState,
+    Stream,
     Trace,
     conjectures_equal,
     distinguishing_substructure,
@@ -57,6 +58,7 @@ from oracles import (
     CharSeparatorLearner,
     ComposedLanguageToStructLearner,
     ListTrace,
+    brute_fin_embeds,
     char_minimal_hosts,
     cumulative_distinguishing_substructure,
     per_item_simulation,
@@ -231,6 +233,23 @@ def test_distinguishing_substructure_matches_the_cumulative_count_search(family)
         except FamilyError:
             got = None
         assert got == want, (member, others)
+
+
+@pytest.mark.parametrize("family", SEPARABLE_CORPUS.values(), ids=SEPARABLE_CORPUS)
+def test_distinguishing_substructure_matches_the_oracle_at_the_default_cap(family):
+    """The pruned search at cap 200 on every corpus member, criteria 2-3's
+    example1 and example2 among them: the cumulative-count search's
+    witness, or FamilyError exactly where the brute-force embedding oracle
+    puts the member inside another (the cumulative-count search would list
+    every partition up to 200 there)."""
+    for member in family:
+        others = [o for o in family if o is not member]
+        if any(brute_fin_embeds(member, other) for other in others):
+            with pytest.raises(FamilyError):
+                distinguishing_substructure(member, others)
+        else:
+            want = cumulative_distinguishing_substructure(member, others)
+            assert distinguishing_substructure(member, others) == want, member
 
 
 def test_one_shot_fires_on_witness_with_explicit_separation():
@@ -980,3 +999,69 @@ def test_the_separator_learner_is_held_back_by_the_horizon_not_by_its_reading():
                               10**5, members[0])
     assert by_events.converged and by_events.stage == 11_095
     assert by_events.summary() == by_items.summary()
+
+
+# ---------------------------------------------------------------------------
+# Settled learners stop reading a planned stream
+
+
+def _assert_settled_run_matches_items(make, stream, horizon, target):
+    """`run_simulation` on a planned stream, which stops reading once the
+    learner is settled, against the same items as a plain iterator, read to
+    the horizon: equal traces and summaries.  Returns the learner of the
+    planned run, the plain run's result and how many items the planned run
+    read."""
+    settled, by_items = make(), make()
+    planned = stream()
+    read = [0]
+
+    def counted(items):
+        for read[0], item in enumerate(items, 1):
+            yield item
+
+    plan = planned.plan
+    assert plan is not None
+    planned = Stream(planned.kind, planned.character, counted(iter(planned)), plan)
+    got = run_simulation(settled, planned, horizon, target, "iso", 200)
+    want = run_simulation(by_items, iter(stream()), horizon, target, "iso", 200)
+    assert (got.trace.changes, got.trace.length, got.summary()) == \
+        (want.trace.changes, want.trace.length, want.summary())
+    return settled, want, read[0]
+
+
+def _first_commitment(result) -> int:
+    """The stage of the trace's first actual conjecture, else its horizon."""
+    return next((s for s, c in result.trace.changes if c is not None), result.horizon)
+
+
+@pytest.mark.parametrize("members, target", [
+    pytest.param(SEPARABLE_CORPUS[name], target, id=f"{name}[{index}]")
+    for name in ANTICHAIN_FAMILIES for index, target in enumerate(SEPARABLE_CORPUS[name])])
+def test_a_one_shot_run_ends_its_reading_at_its_commitment(members, target):
+    """Every anti-chain member, 20 stream seeds, the fair informant and every
+    reordered one: the planned run equals the item-by-item run, and its
+    decoder stops at the firing stage, not at the horizon."""
+    for seed in range(20):
+        streams = [partial(fair_informant, target, seed)] + [
+            partial(reordered_informant, target, seed, strategy) for strategy in REORDER_STRATEGIES]
+        for stream in streams:
+            learner, want, read = _assert_settled_run_matches_items(
+                partial(learner_one_shot, members), stream, 4000, target)
+            fired = _first_commitment(want)
+            assert learner._state.stage == fired == read, (seed, stream)
+            assert want.converged
+
+
+@pytest.mark.parametrize("target", [*EXAMPLE1, ONE_INF, TWO_INF, FIVE_OMEGA, census(0, {2: 3})],
+                         ids=str)
+def test_constant_and_split_learners_end_their_reading_once_settled(target):
+    for seed in range(20):
+        for mode, stream in ((INFORMANT, fair_informant), (TEXT, fair_text)):
+            _, _, read = _assert_settled_run_matches_items(
+                partial(learner_constant, FIVE_OMEGA, mode), partial(stream, target, seed),
+                3000, target)
+            assert read == 0
+        learner, want, read = _assert_settled_run_matches_items(
+            learner_split_on_negative, partial(fair_informant, target, seed), 3000, target)
+        assert read == (want.trace.mind_changes_ex or [3000])[0]
+        assert learner.settled == (read < 3000)

@@ -43,6 +43,7 @@ from oracles import (
     counter_pattern_sizes,
     generator_fair_informant,
     generator_fair_text,
+    next_call_reordered_head,
     pair_walk,
     scan_births_for_size,
     sweep_pattern_sizes,
@@ -633,6 +634,16 @@ def test_reordered_streams_stay_consistent(strategy):
     for _ in range(1200):
         state.feed(next(it))
     assert embeds(state.char(), C57)
+
+
+@pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
+def test_reordered_heads_match_the_next_call_construction(strategy):
+    # the head is drawn with one islice and sorted on plain keys, reversed
+    # for positives-first, where the first construction negated the keys
+    for target in (C57, FIVE_OMEGA, census(0, {2: 1}), SEPARABLE_CORPUS["kron3"][1]):
+        for seed in (0, 3, 11):
+            head = list(islice(reordered_informant(target, seed, strategy), 2000))
+            assert head == next_call_reordered_head(target, seed, strategy), (target, seed)
 
 
 # ---------------------------------------------------------------------------
