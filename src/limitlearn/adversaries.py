@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count, cycle, islice
 from typing import Optional
@@ -61,9 +61,11 @@ class _Walk:
     """A completion builder's walk over the Cantor diagonals, as fair streams
     walk them: element d, first seen as (d, 0), is placed (``_place``) on
     reaching diagonal d, and each pair (d - y, y) of placed elements is
-    emitted as ``_label(x, y)``, `cursor` being the code after it.  Once an
-    element finds no place, which happens only when a census with finitely
-    many elements has all of them placed, the walk ends with their square."""
+    emitted as ``_label(x, y)``.  Once an element finds no place, which
+    happens only when a census with finitely many elements has all of them
+    placed, the walk ends with their square.  ``next_item`` reads the walk
+    one item at a time, `cursor` being the code after the last one, and
+    ``rows`` one diagonal at a time."""
 
     cursor = 0
 
@@ -71,15 +73,34 @@ class _Walk:
         """The next item of the walk, or ``_EXHAUSTED`` once it has ended."""
         return next(self._walk, _EXHAUSTED)
 
-    def _items(self):
+    def _diagonal(self, d: int) -> list[int] | None:
+        """Place element d, then list the y of each pair (d - y, y) of
+        diagonal d whose elements are both placed; None once the walk has
+        ended."""
         placed = self.slot_of
+        if d not in placed and not self._place(d) and d > 2 * max(placed, default=-1):
+            return None
+        return [y for y in range(d + 1) if d - y in placed and y in placed]
+
+    def _items(self):
         for d in count():
-            if d not in placed and not self._place(d) and d > 2 * max(placed, default=-1):
+            ys = self._diagonal(d)
+            if ys is None:
                 return
-            for y in range(d + 1):
-                if d - y in placed and y in placed:
-                    self.cursor = d * (d + 1) // 2 + y + 1
-                    yield self._label(d - y, y)
+            for y in ys:
+                self.cursor = d * (d + 1) // 2 + y + 1
+                yield self._label(d - y, y)
+
+    def rows(self):
+        """The walk's items, one list per diagonal that has any; element d
+        is placed by the time diagonal d's list is drawn."""
+        label = self._label
+        for d in count():
+            ys = self._diagonal(d)
+            if ys is None:
+                return
+            if ys:
+                yield [label(d - y, y) for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +332,16 @@ class LimitAdversary:
             raise FamilyError(f"{limit} is not a limit of the given family")
 
     def run(self, stages: int) -> AdversaryReport:
-        """Emit `stages` items to the learner, which consumes them in
-        ``advance`` runs; its conjecture is read at each run's end and holds
-        before that, so a switch inside a run is judged by the last one read."""
+        """Emit `stages` items to the learner, one Cantor diagonal at a time.
+
+        A step switches when the learner has conjectured the current target
+        (`pending`) and every planned class is complete.  The learner reads
+        the rest of the diagonal in ``advance`` runs, and its conjecture,
+        which holds inside a run, is read after each.  A run is cut to one
+        item at the only steps after which the next one can switch without a
+        conjecture read in between: a switch step, after which `pending`
+        says whether the learner names the new target, and a diagonal's
+        first step, whose placement may complete the last open class."""
         learner, limit = self.learner, self.limit
         learner.reset()
         builder = _TargetBuilder(limit)
@@ -321,36 +349,34 @@ class LimitAdversary:
         current = limit
         switches: list[tuple[int, str]] = []
         items = []
-        last = first = learner.conjecture()
+        first = learner.conjecture()
         pending = conjectures_equal(first, current)
 
-        def emit():
+        def points():
             nonlocal current, pending
-            for step in range(stages):
-                switched = pending and builder.clean
-                if switched:
+            rows, step, left = builder.rows(), 0, 0
+            while step < stages:
+                cut = pending and builder.clean
+                if cut:
                     current = next(witnesses) if current is limit else limit
                     builder.retarget(current, freeze=current is not limit)
                     switches.append((step, str(current)))
                     pending = False
-                builder.finishing = pending
-                item = builder.next_item()
-                items.append(item)
-                yield item
-                if switched:
-                    # the learner has consumed the switch item, after which it
-                    # conjectures what was last read
-                    pending = conjectures_equal(last, current)
-
-        def points():
-            nonlocal last, pending
-            for stage in run_stages(learner, emit()):
+                if not left:  # the diagonal's first step places its element
+                    builder.finishing = pending
+                    row = next(rows)
+                    items.extend(row)
+                    run, left = iter(row), len(row)
+                    cut = cut or (pending and builder.clean)
+                fed = learner.advance(islice(run, min(1 if cut else left, stages - step)))
+                step += fed
+                left -= fed
                 last = learner.conjecture()
-                if conjectures_equal(last, current):
-                    pending = True
-                yield stage, last
+                pending = pending or conjectures_equal(last, current)
+                yield step, last
 
         trace = Trace.fold(first, points())
+        del items[stages:]
         # the emitted prefix is consistent exactly when decoding it raises nothing
         try:
             PrefixState(INFORMANT).feed_all(items)
@@ -649,8 +675,15 @@ class LockingNormalForm(Learner):
     distilled prefix last moved, keyed by the learner's ``probe_key`` there:
     for a decoding learner the blocks an item touches, so each kind of item
     is probed once; for any other learner the item itself.  An item the
-    wrapped learner refuses (ConsistencyError) leaves the wrapper as it was,
-    and the error gives the item's index in the wrapper's own input.
+    wrapped learner refuses (ConsistencyError) leaves the wrapper as it was
+    before that item, and the error gives the item's index in the wrapper's
+    own input.
+
+    ``advance`` feeds the shadow one run, which stops after the first item
+    whose key is not in `_no_flip` or where the shadow's own run stops.
+    Every item before that one has its key in `_no_flip` and leaves the
+    shadow's conjecture, which is the wrapper's, alone, so only the run's
+    last item is probed.
     """
 
     _owned = ("_history", "_sigma", "_shadow", "_no_flip")
@@ -684,16 +717,28 @@ class LockingNormalForm(Learner):
         self._replay()
         return deque(dict.fromkeys(self._history))
 
-    def consume(self, item) -> None:
+    def advance(self, items: Iterator) -> int:
+        probe_key, no_flip, run = self._at_sigma.probe_key, self._no_flip, []
+
+        def known():  # the items up to the first whose key is new
+            for item in items:
+                run.append(item)
+                yield item
+                if probe_key(item) not in no_flip:
+                    return
+
         try:
-            self._shadow.consume(item)
+            fed = self._shadow.advance(known())
         except ConsistencyError as err:
+            self._history += run[:-1]
             self._replay()  # the shadow may hold part of the refused item
             # the shadow's index counts sigma's items and the history's
             index, reason = len(self._history), str(err).split(": ", 1)[-1]
             raise ConsistencyError(f"item {index}: {reason}", index) from err
-        self._history.append(item)
-        pending = deque([item])
+        if not fed:
+            return 0
+        self._history += run
+        pending = deque([run[-1]])
         progress = True
         while progress:
             progress = False
@@ -713,6 +758,7 @@ class LockingNormalForm(Learner):
             if not progress and not conjectures_equal(self._shadow.conjecture(), self._conj):
                 pending = self._changed(self._shadow, list(self._history))
                 progress = True
+        return fed
 
     def conjecture(self):
         return self._conj
@@ -796,7 +842,7 @@ def text_adversary(
     state.feed_all(sigma.items)
     merged = [x for block in state.blocks() for x in block]
     builder = _TextBuilder(TWO_CLASSES, [merged] if merged else [])
-    for stage in run_stages(probe, (builder.next_item() for _ in range(horizon))):
+    for stage in run_stages(probe, islice(chain.from_iterable(builder.rows()), horizon)):
         if not conjectures_equal(probe.conjecture(), locked):
             return TextAdversaryReport(
                 "undecided",

@@ -27,6 +27,9 @@ Where each learner's run stops:
 - ``OneShotLearner``: before firing, at the next structural revision while
   no witness's largest block fits the largest decoded block, else after one
   item; once fired, never.
+- ``adversaries.LockingNormalForm``: at the first item whose ``probe_key``
+  at the distilled prefix has not been probed, or where the wrapped
+  learner's own run stops.
 - any other learner: after one item.
 
 A learner is ``settled`` once no later item can change its conjecture: the
@@ -426,7 +429,9 @@ def distinguishing_substructure(
     every p <= q; so it leaves `member` once k exceeds the member's count
     of blocks of size >= q, and beats a rival once k exceeds the rival's.
     Both facts only grow with the prefix: a prefix that leaves `member` is
-    pruned, and a bitmask keeps the rivals it beats.
+    pruned, and a bitmask keeps the rivals it beats.  A prefix is pruned as
+    well once some rival it has not beaten cannot be beaten by the parts
+    left.
     """
     if any(fin_embeds(member, other) for other in others):
         raise FamilyError(f"{member} finitely embeds into another member: "
@@ -449,8 +454,15 @@ def distinguishing_substructure(
         # the first completion of a prefix of k parts, the last `largest`
         if rest == 0:
             return () if beaten == everyone else None
+        top = min(rest, largest)
+        for j, ge in rivals:
+            # the parts left, each at most `top`, give at most k + rest // q
+            # blocks of size >= q, so rival j is beaten only if that exceeds
+            # its count at some q
+            if not beaten >> j & 1 and all(k + rest // q <= ge[q] for q in range(1, top + 1)):
+                return None
         k += 1
-        for q in range(1, min(rest, largest) + 1):
+        for q in range(1, top + 1):
             if k > own[q]:  # so for every larger q too
                 break
             now = beaten

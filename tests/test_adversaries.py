@@ -42,7 +42,7 @@ from limitlearn import (
 from limitlearn import learners
 from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import LanguageToStructLearner, size_sequence_of
-from limitlearn.learners import EchoLearner
+from limitlearn.learners import EchoLearner, run_stages
 from limitlearn.presentations import _new_pairs
 
 from families import (
@@ -216,13 +216,15 @@ class Scripted(Learner):
         return FIVE_OMEGA if self._stage == 3 else FIVE_OMEGA_TWO
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 7, 500])
-def test_limit_adversary_matches_the_per_item_reference(horizon):
-    # conjectures read at the end of each `advance` run against one `feed`
-    # and one comparison per item
-    roster = zip([*informant_roster(), FaceValue(), Scripted()],
-                 [*informant_roster(), FaceValue(), Scripted()])
-    for learner, reference in roster:
+def limit_roster():
+    return [*informant_roster(), FaceValue(), Scripted(),
+            locking_transform(learner_separator(list(NONSEPARABLE), False))]
+
+
+def assert_limit_adversary_matches_the_per_item_reference(horizon):
+    # conjectures read at the end of each `advance` run, one diagonal at a
+    # time, against one `feed` and one comparison per item
+    for learner, reference in zip(limit_roster(), limit_roster()):
         got = limit_adversary(learner, FIVE_OMEGA, list(NONSEPARABLE)).run(horizon)
         want = per_item_limit_adversary(
             limit_adversary(reference, FIVE_OMEGA, list(NONSEPARABLE)), horizon)
@@ -232,6 +234,36 @@ def test_limit_adversary_matches_the_per_item_reference(horizon):
         assert got.phase_switches == want.phase_switches, learner.name
         assert got.final_target == want.final_target, learner.name
         assert got.consistent == want.consistent, learner.name
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 500])
+def test_limit_adversary_matches_the_per_item_reference(horizon):
+    assert_limit_adversary_matches_the_per_item_reference(horizon)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 3000))
+def test_limit_adversary_matches_the_per_item_reference_at_drawn_horizons(horizon):
+    # a horizon may end inside a diagonal, a one-item cut or a learner's run
+    assert_limit_adversary_matches_the_per_item_reference(horizon)
+
+
+def test_the_limit_adversary_hands_a_constant_learner_a_diagonal_per_run(monkeypatch):
+    # 10^4 items fill 141 diagonals, and the constant learner reads each in
+    # one run: the switch at step 0 cuts diagonal 0, which has one item
+    calls = Counter()
+    advance = learners.ConstantLearner.advance
+
+    def counted(learner, items):
+        calls["advance"] += 1
+        return advance(learner, items)
+
+    monkeypatch.setattr(learners.ConstantLearner, "advance", counted)
+    for guess in (FIVE_OMEGA, FIVE_OMEGA_TWO):
+        calls.clear()
+        report = limit_adversary(learner_constant(guess), FIVE_OMEGA, list(NONSEPARABLE)).run(10_000)
+        assert len(report.items) == 10_000 and report.consistent
+        assert calls["advance"] < 200, (guess, calls)
 
 
 def test_limit_adversary_rechecks_the_conjecture_after_a_switch_inside_a_run():
@@ -935,6 +967,49 @@ def test_the_locking_normal_form_matches_the_item_keyed_reference(name, data):
         assert wrapped._sigma == reference._sigma, (name, stage)
 
 
+@pytest.mark.parametrize("name", LOCKING_ROSTER)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_locking_normal_form_in_runs_matches_the_item_keyed_reference(name, data):
+    """Fed by ``advance`` runs, the wrapper shows at every stop what the
+    item-keyed wrapper shows fed one item at a time."""
+    make = LOCKING_ROSTER[name]
+    wrapped, reference = locking_transform(make()), ItemKeyedLockingNormalForm(make())
+    items = data.draw(locking_streams(wrapped.mode))
+    fed = 0
+    for stage in run_stages(wrapped, iter(items)):
+        for item in items[fed:stage]:
+            reference.consume(item)
+        fed = stage
+        assert conjectures_equal(wrapped.conjecture(), reference.conjecture()), (name, stage)
+        assert wrapped.distilled() == reference.distilled(), (name, stage)
+        assert wrapped._sigma == reference._sigma, (name, stage)
+    assert fed == len(items)
+
+
+@pytest.mark.parametrize("name", ["echo", "min-embed", "separator"])
+def test_an_item_the_locking_normal_form_refuses_inside_a_run(name):
+    # after `head` the items of `known` are of kinds already probed and move
+    # no block, so one `advance` call reads them and the refused item with them
+    make = LOCKING_ROSTER[name]
+    head = [(0, 0, 1), (1, 1, 1), (0, 1, 0), (0, 2, 1)]
+    known, refused = [(2, 1, 0), (0, 0, 1), (2, 2, 1)], (1, 2, 1)
+    wrapped, clean = locking_transform(make()), locking_transform(make())
+    wrapped.consume_all(head)
+    for item in head + known:
+        clean.consume(item)
+    index = len(head) + len(known)
+    with pytest.raises(ConsistencyError, match=f"^item {index}: pair") as err:
+        wrapped.advance(iter([*known, refused, (3, 3, 1)]))
+    assert err.value.index == index
+    assert conjectures_equal(wrapped.conjecture(), clean.conjecture())
+    assert wrapped._history == clean._history == head + known
+    assert wrapped.distilled() == clean.distilled()
+    for item in [(3, 3, 1), (0, 3, 0), (3, 4, 1), (1, 3, 1)]:
+        assert conjectures_equal(wrapped.feed(item), clean.feed(item)), item
+        assert wrapped.distilled() == clean.distilled(), item
+
+
 class TwoWhileOneBlock(EchoLearner):
     """Conjectures two infinite classes while the prefix decodes to exactly
     one block, one before and after: a kind of item that leaves it alone at
@@ -954,6 +1029,17 @@ def test_the_memo_of_probes_starts_over_when_sigma_moves():
         assert conjectures_equal(wrapped.feed(item), reference.feed(item)), item
         assert wrapped.distilled() == reference.distilled(), item
     assert wrapped.distilled().items == ((0, 0, 1), (5, 6, 0))
+
+
+def test_a_run_of_the_locking_normal_form_stops_at_a_new_kind_of_item():
+    # (1, 1, 1) moves no block of the shadow, which would read on; alone at
+    # the empty distilled prefix it makes one block, and the conjecture two
+    # classes, so the run stops there and probes it
+    wrapped = locking_transform(TwoWhileOneBlock())
+    stops = list(run_stages(wrapped, iter([(1, 0, 0), (1, 1, 1), (1, 0, 0)])))
+    assert stops == [1, 2, 3]
+    assert wrapped.distilled().items == ((1, 1, 1), (1, 0, 0))
+    assert conjectures_equal(wrapped.conjecture(), ONE_INF)
 
 
 def test_the_locking_normal_form_probes_each_kind_of_item_once(monkeypatch):
