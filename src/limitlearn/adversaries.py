@@ -262,14 +262,11 @@ class _TargetBuilder(_Walk):
                 cands.append((x, y, 0))
             else:
                 # merging the two blocks must still fit the census
-                merged = state.size_counts
-                for size in (state.block_size(rx), state.block_size(ry)):
-                    merged[size] -= 1
-                    if not merged[size]:
-                        del merged[size]
-                big = state.block_size(rx) + state.block_size(ry)
-                merged[big] = merged.get(big, 0) + 1
-                if profile_le(profile_of(merged), self.target.cumulative_profile):
+                a, b = state.block_size(rx), state.block_size(ry)
+                merged = Counter(state.size_counts)
+                merged.subtract((a, b))
+                merged[a + b] += 1
+                if profile_le(profile_of(+merged), self.target.cumulative_profile):
                     cands.append((x, y, 1))
         return cands[:width]
 
@@ -639,15 +636,12 @@ def weak_locking_search(
         # never contradict it).  The skip ends: each diagonal d of the walk
         # either places a new element, whose pair (d, 0) is a new fact (in
         # text its self-pair (d, d) is), or the walk ends with the placed square
-        while True:
-            item = builder.next_item()
-            if item is _EXHAUSTED:
-                break
+        for item in iter(builder.next_item, _EXHAUSTED):
             rev = (state.struct_rev, state.neg_rev)
             state.feed(item)
             if (state.struct_rev, state.neg_rev) != rev:
                 break
-        if item is _EXHAUSTED:
+        else:
             break  # a target with finitely many elements is fully labeled
         spine.append(item)
         base.consume(item)
@@ -665,11 +659,14 @@ class LockingNormalForm(Learner):
     """Wraps a learner so that its conjecture only follows fragments of the
     history that actually caused mind changes.
 
-    Keeps a distilled prefix: each incoming item is probed alone against the
-    wrapped learner's state at the distilled prefix, and the full history is
-    probed as one fragment, in that order; whichever flips the conjecture is
-    appended.  After a change every remembered item is probed again.  The
-    wrapper locks once nothing it remembers flips it.
+    Keeps a distilled prefix sigma and reads its conjecture from the wrapped
+    learner at sigma, which is never fed once sigma moves to it.  Probes go
+    through one queue: an incoming item is probed alone against the learner
+    at sigma, and a probe that flips the conjecture is appended to sigma and
+    refills the queue with the history's items, to be probed again.  Once
+    the queue is empty the full history is probed as one fragment; if it
+    flips the conjecture it is appended to sigma and refills the queue, and
+    otherwise the wrapper is locked on what it remembers.
 
     `_no_flip` holds the probes that left the conjecture alone since the
     distilled prefix last moved, keyed by the learner's ``probe_key`` there:
@@ -699,7 +696,6 @@ class LockingNormalForm(Learner):
         self._history: list = []
         self._sigma: list = []
         self._at_sigma = self._at_empty  # never fed: probes clone it
-        self._conj = self._at_sigma.conjecture()
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()
 
@@ -712,7 +708,6 @@ class LockingNormalForm(Learner):
         order, to be probed again."""
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
-        self._conj = new_at_sigma.conjecture()
         self._no_flip.clear()
         self._replay()
         return deque(dict.fromkeys(self._history))
@@ -739,9 +734,7 @@ class LockingNormalForm(Learner):
             return 0
         self._history += run
         pending = deque([run[-1]])
-        progress = True
-        while progress:
-            progress = False
+        while True:
             while pending:
                 it = pending.popleft()
                 key = self._at_sigma.probe_key(it)
@@ -749,19 +742,16 @@ class LockingNormalForm(Learner):
                     continue
                 probe = self._at_sigma.clone()
                 probe.consume(it)
-                if conjectures_equal(probe.conjecture(), self._conj):
+                if conjectures_equal(probe.conjecture(), self.conjecture()):
                     self._no_flip.add(key)
                 else:
                     pending = self._changed(probe, [it])
-                    progress = True
-                    break
-            if not progress and not conjectures_equal(self._shadow.conjecture(), self._conj):
-                pending = self._changed(self._shadow, list(self._history))
-                progress = True
-        return fed
+            if conjectures_equal(self._shadow.conjecture(), self.conjecture()):
+                return fed
+            pending = self._changed(self._shadow, list(self._history))
 
     def conjecture(self):
-        return self._conj
+        return self._at_sigma.conjecture()
 
     def distilled(self) -> Prefix:
         return Prefix(self.mode, tuple(self._sigma))

@@ -100,14 +100,14 @@ def size_sequence_of(char: Character) -> SizeSequence:
 # bounded permutation closure held on one
 
 
-def _window(seqs: Sequence[SizeSequence]) -> tuple[int, int, list[tuple]]:
-    """(base, period, values): the largest base, the lcm of the periods, and
-    each sequence's values on [0, base + 2 * period), which decide equality
-    and, with the steps past the base, inclusion.  A sequence already held
-    on that window (every member of one `language_closure`) gives its values
-    as they are; only the others are stretched."""
+def _window(seqs: Sequence[SizeSequence], floor: int = 0) -> tuple[int, int, list[tuple]]:
+    """(base, period, values): the largest of `floor` and the bases, the lcm
+    of the periods, and each sequence's values on [0, base + 2 * period), which
+    decide equality and, with the steps past the base, inclusion.  A sequence
+    already held on that window (every member of one `language_closure`)
+    gives its values as they are; only the others are stretched."""
     period = math.lcm(*{seq.period for seq in seqs})
-    base = max((seq.base for seq in seqs), default=0)
+    base = max([floor, *(seq.base for seq in seqs)])
     size = base + 2 * period
     return base, period, [seq.values if len(seq.values) == size else seq.stretched(base, period).values
                           for seq in seqs]
@@ -133,9 +133,8 @@ def language_closure(langs: Sequence[SizeSequence], positions: int) -> Closure:
     follows at the first transposition that yields it, its values those of
     its input with two entries swapped.  The stretched inputs and `positions`
     are kept with the members, so `telltale_search` can scan the inputs."""
-    base = max([positions, *(lang.base for lang in langs)])
-    period = math.lcm(*{lang.period for lang in langs})
-    inputs = tuple(lang.stretched(base, period) for lang in langs)
+    _, period, values = _window(langs, positions)
+    inputs = tuple(SizeSequence(vec, period) for vec in values)
     out = list(inputs)
     seen = {lang.values for lang in out}
     for lang in inputs:

@@ -292,8 +292,6 @@ def cmd_adversary(args) -> int:
 def cmd_diagonalize(args) -> int:
     family = _load_family(args.family) if args.family else Family.of()
     learner = _make_learner(args.learner, family, args.target)
-    if args.class_size < 2:
-        raise CliError("diagonalize needs --class-size >= 2", EXIT_PARSE)
     report = diagonalize(learner, args.class_size, args.horizon)
     _dump_json(_out_path(args, "diagonalization.json"), report.to_json())
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -486,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="run the pairwise diagonalizer")
     common(p, "learner", "target", family_required=False)
     p.add_argument("--horizon", **{**OPTIONS["horizon"], "type": _at_least(1), "default": 600})
-    p.add_argument("--class-size", type=int, default=2)
+    p.add_argument("--class-size", type=_at_least(2), default=2)
     p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("locking", help="search for a weak locking sequence")

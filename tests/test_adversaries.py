@@ -60,6 +60,7 @@ from oracles import (
     CodeWalkTargetBuilder,
     CodeWalkTextBuilder,
     ItemKeyedLockingNormalForm,
+    brute_fin_embeds,
     full_labeling_extension,
     materialized_diagonalize,
     per_item_diagonalize,
@@ -480,6 +481,54 @@ def test_target_builder_walk_matches_the_code_walk(target, blocks, width, data):
         assert got.candidates(state, width) == want.candidates(state, width), step
         if switching and not pending:
             pending = data.draw(st.booleans())
+
+
+@st.composite
+def _informant_starts(draw):
+    """A consistent informant prefix over up to six elements: each element
+    drawn a class, and drawn pairs labeled by whether their classes agree."""
+    classes = draw(st.lists(st.integers(0, 3), max_size=6))
+    pairs = st.tuples(st.integers(0, len(classes) - 1), st.integers(0, len(classes) - 1))
+    drawn = draw(st.lists(pairs, max_size=12)) if classes else []
+    return [(x, y, int(classes[x] == classes[y])) for x, y in drawn]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fit_cases().map(lambda case: case[0]), _informant_starts())
+# merges that do not fit, from an empty start and from a start with two blocks
+@example(census(0, {2: OM}), [])
+@example(census(0, {1: 1}, 2), [])
+@example(census(0, {2: 3}), [(0, 0, 1), (1, 0, 0)])
+def test_target_builder_offers_a_merge_exactly_when_the_merged_census_fits(target, start):
+    # for each look-ahead pair split across slots whose blocks the prefix
+    # leaves distinct and open, the merged label is a candidate exactly when
+    # the census with those two blocks merged finitely embeds in the target,
+    # along the first 60 items of the completion
+    state = PrefixState("informant")
+    state.feed_all(start)
+    try:
+        builder = _TargetBuilder(target, state.blocks())
+    except FamilyError:
+        return
+    fits: dict = {}
+    for _ in range(60):
+        width = 2 * (max(builder.slot_of, default=-1) + 1) ** 2 + 2  # the whole look-ahead
+        cands = builder.candidates(state, width)
+        assert len(cands) < width
+        for x, y in dict.fromkeys((x, y) for x, y, _ in cands):
+            rx, ry = state.find(x), state.find(y)
+            if builder.slot_of[x] == builder.slot_of[y] or rx == ry or state.separated(rx, ry):
+                continue
+            sizes = Counter(state.block_size(r) for r in state.block_roots() if r not in (rx, ry))
+            sizes[state.block_size(rx) + state.block_size(ry)] += 1
+            merged = tuple(sorted(sizes.items()))
+            if merged not in fits:
+                fits[merged] = brute_fin_embeds(census(0, merged), target)
+            assert ((x, y, 1) in cands) == fits[merged], (x, y, merged)
+        item = builder.next_item()
+        if item is _EXHAUSTED:
+            return
+        state.feed(item)
 
 
 @settings(max_examples=60, deadline=None)

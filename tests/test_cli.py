@@ -143,7 +143,7 @@ EXIT_CODE_TABLE = [
     (("simulate", "--seeds", "4:2"), 2, "--seeds needs a nonempty range"),
     (("simulate", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
     (("bridge", "roundtrip", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
-    (("diagonalize", "--class-size", 1), 2, "--class-size >= 2"),
+    (("diagonalize", "--class-size", 1), 2, "argument --class-size: must be at least 2"),
     (("diagonalize", "--horizon", -3), 2, "argument --horizon: must be at least 1"),
     # zero stages would pass every check vacuously
     (("diagonalize", "--horizon", 0), 2, "argument --horizon: must be at least 1"),
