@@ -681,9 +681,15 @@ class LockingNormalForm(Learner):
     Every item before that one has its key in `_no_flip` and leaves the
     shadow's conjecture, which is the wrapper's, alone, so only the run's
     last item is probed.
+
+    Sigma moves at most once per item read since ``reset``, as the classic
+    construction bounds its search by the input, so every call returns, even
+    where each item flips the wrapped learner.  A drain the bound cuts short
+    carries its queue, and the whole-history probe it owes, into the next
+    call, which reads one item, as ``consume`` does.
     """
 
-    _owned = ("_history", "_sigma", "_shadow", "_no_flip")
+    _owned = ("_history", "_sigma", "_shadow", "_no_flip", "_queue")
 
     def __init__(self, base: Learner):
         self._at_empty = base.clone()
@@ -698,21 +704,30 @@ class LockingNormalForm(Learner):
         self._at_sigma = self._at_empty  # never fed: probes clone it
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()
+        self._queue: deque = deque()  # the probes still to drain
+        self._moves, self._cut = 0, False
 
     def _replay(self) -> None:
         self._shadow = self._at_sigma.clone()
         self._shadow.consume_all(self._history)
 
-    def _changed(self, new_at_sigma, appended: list) -> deque:
-        """Move sigma and return the history's distinct items, in first-seen
-        order, to be probed again."""
+    def _changed(self, new_at_sigma, appended: list) -> bool:
+        """Move sigma, unless it has moved once per item read, and queue the
+        history's distinct items, in first-seen order, to be probed again;
+        returns whether it moved."""
+        if self._moves >= len(self._history):
+            return False
+        self._moves += 1
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
         self._no_flip.clear()
         self._replay()
-        return deque(dict.fromkeys(self._history))
+        self._queue = deque(dict.fromkeys(self._history))
+        return True
 
     def advance(self, items: Iterator) -> int:
+        if self._cut:  # a drain the bound cut short goes on an item at a time
+            items = islice(items, 1)
         probe_key, no_flip, run = self._at_sigma.probe_key, self._no_flip, []
 
         def known():  # the items up to the first whose key is new
@@ -733,10 +748,11 @@ class LockingNormalForm(Learner):
         if not fed:
             return 0
         self._history += run
-        pending = deque([run[-1]])
+        self._queue.append(run[-1])
+        self._cut = True  # until the wrapper locks
         while True:
-            while pending:
-                it = pending.popleft()
+            while self._queue:
+                it = self._queue.popleft()
                 key = self._at_sigma.probe_key(it)
                 if key in self._no_flip:
                     continue
@@ -744,11 +760,14 @@ class LockingNormalForm(Learner):
                 probe.consume(it)
                 if conjectures_equal(probe.conjecture(), self.conjecture()):
                     self._no_flip.add(key)
-                else:
-                    pending = self._changed(probe, [it])
+                elif not self._changed(probe, [it]):
+                    self._queue.appendleft(it)
+                    return fed
             if conjectures_equal(self._shadow.conjecture(), self.conjecture()):
+                self._cut = False
                 return fed
-            pending = self._changed(self._shadow, list(self._history))
+            if not self._changed(self._shadow, list(self._history)):
+                return fed
 
     def conjecture(self):
         return self._at_sigma.conjecture()

@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
     seeds = _seed_list(args)
     payloads = [(args, seed) for seed in seeds]
     if args.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
             summaries = list(pool.map(_simulate_cell, payloads))
     else:
         summaries = [_simulate_cell(p) for p in payloads]
@@ -430,7 +430,7 @@ OPTIONS = {
     "depth": {"type": _at_least(0), "default": 50},
     "width": {"type": _at_least(1), "default": 8},
     "bound": {"type": _at_least(0), "default": 64},
-    "jobs": {"type": int, "default": 1},
+    "jobs": {"type": _at_least(1), "default": 1},
     "min-mind-changes": {"type": _at_least(1), "default": 5},
     "positions": {"type": _at_least(0), "default": 12},
 }

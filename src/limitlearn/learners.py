@@ -21,7 +21,7 @@ Where each learner's run stops:
   census clamped at the family's bounds; ``TextSplitLearner``, the split
   learner's text reading, counts the decoded blocks): at the item that moves
   ``struct_rev``, where ``PrefixState.advance`` stops.  On an unread fair
-  stream ``run_simulation`` skips the items altogether: past a reordered
+  stream their ``run_plan`` skips the items altogether: past a reordered
   head it goes from one structural event to the next
   (``PrefixState.run_fair``).
 - ``OneShotLearner``: before firing, at the next structural revision while
@@ -35,8 +35,8 @@ Where each learner's run stops:
 A learner is ``settled`` once no later item can change its conjecture: the
 constant learner always, the split learner once split and the one-shot
 learner once fired.  On an unread planned stream, which is consistent and
-never ends, ``run_simulation`` stops reading there and closes the trace at
-the horizon.
+never ends, ``Learner.run_plan`` stops reading there, and the trace holds
+the conjecture to the horizon.
 
 The diagonalizer hands a learner a whole stage with ``consume_stage``: the
 constant, split, decoding and one-shot learners read it without its items,
@@ -158,6 +158,14 @@ class Learner:
         item itself."""
         return item
 
+    def run_plan(self, stream: Stream, stop: int) -> Iterator[int]:
+        """Read the first `stop` items of an unread planned `stream` from the
+        reset state, yielding the stages where the conjecture may change.
+        By default only until the learner is ``settled``: a planned stream
+        never ends nor contradicts itself, so the conjecture then holds."""
+        items = islice(stream, stop)
+        return accumulate(iter(lambda: 0 if self.settled else self.advance(items), 0))
+
     def clone(self) -> "Learner":
         # attributes are set one by one: a clone given a whole __dict__ reads
         # its attributes through that dict, which slows every item it is fed
@@ -278,6 +286,14 @@ class EchoLearner(Learner):
 
     def consume_stage(self, cls: Sequence[int], old_n: int, n: int) -> None:
         self._state.decode_stage(cls, old_n, n)
+
+    def run_plan(self, stream: Stream, stop: int) -> Iterator[int]:
+        """The head, up to the plan's start, by ``advance``, then the fair
+        stream's structural events by ``PrefixState.run_fair``, with no item
+        built: blocks and births are those of the item-by-item run."""
+        seed, start = stream.plan
+        head = run_stages(self, islice(stream, min(start, stop)))
+        return chain(head, self._state.run_fair(stream.character, seed, start, stop))
 
     def probe_key(self, item):
         if item is None:  # a text pause
@@ -752,20 +768,13 @@ def run_simulation(
 ) -> SimulationResult:
     """Feed `stages` items and judge bounded-horizon convergence.
 
-    A ``Learner`` is stepped by ``advance``, so its conjecture is read once
-    per step rather than once per item.  A decoding learner (an
-    ``EchoLearner``) on a ``Stream`` that still holds its fair plan takes
-    the event path: the stream's head, up to the plan's start, is fed by
-    ``advance``, and past it ``PrefixState.run_fair`` applies the fair
-    stream's structural events with no item built, the conjecture read once
-    per stage that has events and once at the horizon.  The trace and the
-    decoder's blocks and births are those of the item-by-item run.  Any
-    other learner reads a planned stream by ``advance`` only until it is
-    ``settled``, and the trace then holds its conjecture to the horizon: a
-    planned stream never ends and never contradicts itself, so the trace is
-    the item-by-item one.  A stream already read and a plain iterator
-    (``simulate`` and ``replay`` pass items) go item by item to the end, so
-    a run on them still reports exhaustion and inconsistency.
+    A ``Learner`` reads a ``Stream`` that still holds its fair plan by its
+    own ``run_plan``, and anything else by ``advance`` runs, so its
+    conjecture is read once per stage where it may change, not once per
+    item, and once at the horizon.  Either way the trace is the item-by-item
+    one.  A stream already read and a plain iterator (``simulate`` and
+    ``replay`` pass items) are read to the end, so a run on them still
+    reports exhaustion and inconsistency.
 
     Converged means: the conjecture is constant over the final `window` stages
     and, when a target is given, the final conjecture matches it under the
@@ -779,20 +788,13 @@ def run_simulation(
     if isinstance(stream, Stream) and stream.kind != learner.mode:
         raise ValueError(f"{learner.mode} learner cannot read a {stream.kind} stream")
     learner.reset()
-    plan = stream.plan if isinstance(stream, Stream) and isinstance(learner, Learner) else None
-    items, conjecture = islice(stream, stages), learner.conjecture
-    if plan is not None:
-        if isinstance(learner, EchoLearner):  # the head item by item, then the events
-            seed, start = plan
-            stops = chain(run_stages(learner, islice(items, start)),
-                          learner._state.run_fair(stream.character, seed, start, stages))
-        else:  # read only until the learner is settled
-            stops = accumulate(iter(lambda: 0 if learner.settled else learner.advance(items), 0))
-        points = ((s, conjecture()) for s in chain(stops, (stages,)))
-    elif isinstance(learner, Learner):
-        points = ((s, conjecture()) for s in run_stages(learner, items))
-    else:  # any object with reset, feed and conjecture is judged item by item
-        points = zip(count(1), map(learner.feed, items))
+    conjecture = learner.conjecture
+    if not isinstance(learner, Learner):  # reset, feed and conjecture only: item by item
+        points = zip(count(1), map(learner.feed, islice(stream, stages)))
+    elif isinstance(stream, Stream) and stream.plan is not None:
+        points = ((s, conjecture()) for s in chain(learner.run_plan(stream, stages), (stages,)))
+    else:
+        points = ((s, conjecture()) for s in run_stages(learner, islice(stream, stages)))
     trace = Trace.fold(conjecture(), points)
     exhausted = trace.length <= stages
     stable = trace.stable_from()

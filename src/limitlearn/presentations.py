@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .structures import (
     ZERO,
@@ -101,21 +101,19 @@ class PrefixState:
     it; there `neg_rev` counts the negative facts that first separated two
     blocks.  `decode_stage` decodes a whole diagonalizer stage from its
     class map, without its items: there `neg_rev` moves once per stage that
-    adds an element.  A stage leaves every two blocks separated, which
-    `_apart` records in place of the negatives: `separated` reads it, and
-    `advance` rewrites each block's negatives to every element outside it
-    before its first item.  `_least` memoizes each class's least element
-    over the first `_read` elements of the class map.  `run_fair` decodes a
-    run of a fair stream from its events alone, leaving blocks, births,
-    `stage` and `struct_rev` as decoding its items would; `_skipped` names
-    the items it skipped, whose negatives `advance` and `separated` write
-    before they read any.
+    adds an element.  `_least` memoizes each class's least element over the
+    first `_read` elements of the class map.  `run_fair` decodes a run of a
+    fair stream from its events alone, leaving blocks, births, `stage` and
+    `struct_rev` as decoding its items would.  Neither writes the negatives
+    it skips: `_pending` holds that one write, a function of the state
+    (`copy` shares it), which `advance` and `separated` run once before
+    they read a negative.  After a stage it is `_write_apart`, as every two
+    blocks are separated, and `separated` reads that without running it.
     """
 
     __slots__ = (
         "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_bit", "_mask", "_neg", "birth", "births_by_size", "_apart", "_skipped", "_least",
-        "_read",
+        "_bit", "_mask", "_neg", "birth", "births_by_size", "_pending", "_least", "_read",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -130,8 +128,7 @@ class PrefixState:
         self._neg: dict[int, int] = {}
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
-        self._apart = False
-        self._skipped: tuple | None = None
+        self._pending: Optional[Callable[[PrefixState], None]] = None
         self._least: dict[int, int] = {}
         self._read = 0
 
@@ -178,22 +175,20 @@ class PrefixState:
     # -- decoding -----------------------------------------------------------
 
     def _write_apart(self) -> None:
-        """Write out what `_apart` records, once: each block's negatives
+        """The write a diagonalizer stage defers: each block's negatives
         become every element outside it."""
         full, neg = (1 << len(self._bit)) - 1, self._neg
         for root, mask in self._mask.items():
             neg[root] = full ^ mask
-        self._apart = False
 
     def advance(self, items: Iterable) -> int:
         """Decode items until one moves `struct_rev`; returns how many were
         decoded, 0 once `items` is exhausted.  Raises ConsistencyError on the
         first contradictory label, with `stage` counting that item."""
         parent, neg, mask, bit = self._parent, self._neg, self._mask, self._bit
-        if self._apart:
-            self._write_apart()
-        if self._skipped:
-            self._write_skipped()
+        if self._pending is not None:
+            self._pending(self)
+            self._pending = None
         text = self.kind == TEXT
         start = stage = self.stage
         neg_rev = self.neg_rev
@@ -287,7 +282,7 @@ class PrefixState:
         end = self.stage + n * n - old_n * old_n
         for _ in self._apply(_events(INFORMANT, cls, least, old_n, n, rank), self.stage + 1):
             pass
-        self._apart = True
+        self._pending = PrefixState._write_apart
         self.stage = end
         self.neg_rev += 1
 
@@ -296,12 +291,12 @@ class PrefixState:
         (`fair_informant` or `fair_text`, by the state's kind) from their
         structural events, once the state holds the decoding of its first
         `start` items, in any order; yields each stage that has events, as
-        `_apply` does, and stands at stage `stop` after the last.
+        `_apply` does, and stands at stage `stop` after the last.  Nothing
+        may be pending: the state is new, or `advance` decoded the head.
 
         An informant's skipped items are negative between classes or
         positive within a block; the negatives, which no event shows, are
-        written before the next `advance` or `separated` reads them, and
-        `neg_rev` moves once for them."""
+        the pending write, and `neg_rev` moves once for them."""
         if stop <= start:
             return
         universe = char.finite_universe_size() if char.total_size_finite else None
@@ -319,18 +314,14 @@ class PrefixState:
         yield from self._apply(events, 1)
         self.stage = stop
         if self.kind == INFORMANT:
-            self._skipped = (char, seed, start, stop)
+            def write(state: PrefixState) -> None:
+                parent, neg, bit = state._parent, state._neg, state._bit
+                for x, y, label in itertools.islice(fair_informant(char, seed), start, stop):
+                    if not label:
+                        neg[parent[x]] |= bit[y]
+                        neg[parent[y]] |= bit[x]
+            self._pending = write
             self.neg_rev += 1
-
-    def _write_skipped(self) -> None:
-        """Write out the negatives of the items `run_fair` skipped, once."""
-        char, seed, start, stop = self._skipped
-        self._skipped = None
-        parent, neg, bit = self._parent, self._neg, self._bit
-        for x, y, label in itertools.islice(fair_informant(char, seed), start, stop):
-            if not label:
-                neg[parent[x]] |= bit[y]
-                neg[parent[y]] |= bit[x]
 
     # -- queries ----------------------------------------------------------
 
@@ -353,10 +344,12 @@ class PrefixState:
         return len(self._members[root])
 
     def separated(self, root_a: int, root_b: int) -> bool:
-        if self._apart:
-            return root_a != root_b
-        if self._skipped:
-            self._write_skipped()
+        pending = self._pending
+        if pending is not None:
+            if pending is PrefixState._write_apart:
+                return root_a != root_b
+            pending(self)
+            self._pending = None
         return bool(self._neg[root_a] & self._mask[root_b])
 
     def char(self) -> Character:
@@ -375,8 +368,7 @@ class PrefixState:
         dup._neg = dict(self._neg)
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
-        dup._apart = self._apart
-        dup._skipped = self._skipped
+        dup._pending = self._pending
         dup._least = dict(self._least)
         dup._read = self._read
         return dup
@@ -536,8 +528,8 @@ class Stream:
     of the fair stream of `character` drawn with `seed`: 0 for
     `fair_informant` and `fair_text`, the window for `reordered_informant`.
     A stream built from items has none.  Iterating the stream drops the
-    plan, since a stream once read no longer starts at stage 0;
-    `learners.run_simulation` reads an unread plan to skip to the stream's
+    plan, since a stream once read no longer starts at stage 0; a
+    learner's `run_plan` may read an unread plan to skip to the stream's
     structural events."""
 
     kind: str

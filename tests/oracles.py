@@ -1351,9 +1351,12 @@ def rewrite_text_conjecture(base: Learner, state: PrefixState):
 class ItemKeyedLockingNormalForm(Learner):
     """``LockingNormalForm`` as it was when its memo of probes that leave the
     conjecture alone was keyed by the item itself, so every new item is
-    probed: the reference for the memo keyed by ``Learner.probe_key``."""
+    probed: the reference for the memo keyed by ``Learner.probe_key``.  It
+    reads one item per call, and bounds sigma as the wrapper does: sigma
+    moves at most once per item read, and a drain that bound cuts short
+    leaves its queue to the next item."""
 
-    _owned = ("_history", "_sigma", "_shadow", "_no_flip")
+    _owned = ("_history", "_sigma", "_shadow", "_no_flip", "_queue")
 
     def __init__(self, base: Learner):
         self._at_empty = base.clone()
@@ -1369,37 +1372,47 @@ class ItemKeyedLockingNormalForm(Learner):
         self._conj = self._at_sigma.conjecture()
         self._shadow = self._at_sigma.clone()
         self._no_flip: set = set()
+        self._queue: deque = deque()
+        self._moves = 0
 
-    def _changed(self, new_at_sigma, appended: list) -> deque:
+    def _changed(self, new_at_sigma, appended: list) -> bool:
+        if self._moves >= len(self._history):
+            return False
+        self._moves += 1
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
         self._conj = new_at_sigma.conjecture()
         self._no_flip.clear()
         self._shadow = new_at_sigma.clone()
         self._shadow.consume_all(self._history)
-        return deque(dict.fromkeys(self._history))
+        self._queue = deque(dict.fromkeys(self._history))
+        return True
 
     def consume(self, item) -> None:
         self._history.append(item)
         self._shadow.consume(item)
-        pending = deque() if item in self._no_flip else deque([item])
+        if item not in self._no_flip:
+            self._queue.append(item)
         progress = True
         while progress:
             progress = False
-            while pending:
-                it = pending.popleft()
+            while self._queue:
+                it = self._queue.popleft()
                 if it in self._no_flip:
                     continue
                 probe = self._at_sigma.clone()
                 probe.consume(it)
                 if conjectures_equal(probe.conjecture(), self._conj):
                     self._no_flip.add(it)
-                else:
-                    pending = self._changed(probe, [it])
+                elif self._changed(probe, [it]):
                     progress = True
                     break
+                else:
+                    self._queue.appendleft(it)
+                    return
             if not progress and not conjectures_equal(self._shadow.conjecture(), self._conj):
-                pending = self._changed(self._shadow, list(self._history))
+                if not self._changed(self._shadow, list(self._history)):
+                    return
                 progress = True
 
     def conjecture(self):

@@ -40,7 +40,7 @@ from limitlearn import (
     weak_locking_search,
 )
 from limitlearn import learners
-from limitlearn.adversaries import _EXHAUSTED, _TargetBuilder, _TextBuilder
+from limitlearn.adversaries import _EXHAUSTED, LockingNormalForm, _TargetBuilder, _TextBuilder
 from limitlearn.bridge import LanguageToStructLearner, size_sequence_of
 from limitlearn.learners import EchoLearner, run_stages
 from limitlearn.presentations import _new_pairs
@@ -1106,6 +1106,79 @@ def test_the_locking_normal_form_probes_each_kind_of_item_once(monkeypatch):
     wrapped.consume_all(islice(fair_informant(C57, 18), 5000))
     assert conjectures_equal(wrapped.conjecture(), C57)
     assert sum(clones.values()) < 100, clones
+
+
+class CountingLearner(Learner):
+    """Conjectures a drawn function of how many items it has read:
+    ``values[n]`` after n items, and past the list ``values[n % len]`` when
+    it cycles, its last entry when not.  It refuses to read past ``CAP``
+    items, so a locking drain that does not return fails, not hangs."""
+
+    CAP = 5000
+
+    def __init__(self, values, cycles: bool):
+        self.values, self.cycles = tuple(values), cycles
+        self.name = f"counting{'-cycle' if cycles else ''}"
+        self.reset()
+
+    def reset(self):
+        self.read = 0
+
+    def consume(self, item):
+        self.read += 1
+        assert self.read <= self.CAP, "a locking drain that does not return"
+
+    def conjecture(self):
+        n, values = self.read, self.values
+        if n < len(values):
+            return values[n]
+        return values[n % len(values)] if self.cycles else values[-1]
+
+
+class MovesCounted(LockingNormalForm):
+    """The locking normal form, counting the moves of sigma."""
+
+    moves = 0
+
+    def _changed(self, new_at_sigma, appended):
+        moved = super()._changed(new_at_sigma, appended)
+        self.moves += moved
+        return moved
+
+
+PARITY = CountingLearner((ONE_INF, TWO_INF), cycles=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from((None, ONE_INF, TWO_INF)), min_size=1, max_size=8),
+       st.booleans(),
+       st.lists(st.sampled_from([(0, 0, 1), (0, 1, 0), (1, 2, 1), (3, 3, 1)]), min_size=1,
+                max_size=40))
+@example(PARITY.values, PARITY.cycles, [(0, 0, 1)] * 40)
+@example(PARITY.values, PARITY.cycles, [(0, 0, 1), (0, 1, 0)] * 20)
+def test_the_locking_normal_form_returns_on_a_learner_that_flips_on_every_item(
+        values, cycles, items):
+    """Sigma moves at most once per item read, so every ``advance`` returns,
+    even where each item flips the wrapped learner; the wrapper in runs
+    matches the item-keyed reference, which has the same bound, at every
+    stop; and where the drawn function settles, the wrapper ends on the
+    base learner's final conjecture."""
+    wrapped = MovesCounted(CountingLearner(values, cycles))
+    reference = ItemKeyedLockingNormalForm(CountingLearner(values, cycles))
+    base = CountingLearner(values, cycles)
+    fed = 0
+    for stage in run_stages(wrapped, iter(items)):
+        assert wrapped.moves <= stage == len(wrapped._history)
+        for item in items[fed:stage]:
+            reference.consume(item)
+            base.consume(item)
+        fed = stage
+        assert conjectures_equal(wrapped.conjecture(), reference.conjecture()), stage
+        assert wrapped._sigma == reference._sigma, stage
+    assert fed == len(items)
+    settled = not cycles or len(set(values)) == 1
+    if settled and len(items) >= len(values):
+        assert conjectures_equal(wrapped.conjecture(), base.conjecture())
 
 
 # ---------------------------------------------------------------------------

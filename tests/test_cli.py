@@ -1,10 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from limitlearn import cli
 from limitlearn.cli import _build_parser, main
 
 CLI = [sys.executable, "-m", "limitlearn.cli"]
@@ -155,6 +162,7 @@ EXIT_CODE_TABLE = [
      "argument --bound: must be at least 1"),
     (("locking", "--depth", -1), 2, "argument --depth: must be at least 0"),
     (("locking", "--width", 0), 2, "argument --width: must be at least 1"),
+    (("simulate", "--jobs", 0), 2, "argument --jobs: must be at least 1"),
     # a text adversary needs a two-class item and a limit adversary an item
     # for a verdict, and zero mind changes would make "defeated" vacuous
     (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",
@@ -500,3 +508,129 @@ def test_simulate_seed_fanout_with_jobs(family_files, tmp_path):
     assert summary["all_converged"] is True
     assert (tmp_path / "items-seed0.txt").exists()
     assert (tmp_path / "items-seed1.txt").exists()
+
+
+@pytest.mark.parametrize("jobs,seeds,workers", [(64, "0:3", [3]), (2, "0:3", [2]), (8, "0:1", [])])
+def test_simulate_starts_at_most_one_worker_per_seed(family_files, tmp_path, monkeypatch,
+                                                     jobs, seeds, workers):
+    # a process pool starts all of its workers at the first task, so the
+    # pool is a stand-in that records its size and runs the cells in process
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--family", family_files["example1"], "--seeds", seeds,
+              "--jobs", str(jobs), "--horizon", "300", "--window", "50", "--out", str(tmp_path)])
+    assert exit_info.value.code in (0, 1)
+    assert made == workers
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over drawn family files and command lines
+
+def _mostly(valid, *invalid):
+    """`valid` nine times in ten, else one of the `invalid` values."""
+    return st.sampled_from(range(10)).flatmap(lambda k: valid if k else st.sampled_from(invalid))
+
+
+SIZES = st.sampled_from([1, 2, 3, 4, 5, 6, "omega"])
+COUNTS = st.sampled_from([0, 1, 2, 3, 4, "omega"])
+CENSUSES = st.one_of(
+    st.lists(st.tuples(SIZES, COUNTS).map(list), min_size=1, max_size=3,
+             unique_by=lambda pair: pair[0]),
+    st.fixed_dictionaries({
+        "exceptions": st.dictionaries(st.integers(1, 6).map(str), COUNTS, min_size=1, max_size=3),
+    }, optional={"default": COUNTS, "omega_count": COUNTS}),
+)
+FAMILIES = _mostly(
+    st.fixed_dictionaries({"members": st.lists(CENSUSES, min_size=1, max_size=3)}, optional={
+        "generator": _mostly(st.sampled_from([{"name": "kronecker"}, {"name": "five_n_tail"}]),
+                             {"name": "nope"}, "kronecker", {}),
+    }).map(json.dumps),
+    "{not json", "", "[1, 2]", '"members"', '{"members": 3}', '{"members": []}',
+    '{"members": [[[2, 1]]], "generator": {}}', '{"members": [[[0, 1]]]}',
+    '{"members": [[["two", 1]]]}', '{"members": [[[2.5, 1]]]}', '{"members": [[[2, -1]]]}',
+    '{"members": [{"default": "many"}]}', '{"members": [{"exceptions": {"2": null}}]}',
+    '{"members": [[[2, 1], [2, 1]]]}', '{"members": [[[1, 0], [1, "omega"]]]}', '{"members": [{}]}')
+ITEM_FILES = st.lists(_mostly(st.sampled_from(["P 0 0", "P 0 1", "N 0 1", "N 1 2", "P 2 3"]),
+                              "#", "X 0", "P 1"), max_size=6).map(lambda lines: "\n".join(lines) + "\n")
+SUMMARY_FILES = st.sampled_from(["{}", '{"converged": false, "stage": null}', "[1]", "{oops"])
+LEARNERS = _mostly(st.sampled_from(["constant", "min-embed", "separator", "one-shot", "split",
+                                    "echo", "txt-constant", "txt-separator", "txt-split"]),
+                   "txt-one-shot", "nonsense")
+TARGETS = _mostly(st.integers(0, 1), -1, 3)
+HORIZONS = _mostly(st.integers(50, 300), 0, -1)
+WINDOWS = _mostly(st.integers(1, 50), 0, 400)
+
+
+def _options(**drawn):
+    """Each drawn option as `--name value`, left out where the draw is None."""
+    return st.fixed_dictionaries({name: st.one_of(st.none(), values)
+                                  for name, values in drawn.items()}).map(
+        lambda chosen: [arg for name, value in chosen.items() if value is not None
+                        for arg in (f"--{name.replace('_', '-')}", str(value))])
+
+
+COMMAND_LINES = st.one_of(
+    st.tuples(st.just(["check"]), _options(bound=_mostly(st.integers(1, 8), 0, -1))),
+    st.tuples(st.just(["simulate", "--jobs", "1"]), _options(
+        learner=LEARNERS, target=TARGETS, horizon=HORIZONS, window=WINDOWS,
+        seed=st.integers(0, 5), seeds=_mostly(st.sampled_from(["0:1", "0:3", "2:4"]), "3", "4:2"),
+        reorder=st.sampled_from(["negatives-first", "reverse", "bogus"]),
+        relation=st.sampled_from(["iso", "biembed"]))),
+    st.tuples(st.just(["adversary", "--kind", "limit"]), _options(
+        learner=LEARNERS, target=TARGETS, horizon=HORIZONS,
+        min_mind_changes=_mostly(st.integers(1, 5), 0))),
+    st.tuples(st.just(["adversary", "--kind", "text"]), _options(
+        learner=LEARNERS, horizon=HORIZONS, depth=_mostly(st.integers(0, 6), -1),
+        width=_mostly(st.integers(1, 3), 0))),
+    st.tuples(st.just(["diagonalize"]), _options(
+        learner=LEARNERS, target=TARGETS, horizon=_mostly(st.integers(1, 100), 0),
+        class_size=_mostly(st.integers(2, 3), 1))),
+    st.tuples(st.just(["locking"]), _options(
+        learner=LEARNERS, target=TARGETS, depth=_mostly(st.integers(0, 8), -1),
+        width=_mostly(st.integers(1, 3), 0), start=st.just("{items}"))),
+    st.tuples(st.just(["bridge", "translate"]), st.just([])),
+    st.tuples(st.just(["bridge", "telltale"]), _options(
+        bound=_mostly(st.integers(0, 64), -1), positions=_mostly(st.integers(0, 6), -1))),
+    st.tuples(st.just(["bridge", "roundtrip"]), _options(
+        target=TARGETS, horizon=HORIZONS, window=WINDOWS, seed=st.integers(0, 5))),
+    st.tuples(st.just(["replay", "--items", "{items}", "--summary", "{summary}"]), _options(
+        learner=LEARNERS, target=TARGETS, horizon=HORIZONS, window=WINDOWS,
+        relation=st.sampled_from(["iso", "biembed"]))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FAMILIES, ITEM_FILES, SUMMARY_FILES, COMMAND_LINES)
+def test_every_command_line_exits_with_a_documented_code(family, items, summary, command):
+    """Malformed or inconsistent input gets exit 2 or 3, and a run exits 0
+    or 1: ``main`` raises SystemExit with a code in 0-3, never anything
+    else, whatever the family file and the options."""
+    head, options = command
+    with tempfile.TemporaryDirectory() as root:
+        paths = {"family": os.path.join(root, "family.json"),
+                 "items": os.path.join(root, "items.txt"),
+                 "summary": os.path.join(root, "summary.json")}
+        for name, text in (("family", family), ("items", items), ("summary", summary)):
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        argv = [arg.format(**paths) for arg in [*head, *options]]
+        argv += ["--family", paths["family"], "--out", os.path.join(root, "out")]
+        with pytest.raises(SystemExit) as exit_info, \
+                contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    assert exit_info.value.code in (0, 1, 2, 3), argv

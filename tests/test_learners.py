@@ -12,6 +12,7 @@ from limitlearn import (
     Character,
     ConsistencyError,
     FamilyError,
+    Learner,
     PrefixState,
     Stream,
     Trace,
@@ -649,6 +650,42 @@ def test_run_simulation_judges_an_object_that_only_feeds():
     want = run_simulation(learner_separator(EXAMPLE1), fair_informant(C57, 1), 3000, C57)
     assert got.converged and len(got.trace.changes) > 1
     assert (got.trace, got.stage) == (want.trace, want.stage)
+
+
+class _OwnPlan(Learner):
+    """A learner with its own ``run_plan``, which reads nothing and says the
+    conjecture may change at fixed stages: C56 before stage 7, C57 from it."""
+
+    def __init__(self):
+        self.plans = []
+        self.reset()
+
+    def reset(self):
+        self.read = 0
+
+    def consume(self, item):
+        self.read += 1
+
+    def conjecture(self):
+        return C57 if self.read >= 7 else C56
+
+    def run_plan(self, stream, stop):
+        self.plans.append(stop)
+        for self.read in (3, 7, 9):
+            yield self.read
+
+
+def test_run_simulation_hands_an_unread_planned_stream_to_the_learners_run_plan():
+    learner = _OwnPlan()
+    got = run_simulation(learner, fair_informant(C57, 0), 50, C57, window=20)
+    assert learner.plans == [50]
+    assert got.trace == Trace([(0, C56), (7, C57)], 51) and got.stage == 7
+    read = fair_informant(C57, 0)
+    next(iter(read))
+    for stream in (read, iter(fair_informant(C57, 0))):
+        learner = _OwnPlan()
+        by_items = run_simulation(learner, stream, 50, C57, window=20)
+        assert learner.plans == [] and by_items.trace == got.trace
 
 
 def test_trace_lines_format():
