@@ -15,12 +15,14 @@ Where each learner's run stops:
 - ``SplitOnNegativeLearner``: at the first negative fact between distinct
   elements, and never once split.
 - ``EchoLearner`` and the decoding learners that extend it (one decoder and
-  one ``_recompute``, run once per structural revision; ``SeparatorLearner``
-  and the bridge's ``LanguageToStructLearner`` refine ``MinEmbedLearner``'s
-  host computation there, which is memoized by the prefix's block-size
-  census clamped at the family's bounds; ``TextSplitLearner``, the split
-  learner's text reading, counts the decoded blocks): at the item that moves
-  ``struct_rev``, where ``PrefixState.advance`` stops.  On an unread fair
+  one ``_recompute``, run when the conjecture is read after a structural
+  revision; ``SeparatorLearner`` and the bridge's ``LanguageToStructLearner``
+  refine ``MinEmbedLearner``'s host computation there, which reads only the
+  block sizes the decoder moved since the last recompute and is memoized by
+  the prefix's block-size census clamped at the family's bounds;
+  ``TextSplitLearner``, the split learner's text reading, counts the
+  decoded blocks): at the item that moves ``struct_rev``, where
+  ``PrefixState.advance`` stops.  On an unread fair
   stream their ``run_plan`` skips the items altogether: past a reordered
   head it goes from one structural event to the next
   (``PrefixState.run_fair``).
@@ -336,11 +338,20 @@ class MinEmbedLearner(EchoLearner):
     clones share it and ``reset`` keeps it; a merge can make a member a host
     again, so it is keyed by census rather than narrowed as the prefix grows.
 
+    A recompute reads only the sizes the decoder moved since the last one
+    (``PrefixState.moved_sizes``, which it clears): ``_counts`` holds the
+    block count of each size as last read and ``_buckets`` the raw count of
+    each clamped size, each moved size folds in as a delta, and the memo key
+    is built and looked up only when a clamped count changed.  The
+    conjecture is chosen again only when ``_read`` says something it reads
+    moved.
+
     This learner stabilizes on the finite-bi-embeddability type of the target;
     when run on its own it should be judged up to that equivalence.
     """
 
     name = "min-embed"
+    _owned = ("_state", "_counts", "_buckets")
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         members = tuple(members)
@@ -361,24 +372,50 @@ class MinEmbedLearner(EchoLearner):
         ]
         self.reset()
 
-    def _minimal_hosts(self) -> list[int]:
-        top, cap, census = self._top, self._cap, {}
-        for size, entries in self._state.births_by_size.items():
-            if size > top:
-                size = top
-            n = census.get(size, 0) + len(entries)
-            census[size] = n if n < cap else cap
+    def reset(self) -> None:
+        super().reset()
+        self._counts: dict[int, int] = {}
+        self._buckets: dict[int, int] = {}
+        self._minimal: list[int] | None = None  # none read yet
+        self._pick: int | None = None
+
+    def _read(self, moved: set, by_size: dict) -> bool:
+        """Fold the `moved` sizes of `by_size` into the running census;
+        True when the minimal hosts changed."""
+        counts, buckets, top, cap = self._counts, self._buckets, self._top, self._cap
+        clamped = self._minimal is None
+        for size in moved:
+            n, old = len(by_size.get(size, ())), counts.get(size, 0)
+            if n != old:
+                counts[size] = n
+                bucket = size if size < top else top
+                was = buckets.get(bucket, 0)
+                buckets[bucket] = now = was + n - old
+                if was < cap or now < cap:  # the clamped count moved
+                    clamped = True
+        if not clamped:
+            return False
+        census = {size: min(n, cap) for size, n in buckets.items() if n}
         key = frozenset(census.items())
         hosts = self._hosts.get(key)
         if hosts is None:
             hosts = self._hosts[key] = minimal_hosts(
                 profile_of(census), self._profiles, self._strictly_below)
-        return hosts
+        if hosts == self._minimal:
+            return False
+        self._minimal = hosts
+        return True
+
+    def _choose(self) -> None:
+        minimal = self._minimal
+        self._cached_index = self._pick = min(minimal) if minimal else None
 
     def _recompute(self) -> None:
-        minimal = self._minimal_hosts()
-        self._cached_index = min(minimal) if minimal else None
-        self._cached = self.members[self._cached_index] if minimal else None
+        state = self._state
+        if self._read(state.moved_sizes, state.births_by_size):
+            self._choose()
+        state.moved_sizes.clear()
+        self._cached = None if self._pick is None else self.members[self._pick]
 
 
 class SeparatorLearner(MinEmbedLearner):
@@ -390,9 +427,17 @@ class SeparatorLearner(MinEmbedLearner):
     makes transient block sizes harmless: a block that is still growing keeps
     resetting the age of any separator it helped realize.  Each member's
     separator is held as plain (size, index) pairs, one per component.
+
+    ``_named`` holds, for each (size, index) some separator names, the birth
+    of the index-th oldest block of that size, None while there is none; a
+    recompute re-reads only the entries at moved sizes.  A newly born block
+    goes to the end of its size's list, so a moved size seldom changes a
+    named entry, and the ages are computed again only when the minimal hosts
+    or a named birth changed.
     """
 
     name = "separator"
+    _owned = ("_state", "_counts", "_buckets", "_named")
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         super().__init__(members, enforce)
@@ -400,34 +445,41 @@ class SeparatorLearner(MinEmbedLearner):
             tuple((c.size.finite, c.index) for c in separator_of(m, self.members).components)
             for m in self.members
         ]
+        self._indices: dict[int, set[int]] = {}  # the named indices of each size
+        for size, index in chain.from_iterable(self._separators):
+            self._indices.setdefault(size, set()).add(index)
         n = len(self.members)
         self._class_of: list[list[int]] = [
             [j for j in range(n) if fin_biembeddable(self.members[j], self.members[i])]
             for i in range(n)
         ]
 
-    def _realized_since(self, sep: tuple[tuple[int, int], ...]) -> int | None:
-        """Earliest stage from which one fixed witness assignment for every
-        component (size, index) of the separator `sep` has persisted; None
-        when some component is unrealized."""
-        by_size = self._state.births_by_size
-        since = 0
-        for size, index in sep:
-            entries = by_size.get(size, ())
-            if len(entries) < index:
-                return None
-            birth = entries[index - 1][0]
-            if birth > since:
-                since = birth
-        return since
+    def reset(self) -> None:
+        super().reset()
+        self._named: dict[tuple[int, int], int | None] = {}
 
-    def _recompute(self) -> None:
-        super()._recompute()
-        if self._cached_index is not None:
-            seps = self._separators
-            ages = [(self._realized_since(seps[j]), j) for j in self._class_of[self._cached_index]]
-            best = min((age for age in ages if age[0] is not None), default=None)
-            self._cached = self.members[best[1]] if best else None
+    def _read(self, moved: set, by_size: dict) -> bool:
+        hosts = super()._read(moved, by_size)
+        named, changed = self._named, False
+        for size in moved:
+            entries = by_size.get(size, ())
+            for index in self._indices.get(size, ()):
+                birth = entries[index - 1][0] if index <= len(entries) else None
+                if named.get((size, index)) != birth:
+                    named[size, index] = birth
+                    changed = True
+        return hosts or changed
+
+    def _choose(self) -> None:
+        # a separator's age is the latest birth among its named entries
+        super()._choose()
+        if self._pick is not None:
+            ages = []
+            for j in self._class_of[self._pick]:
+                births = [self._named.get(c) for c in self._separators[j]]
+                if None not in births:
+                    ages.append((max(births, default=0), j))
+            self._pick = min(ages)[1] if ages else None
 
 
 def distinguishing_substructure(

@@ -95,7 +95,12 @@ class PrefixState:
     the census of block sizes, and the k-th smallest birth among the blocks
     of one size is its list's k-th entry.  The decoder keeps no census:
     `char()` is built on each call, and a learner caches what it reads of
-    it by `struct_rev`.
+    it by `struct_rev`.  `moved_sizes` holds the sizes whose list changed
+    since its reader last cleared it: the two block mutators add to it, a
+    singleton's birth size 1 and a union both old sizes and the new one, so
+    every way of decoding reports there.  The min-embed and separator
+    learners fold in only those sizes and clear it; a reader that never
+    clears it keeps it bounded by the number of distinct sizes.
 
     `advance` decodes items one at a time, and `feed` and `feed_all` run
     it; there `neg_rev` counts the negative facts that first separated two
@@ -112,8 +117,8 @@ class PrefixState:
     """
 
     __slots__ = (
-        "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members",
-        "_bit", "_mask", "_neg", "birth", "births_by_size", "_pending", "_least", "_read",
+        "kind", "stage", "struct_rev", "neg_rev", "_parent", "_members", "_bit", "_mask",
+        "_neg", "birth", "births_by_size", "moved_sizes", "_pending", "_least", "_read",
     )
 
     def __init__(self, kind: str = INFORMANT):
@@ -128,6 +133,7 @@ class PrefixState:
         self._neg: dict[int, int] = {}
         self.birth: dict[int, int] = {}
         self.births_by_size: dict[int, list[tuple[int, int]]] = {}
+        self.moved_sizes: set[int] = set()
         self._pending: Optional[Callable[[PrefixState], None]] = None
         self._least: dict[int, int] = {}
         self._read = 0
@@ -147,6 +153,7 @@ class PrefixState:
         self.birth[x] = stage
         # two elements first mentioned by one item share a stage
         insort(self.births_by_size.setdefault(1, []), (stage, x))
+        self.moved_sizes.add(1)
         self.struct_rev += 1
         return x
 
@@ -154,22 +161,25 @@ class PrefixState:
         members, birth, by_size = self._members, self.birth, self.births_by_size
         if len(members[a]) < len(members[b]):
             a, b = b, a
+        moved = self.moved_sizes
         for root in (a, b):
             size = len(members[root])
             entries = by_size[size]
             del entries[bisect_left(entries, (birth[root], root))]
             if not entries:
                 del by_size[size]
-        moved = members.pop(b)
+            moved.add(size)
+        joined = members.pop(b)
         parent = self._parent
-        for x in moved:
+        for x in joined:
             parent[x] = a
-        members[a] += moved
+        members[a] += joined
         self._mask[a] |= self._mask.pop(b)
         self._neg[a] |= self._neg.pop(b)
         del birth[b]
         birth[a] = stage
         insort(by_size.setdefault(len(members[a]), []), (stage, a))
+        moved.add(len(members[a]))
         self.struct_rev += 1
 
     # -- decoding -----------------------------------------------------------
@@ -368,6 +378,7 @@ class PrefixState:
         dup._neg = dict(self._neg)
         dup.birth = dict(self.birth)
         dup.births_by_size = {s: list(e) for s, e in self.births_by_size.items()}
+        dup.moved_sizes = set(self.moved_sizes)
         dup._pending = self._pending
         dup._least = dict(self._least)
         dup._read = self._read

@@ -124,6 +124,10 @@ class Family:
         gen = data.get("generator")
         if gen is None:
             return cls(members)
+        if not isinstance(gen, dict):
+            raise TypeError(f"a generator is a JSON object, not a {type(gen).__name__}")
+        if not isinstance(gen.get("name"), str):
+            raise TypeError("a generator's name is a JSON string")
         return cls(members, gen["name"])
 
 

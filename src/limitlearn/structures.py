@@ -182,8 +182,14 @@ class Character:
     ) -> "Character":
         default = ext(default)
         items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        canon = sorted((_size(k), ext(v)) for k, v in items)
-        canon = tuple((k, v) for k, v in canon if v != default)
+        counts: dict[int, ExtNat] = {}
+        for k, v in items:
+            k = _size(k)
+            # before defaults are dropped, so [[1, 0], [1, "omega"]] is refused too
+            if k in counts:
+                raise RepresentationError(f"duplicate exception for size {k}")
+            counts[k] = ext(v)
+        canon = tuple(sorted((k, v) for k, v in counts.items() if v != default))
         return cls(default, canon, ext(omega_count))
 
     @classmethod
@@ -192,14 +198,16 @@ class Character:
 
         A pair whose size slot is "omega"/OMEGA sets the infinite-class count.
         """
-        omega_count: ExtNat = ZERO
+        omega: list[ExtNat] = []
         exc: list[tuple[int, ExtNat]] = []
         for size, count in pairs:
             if size == "omega" or (isinstance(size, ExtNat) and size.is_omega):
-                omega_count = ext(count)
+                omega.append(ext(count))
             else:
                 exc.append((size, ext(count)))
-        return cls.make(0, exc, omega_count)
+        if len(omega) > 1:
+            raise RepresentationError("duplicate exception for size omega")
+        return cls.make(0, exc, omega[0] if omega else ZERO)
 
     @cached_property
     def exception_map(self) -> dict[int, ExtNat]:
@@ -277,7 +285,7 @@ class Character:
         exceptions = data.get("exceptions", {})
         if not isinstance(exceptions, dict):
             raise TypeError(f"exceptions are a JSON object, not a {type(exceptions).__name__}")
-        exc = {int(k): v for k, v in exceptions.items()}
+        exc = [(int(k), v) for k, v in exceptions.items()]
         return cls.make(data.get("default", 0), exc, data.get("omega_count", 0))
 
 

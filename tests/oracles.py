@@ -681,7 +681,8 @@ class SetPrefixState:
 
 
 # ---------------------------------------------------------------------------
-# The host computation the prefix's plain profile replaced
+# The recomputes the running census replaced, and the host computation the
+# prefix's plain profile replaced
 
 
 def char_minimal_hosts(state, members, strictly_below) -> list[int]:
@@ -692,15 +693,75 @@ def char_minimal_hosts(state, members, strictly_below) -> list[int]:
     return [i for i in hosts if not any(strictly_below[i][j] for j in hosts)]
 
 
-class CharMinEmbedLearner(MinEmbedLearner):
-    """The min-embed learner with its hosts from `char_minimal_hosts`."""
+class ScratchMinEmbedLearner(MinEmbedLearner):
+    """The min-embed learner recomputed from scratch at each structural
+    revision: the clamped census rebuilt from every entry of
+    ``births_by_size``, looked up in the host memo.  The reference for the
+    library's running census, which reads only the sizes the decoder
+    moved."""
+
+    def _minimal_hosts(self) -> list[int]:
+        top, cap, census = self._top, self._cap, {}
+        for size, entries in self._state.births_by_size.items():
+            if size > top:
+                size = top
+            n = census.get(size, 0) + len(entries)
+            census[size] = n if n < cap else cap
+        key = frozenset(census.items())
+        hosts = self._hosts.get(key)
+        if hosts is None:
+            hosts = self._hosts[key] = minimal_hosts(
+                profile_of(census), self._profiles, self._strictly_below)
+        return hosts
+
+    def _recompute(self) -> None:
+        minimal = self._minimal_hosts()
+        self._cached_index = min(minimal) if minimal else None
+        self._cached = self.members[self._cached_index] if minimal else None
+
+
+class ScratchSeparatorLearner(SeparatorLearner):
+    """The separator learner recomputed from scratch: the hosts as in
+    ``ScratchMinEmbedLearner``, and every age in the current class read
+    again from ``births_by_size`` (`_realized_since`)."""
+
+    _minimal_hosts = ScratchMinEmbedLearner._minimal_hosts
+
+    def _realized_since(self, sep: tuple[tuple[int, int], ...]) -> int | None:
+        """Earliest stage from which one fixed witness assignment for every
+        component (size, index) of the separator `sep` has persisted; None
+        when some component is unrealized."""
+        by_size = self._state.births_by_size
+        since = 0
+        for size, index in sep:
+            entries = by_size.get(size, ())
+            if len(entries) < index:
+                return None
+            birth = entries[index - 1][0]
+            if birth > since:
+                since = birth
+        return since
+
+    def _recompute(self) -> None:
+        ScratchMinEmbedLearner._recompute(self)
+        if self._cached_index is not None:
+            seps = self._separators
+            ages = [(self._realized_since(seps[j]), j) for j in self._class_of[self._cached_index]]
+            best = min((age for age in ages if age[0] is not None), default=None)
+            self._cached = self.members[best[1]] if best else None
+
+
+class CharMinEmbedLearner(ScratchMinEmbedLearner):
+    """The from-scratch min-embed learner with its hosts from
+    `char_minimal_hosts`."""
 
     def _minimal_hosts(self) -> list[int]:
         return char_minimal_hosts(self._state, self.members, self._strictly_below)
 
 
-class CharSeparatorLearner(SeparatorLearner):
-    """The separator learner with its hosts from `char_minimal_hosts`."""
+class CharSeparatorLearner(ScratchSeparatorLearner):
+    """The from-scratch separator learner with its hosts from
+    `char_minimal_hosts`."""
 
     _minimal_hosts = CharMinEmbedLearner._minimal_hosts
 

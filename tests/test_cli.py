@@ -140,6 +140,13 @@ INPUT_FILES = {
     "five_tail_gen": '{"members": [[[5, "omega"]]], "generator": {"name": "five_n_tail"}}',
     "no_members": '{"members": []}',
     "kronecker_gen": '{"generator": {"name": "kronecker"}}',
+    "size_twice": '{"members": [[[2, 1], [2, 3]]]}',
+    "size_twice_alike": '{"members": [[[2, 1], [2, 1]]]}',
+    "size_twice_default": '{"members": [[[1, 0], [1, "omega"]]]}',
+    "size_twice_keys": '{"members": [{"exceptions": {"2": 1, "02": 3}}]}',
+    "omega_twice": '{"members": [[["omega", 1], ["omega", 2]]]}',
+    "generator_string": '{"members": [[[2, 1]]], "generator": "kronecker"}',
+    "generator_nameless": '{"members": [[[2, 1]]], "generator": {}}',
 }
 
 # Each input error and its documented exit code: 2 for a parse or usage
@@ -209,6 +216,19 @@ EXIT_CODE_TABLE = [
     (("check", "--family", "{exceptions_list}"), 2, "cannot parse family file"),
     (("check", "--family", "{exceptions_string}"), 2, "cannot parse family file"),
     (("check", "--family", "{exceptions_null}"), 2, "cannot parse family file"),
+    # a size listed twice: with two counts, one count twice, the default and
+    # another, as two keys that name one size, or the infinite classes twice
+    (("check", "--family", "{size_twice}"), 3, "invalid family: duplicate exception for size 2"),
+    (("check", "--family", "{size_twice_alike}"), 3,
+     "invalid family: duplicate exception for size 2"),
+    (("check", "--family", "{size_twice_default}"), 3,
+     "invalid family: duplicate exception for size 1"),
+    (("check", "--family", "{size_twice_keys}"), 3, "invalid family: duplicate exception for size 2"),
+    (("check", "--family", "{omega_twice}"), 3, "invalid family: duplicate exception for size omega"),
+    (("check", "--family", "{generator_string}"), 2,
+     "cannot parse family file: a generator is a JSON object, not a str"),
+    (("check", "--family", "{generator_nameless}"), 2,
+     "cannot parse family file: a generator's name is a JSON string"),
     (("replay", "--items", "{items}", "--summary", "{summary_list}"), 2,
      "cannot parse recorded summary"),
     (("replay", "--items", "{items}", "--summary", "{summary_string}"), 2,

@@ -35,7 +35,13 @@ from limitlearn import (
     weak_locking_search,
 )
 from limitlearn.bridge import LanguageToStructLearner
-from limitlearn.learners import EchoLearner, MinEmbedLearner, SeparatorLearner, minimal_hosts
+from limitlearn.learners import (
+    EchoLearner,
+    MinEmbedLearner,
+    SeparatorLearner,
+    minimal_hosts,
+    run_stages,
+)
 
 from families import (
     ANTICHAIN_FAMILIES,
@@ -59,6 +65,8 @@ from oracles import (
     CharSeparatorLearner,
     ComposedLanguageToStructLearner,
     ListTrace,
+    ScratchMinEmbedLearner,
+    ScratchSeparatorLearner,
     brute_fin_embeds,
     char_minimal_hosts,
     cumulative_distinguishing_substructure,
@@ -1102,3 +1110,129 @@ def test_constant_and_split_learners_end_their_reading_once_settled(target):
             learner_split_on_negative, partial(fair_informant, target, seed), 3000, target)
         assert read == (want.trace.mind_changes_ex or [3000])[0]
         assert learner.settled == (read < 3000)
+
+
+# ---------------------------------------------------------------------------
+# Recomputes that read only what the decoder moved
+
+
+def _recompute_pairs(family, mode=INFORMANT):
+    """The min-embed and separator learners on `family`, each with its
+    from-scratch reference, reading `mode`: the separator only where every
+    member's classes are finite."""
+    kinds = [(MinEmbedLearner, ScratchMinEmbedLearner)]
+    if all(m.count(OM) == 0 for m in family):
+        kinds.append((SeparatorLearner, ScratchSeparatorLearner))
+    pairs = [(make(family, enforce=False), ref(family, enforce=False)) for make, ref in kinds]
+    if mode == TEXT:
+        pairs = [(learner_from_text(a), learner_from_text(b)) for a, b in pairs]
+    return pairs
+
+
+def _assert_recomputes_agree(learner, reference, where):
+    """Equal conjectures, chosen hosts and minimal host lists."""
+    got, want = learner.conjecture(), reference.conjecture()
+    assert conjectures_equal(got, want), (learner.name, where, got, want)
+    assert learner._cached_index == reference._cached_index, (learner.name, where)
+    assert learner._minimal == reference._minimal_hosts(), (learner.name, where)
+
+
+def _assert_runs_agree(learner, reference, stops, stride=1):
+    """Step both learners through `stops`, pairs of equal stages, comparing
+    them at every `stride`-th stop (so events pile up between two
+    recomputes) and at the end."""
+    for k, (got, want) in enumerate(stops):
+        assert got == want
+        if k % stride == 0:
+            _assert_recomputes_agree(learner, reference, got)
+    _assert_recomputes_agree(learner, reference, "end")
+
+
+_RECOMPUTE_FAMILIES = {**SEPARABLE_CORPUS, **BOUND_FAMILIES}
+
+
+@st.composite
+def recompute_runs(draw):
+    """A family, corpus or ``BOUND_FAMILIES``, a census to present, one of
+    its members or any census (whose blocks pass the memo's bounds), a
+    stream seed and a horizon."""
+    family = _RECOMPUTE_FAMILIES[draw(st.sampled_from(sorted(_RECOMPUTE_FAMILIES)))]
+    target = draw(st.one_of(st.sampled_from(family), _ANY_CENSUS))
+    return family, target, draw(st.integers(0, 2**16)), draw(st.integers(1, 1500))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recompute_runs(), st.sampled_from(("fair", "text", *REORDER_STRATEGIES)),
+       st.integers(1, 60), st.integers(1, 4))
+def test_running_recomputes_match_the_scratch_ones_on_the_event_path(run, kind, window, stride):
+    """``run_plan`` on fair and reordered informants and, through
+    ``learner_from_text``, on fair texts."""
+    family, target, seed, horizon = run
+    if kind == "fair":
+        stream = partial(fair_informant, target, seed)
+    elif kind == "text":
+        stream = partial(fair_text, target, seed)
+    else:
+        stream = partial(reordered_informant, target, seed, kind, window)
+    for learner, reference in _recompute_pairs(family, TEXT if kind == "text" else INFORMANT):
+        _assert_recomputes_agree(learner, reference, 0)
+        stops = zip(learner.run_plan(stream(), horizon), reference.run_plan(stream(), horizon))
+        _assert_runs_agree(learner, reference, stops, stride)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefixes_past_the_bounds(), st.integers(1, 4))
+@example((EXAMPLE1, _blocks({8: 1, 6: 3})), 1)
+# a singleton joins the 3-block at stage 12: the finite member's two
+# singletons host the prefix only if the size the singleton left is read
+@example((BOUND_FAMILIES["default"],
+          list(islice(fair_informant(BOUND_FAMILIES["default"][1], 1), 12))), 1)
+def test_running_recomputes_match_the_scratch_ones_item_by_item(case, stride):
+    family, items = case
+    for learner, reference in _recompute_pairs(family):
+        stops = zip(run_stages(learner, iter(items)), run_stages(reference, iter(items)))
+        _assert_runs_agree(learner, reference, stops, stride)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_RECOMPUTE_FAMILIES)), st.integers(1, 16), st.data())
+def test_running_recomputes_match_the_scratch_ones_over_diagonalizer_stages(name, n, data):
+    """``consume_stage``, whose stages decode many events between two
+    recomputes."""
+    family = _RECOMPUTE_FAMILIES[name]
+    cls = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    marks = sorted({*data.draw(st.lists(st.integers(1, n), max_size=4)), n})
+    for learner, reference in _recompute_pairs(family):
+        old_n = 0
+        for n in marks:
+            learner.consume_stage(cls, old_n, n)
+            reference.consume_stage(cls, old_n, n)
+            old_n = n
+            _assert_recomputes_agree(learner, reference, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(recompute_runs(), st.integers(0, 5))
+# the clone's blocks realize separators that the original has not
+@example((SEPARABLE_CORPUS["kron3"], kron_slice(1)[0], 0, 1), 0)
+def test_a_clone_taken_mid_run_recomputes_like_a_scratch_learner(run, pick):
+    """A learner runs its planned stream to a horizon and is cloned; the
+    clone then reads a fair informant of a member on fresh elements and the
+    original the rest of its own stream, each against a reference that ran
+    the same."""
+    family, target, seed, cut = run
+    other = family[pick % len(family)]
+    tails = (
+        [(x + 10**6, y + 10**6, label) for x, y, label in islice(fair_informant(other, seed), 300)],
+        list(islice(fair_informant(target, seed), cut, cut + 300)),
+    )
+    for original, reference in _recompute_pairs(family):
+        for _ in original.run_plan(fair_informant(target, seed), cut):
+            original.conjecture()
+        dup = original.clone()
+        for learner, tail in zip((dup, original), tails):
+            fresh = type(reference)(family, enforce=False)
+            for _ in fresh.run_plan(fair_informant(target, seed), cut):
+                pass
+            stops = zip(run_stages(learner, iter(tail)), run_stages(fresh, iter(tail)))
+            _assert_runs_agree(learner, fresh, stops)
