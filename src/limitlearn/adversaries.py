@@ -31,7 +31,6 @@ from .presentations import (
 )
 from .separability import FamilyError, imitates
 from .structures import (
-    OMEGA,
     ZERO,
     Character,
     char_subset,
@@ -156,7 +155,7 @@ class _TargetBuilder(_Walk):
                                    filter(avail, pattern_sizes(target)))
 
     def _avail(self, size: Optional[int]) -> bool:
-        return self.used[size] < self.target.count(OMEGA if size is None else size)
+        return self.used[size] < self.target.count(math.inf if size is None else size)
 
     def _fit(self, sizes: list[int]) -> list[Optional[int]]:
         """Plan a class of the census for each block size, largest block
@@ -559,7 +558,7 @@ class _TextBuilder(_Walk):
     its elements share a class and as a pause otherwise."""
 
     def __init__(self, target: Character, blocks: Sequence[Sequence[int]]):
-        self.k = target.count(OMEGA)
+        self.k = target.count(math.inf)
         if target.default != ZERO or target.exceptions or not 0 < self.k < math.inf:
             raise FamilyError("text locking search completes only toward finitely many "
                               "infinite classes and no finite ones")
@@ -682,9 +681,10 @@ class LockingNormalForm(Learner):
     shadow's conjecture, which is the wrapper's, alone, so only the run's
     last item is probed.
 
-    Sigma moves at most once per item read since ``reset``, as the classic
-    construction bounds its search by the input, so every call returns, even
-    where each item flips the wrapped learner.  A drain the bound cuts short
+    Sigma moves only while it stays at most twice as long as the items read
+    since ``reset``, as the classic construction bounds its search by the
+    input; each move lengthens it, so every call returns, even where each
+    item flips the wrapped learner.  A drain the bound cuts short
     carries its queue, and the whole-history probe it owes, into the next
     call, which reads one item, as ``consume`` does.
     """
@@ -705,19 +705,18 @@ class LockingNormalForm(Learner):
         self._shadow = self._at_sigma.clone()  # state at sigma + full history
         self._no_flip: set = set()
         self._queue: deque = deque()  # the probes still to drain
-        self._moves, self._cut = 0, False
+        self._cut = False
 
     def _replay(self) -> None:
         self._shadow = self._at_sigma.clone()
         self._shadow.consume_all(self._history)
 
     def _changed(self, new_at_sigma, appended: list) -> bool:
-        """Move sigma, unless it has moved once per item read, and queue the
-        history's distinct items, in first-seen order, to be probed again;
-        returns whether it moved."""
-        if self._moves >= len(self._history):
+        """Move sigma, unless that makes it longer than twice the items
+        read, and queue the history's distinct items, in first-seen order, to
+        be probed again; returns whether it moved."""
+        if len(self._sigma) + len(appended) > 2 * len(self._history):
             return False
-        self._moves += 1
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
         self._no_flip.clear()

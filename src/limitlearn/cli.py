@@ -202,6 +202,8 @@ def _run_one_simulation(args, seed: int):
     target = _member(family, args.target)
     _check_run_length(args.horizon, args.window)
     if learner.mode == TEXT:
+        if args.reorder:
+            raise CliError(f"text learner {args.learner!r} does not read --reorder", EXIT_PARSE)
         stream = fair_text(target, seed)
     elif args.reorder:
         stream = reordered_informant(target, seed, args.reorder)
@@ -232,6 +234,8 @@ def _simulate_cell(payload):
 def _seed_list(args) -> list[int]:
     if not args.seeds:
         return [_default_seed(args)]
+    if args.seed is not None:
+        raise CliError("simulate --seeds does not read --seed", EXIT_PARSE)
     lo, _, hi = args.seeds.partition(":")
     try:
         seeds = list(range(int(lo), int(hi)))

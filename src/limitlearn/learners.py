@@ -65,7 +65,6 @@ from .separability import FamilyError, fin_antichain, finitely_separable, separa
 from .structures import (
     Character,
     biembeddable,
-    fin_biembeddable,
     fin_embeds,
     profile_le,
     profile_of,
@@ -327,14 +326,15 @@ class MinEmbedLearner(EchoLearner):
     minimal in the finite-embedding order among the hosts.
 
     Host checks read plain-number profiles against each member's, cached at
-    construction, so no census is built per structural revision.  The minimal
-    hosts are memoized by the prefix's block-size census clamped at the
-    family's bounds: block sizes at ``_top``, one past the largest size any
-    member lists, and block counts at ``_cap``, one past the largest finite
-    cumulative count any member has.  Every member's profile is flat past
-    the size bound, and a count at the count bound exceeds every finite one,
-    so a clamped census is hosted by exactly the members that host the
-    census itself.  The memo depends only on the members, so
+    construction, so no census is built per structural revision; the
+    members' finite-embedding order is read from the same profiles, once.
+    The minimal hosts are memoized by the prefix's block-size census clamped
+    at the family's bounds: block sizes at ``_top``, one past the largest
+    size any member lists, and block counts at ``_cap``, one past the
+    largest finite cumulative count any member has.  Every member's profile
+    is flat past the size bound, and a count at the count bound exceeds
+    every finite one, so a clamped census is hosted by exactly the members
+    that host the census itself.  The memo depends only on the members, so
     clones share it and ``reset`` keeps it; a merge can make a member a host
     again, so it is keyed by census rather than narrowed as the prefix grows.
 
@@ -364,12 +364,11 @@ class MinEmbedLearner(EchoLearner):
         self._cap = 1 + max((c for _, counts in self._profiles for c in counts if c != math.inf),
                             default=0)
         self._hosts: dict[frozenset, list[int]] = {}
+        # the family's finite-embedding order, computed once:
+        # `_embeds[i][j]` when member i finitely embeds into member j
+        self._embeds = le = [[profile_le(p, q) for q in self._profiles] for p in self._profiles]
         n = len(members)
-        self._strictly_below = [
-            [fin_embeds(members[j], members[i]) and not fin_embeds(members[i], members[j])
-             for j in range(n)]
-            for i in range(n)
-        ]
+        self._strictly_below = [[le[j][i] and not le[i][j] for j in range(n)] for i in range(n)]
         self.reset()
 
     def reset(self) -> None:
@@ -448,11 +447,8 @@ class SeparatorLearner(MinEmbedLearner):
         self._indices: dict[int, set[int]] = {}  # the named indices of each size
         for size, index in chain.from_iterable(self._separators):
             self._indices.setdefault(size, set()).add(index)
-        n = len(self.members)
-        self._class_of: list[list[int]] = [
-            [j for j in range(n) if fin_biembeddable(self.members[j], self.members[i])]
-            for i in range(n)
-        ]
+        le, n = self._embeds, len(self.members)
+        self._class_of = [[j for j in range(n) if le[j][i] and le[i][j]] for i in range(n)]
 
     def reset(self) -> None:
         super().reset()

@@ -232,11 +232,8 @@ def finitely_separable(members: Sequence[Character]) -> SeparabilityResult:
     """No member is a limit of the others.  For a finite family the subfamily
     quantifier collapses to this pairwise check."""
     _require_finite_classes(members, "finite separability")
-    for candidate in members:
-        witness = limit_witness(candidate, members)
-        if witness is not None:
-            return SeparabilityResult(False, (candidate, witness))
-    return SeparabilityResult(True)
+    pair = next(((c, m) for c in members for m in members if imitates(m, c)), None)
+    return SeparabilityResult(pair is None, pair)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,12 @@ all; learners check their hosts that way.
 
 ``ExtNat`` is only what a census field, a component size and the JSON hold.
 Every comparison of counts is made on plain numbers: ``Character.count``
-answers an ``int`` or ``math.inf``, and ``ExtNat`` has no ordering of its
-own and equals only another ``ExtNat``.
+takes a plain size (an ``int`` >= 1, or ``math.inf`` for the infinite
+classes) and answers an ``int`` or ``math.inf``, and ``ExtNat`` has no
+ordering of its own and equals only another ``ExtNat``.  The pointwise
+comparisons of two censuses (``char_subset``, ``char_diff_min``) read counts
+at one set of sizes: those either census lists, and the least size neither
+lists.
 """
 from __future__ import annotations
 
@@ -217,15 +221,15 @@ class Character:
     def sizes_of_interest(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.exceptions)
 
-    def count(self, size: "ExtNat | int | str") -> int | float:
-        """Number of classes of exactly the given size, as a plain number:
-        an ``int``, or ``math.inf`` for omega."""
-        size = ext(size)
-        if size.is_omega:
+    def count(self, size: int | float) -> int | float:
+        """Number of classes of exactly the given plain size (an ``int`` >= 1,
+        or ``math.inf`` for the infinite classes), as a plain number: an
+        ``int``, or ``math.inf`` for omega."""
+        if size == math.inf:
             return _plain(self.omega_count)
-        if size.finite < 1:
+        if _size(size) < 1:
             raise RepresentationError("class sizes start at 1")
-        return _plain(self.exception_map.get(size.finite, self.default))
+        return _plain(self.exception_map.get(size, self.default))
 
     @cached_property
     def cumulative_profile(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -239,7 +243,7 @@ class Character:
         return profile_of({s: _plain(c) for s, c in self.exceptions}, _plain(self.omega_count))
 
     def has_component(self, comp: Component) -> bool:
-        return self.count(comp.size) >= comp.index
+        return self.count(_plain(comp.size)) >= comp.index
 
     @property
     def is_empty(self) -> bool:
@@ -293,14 +297,18 @@ class Character:
 # Embedding order on characters
 
 
+def _deciding_sizes(a: Character, b: Character) -> set[int]:
+    """The finite sizes that decide every pointwise comparison of the counts
+    of `a` and `b`: those either census lists, and the least size neither
+    lists, where both counts are their defaults."""
+    sizes = {*a.sizes_of_interest, *b.sizes_of_interest}
+    sizes.add(next(k for k in range(1, len(sizes) + 2) if k not in sizes))
+    return sizes
+
+
 def char_subset(a: Character, b: Character) -> bool:
     """Pointwise count comparison: every class demand of `a` is met exactly in `b`."""
-    if _plain(a.default) > _plain(b.default):
-        return False
-    if _plain(a.omega_count) > _plain(b.omega_count):
-        return False
-    return all(a.count(size) <= b.count(size)
-               for size in {*a.sizes_of_interest, *b.sizes_of_interest})
+    return all(a.count(size) <= b.count(size) for size in (*_deciding_sizes(a, b), math.inf))
 
 
 def char_diff_min(c: Character, s: Character) -> Component | None:
@@ -311,22 +319,10 @@ def char_diff_min(c: Character, s: Character) -> Component | None:
     """
     if c.omega_count != ZERO or s.omega_count != ZERO:
         raise RepresentationError("component difference requires structures with finite classes")
-    candidate_sizes = set(c.sizes_of_interest) | set(s.sizes_of_interest)
-    # Smallest size governed by both defaults: relevant when c's default
-    # exceeds s's, in which case every such size yields a missing component.
-    k = 1
-    while k in candidate_sizes:
-        k += 1
-    candidate_sizes.add(k)
-    best: Component | None = None
-    for size in candidate_sizes:
-        have, bound = c.count(size), s.count(size)
-        if have > bound:
-            # bound is finite here since have > bound
-            cand = Component(ExtNat(size), bound + 1)
-            if best is None or cand.sort_key() < best.sort_key():
-                best = cand
-    return best
+    # where c has more classes than s, s's count is finite
+    missing = [Component(ExtNat(size), s.count(size) + 1)
+               for size in _deciding_sizes(c, s) if c.count(size) > s.count(size)]
+    return min(missing, key=Component.sort_key, default=None)
 
 
 def profile_of(counts: Mapping[int, float], infinite: float = 0) -> tuple[tuple[int, ...], tuple]:

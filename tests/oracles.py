@@ -85,7 +85,7 @@ def truncation(char: Character, copies_cap: int, top: int) -> tuple:
     sizes: list = []
     for size in range(1, top + 1):
         sizes.extend([size] * min(char.count(size), copies_cap))
-    sizes.extend([INF] * min(char.count(OMEGA), copies_cap))
+    sizes.extend([INF] * min(char.count(math.inf), copies_cap))
     return tuple(sizes)
 
 
@@ -231,7 +231,7 @@ def rescan_spawn_sizes(target, used, n):
     used = Counter(used)
 
     def avail(size):
-        return used[size] < target.count(OMEGA if size is None else size)
+        return used[size] < target.count(math.inf if size is None else size)
 
     finite, sources = slot_demand(target)
     pattern, turn, sizes = pattern_sizes(target), 0, []
@@ -836,13 +836,12 @@ def lang_member(lang, code: int) -> bool:
     return value.is_omega or j < value.finite
 
 
-def slot_count(seq, size) -> int | float:
-    """How many slots of the size sequence carry exactly the given size (the
-    census count property): those below its base, and past it one for each
-    residue class whose progression of sizes meets the size, or infinitely
-    many (``math.inf``) where that progression stands still on it."""
-    size = ext(size)
-    size = math.inf if size.is_omega else size.finite
+def slot_count(seq, size: int | float) -> int | float:
+    """How many slots of the size sequence carry exactly the given plain size
+    (``math.inf`` for infinite classes; the census count property): those
+    below its base, and past it one for each residue class whose progression
+    of sizes meets the size, or infinitely many (``math.inf``) where that
+    progression stands still on it."""
     base, period = seq.base, seq.period
     total = seq.values[:base].count(size)
     for first, second in zip(seq.values[base:base + period], seq.values[base + period:]):
@@ -1414,8 +1413,8 @@ class ItemKeyedLockingNormalForm(Learner):
     conjecture alone was keyed by the item itself, so every new item is
     probed: the reference for the memo keyed by ``Learner.probe_key``.  It
     reads one item per call, and bounds sigma as the wrapper does: sigma
-    moves at most once per item read, and a drain that bound cuts short
-    leaves its queue to the next item."""
+    moves only while it stays at most twice as long as the items read, and
+    a drain that bound cuts short leaves its queue to the next item."""
 
     _owned = ("_history", "_sigma", "_shadow", "_no_flip", "_queue")
 
@@ -1434,12 +1433,10 @@ class ItemKeyedLockingNormalForm(Learner):
         self._shadow = self._at_sigma.clone()
         self._no_flip: set = set()
         self._queue: deque = deque()
-        self._moves = 0
 
     def _changed(self, new_at_sigma, appended: list) -> bool:
-        if self._moves >= len(self._history):
+        if len(self._sigma) + len(appended) > 2 * len(self._history):
             return False
-        self._moves += 1
         self._sigma.extend(appended)
         self._at_sigma = new_at_sigma
         self._conj = new_at_sigma.conjecture()
@@ -1541,7 +1538,7 @@ class CodeWalkTextBuilder:
     which is also the fresh element the candidates name."""
 
     def __init__(self, target: Character, blocks):
-        self.k = target.count(OMEGA)
+        self.k = target.count(math.inf)
         self.class_of: dict[int, int] = {}
         ordered = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
         for i, block in enumerate(ordered):

@@ -170,6 +170,10 @@ EXIT_CODE_TABLE = [
     (("locking", "--depth", -1), 2, "argument --depth: must be at least 0"),
     (("locking", "--width", 0), 2, "argument --width: must be at least 1"),
     (("simulate", "--jobs", 0), 2, "argument --jobs: must be at least 1"),
+    # a text is never reordered, and a seed range replaces the single seed
+    (("simulate", "--learner", "txt-separator", "--reorder", "reverse"), 2,
+     "text learner 'txt-separator' does not read --reorder"),
+    (("simulate", "--seeds", "0:2", "--seed", 7), 2, "simulate --seeds does not read --seed"),
     # a text adversary needs a two-class item and a limit adversary an item
     # for a verdict, and zero mind changes would make "defeated" vacuous
     (("adversary", "--kind", "text", "--learner", "txt-constant", "--family", "{omega_pair}",

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 from itertools import islice
 
@@ -746,6 +747,38 @@ def test_profile_hosts_match_the_census_hosts(case):
         assert min_embed._cached_index == pairs[0][1]._cached_index
 
 
+_order_count = st.one_of(st.integers(0, 3), st.just(OM))
+
+
+def _order_censuses(infinite: bool):
+    """Censuses over sizes 1–5 with ω counts and defaults, with infinite
+    classes only when `infinite`."""
+    return st.builds(census, st.sampled_from([0, 0, 1, OM]),
+                     st.dictionaries(st.integers(1, 5), _order_count, max_size=3),
+                     st.sampled_from([0, 1, OM]) if infinite else st.just(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(
+    lambda infinite: st.lists(_order_censuses(infinite), min_size=1, max_size=5, unique=True)))
+@example([census(0, {5: OM}), census(0, {6: OM})])
+@example([census(0, {5: OM}), census(0, {5: OM, 2: 1}), census(0, {3: 1})])
+def test_the_learners_family_order_matches_the_brute_force_oracle(family):
+    """Each learner's strict finite-embedding order and each separator's
+    bi-embeddability classes are the relations `brute_fin_embeds` gives:
+    member j is strictly below member i when j embeds into i and i not into
+    j, and j is in i's class when each embeds into the other."""
+    n = len(family)
+    le = [[brute_fin_embeds(a, b) for b in family] for a in family]
+    below = [[le[j][i] and not le[i][j] for j in range(n)] for i in range(n)]
+    assert MinEmbedLearner(family, enforce=False)._strictly_below == below
+    if all(m.count(math.inf) == 0 for m in family):
+        separator = SeparatorLearner(family, enforce=False)
+        assert separator._strictly_below == below
+        assert separator._class_of == [[j for j in range(n) if le[i][j] and le[j][i]]
+                                       for i in range(n)]
+
+
 # Families whose profiles end in infinite counts, where the memo's count
 # bound skips them: infinite classes, or a nonzero default
 BOUND_FAMILIES = {
@@ -801,7 +834,7 @@ def test_memoized_hosts_match_the_census_hosts_past_the_bounds(case):
     and on blocks and block counts past the memo's bounds."""
     family, items = case
     pairs = [(MinEmbedLearner(family, enforce=False), CharMinEmbedLearner(family, enforce=False))]
-    if all(m.count(OM) == 0 for m in family):
+    if all(m.count(math.inf) == 0 for m in family):
         pairs.append((SeparatorLearner(family, enforce=False),
                       CharSeparatorLearner(family, enforce=False)))
     for stage, item in enumerate(items):
@@ -1121,7 +1154,7 @@ def _recompute_pairs(family, mode=INFORMANT):
     from-scratch reference, reading `mode`: the separator only where every
     member's classes are finite."""
     kinds = [(MinEmbedLearner, ScratchMinEmbedLearner)]
-    if all(m.count(OM) == 0 for m in family):
+    if all(m.count(math.inf) == 0 for m in family):
         kinds.append((SeparatorLearner, ScratchSeparatorLearner))
     pairs = [(make(family, enforce=False), ref(family, enforce=False)) for make, ref in kinds]
     if mode == TEXT:

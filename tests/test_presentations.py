@@ -11,7 +11,6 @@ from limitlearn import (
     INFORMANT,
     TEXT,
     ConsistencyError,
-    OMEGA,
     Prefix,
     PrefixState,
     embeds,
@@ -446,7 +445,7 @@ def test_slot_demand_and_pattern_reproduce_the_census(default, exceptions, omega
     assert finite == sorted(finite, key=lambda s: (s is None, s))
     head = list(islice(pattern_sizes(char), 400)) if PATTERN in sources else []
     for size in [*range(1, 11), None]:
-        want = char.count(OMEGA if size is None else size)
+        want = char.count(math.inf if size is None else size)
         seen = finite.count(size) + head.count(size)
         if size in sources or seen >= 10:  # an unbounded demand
             assert want == math.inf, (char, size)

@@ -104,12 +104,26 @@ def test_count_reads_description():
     assert Character.of((5, OM)).count(5) == math.inf
     assert census(1, {2: 0}).count(2) == 0
     assert census(1, {2: 0}).count(7) == 1
-    assert census(0, {}, 2).count(OMEGA) == 2
+    assert census(0, {}, 2).count(math.inf) == 2
 
 
 def test_count_rejects_size_zero():
     with pytest.raises(RepresentationError):
         Character.of((5, OM)).count(0)
+
+
+@pytest.mark.parametrize("size", [ExtNat(2), OMEGA, "omega", "2", 2.0, True])
+def test_count_takes_a_plain_size(size):
+    """A size is an ``int`` or ``math.inf``: an ``ExtNat``, a string, a
+    non-integral float or a bool is refused, not coerced."""
+    with pytest.raises(TypeError):
+        census(1, {2: 0}, 3).count(size)
+
+
+def test_count_at_infinity_is_the_infinite_class_count():
+    assert census(1, {2: 0}, 3).count(math.inf) == 3
+    assert census(0, {5: OM}, OM).count(math.inf) == math.inf
+    assert census(0, {5: OM}).count(math.inf) == 0
 
 
 _count = st.one_of(st.integers(0, 4), st.just(OM))
