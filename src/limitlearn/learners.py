@@ -22,9 +22,9 @@ Where each learner's run stops:
   the prefix's block-size census clamped at the family's bounds;
   ``TextSplitLearner``, the split learner's text reading, counts the
   decoded blocks): at the item that moves ``struct_rev``, where
-  ``PrefixState.advance`` stops.  On an unread fair
-  stream their ``run_plan`` skips the items altogether: past a reordered
-  head it goes from one structural event to the next
+  ``PrefixState.advance`` stops.  On an unread planned stream, fair or
+  reordered, their ``run_plan`` builds no item: it goes from one
+  structural event to the next, a reordered head's included
   (``PrefixState.run_fair``).
 - ``OneShotLearner``: before firing, at the next structural revision while
   no witness's largest block fits the largest decoded block, else after one
@@ -261,10 +261,10 @@ class EchoLearner(Learner):
     ``consume`` runs ``advance``, which feeds the decoder, so a subclass
     reads whatever it reads of the items in ``_recompute``.  It reads only
     the decoded blocks and their births, never the negatives or the stage,
-    so ``run_simulation`` may move it through a fair stream from one
-    structural event to the next.  It reads them only up to a renaming of
-    elements: a prefix and its image under an injective renaming leave
-    equal conjectures.  So the next item's effect is fixed by its
+    so ``run_simulation`` may move it through a planned stream, fair or
+    reordered, from one structural event to the next.  It reads them only
+    up to a renaming of elements: a prefix and its image under an
+    injective renaming leave equal conjectures.  So the next item's effect is fixed by its
     ``probe_key``: the blocks its elements lie in (None for an element not
     yet mentioned), its label and whether it names one element twice.
     """
@@ -289,12 +289,10 @@ class EchoLearner(Learner):
         self._state.decode_stage(cls, old_n, n)
 
     def run_plan(self, stream: Stream, stop: int) -> Iterator[int]:
-        """The head, up to the plan's start, by ``advance``, then the fair
-        stream's structural events by ``PrefixState.run_fair``, with no item
-        built: blocks and births are those of the item-by-item run."""
-        seed, start = stream.plan
-        head = run_stages(self, islice(stream, min(start, stop)))
-        return chain(head, self._state.run_fair(stream.character, seed, start, stop))
+        """The planned stream's structural events, reordered head and all,
+        by ``PrefixState.run_fair``, with no item built: blocks and births
+        are those of the item-by-item run."""
+        return self._state.run_fair(stream.character, stream.plan, stop)
 
     def probe_key(self, item):
         if item is None:  # a text pause

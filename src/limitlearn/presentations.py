@@ -3,7 +3,7 @@
 Items are plain tuples for speed: an informant item is ``(x, y, label)`` with
 label 1 for related and 0 for unrelated; a text item is ``(x, y)`` or ``None``
 for a pause.  Streams are single-consumer iterators tagged with their kind
-and, while unread, a fair stream's plan.
+and, while unread, the plan of a fair or reordered stream.
 
 The slot plan turns a census into class slots: `slot_demand` lists the
 classes it demands and `spawn_sizes` gives the order they are spawned in.
@@ -13,15 +13,17 @@ bridge's size sequences all spawn their slots in that order.
 Diagonalizer stages and fair streams walk a class map's pairs in Cantor
 order, so where blocks are born and merge follows from the class map alone:
 `_events` lists those structural events for both, and `PrefixState._apply`
-applies them (`decode_stage`, `run_fair`).
+applies them (`decode_stage`, `run_fair`).  A reordered informant permutes
+the head of that walk by one position function per strategy
+(`_head_order`), so its head's events follow from the class map too
+(`_head_events`).
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -107,12 +109,12 @@ class PrefixState:
     blocks.  `decode_stage` decodes a whole diagonalizer stage from its
     class map, without its items: there `neg_rev` moves once per stage that
     adds an element.  `_least` memoizes each class's least element over the
-    first `_read` elements of the class map.  `run_fair` decodes a run of a
-    fair stream from its events alone, leaving blocks, births, `stage` and
-    `struct_rev` as decoding its items would.  Neither writes the negatives
-    it skips: `_pending` holds that one write, a function of the state
-    (`copy` shares it), which `advance` and `separated` run once before
-    they read a negative.  After a stage it is `_write_apart`, as every two
+    first `_read` elements of the class map.  `run_fair` decodes a planned
+    stream, fair or reordered, from its events alone, leaving blocks,
+    births, `stage` and `struct_rev` as decoding its items would.  Neither
+    writes the negatives it skips: `_pending` holds that one write, a
+    function of the state (`copy` shares it), which `advance` and
+    `separated` run once before they read a negative.  After a stage it is `_write_apart`, as every two
     blocks are separated, and `separated` reads that without running it.
     """
 
@@ -258,8 +260,8 @@ class PrefixState:
         all applied, with `stage` standing there."""
         parent = self._parent
         for stage, group in itertools.groupby(events, lambda event: offset + event[0]):
-            for _, joins, x, m in group:
-                if joins:
+            for _, step, x, m in group:
+                if step == _JOIN:
                     self._union(parent[x], parent[m], stage)
                 else:
                     self._add_element(x, stage)
@@ -296,22 +298,26 @@ class PrefixState:
         self.stage = end
         self.neg_rev += 1
 
-    def run_fair(self, char: Character, seed: int, start: int, stop: int) -> Iterator[int]:
-        """Decode items start..stop-1 of the fair stream of the census
-        (`fair_informant` or `fair_text`, by the state's kind) from their
-        structural events, once the state holds the decoding of its first
-        `start` items, in any order; yields each stage that has events, as
-        `_apply` does, and stands at stage `stop` after the last.  Nothing
-        may be pending: the state is new, or `advance` decoded the head.
+    def run_fair(self, char: Character, plan: tuple[int, str | None, int],
+                 stop: int) -> Iterator[int]:
+        """Decode the first `stop` items of the planned stream of the census
+        (`Stream.plan`: `fair_informant` or `fair_text`, by the state's
+        kind, or `reordered_informant`) from their structural events, on a
+        new state; yields each stage that has events, as `_apply` does, and
+        stands at stage `stop` after the last.
 
-        An informant's skipped items are negative between classes or
-        positive within a block; the negatives, which no event shows, are
-        the pending write, and `neg_rev` moves once for them."""
-        if stop <= start:
+        Past a reordered head the events are the fair stream's
+        (`_events`); the head's own follow from the class map as well
+        (`_head_events`), and one `class_slots` draw serves both.  An
+        informant's skipped items are negative between classes or positive
+        within a block; the negatives, which no event shows, are the
+        pending write, and `neg_rev` moves once for them."""
+        if stop <= 0:
             return
+        seed, strategy, window = plan
         universe = char.finite_universe_size() if char.total_size_finite else None
         # element x is not mentioned before the code of (x, 0), x(x+1)/2
-        n = math.isqrt(2 * stop) + 1
+        n = math.isqrt(2 * max(stop, window)) + 1
         if universe is not None:
             n = min(n, universe)
         # a finite universe's informant walks its square, then repeats it
@@ -320,13 +326,18 @@ class PrefixState:
         square = universe if universe is not None and self.kind == INFORMANT else 2 * n
         slot = list(itertools.islice(class_slots(char, seed), n))
         events = [e for e in _events(self.kind, slot, {}, 0, n, partial(_cantor_rank, square))
-                  if start <= e[0] < stop]
+                  if window <= e[0] < stop]
+        if window:
+            events[:0] = sorted(e for e in _head_events(strategy, window, slot, square)
+                                if e[0] < stop)
         yield from self._apply(events, 1)
         self.stage = stop
         if self.kind == INFORMANT:
             def write(state: PrefixState) -> None:
                 parent, neg, bit = state._parent, state._neg, state._bit
-                for x, y, label in itertools.islice(fair_informant(char, seed), start, stop):
+                stream = (reordered_informant(char, seed, strategy, window) if window
+                          else fair_informant(char, seed))
+                for x, y, label in itertools.islice(stream, stop):
                     if not label:
                         neg[parent[x]] |= bit[y]
                         neg[parent[y]] |= bit[x]
@@ -499,13 +510,17 @@ def class_slots(char: Character, seed: int = 0) -> Iterator[int]:
     Every round each unfull slot takes one element, in slot order rotated to
     a seeded pivot, so finite classes complete and infinite ones grow
     unboundedly."""
-    if char.is_empty:
-        raise RepresentationError("cannot present the all-zero census")
+    _check_presentable(char)
     rng = random.Random(seed)
     finite, sources = slot_demand(char)
     rng.shuffle(finite)
     rng.shuffle(sources)
     return _filled_slots(spawn_sizes(reversed(finite), sources, pattern_sizes(char)), rng)
+
+
+def _check_presentable(char: Character) -> None:
+    if char.is_empty:
+        raise RepresentationError("cannot present the all-zero census")
 
 
 def _filled_slots(spawns: Iterator, rng: random.Random) -> Iterator[int]:
@@ -535,18 +550,18 @@ def _filled_slots(spawns: Iterator, rng: random.Random) -> Iterator[int]:
 class Stream:
     """A single-consumer stream of items of one kind.
 
-    `plan` is (seed, start) when the items from stage `start` on are those
-    of the fair stream of `character` drawn with `seed`: 0 for
-    `fair_informant` and `fair_text`, the window for `reordered_informant`.
-    A stream built from items has none.  Iterating the stream drops the
-    plan, since a stream once read no longer starts at stage 0; a
-    learner's `run_plan` may read an unread plan to skip to the stream's
-    structural events."""
+    `plan` is (seed, strategy, window) when the items are those of the
+    fair stream of `character` drawn with `seed`, but for the first
+    `window`, which the reorder `strategy` permutes (`reordered_informant`);
+    None and 0 for `fair_informant` and `fair_text`.  A stream built from
+    items has none.  Iterating the stream drops the plan, since a stream
+    once read no longer starts at stage 0; a learner's `run_plan` may read
+    an unread plan to skip to the stream's structural events."""
 
     kind: str
     character: Character | None
     _iterator: Iterator = field(repr=False)
-    plan: tuple[int, int] | None = None
+    plan: tuple[int, str | None, int] | None = None
 
     def __iter__(self):
         self.plan = None
@@ -585,26 +600,154 @@ def _cantor_rank(n: int, x: int, y: int) -> int:
     return below + max(0, min(y, n) - max(0, d - n + 1))
 
 
+_JOIN = 2  # an event's step: 0 or 1 is a birth, by the element's side of its pair
+
+
 def _events(kind: str, slot: Sequence, least: dict, lo: int, hi: int, code) -> list:
     """The structural events of elements lo..hi-1 in a presentation that
-    walks pairs in Cantor order, sorted, as (code, joins, x, partner):
+    walks pairs in Cantor order, sorted, as (code, step, x, partner):
     `slot[x]` is element x's class and `code(x, y)` the place of the pair
     (x, y) in the walk.  `least` maps each class to its least element and
-    holds every class of the elements below lo; it is extended here.
+    holds every class of the elements below lo; it is extended here.  A
+    birth's step is its element's side of the pair, 0 or 1, since an item
+    that first mentions both its elements mentions x before y; a join's
+    step is `_JOIN`, after the births at its pair, and it merges the blocks
+    of x and its partner in that order.
 
     In an informant, element x is first mentioned by the pair (x, 0) and
     joins its class by the pair (x, m), m the class's least element: no
     earlier pair relates x to a class-mate.  In a text, where only related
     pairs are stated, both happen at the pair (x, m), m being x itself when
-    x is the least element, and then x joins nothing.  A first mention sorts
-    before a join at the same pair."""
+    x is the least element, and then x joins nothing."""
     events = []
     for x in range(lo, hi):
         m = least.setdefault(slot[x], x)
-        events.append((code(x, m if kind == TEXT else 0), False, x, m))
+        events.append((code(x, m if kind == TEXT else 0), 0, x, m))
         if m != x:
-            events.append((code(x, m), True, x, m))
+            events.append((code(x, m), _JOIN, x, m))
     events.sort()
+    return events
+
+
+def _diagonal_starts(square: int, ranks: int) -> list[int]:
+    """The rank of each diagonal's first pair in the Cantor walk of
+    range(square)², for the diagonals that hold the first `ranks` ranks."""
+    starts, rank = [], 0
+    for d in range(2 * square - 1):
+        if rank >= ranks:
+            break
+        starts.append(rank)
+        rank += min(d, square - 1) - max(0, d - square + 1) + 1
+    return starts
+
+
+def _head_order(strategy: str, window: int, square: int, positives: list[int]):
+    """The order of a reordered informant's head: position(i, d) is where
+    the strategy puts the fair informant's item at walk index i < window,
+    whose pair lies on diagonal d.  `square` is the side of the square the
+    walk ranks its pairs in, and repeats when the head outruns it (a finite
+    universe's), so walk index i is copy * square² + rank; `positives`
+    lists the walk indices of the head's positive items, ascending.  Each
+    strategy keeps the fair order among the items it does not tell apart."""
+    if strategy == "reverse":
+        return lambda i, d: window - 1 - i
+    if strategy == "interleave-swap":
+        return lambda i, d: i ^ 1 if i ^ 1 < window else i
+    if strategy in ("negatives-first", "positives-first"):
+        # an item's rank within its label group, from the positives' ranks
+        n_pos = len(positives)
+        first, second = (0, n_pos) if strategy == "positives-first" else (window - n_pos, 0)
+
+        def by_label(i: int, d: int) -> int:
+            k = bisect_left(positives, i)
+            return first + k if k < n_pos and positives[k] == i else second + i - k
+        return by_label
+    # large-pairs-first: the diagonals in descending order, each in walk
+    # order; a copy holds a diagonal's `size` pairs, the last copy those it
+    # reaches
+    period = square * square
+    copies, rest = divmod(window - 1, period)
+    starts = _diagonal_starts(square, min(window, period))
+    sizes = [min(d, square - 1) - max(0, d - square + 1) + 1 for d in range(len(starts))]
+    base, behind = [0] * len(starts), 0
+    for d in reversed(range(len(starts))):
+        base[d] = behind - starts[d]
+        behind += copies * sizes[d] + min(max(rest + 1 - starts[d], 0), sizes[d])
+
+    def by_diagonal(i: int, d: int) -> int:
+        copy, rank = divmod(i, period)
+        return base[d] + copy * sizes[d] + rank
+    return by_diagonal
+
+
+def _head_events(strategy: str, window: int, slot: Sequence, square: int) -> list:
+    """The structural events of a reordered informant's head, unsorted and
+    as `_events` lists them, each at its item's position in the head:
+    `slot[x]` is element x's class for every element the head mentions,
+    and `square` as for `_head_order`.
+
+    Element x is first mentioned by the least position among a few pairs
+    that name it, in the first, second and last two copies of the square
+    the head holds: the two earliest (which interleave-swap may swap), its
+    first negative and first positive pair (the first of each label group),
+    and those on the last diagonal it reaches in the head and the one
+    below (the latest, for reverse, and the largest, for large-pairs-first).
+    Pairs that name x come in the walk with partners 0, 0, 1, 1, 2, ...
+    The joins are those of a union-find over the head's positive pairs,
+    taken in position order."""
+    period = square * square
+    starts = _diagonal_starts(square, min(window, period))
+    top = len(starts)  # the diagonals the head's first copy reaches
+    # the rank of (x, y) in the square is shift[x + y] + y
+    shift = [start - max(0, d - square + 1) for d, start in enumerate(starts)]
+    h = min(len(slot), top)  # the elements the head mentions
+    classes: dict = {}
+    for x in range(h):
+        classes.setdefault(slot[x], []).append(x)
+    positives, pairs = [], []
+    for members in classes.values():
+        for a in members:
+            for b in members:
+                d = a + b
+                if d >= top or shift[d] + b >= window:  # so for each later b
+                    break
+                for i in range(shift[d] + b, window, period):
+                    positives.append(i)
+                    if a != b:
+                        pairs.append((i, a, b))
+    positives.sort()
+    position = _head_order(strategy, window, square, positives)
+
+    copies, rank = divmod(window - 1, period)
+    last = bisect_right(starts, rank) - 1  # the last copy's last diagonal
+    offsets = [c * period for c in {0, 1, copies - 1, copies} if 0 <= c <= copies]
+    outside = next((y for y in range(h) if slot[y] != slot[0]), h)
+    events = []
+    for x in range(h):
+        reach = min(last, x + square - 1)
+        other = 0 if slot[0] != slot[x] else outside
+        first = 2 * window  # 2 * position + side: the least is the first mention
+        # diagonal x holds x's first two pairs, but for 0, whose second is (1, 0)
+        for d in {x, 1, x + other, x + classes[slot[x]][0], reach - 1, reach, x + square - 1}:
+            if x <= d < top and d - x < h:
+                for side, rank in ((0, shift[d] + d - x), (1, shift[d] + x)):
+                    for i in offsets:
+                        i += rank
+                        if i < window and (key := 2 * position(i, d) + side) < first:
+                            first = key
+        events.append((*divmod(first, 2), x, x))
+    parent = list(range(h))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for p, a, b in sorted((position(i, a + b), a, b) for i, a, b in pairs):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[rb] = ra
+            events.append((p, _JOIN, a, b))
     return events
 
 
@@ -637,7 +780,7 @@ def fair_informant(char: Character, seed: int = 0) -> Stream:
     slots = class_slots(char, seed)
     diagonals = ([(d - y, y, 1 if slot[d - y] == slot[y] else 0) for y in ys]
                  for d, ys, slot in _diagonals(char, slots, True))
-    return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals), (seed, 0))
+    return Stream(INFORMANT, char, itertools.chain.from_iterable(diagonals), (seed, None, 0))
 
 
 def fair_text(char: Character, seed: int = 0) -> Stream:
@@ -647,7 +790,7 @@ def fair_text(char: Character, seed: int = 0) -> Stream:
     # a pair with an element outside a finite universe is a pause
     diagonals = ([(d - y, y) if slot[d - y] == slot[y] is not None else PAUSE for y in ys]
                  for d, ys, slot in _diagonals(char, slots, False))
-    return Stream(TEXT, char, itertools.chain.from_iterable(diagonals), (seed, 0))
+    return Stream(TEXT, char, itertools.chain.from_iterable(diagonals), (seed, None, 0))
 
 
 REORDER_STRATEGIES = (
@@ -661,29 +804,37 @@ REORDER_STRATEGIES = (
 
 def reordered_informant(char: Character, seed: int, strategy: str, window: int = 2000) -> Stream:
     """Adversarially permuted fair informant: the first `window` items are
-    rearranged by the named strategy, the rest stream unchanged.
+    rearranged by the named strategy (`_head_order`), the rest stream
+    unchanged.
 
-    The window keeps the adversarial mention-to-link lag inside a 10^4-stage
-    horizon; facts are order-independent, so any permutation stays a fair
-    presentation of the census."""
-    it = iter(fair_informant(char, seed))
-    head = list(itertools.islice(it, window))
-    # sorts are stable, reversed ones too, so equal keys keep the fair order
-    if strategy == "negatives-first":
-        head.sort(key=operator.itemgetter(2))
-    elif strategy == "positives-first":
-        head.sort(key=operator.itemgetter(2), reverse=True)
-    elif strategy == "reverse":
-        head.reverse()
-    elif strategy == "interleave-swap":
-        for i in range(0, len(head) - 1, 2):
-            head[i], head[i + 1] = head[i + 1], head[i]
-    elif strategy == "large-pairs-first":
-        head.sort(key=lambda item: -(item[0] + item[1]))
-    else:
+    The head is built when the stream is first read, not here, so a
+    learner's `run_plan`, which decodes it from the class map
+    (`PrefixState.run_fair`), builds no item of it.  The window keeps the
+    adversarial mention-to-link lag inside a 10^4-stage horizon; facts are
+    order-independent, so any permutation stays a fair presentation of the
+    census."""
+    if strategy not in REORDER_STRATEGIES:
         raise ValueError(f"unknown reorder strategy {strategy!r}")
+    if not isinstance(window, int) or window < 0:
+        raise ValueError(f"window must be a non-negative integer, not {window!r}")
+    _check_presentable(char)
 
-    return Stream(INFORMANT, char, itertools.chain(head, it), (seed, window))
+    def items() -> Iterator[InformantItem]:
+        it = iter(fair_informant(char, seed))
+        head = list(itertools.islice(it, window))
+        # a finite universe's walk repeats its square; elsewhere a square
+        # wider than the head's diagonals ranks pairs by their Cantor codes
+        square = (char.finite_universe_size() if char.total_size_finite
+                  else math.isqrt(2 * window) + 1)
+        position = _head_order(strategy, window, square,
+                               [i for i, item in enumerate(head) if item[2]])
+        ordered = [None] * window
+        for i, item in enumerate(head):
+            ordered[position(i, item[0] + item[1])] = item
+        yield from ordered
+        yield from it
+
+    return Stream(INFORMANT, char, items(), (seed, strategy, window))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import math
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,11 @@ from limitlearn import (
     fair_informant,
     fair_text,
     informant_prefix,
+    learner_separator,
     read_trace,
     reordered_informant,
     REORDER_STRATEGIES,
+    run_simulation,
     write_trace,
 )
 from limitlearn import adversaries, bridge, presentations
@@ -34,7 +37,7 @@ from limitlearn.presentations import (
 )
 from limitlearn.structures import pair_code, unpair_code
 
-from families import C57, FIVE_OMEGA, SEPARABLE_CORPUS, TWO_INF, census
+from families import C57, EXAMPLE1, FIVE_OMEGA, SEPARABLE_CORPUS, TWO_INF, census
 from oracles import (
     ClassAssignment,
     PathCompressingPrefixState,
@@ -47,6 +50,7 @@ from oracles import (
     scan_births_for_size,
     sweep_pattern_sizes,
 )
+from test_learners import _ANY_CENSUS, _FINITE_UNIVERSES
 
 OM = "omega"
 
@@ -566,7 +570,7 @@ def test_fair_informant_rejects_empty_census():
     from limitlearn import RepresentationError
 
     # the census is checked when the stream is built, not at its first item
-    for stream in (fair_informant, fair_text):
+    for stream in (fair_informant, fair_text, partial(reordered_informant, strategy="reverse")):
         with pytest.raises(RepresentationError):
             stream(census(0, {}), 0)
 
@@ -643,6 +647,82 @@ def test_reordered_heads_match_the_next_call_construction(strategy):
         for seed in (0, 3, 11):
             head = list(islice(reordered_informant(target, seed, strategy), 2000))
             assert head == next_call_reordered_head(target, seed, strategy), (target, seed)
+
+
+def test_reordered_informant_checks_its_arguments_when_called():
+    with pytest.raises(ValueError, match="window"):
+        reordered_informant(C57, 0, "reverse", -1)
+    # the head is built on first read, but a strategy is checked at once
+    with pytest.raises(ValueError, match="unknown reorder strategy 'sideways'"):
+        reordered_informant(C57, 0, "sideways")
+
+
+def _counted(monkeypatch, name):
+    """Count the calls to the presentations module's function `name`."""
+    calls, real = [], getattr(presentations, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
+def test_a_planned_reordered_run_draws_its_slots_once_and_builds_no_item(monkeypatch, strategy):
+    slots, built = _counted(monkeypatch, "class_slots"), _counted(monkeypatch, "fair_informant")
+    stream = reordered_informant(C57, 3, strategy)
+    assert slots == built == []  # made, never read: nothing built
+    result = run_simulation(learner_separator(EXAMPLE1), stream, 3000, C57)
+    assert result.converged
+    assert len(slots) == 1 and built == []
+    # reading a reordered stream builds its head from the fair informant
+    next(iter(reordered_informant(C57, 3, strategy)))
+    assert len(built) == 1
+
+
+def _event_stages(state, stages):
+    """The stages `stages` steps through where the decoder's `struct_rev`
+    moved, and the state's view: stage, revisions, births, blocks."""
+    moved, rev = [], state.struct_rev
+    for stage in stages:
+        if state.struct_rev != rev:
+            moved.append(stage)
+            rev = state.struct_rev
+    return moved, (state.stage, state.struct_rev, state.birth, state.births_by_size,
+                   state.blocks())
+
+
+def _item_stages(state, items):
+    """Decode `items` by `advance` runs, yielding the stage each reaches."""
+    while state.advance(items):
+        yield state.stage
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_FINITE_UNIVERSES, _ANY_CENSUS), st.integers(0, 2**16),
+       st.sampled_from(REORDER_STRATEGIES), st.data())
+@example(census(0, {1: 1}), 0, "reverse", None)
+def test_a_reordered_head_decoded_from_its_events_matches_the_items(char, seed, strategy, data):
+    """`PrefixState.run_fair` on a reordered plan against `advance` over
+    the head built apart from the library: windows up to three copies of a
+    finite universe's square (odd ones too), horizons that end inside the
+    head or past it.  Equal event stages, decoder views and separations."""
+    side = char.finite_universe_size() if char.total_size_finite else 30
+    if data is None:  # a one-element universe: window 2, horizon 1
+        window, horizon = 2, 1
+    else:
+        window = data.draw(st.integers(0, 3 * side * side), label="window")
+        horizon = data.draw(st.integers(1, window + 60), label="horizon")
+    state, reference = PrefixState(INFORMANT), PrefixState(INFORMANT)
+    got = _event_stages(state, state.run_fair(char, (seed, strategy, window), horizon))
+    tail = islice(generator_fair_informant(char, seed), window, None)
+    items = islice(chain(next_call_reordered_head(char, seed, strategy, window), tail), horizon)
+    assert got == _event_stages(reference, _item_stages(reference, items))
+    roots = state.block_roots()
+    assert [[state.separated(a, b) for b in roots] for a in roots] == \
+        [[reference.separated(a, b) for b in roots] for a in roots]
 
 
 # ---------------------------------------------------------------------------
