@@ -32,6 +32,7 @@ from .structures import (
     ZERO,
     Character,
     RepresentationError,
+    pair_code,
 )
 
 InformantItem = tuple[int, int, int]
@@ -258,13 +259,18 @@ class PrefixState:
         """Apply structural events, as `_events` lists them, each at stage
         offset + its code; yields each stage that has events once they are
         all applied, with `stage` standing there."""
-        parent = self._parent
-        for stage, group in itertools.groupby(events, lambda event: offset + event[0]):
-            for _, step, x, m in group:
-                if step == _JOIN:
-                    self._union(parent[x], parent[m], stage)
-                else:
-                    self._add_element(x, stage)
+        parent, stage = self._parent, None
+        for code, step, x, m in events:
+            if offset + code != stage:
+                if stage is not None:
+                    self.stage = stage
+                    yield stage
+                stage = offset + code
+            if step == _JOIN:
+                self._union(parent[x], parent[m], stage)
+            else:
+                self._add_element(x, stage)
+        if stage is not None:
             self.stage = stage
             yield stage
 
@@ -322,11 +328,13 @@ class PrefixState:
             n = min(n, universe)
         # a finite universe's informant walks its square, then repeats it
         # with no event; elsewhere a square wider than every pair's diagonal
-        # ranks pairs by their Cantor codes
-        square = universe if universe is not None and self.kind == INFORMANT else 2 * n
+        # ranks pairs by their plain Cantor codes
+        if universe is not None and self.kind == INFORMANT:
+            square, code = universe, partial(_cantor_rank, universe)
+        else:
+            square, code = 2 * n, pair_code
         slot = list(itertools.islice(class_slots(char, seed), n))
-        events = [e for e in _events(self.kind, slot, {}, 0, n, partial(_cantor_rank, square))
-                  if window <= e[0] < stop]
+        events = [e for e in _events(self.kind, slot, {}, 0, n, code) if window <= e[0] < stop]
         if window:
             events[:0] = sorted(e for e in _head_events(strategy, window, slot, square)
                                 if e[0] < stop)
@@ -508,8 +516,9 @@ def class_slots(char: Character, seed: int = 0) -> Iterator[int]:
     demanded classes first, while open-ended demands (omega counts,
     default-pattern sizes, infinite classes) spawn progressively forever.
     Every round each unfull slot takes one element, in slot order rotated to
-    a seeded pivot, so finite classes complete and infinite ones grow
-    unboundedly."""
+    a pivot drawn over all the slots, so finite classes complete and
+    infinite ones grow unboundedly.  A round visits only the slots with
+    room, so full slots cost nothing."""
     _check_presentable(char)
     rng = random.Random(seed)
     finite, sources = slot_demand(char)
@@ -528,18 +537,20 @@ def _filled_slots(spawns: Iterator, rng: random.Random) -> Iterator[int]:
     for an infinite class): a generator of its own, so that `class_slots`
     checks the census when it is called, not at the first slot drawn."""
     room: list = []  # what each slot still takes, math.inf for an infinite class
+    open_slots: list[int] = []  # the slots with room, ascending
     for size in itertools.chain(spawns, itertools.repeat(0)):
         if size != 0:
+            open_slots.append(len(room))
             room.append(math.inf if size is None else size)
-        elif not any(room):  # every slot full and none to come
+        elif not open_slots:  # every slot full and none to come
             return
         for _ in range(2):  # two rounds per spawn
             k = len(room)
-            pivot = rng.randrange(k) if k > 1 else 0
-            for slot in itertools.chain(range(pivot, k), range(pivot)):
-                if room[slot]:
-                    room[slot] -= 1
-                    yield slot
+            cut = bisect_left(open_slots, rng.randrange(k)) if k > 1 else 0
+            for slot in open_slots[cut:] + open_slots[:cut]:
+                room[slot] -= 1
+                yield slot
+            open_slots = [slot for slot in open_slots if room[slot]]
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +826,7 @@ def reordered_informant(char: Character, seed: int, strategy: str, window: int =
     census."""
     if strategy not in REORDER_STRATEGIES:
         raise ValueError(f"unknown reorder strategy {strategy!r}")
-    if not isinstance(window, int) or window < 0:
+    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise ValueError(f"window must be a non-negative integer, not {window!r}")
     _check_presentable(char)
 

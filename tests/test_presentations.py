@@ -28,6 +28,7 @@ from limitlearn import (
 from limitlearn import adversaries, bridge, presentations
 from limitlearn.presentations import (
     PATTERN,
+    _cantor_rank,
     _new_pairs,
     class_slots,
     pattern_sizes,
@@ -364,6 +365,11 @@ def test_pair_walk_follows_the_cantor_codes():
     assert list(islice(pair_walk(None), 5000)) == [unpair_code(c) for c in range(5000)]
 
 
+@given(st.integers(0, 500), st.integers(0, 500), st.integers(1, 1000))
+def test_a_square_wider_than_a_diagonal_ranks_its_pairs_by_their_cantor_codes(x, y, wider):
+    assert pair_code(x, y) == _cantor_rank(x + y + wider, x, y)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pair_walk_repeats_the_sorted_square(n):
     square = sorted(((x, y) for x in range(n) for y in range(n)), key=lambda p: pair_code(*p))
@@ -497,15 +503,37 @@ _CENSUSES = st.builds(census, COUNTS, st.dictionaries(st.integers(1, 8), COUNTS,
                       st.sampled_from([0, 1, 2, OM])).filter(lambda char: not char.is_empty)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_CENSUSES, st.integers(0, 2**32))
-def test_class_slots_match_the_round_robin_reference(char, seed):
+def _assert_slots_match_the_reference(char, seed, count):
     # equal slots need the same random draws in the same order: the finite
     # demands shuffled, then the sources, then one pivot per round that
     # holds two or more slots
     plan = ClassAssignment(char, seed)
-    n = min(300, char.finite_universe_size()) if char.total_size_finite else 300
-    assert list(islice(class_slots(char, seed), 300)) == [plan.slot_of(x) for x in range(n)]
+    n = min(count, char.finite_universe_size()) if char.total_size_finite else count
+    assert list(islice(class_slots(char, seed), count)) == [plan.slot_of(x) for x in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CENSUSES, st.integers(0, 2**32))
+def test_class_slots_match_the_round_robin_reference(char, seed):
+    _assert_slots_match_the_reference(char, seed, 300)
+
+
+# omega-counted small sizes, perhaps beside one finitely counted size
+_FILLED_AT_ONCE = st.builds(
+    lambda small, finite: census(0, {**finite, **dict.fromkeys(small, OM)}),
+    st.sets(st.integers(1, 3), min_size=1),
+    st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_FILLED_AT_ONCE, st.integers(0, 2**32))
+@example(census(0, {1: OM}), 0)
+@example(census(0, {1: OM, 2: 3}), 1)
+def test_class_slots_match_the_round_robin_reference_where_slots_fill_at_once(char, seed):
+    """Most slots are full within a few rounds of their spawn, so nearly
+    every slot a round draws its pivot over is full and skipped: the
+    bookkeeping of the slots with room decides every slot drawn."""
+    _assert_slots_match_the_reference(char, seed, 2000)
 
 
 @settings(max_examples=100, deadline=None)
@@ -652,6 +680,8 @@ def test_reordered_heads_match_the_next_call_construction(strategy):
 def test_reordered_informant_checks_its_arguments_when_called():
     with pytest.raises(ValueError, match="window"):
         reordered_informant(C57, 0, "reverse", -1)
+    with pytest.raises(ValueError, match="window"):  # a bool is an int to isinstance
+        reordered_informant(C57, 0, "reverse", True)
     # the head is built on first read, but a strategy is checked at once
     with pytest.raises(ValueError, match="unknown reorder strategy 'sideways'"):
         reordered_informant(C57, 0, "sideways")
@@ -723,6 +753,40 @@ def test_a_reordered_head_decoded_from_its_events_matches_the_items(char, seed, 
     roots = state.block_roots()
     assert [[state.separated(a, b) for b in roots] for a in roots] == \
         [[reference.separated(a, b) for b in roots] for a in roots]
+
+
+def test_a_finite_universe_informant_decodes_its_joins_past_the_anti_diagonal():
+    """Where a join's pair lies past the square's anti-diagonal, its rank in
+    the square is not its Cantor code: `run_fair` must rank it in the square
+    and match the items over two passes of it."""
+    char, seed = census(0, {2: 3, 3: 1}), 1
+    u = char.finite_universe_size()
+    slot, least = list(class_slots(char, seed)), {}
+    for x, s in enumerate(slot):
+        least.setdefault(s, x)
+    past = [(x, least[s]) for x, s in enumerate(slot) if least[s] != x and x + least[s] >= u]
+    assert past and all(pair_code(x, m) != _cantor_rank(u, x, m) for x, m in past)
+    state, reference = PrefixState(INFORMANT), PrefixState(INFORMANT)
+    got = _event_stages(state, state.run_fair(char, (seed, None, 0), 2 * u * u))
+    items = islice(generator_fair_informant(char, seed), 2 * u * u)
+    assert got == _event_stages(reference, _item_stages(reference, items))
+
+
+def test_a_birth_and_a_join_at_one_pair_are_one_stage():
+    """Element 1 of C57 drawn with seed 1 is in element 0's class: the pair
+    (1, 0) both mentions it and joins it to 0.  `_apply` yields that stage
+    once, after both events, and every stage an item-by-item run reaches."""
+    char, seed, horizon = C57, 1, 300
+    assert list(islice(class_slots(char, seed), 2)) == [0, 0]
+    state, reference = PrefixState(INFORMANT), PrefixState(INFORMANT)
+    revs = [(stage, state.struct_rev) for stage in state.run_fair(char, (seed, None, 0), horizon)]
+    assert revs[:2] == [(1, 1), (pair_code(1, 0) + 1, 3)]
+    want, rev = [], 0
+    for stage in _item_stages(reference, islice(fair_informant(char, seed), horizon)):
+        if reference.struct_rev != rev:
+            rev = reference.struct_rev
+            want.append((stage, rev))
+    assert revs == want
 
 
 # ---------------------------------------------------------------------------
