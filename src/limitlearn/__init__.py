@@ -45,6 +45,7 @@ from .presentations import (
 from .separability import (
     Family,
     FamilyError,
+    FamilyOrder,
     GENERATORS,
     LimitVerdict,
     SeparabilityResult,

@@ -44,10 +44,10 @@ from .presentations import (
 from .separability import (
     Family,
     FamilyError,
+    FamilyOrder,
     fin_antichain,
     finitely_separable,
     generated_limit_verdict,
-    separator_of,
 )
 from .structures import RepresentationError
 
@@ -160,7 +160,8 @@ def cmd_check(args) -> int:
     anti = fin_antichain(family.members)
     report: dict = {"members": [m.to_json() for m in family.members], "fin_antichain": anti}
     try:
-        sep = finitely_separable(family.members)
+        order = FamilyOrder(family.members)
+        sep = order.separability()
         report["finitely_separable"] = sep.separable
         report["counterexample"] = (
             None if sep.counterexample is None
@@ -169,8 +170,8 @@ def cmd_check(args) -> int:
         )
         if sep.separable:
             report["separators"] = [
-                {"member": m.to_json(), "separator": separator_of(m, family.members).to_json()}
-                for m in family.members
+                {"member": m.to_json(), "separator": order.separator(i).to_json()}
+                for i, m in enumerate(family.members)
             ]
         violation = anti and not sep.separable  # anti-chain families are always separable
     except FamilyError as exc:

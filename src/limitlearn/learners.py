@@ -61,7 +61,7 @@ from itertools import accumulate, chain, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, stage_items
-from .separability import FamilyError, fin_antichain, finitely_separable, separator_of
+from .separability import FamilyError, FamilyOrder, fin_antichain
 from .structures import (
     Character,
     biembeddable,
@@ -325,7 +325,7 @@ class MinEmbedLearner(EchoLearner):
 
     Host checks read plain-number profiles against each member's, cached at
     construction, so no census is built per structural revision; the
-    members' finite-embedding order is read from the same profiles, once.
+    members' finite-embedding order is their ``FamilyOrder``, built once.
     The minimal hosts are memoized by the prefix's block-size census clamped
     at the family's bounds: block sizes at ``_top``, one past the largest
     size any member lists, and block counts at ``_cap``, one past the
@@ -352,21 +352,18 @@ class MinEmbedLearner(EchoLearner):
     _owned = ("_state", "_counts", "_buckets")
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
-        members = tuple(members)
-        # `finitely_separable` raises FamilyError on infinite classes
-        if enforce and not finitely_separable(members):
+        # the family's finite-embedding order, built once; `separability`
+        # raises FamilyError on infinite classes
+        self._order = order = FamilyOrder(members)
+        if enforce and not order.separability():
             raise FamilyError("this learner requires a finitely separable family")
-        self.members = members
-        self._profiles = tuple(m.cumulative_profile for m in members)
+        self.members = order.members
+        self._profiles = order.profiles
         self._top = 1 + max((s for sizes, _ in self._profiles for s in sizes), default=0)
         self._cap = 1 + max((c for _, counts in self._profiles for c in counts if c != math.inf),
                             default=0)
         self._hosts: dict[frozenset, list[int]] = {}
-        # the family's finite-embedding order, computed once:
-        # `_embeds[i][j]` when member i finitely embeds into member j
-        self._embeds = le = [[profile_le(p, q) for q in self._profiles] for p in self._profiles]
-        n = len(members)
-        self._strictly_below = [[le[j][i] and not le[i][j] for j in range(n)] for i in range(n)]
+        self._strictly_below = order.strictly_below
         self.reset()
 
     def reset(self) -> None:
@@ -438,15 +435,15 @@ class SeparatorLearner(MinEmbedLearner):
 
     def __init__(self, members: Sequence[Character], enforce: bool = True):
         super().__init__(members, enforce)
+        order = self._order
         self._separators: list[tuple[tuple[int, int], ...]] = [
-            tuple((c.size.finite, c.index) for c in separator_of(m, self.members).components)
-            for m in self.members
+            tuple((c.size.finite, c.index) for c in order.separator(i).components)
+            for i in range(len(self.members))
         ]
         self._indices: dict[int, set[int]] = {}  # the named indices of each size
         for size, index in chain.from_iterable(self._separators):
             self._indices.setdefault(size, set()).add(index)
-        le, n = self._embeds, len(self.members)
-        self._class_of = [[j for j in range(n) if le[j][i] and le[i][j]] for i in range(n)]
+        self._class_of = order.classes
 
     def reset(self) -> None:
         super().reset()

@@ -6,6 +6,12 @@ aiming at isomorphism.  For finite families the subfamily quantifier collapses
 to pairwise checks; for generated infinite families we give bounded verdicts,
 certified where the generator registry supplies a closed-form statement about
 which components recur infinitely often.
+
+A finite family's order is built once, by ``FamilyOrder``: separability,
+separators, the min-embed and separator learners and ``check`` read it.  A
+census whose counts sit pointwise under another's also finitely embeds into
+it, so a member imitates only members of its class, and separability
+compares censuses only there.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ from .structures import (
     fin_biembeddable,
     fin_embeds,
     pair_code,
+    profile_le,
 )
 
 
@@ -230,10 +237,8 @@ class SeparabilityResult:
 
 def finitely_separable(members: Sequence[Character]) -> SeparabilityResult:
     """No member is a limit of the others.  For a finite family the subfamily
-    quantifier collapses to this pairwise check."""
-    _require_finite_classes(members, "finite separability")
-    pair = next(((c, m) for c in members for m in members if imitates(m, c)), None)
-    return SeparabilityResult(pair is None, pair)
+    quantifier collapses to pairwise checks, read off the family's order."""
+    return FamilyOrder(members).separability()
 
 
 @dataclass(frozen=True)
@@ -248,20 +253,61 @@ class Separator:
         return [c.to_json() for c in self.sorted_components()]
 
 
-def separator_of(member: Character, members: Sequence[Character]) -> Separator:
-    """The finite component set distinguishing a member from every
-    non-isomorphic, finitely bi-embeddable companion in the family."""
-    _require_finite_classes(members, "separators")
-    if member not in members:
-        raise FamilyError("separator owner must belong to the family")
+def _separator(member: Character, companions: Iterable[Character]) -> Separator:
+    """The separator of a member against its companions: the members other
+    than it that are finitely bi-embeddable with it."""
     comps = set()
-    for other in members:
-        if other == member or not fin_biembeddable(other, member):
-            continue
+    for other in companions:
         diff = char_diff_min(member, other)
         if diff is not None:  # always present when the family is finitely separable
             comps.add(diff)
     return Separator(member, frozenset(comps))
+
+
+class FamilyOrder:
+    """The finite-embedding order of a family's members, built once.
+
+    ``le[i][j]`` when member i finitely embeds into member j, from one
+    ``profile_le`` per ordered pair; ``strictly_below[i][j]`` when member j
+    embeds into member i and not back; ``classes[i]`` the members finitely
+    bi-embeddable with member i, itself included, in order.
+    """
+
+    def __init__(self, members: Sequence[Character]):
+        self.members = members = tuple(members)
+        self.profiles = profiles = tuple(m.cumulative_profile for m in members)
+        self.le = le = [[profile_le(p, q) for q in profiles] for p in profiles]
+        ns = range(len(members))
+        self.strictly_below = [[le[j][i] and not le[i][j] for j in ns] for i in ns]
+        self.classes = [[j for j in ns if le[i][j] and le[j][i]] for i in ns]
+
+    def separability(self) -> SeparabilityResult:
+        """No member is a limit of the others; the counterexample is the
+        first (limit, witness) pair in row-major order where the witness
+        `imitates` the limit, which only a member of the limit's class can."""
+        members = self.members
+        _require_finite_classes(members, "finite separability")
+        for limit, cls in zip(members, self.classes):
+            for j in cls:
+                if members[j] != limit and char_subset(limit, members[j]):
+                    return SeparabilityResult(False, (limit, members[j]))
+        return SeparabilityResult(True)
+
+    def separator(self, i: int) -> Separator:
+        """Member i's separator (`separator_of`), read against its class."""
+        members = self.members
+        _require_finite_classes(members, "a member's separator")
+        return _separator(members[i], (members[j] for j in self.classes[i] if j != i))
+
+
+def separator_of(member: Character, members: Sequence[Character]) -> Separator:
+    """The finite component set distinguishing a member from every
+    non-isomorphic, finitely bi-embeddable companion in the family."""
+    _require_finite_classes(members, "a member's separator")
+    if member not in members:
+        raise FamilyError("separator owner must belong to the family")
+    return _separator(member, (other for other in members
+                               if other != member and fin_biembeddable(other, member)))
 
 
 def fin_antichain(members: Sequence[Character]) -> bool:

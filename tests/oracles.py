@@ -37,6 +37,7 @@ from limitlearn import (
     PAUSE,
     RELATIONS,
     RepresentationError,
+    SeparabilityResult,
     TEXT,
     Prefix,
     PrefixState,
@@ -60,6 +61,7 @@ from limitlearn.adversaries import (
     _TextBuilder,
 )
 from limitlearn.bridge import SizeSequence, _window
+from limitlearn.separability import imitates
 from limitlearn.presentations import (
     PATTERN,
     class_slots,
@@ -1571,3 +1573,17 @@ class CodeWalkTextBuilder:
         pairs = _pairs_ahead(self.cursor, [(fresh, fresh)], max(1, width - 1), len(cls),
                              lambda x, y: x in cls and y in cls and cls[x] == cls[y])
         return [PAUSE, *pairs][:width]
+
+
+# ---------------------------------------------------------------------------
+# Finite separability over every ordered pair, as it was before the family's
+# order confined the census comparisons to bi-embeddability classes
+
+
+def pairwise_finitely_separable(members) -> SeparabilityResult:
+    """No member is a limit of the others: the `imitates` scan over every
+    ordered pair, limit-major, refusing infinite classes as the library does."""
+    if any(m.count(math.inf) != 0 for m in members):
+        raise FamilyError("finite separability is only defined for families without infinite classes")
+    pair = next(((c, m) for c in members for m in members if imitates(m, c)), None)
+    return SeparabilityResult(pair is None, pair)

@@ -206,6 +206,9 @@ EXIT_CODE_TABLE = [
     # the one-shot learner reads explicit separations, which a text never states
     (("simulate", "--learner", "txt-one-shot", "--horizon", 50, "--window", 10), 2,
      "learner 'txt-one-shot': learner 'one-shot' has no text reading"),
+    # separators are read off finite classes only
+    (("simulate", "--learner", "separator", "--family", "{omega_pair}"), 3,
+     "a member's separator is only defined for families without infinite classes"),
     # a text completion presents only infinite classes
     (("locking", "--learner", "txt-constant", "--family", "{finite_and_infinite}"), 3,
      "text locking search completes only toward"),

@@ -1,36 +1,48 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitlearn import (
     Character,
     Family,
     FamilyError,
+    FamilyOrder,
     GENERATORS,
     Component,
     ExtNat,
+    MinEmbedLearner,
     PrefixState,
+    SeparatorLearner,
     fair_informant,
     fin_antichain,
     finitely_separable,
     generated_limit_verdict,
     limit_witness,
+    profile_le,
     separator_of,
 )
+from limitlearn import separability, structures
 from limitlearn.separability import GeneratorSpec
 
 from families import (
     C57,
     EXAMPLE1,
+    EXAMPLE1_PLUS,
     EXAMPLE2,
     FIVE_OMEGA,
     FIVE_OMEGA_TWO,
     NONSEPARABLE,
     SEPARABLE_CORPUS,
+    SIX_OMEGA,
     census,
     kron,
     kron_slice,
 )
+from oracles import brute_fin_embeds, pairwise_finitely_separable
+from test_learners import _order_censuses
 
 OM = "omega"
 
@@ -114,6 +126,81 @@ def test_every_member_eventually_realizes_its_separator():
 def test_separator_requires_membership():
     with pytest.raises(FamilyError):
         separator_of(FIVE_OMEGA, EXAMPLE1)
+
+
+# ---------------------------------------------------------------------------
+# The family's order
+
+
+def assert_the_family_order_matches_the_references(family):
+    """`FamilyOrder` against the pairwise reference and `brute_fin_embeds`:
+    the same strict order and classes, the same verdict and counterexample,
+    the same separators; with an infinite class both sides raise."""
+    order, n = FamilyOrder(family), len(family)
+    le = [[brute_fin_embeds(a, b) for b in family] for a in family]
+    assert order.strictly_below == [[le[j][i] and not le[i][j] for j in range(n)]
+                                    for i in range(n)]
+    assert order.classes == [[j for j in range(n) if le[i][j] and le[j][i]] for i in range(n)]
+    if any(m.count(math.inf) != 0 for m in family):
+        for call in (order.separability, lambda: pairwise_finitely_separable(family),
+                     lambda: order.separator(0), lambda: separator_of(family[0], family)):
+            with pytest.raises(FamilyError):
+                call()
+        return
+    verdict = pairwise_finitely_separable(family)
+    assert order.separability() == finitely_separable(family) == verdict
+    assert [order.separator(i) for i in range(n)] == [separator_of(m, family) for m in family]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(
+    lambda infinite: st.lists(_order_censuses(infinite), min_size=1, max_size=5, unique=True)))
+def test_the_family_order_matches_the_pairwise_reference(family):
+    assert_the_family_order_matches_the_references(family)
+
+
+NAMED_FAMILIES = {
+    **SEPARABLE_CORPUS, **{f"kron{m}": kron_slice(m) for m in range(2, 9)},
+    "nonseparable": NONSEPARABLE,
+    # two limits, the first with two witnesses: the counterexample's order shows
+    "two-limits": (FIVE_OMEGA_TWO, census(0, {5: OM, 3: 1}), FIVE_OMEGA,
+                   census(0, {6: OM, 1: 1}), SIX_OMEGA),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_FAMILIES)
+def test_the_family_order_matches_the_pairwise_reference_on_named_families(name):
+    assert_the_family_order_matches_the_references(NAMED_FAMILIES[name])
+
+
+@pytest.fixture
+def profile_le_calls(monkeypatch):
+    """The `profile_le` calls made, under both names it is called by: the
+    family's order calls separability's, `fin_embeds` structures'."""
+    calls = []
+
+    def counting(pa, pb):
+        calls.append((pa, pb))
+        return profile_le(pa, pb)
+
+    monkeypatch.setattr(separability, "profile_le", counting)
+    monkeypatch.setattr(structures, "profile_le", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", [kron_slice(6), EXAMPLE1_PLUS], ids=["kron6", "example1-plus"])
+def test_the_family_order_is_built_from_n_squared_comparisons(profile_le_calls, family):
+    # the order, and each learner that reads it, compares each ordered pair
+    # once; a separator learner's separability and separators compare none
+    for build in (FamilyOrder, MinEmbedLearner, SeparatorLearner):
+        profile_le_calls.clear()
+        build(family)
+        assert len(profile_le_calls) == len(family) ** 2, build
+    # one separator, as certificates ask for it, scans the member's companions
+    for member in family:
+        profile_le_calls.clear()
+        separator_of(member, family)
+        assert len(profile_le_calls) <= 2 * (len(family) - 1)
 
 
 # ---------------------------------------------------------------------------

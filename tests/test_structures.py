@@ -341,6 +341,29 @@ def test_profile_le_matches_the_brute_force_oracle(a, b):
     assert profile_le(a.cumulative_profile, b.cumulative_profile) == brute_fin_embeds(a, b)
 
 
+def _join(a: Character, b: Character) -> Character:
+    """The census with the larger of `a`'s and `b`'s counts at every size."""
+    def larger(size):
+        n = max(a.count(size), b.count(size))
+        return OM if n == math.inf else n
+    sizes = {*a.sizes_of_interest, *b.sizes_of_interest}
+    default = larger(next(k for k in range(1, len(sizes) + 2) if k not in sizes))
+    return census(default, {s: larger(s) for s in sizes}, larger(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_censuses, _censuses)
+def test_subset_implies_finite_embedding_by_the_brute_force_oracle(a, b):
+    """A census whose counts sit pointwise under another's finitely embeds
+    into it, so a member that imitates another is in its bi-embeddability
+    class; `b` and the join of the two give both a drawn and a sure subset."""
+    join = _join(a, b)
+    assert char_subset(a, join) and char_subset(b, join)
+    for c in (b, join):
+        if char_subset(a, c):
+            assert brute_fin_embeds(a, c)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=6))
 def test_profile_of_counts_the_classes_at_every_threshold(counts):
