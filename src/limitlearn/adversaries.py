@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, count, cycle, islice
 from typing import Optional
 
-from .learners import Learner, Trace, conjectures_equal, run_stages
+from .learners import ONE_CLASS, TWO_CLASSES, Learner, Trace, conjectures_equal, run_stages
 from .presentations import (
     INFORMANT,
     PAUSE,
@@ -779,8 +779,6 @@ class LockingNormalForm(Learner):
 # The text adversary
 
 
-ONE_CLASS = Character.make(0, {}, 1)
-TWO_CLASSES = Character.make(0, {}, 2)
 MAX_RESTARTS = 25  # locking searches restarted from a violator before phase 1 gives up
 
 

@@ -9,11 +9,11 @@ settles a census's slot layout once, and `_window` stretches sequences to a
 common base and period only where theirs differ.  Finite permutations of the
 slots give the language family a census maps to.  Two searches run over that
 family: `language_closure`, bounded to the transpositions of the first slots,
-which swaps entries of its inputs' values on one window that every member
-shares and keeps its inputs with its members, and `telltale_search`, which
-reads the least separating codes off those values in closed form, bounded by
-the largest code and set size it may report.  It scans a closure's inputs,
-not its members: the slots where an input exceeds the language name the
+which keeps its inputs on one window that every member shares and builds
+its members only when read, and `telltale_search`, which reads the least
+separating codes off those values in closed form, bounded by the largest
+code and set size it may report.  It scans a closure's inputs, not its
+members: the slots where an input exceeds the language name the
 transpositions that can lie below it, at most one pair or the pairs through
 one slot, unless the input lies below it already.
 """
@@ -104,7 +104,7 @@ def _window(seqs: Sequence[SizeSequence], floor: int = 0) -> tuple[int, int, lis
     """(base, period, values): the largest of `floor` and the bases, the lcm
     of the periods, and each sequence's values on [0, base + 2 * period), which
     decide equality and, with the steps past the base, inclusion.  A sequence
-    already held on that window (every member of one `language_closure`)
+    already held on that window (a `language_closure`'s inputs and members)
     gives its values as they are; only the others are stretched."""
     period = math.lcm(*{seq.period for seq in seqs})
     base = max([floor, *(seq.base for seq in seqs)])
@@ -113,40 +113,41 @@ def _window(seqs: Sequence[SizeSequence], floor: int = 0) -> tuple[int, int, lis
                           for seq in seqs]
 
 
-class Closure(tuple):
-    """The languages of one `language_closure`, in order, with the `inputs`
-    they were built from (held on the same window) and the number of leading
-    slots, `positions`, whose transpositions they add."""
+@dataclass(frozen=True)
+class Closure:
+    """The members of one `language_closure`, built only when read from its
+    `inputs` (held on one window) and the number of leading slots,
+    `positions`, whose transpositions it adds: the inputs, in order, then
+    each new language at the first transposition that yields it.  `len`
+    counts them by iterating."""
 
-    def __new__(cls, members, inputs: tuple, positions: int):
-        closure = super().__new__(cls, members)
-        closure.inputs, closure.positions = inputs, positions
-        return closure
+    inputs: tuple
+    positions: int
+
+    def __iter__(self):
+        yield from self.inputs
+        seen = {lang.values for lang in self.inputs}
+        for lang in self.inputs:
+            for a, b in itertools.combinations(range(self.positions), 2):
+                vec = list(lang.values)
+                vec[a], vec[b] = vec[b], vec[a]
+                vec = tuple(vec)
+                if vec not in seen:
+                    seen.add(vec)
+                    yield SizeSequence(vec, lang.period)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def language_closure(langs: Sequence[SizeSequence], positions: int) -> Closure:
     """The given languages together with all transposition variants over the
     first `positions` slots (a bounded stand-in for the full permutation closure).
 
-    Every member is held on one window, with a base of at least `positions`:
-    the inputs come first, in order, stretched to it; each new language
-    follows at the first transposition that yields it, its values those of
-    its input with two entries swapped.  The stretched inputs and `positions`
-    are kept with the members, so `telltale_search` can scan the inputs."""
+    The inputs are stretched to one window, with a base of at least
+    `positions`, which every member shares; `telltale_search` scans them."""
     _, period, values = _window(langs, positions)
-    inputs = tuple(SizeSequence(vec, period) for vec in values)
-    out = list(inputs)
-    seen = {lang.values for lang in out}
-    for lang in inputs:
-        for a in range(positions):
-            for b in range(a + 1, positions):
-                vec = list(lang.values)
-                vec[a], vec[b] = vec[b], vec[a]
-                vec = tuple(vec)
-                if vec not in seen:
-                    seen.add(vec)
-                    out.append(SizeSequence(vec, period))
-    return Closure(out, inputs, positions)
+    return Closure(tuple(SizeSequence(vec, period) for vec in values), positions)
 
 
 # ---------------------------------------------------------------------------

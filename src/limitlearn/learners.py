@@ -71,6 +71,8 @@ from .structures import (
 )
 
 Conjecture = Optional[Character]
+ONE_CLASS = Character.make(0, {}, 1)
+TWO_CLASSES = Character.make(0, {}, 2)
 
 
 def conjectures_equal(a: Conjecture, b: Conjecture) -> bool:
@@ -218,9 +220,6 @@ class SplitOnNegativeLearner(Learner):
     """Conjectures one all-encompassing infinite class until any negative fact
     between distinct elements arrives, then two infinite classes forever."""
 
-    ONE = Character.make(0, {}, 1)
-    TWO = Character.make(0, {}, 2)
-
     name = "split-on-negative"
 
     def __init__(self):
@@ -251,7 +250,7 @@ class SplitOnNegativeLearner(Learner):
             self._split = any(cls[x] != cls[0] for x in range(old_n, n))
 
     def conjecture(self) -> Conjecture:
-        return self.TWO if self._split else self.ONE
+        return TWO_CLASSES if self._split else ONE_CLASS
 
 
 class EchoLearner(Learner):
@@ -363,7 +362,8 @@ class MinEmbedLearner(EchoLearner):
         self._cap = 1 + max((c for _, counts in self._profiles for c in counts if c != math.inf),
                             default=0)
         self._hosts: dict[frozenset, list[int]] = {}
-        self._strictly_below = order.strictly_below
+        le, ns = order.le, range(len(self.members))
+        self._strictly_below = [[le[j][i] and not le[i][j] for j in ns] for i in ns]
         self.reset()
 
     def reset(self) -> None:
@@ -670,7 +670,7 @@ class TextSplitLearner(EchoLearner):
 
     def _recompute(self) -> None:
         split = len(self._state.block_roots()) >= 2
-        self._cached = SplitOnNegativeLearner.TWO if split else SplitOnNegativeLearner.ONE
+        self._cached = TWO_CLASSES if split else ONE_CLASS
 
 
 def learner_from_text(base: Learner) -> Learner:

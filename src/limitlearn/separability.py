@@ -268,8 +268,7 @@ class FamilyOrder:
     """The finite-embedding order of a family's members, built once.
 
     ``le[i][j]`` when member i finitely embeds into member j, from one
-    ``profile_le`` per ordered pair; ``strictly_below[i][j]`` when member j
-    embeds into member i and not back; ``classes[i]`` the members finitely
+    ``profile_le`` per ordered pair; ``classes[i]`` the members finitely
     bi-embeddable with member i, itself included, in order.
     """
 
@@ -278,7 +277,6 @@ class FamilyOrder:
         self.profiles = profiles = tuple(m.cumulative_profile for m in members)
         self.le = le = [[profile_le(p, q) for q in profiles] for p in profiles]
         ns = range(len(members))
-        self.strictly_below = [[le[j][i] and not le[i][j] for j in ns] for i in ns]
         self.classes = [[j for j in ns if le[i][j] and le[j][i]] for i in ns]
 
     def separability(self) -> SeparabilityResult:

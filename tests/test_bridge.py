@@ -209,6 +209,44 @@ def test_language_closure_matches_pairwise_reference(family):
             == [plain_sizes(lang, 200) for lang in pairwise_language_closure(langs, 12)])
 
 
+@given(st.lists(_censuses, min_size=1, max_size=4), st.booleans(), st.integers(0, 16))
+@settings(max_examples=200, deadline=None)
+def test_language_closure_members_match_the_pairwise_reference(family, twice, positions):
+    """A closure's members, built as it is read, are the pairwise reference's
+    in order, each time it is read, and its inputs come first; a language
+    listed twice is kept twice among the inputs."""
+    langs = [size_sequence_of(c) for c in family]
+    if twice:
+        langs.append(langs[0])
+    closure = language_closure(langs, positions)
+    members = list(closure)
+    n = len(closure.inputs[0].values) + closure.inputs[0].period
+    assert ([plain_sizes(lang, n) for lang in members]
+            == [plain_sizes(lang, n) for lang in pairwise_language_closure(langs, positions)])
+    assert list(closure) == members
+    assert tuple(members[:len(langs)]) == closure.inputs
+
+
+@pytest.mark.parametrize("positions", (12, 20))
+def test_language_closure_builds_no_member(positions, monkeypatch):
+    """`language_closure` builds at most two size sequences per input (its
+    stretch to the window and the input held on it), none of the 536 and
+    1,528 members."""
+    built = []
+    init = SizeSequence.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    langs = [size_sequence_of(c) for c in kron_slice(8)]
+    monkeypatch.setattr(SizeSequence, "__init__", counted)
+    closure = language_closure(langs, positions)
+    assert len(built) <= 2 * len(langs)
+    monkeypatch.undo()
+    assert len(closure) == {12: 536, 20: 1528}[positions]
+
+
 # ---------------------------------------------------------------------------
 # Tell-tales
 
@@ -313,7 +351,7 @@ def test_telltale_scan_of_the_inputs_matches_the_flat_scan(family, positions, ou
     langs = [size_sequence_of(c) for c in family]
     closure = language_closure(langs, positions)
     away = size_sequence_of(outside)
-    assume(away.base > closure[0].base or closure[0].period % away.period)
+    assume(away.base > closure.inputs[0].base or closure.inputs[0].period % away.period)
     for lang in (*langs, away):
         for bound in (0, 1, 5, 64, 10**9):
             assert telltale_search(lang, closure, bound) == flat_telltale_search(lang, list(closure), bound)

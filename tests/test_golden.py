@@ -105,6 +105,10 @@ CASES = {
         "bridge roundtrip --family {kron4} --target 2 --seed 5 --horizon 2000", 0),
     "bridge-telltale-kron4": (
         "bridge telltale --family {kron4} --bound 64", 0),
+    # pins the closure's size at 20 positions, where the transpositions of
+    # one input and of different inputs coincide
+    "bridge-telltale-tails3-p20": (
+        "bridge telltale --family {tails3} --positions 20", 0),
 }
 
 

@@ -134,12 +134,11 @@ def test_separator_requires_membership():
 
 def assert_the_family_order_matches_the_references(family):
     """`FamilyOrder` against the pairwise reference and `brute_fin_embeds`:
-    the same strict order and classes, the same verdict and counterexample,
+    the same order and classes, the same verdict and counterexample,
     the same separators; with an infinite class both sides raise."""
     order, n = FamilyOrder(family), len(family)
     le = [[brute_fin_embeds(a, b) for b in family] for a in family]
-    assert order.strictly_below == [[le[j][i] and not le[i][j] for j in range(n)]
-                                    for i in range(n)]
+    assert order.le == le
     assert order.classes == [[j for j in range(n) if le[i][j] and le[j][i]] for i in range(n)]
     if any(m.count(math.inf) != 0 for m in family):
         for call in (order.separability, lambda: pairwise_finitely_separable(family),
