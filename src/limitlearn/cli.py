@@ -132,7 +132,7 @@ def _make_learner(name: str, family: Family, target: int) -> Learner:
         elif base_name == "separator":
             learner = SeparatorLearner(members, enforce=False)
         elif base_name == "one-shot":
-            learner = OneShotLearner(members, enforce=False)
+            learner = OneShotLearner(members)
         elif base_name == "split":
             learner = SplitOnNegativeLearner()
         elif base_name == "echo":

@@ -61,7 +61,7 @@ from itertools import accumulate, chain, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .presentations import INFORMANT, TEXT, PrefixState, Stream, stage_items
-from .separability import FamilyError, FamilyOrder, fin_antichain
+from .separability import FamilyError, FamilyOrder
 from .structures import (
     Character,
     biembeddable,
@@ -544,10 +544,13 @@ class OneShotLearner(Learner):
     """Stays silent until a distinguishing finite substructure of some member
     shows up in explicitly separated blocks, then commits to that member forever.
 
-    Each member's witness is a tuple of block sizes, by default its
-    ``distinguishing_substructure``.  Distinct witness blocks may only be
-    used when the data has explicitly labeled them apart; blocks that merely
-    look distinct could still merge.
+    Each member's witness is its ``distinguishing_substructure`` against the
+    other members, a tuple of block sizes in descending order.  So the family
+    alone decides the witnesses and the refusal: a member that finitely
+    embeds into another has no witness, and a family that is not a
+    finite-embedding anti-chain raises ``FamilyError`` naming it.  Distinct
+    witness blocks may only be used when the data has explicitly labeled
+    them apart; blocks that merely look distinct could still merge.
     Block sizes move only with ``struct_rev``, so while no witness's largest
     block fits the largest decoded block, ``advance`` decodes up to the next
     structural revision and checks there.  Once fired it is ``settled``, and
@@ -561,29 +564,16 @@ class OneShotLearner(Learner):
     once fired the learner only decodes.
     """
 
+    name = "one-shot"
     _owned = ("_state",)
 
-    def __init__(
-        self,
-        members: Sequence[Character],
-        witnesses: Sequence[tuple[int, ...]] | None = None,
-        enforce: bool = True,
-    ):
-        members = tuple(members)
-        if enforce and not fin_antichain(members):
-            raise FamilyError("one-shot learning requires a finite-embedding anti-chain")
-        self.members = members
-        self.name = "one-shot"
-        if witnesses is None:
-            witnesses = [
-                distinguishing_substructure(m, [o for o in members if o is not m])
-                for m in members
-            ]
-        self.witnesses = list(witnesses)
-        self._profiles = [sorted(w, reverse=True) for w in self.witnesses]
+    def __init__(self, members: Sequence[Character]):
+        self.members = members = tuple(members)
+        self.witnesses = [distinguishing_substructure(m, members[:i] + members[i + 1:])
+                          for i, m in enumerate(members)]
         # no witness is present while the largest decoded block is smaller
         # (none ever, with no witness)
-        self._least_top = min((p[0] for p in self._profiles), default=math.inf)
+        self._least_top = min((w[0] for w in self.witnesses), default=math.inf)
         self.reset()
 
     def reset(self) -> None:
@@ -591,7 +581,7 @@ class OneShotLearner(Learner):
         self._fired: int | None = None
         self._rev = (-1, -1)
 
-    def _witness_present(self, profile: list[int]) -> bool:
+    def _witness_present(self, profile: tuple[int, ...]) -> bool:
         state = self._state
         hosts = sorted(
             ((state.block_size(r), r) for r in state.block_roots() if state.block_size(r) >= profile[-1]),
@@ -620,8 +610,8 @@ class OneShotLearner(Learner):
             return
         self._rev = rev
         top = max(self._state.births_by_size, default=0)
-        for i, profile in enumerate(self._profiles):
-            if profile[0] <= top and self._witness_present(profile):
+        for i, witness in enumerate(self.witnesses):
+            if witness[0] <= top and self._witness_present(witness):
                 self._fired = i
                 return
 

@@ -156,6 +156,9 @@ EXIT_CODE_TABLE = [
     (("simulate", "--seeds", "3"), 2, "--seeds needs a nonempty range"),
     (("simulate", "--seeds", "4:2"), 2, "--seeds needs a nonempty range"),
     (("simulate", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
+    # raised in a worker process, so the error must cross the process pool
+    (("simulate", "--seeds", "0:2", "--jobs", 2, "--window", 500, "--horizon", 100), 2,
+     "need 1 <= window <= horizon"),
     (("bridge", "roundtrip", "--window", 500, "--horizon", 100), 2, "need 1 <= window <= horizon"),
     (("diagonalize", "--class-size", 1), 2, "argument --class-size: must be at least 2"),
     (("diagonalize", "--horizon", -3), 2, "argument --horizon: must be at least 1"),

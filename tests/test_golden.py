@@ -52,6 +52,8 @@ CASES = {
     "check-tails-gen": ("check --family {tails-gen}", 0),
     # members with infinite classes: no separability verdict, a note instead
     "check-omega-pair": ("check --family {omega-pair}", 0),
+    # a separable family whose separators are nonempty: pins their component output
+    "check-kron4": ("check --family {kron4}", 0),
     "simulate-separator-example1": (
         "simulate --family {example1} --learner separator --target 1 --seed 13 --horizon 2000", 0),
     "simulate-separator-kron4": (
