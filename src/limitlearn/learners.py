@@ -437,9 +437,7 @@ class SeparatorLearner(MinEmbedLearner):
         super().__init__(members, enforce)
         order = self._order
         self._separators: list[tuple[tuple[int, int], ...]] = [
-            tuple((c.size.finite, c.index) for c in order.separator(i).components)
-            for i in range(len(self.members))
-        ]
+            tuple(order.separator(i).pairs) for i in range(len(self.members))]
         self._indices: dict[int, set[int]] = {}  # the named indices of each size
         for size, index in chain.from_iterable(self._separators):
             self._indices.setdefault(size, set()).add(index)

@@ -10,25 +10,25 @@ which components recur infinitely often.
 A finite family's order is built once, by ``FamilyOrder``: separability,
 separators, the min-embed and separator learners and ``check`` read it.  A
 census whose counts sit pointwise under another's also finitely embeds into
-it, so a member imitates only members of its class, and separability
-compares censuses only there.
+it, so a member imitates only members of its class: the order compares
+censuses only there, once per ordered pair, on plain numbers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .structures import (
     OMEGA,
-    ZERO,
     Character,
     Component,
-    ExtNat,
     RepresentationError,
-    char_diff_min,
     char_subset,
+    ext,
     fin_biembeddable,
     fin_embeds,
+    least_missing,
     pair_code,
     profile_le,
 )
@@ -40,7 +40,7 @@ class FamilyError(ValueError):
 
 def _require_finite_classes(chars: Iterable[Character], what: str) -> None:
     for c in chars:
-        if c.omega_count != ZERO:
+        if c.plain[2]:
             raise FamilyError(f"{what} is only defined for families without infinite classes")
 
 
@@ -178,13 +178,12 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
         raise FamilyError("bounded limit verdicts require a generator")
     if bound < 1:
         raise ValueError(f"a limit verdict needs a bound >= 1, got {bound}")
-    if candidate.omega_count != ZERO:
+    if candidate.plain[2]:
         raise FamilyError("the limit test is only defined without infinite classes")
     members = spec.members(bound)
     _require_finite_classes(members, "the limit test")
     for i, member in enumerate(members):
-        if member == candidate:
-            continue
+        # a member isomorphic to the candidate embeds into it
         if not fin_embeds(member, candidate):
             return LimitVerdict(
                 "not-limit", bound,
@@ -198,7 +197,7 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
         count = candidate.count(size)
         idx = 1
         while count >= idx and pair_code(size, idx) <= bound:
-            components.append(Component(ExtNat(size), idx))
+            components.append(Component(ext(size), idx))
             idx += 1
         size += 1
     heuristic_used = False
@@ -243,8 +242,14 @@ def finitely_separable(members: Sequence[Character]) -> SeparabilityResult:
 
 @dataclass(frozen=True)
 class Separator:
+    """A member's separator, held as plain ``(size, index)`` pairs."""
+
     owner: Character
-    components: frozenset[Component]
+    pairs: frozenset[tuple[int, int]]
+
+    @property
+    def components(self) -> frozenset[Component]:
+        return frozenset(Component(ext(size), index) for size, index in self.pairs)
 
     def sorted_components(self) -> list[Component]:
         return sorted(self.components, key=Component.sort_key)
@@ -253,23 +258,16 @@ class Separator:
         return [c.to_json() for c in self.sorted_components()]
 
 
-def _separator(member: Character, companions: Iterable[Character]) -> Separator:
-    """The separator of a member against its companions: the members other
-    than it that are finitely bi-embeddable with it."""
-    comps = set()
-    for other in companions:
-        diff = char_diff_min(member, other)
-        if diff is not None:  # always present when the family is finitely separable
-            comps.add(diff)
-    return Separator(member, frozenset(comps))
-
-
 class FamilyOrder:
     """The finite-embedding order of a family's members, built once.
 
     ``le[i][j]`` when member i finitely embeds into member j, from one
     ``profile_le`` per ordered pair; ``classes[i]`` the members finitely
-    bi-embeddable with member i, itself included, in order.
+    bi-embeddable with member i, itself included, in order.  For each
+    ordered pair (i, j) inside a class, member i's least component missing
+    from member j (``least_missing``) is computed once, on first read, and
+    both ``separability`` and ``separator`` read it: member j imitates
+    member i where there is none, and member i's are its separator.
     """
 
     def __init__(self, members: Sequence[Character]):
@@ -279,23 +277,32 @@ class FamilyOrder:
         ns = range(len(members))
         self.classes = [[j for j in ns if le[i][j] and le[j][i]] for i in ns]
 
+    @cached_property
+    def _differences(self) -> list[list[tuple[int, tuple[int, int] | None]]]:
+        """Row i: ``(j, least_missing(member i, member j))`` for each other
+        member j of member i's class; read once infinite classes are refused."""
+        members = self.members
+        return [[(j, least_missing(members[i], members[j])) for j in cls if j != i]
+                for i, cls in enumerate(self.classes)]
+
     def separability(self) -> SeparabilityResult:
         """No member is a limit of the others; the counterexample is the
         first (limit, witness) pair in row-major order where the witness
-        `imitates` the limit, which only a member of the limit's class can."""
+        `imitates` the limit, which only a member of the limit's class can,
+        and does exactly when the limit has no component the witness lacks."""
         members = self.members
         _require_finite_classes(members, "finite separability")
-        for limit, cls in zip(members, self.classes):
-            for j in cls:
-                if members[j] != limit and char_subset(limit, members[j]):
+        for limit, row in zip(members, self._differences):
+            for j, diff in row:
+                if diff is None and members[j] != limit:
                     return SeparabilityResult(False, (limit, members[j]))
         return SeparabilityResult(True)
 
     def separator(self, i: int) -> Separator:
         """Member i's separator (`separator_of`), read against its class."""
-        members = self.members
-        _require_finite_classes(members, "a member's separator")
-        return _separator(members[i], (members[j] for j in self.classes[i] if j != i))
+        _require_finite_classes(self.members, "a member's separator")
+        diffs = frozenset(d for _, d in self._differences[i] if d is not None)
+        return Separator(self.members[i], diffs)
 
 
 def separator_of(member: Character, members: Sequence[Character]) -> Separator:
@@ -304,8 +311,9 @@ def separator_of(member: Character, members: Sequence[Character]) -> Separator:
     _require_finite_classes(members, "a member's separator")
     if member not in members:
         raise FamilyError("separator owner must belong to the family")
-    return _separator(member, (other for other in members
-                               if other != member and fin_biembeddable(other, member)))
+    diffs = {least_missing(member, other) for other in members
+             if other != member and fin_biembeddable(other, member)}
+    return Separator(member, frozenset(diffs - {None}))  # None only without finite separability
 
 
 def fin_antichain(members: Sequence[Character]) -> bool:

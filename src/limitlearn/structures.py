@@ -7,21 +7,21 @@ exceptions, and a count of infinite classes.  All embedding questions between
 two such descriptions reduce to comparing cumulative class counts at finitely
 many threshold sizes, which keeps every operation here exact and total.
 
-Each census caches those counts once as a plain-number step profile (its
-sorted exception sizes and the suffix sums of their counts, with ``math.inf``
-for omega), so an embedding test is one merge of two profiles
-(``profile_le``).  A census given as plain size counts, such as a decoded
-prefix, has its profile built by ``profile_of`` with no ``Character`` at
-all; learners check their hosts that way.
+Each census caches its counts once as plain numbers (``math.inf`` for
+omega), in ``Character.plain``: the counts by listed size, the default and
+the infinite-class count.  Counts, components, the pointwise comparisons and
+the cumulative profile (the sorted listed sizes and the suffix sums of their
+counts) read that view alone, so an embedding test is one merge of two
+profiles (``profile_le``).  A census given as plain size counts, such as a
+decoded prefix, has its profile built by ``profile_of`` with no
+``Character`` at all; learners check their hosts that way.
 
-``ExtNat`` is only what a census field, a component size and the JSON hold.
-Every comparison of counts is made on plain numbers: ``Character.count``
-takes a plain size (an ``int`` >= 1, or ``math.inf`` for the infinite
-classes) and answers an ``int`` or ``math.inf``, and ``ExtNat`` has no
-ordering of its own and equals only another ``ExtNat``.  The pointwise
-comparisons of two censuses (``char_subset``, ``char_diff_min``) read counts
-at one set of sizes: those either census lists, and the least size neither
-lists.
+``ExtNat`` and ``Component`` are only the API and JSON edge: the census
+fields, the components ``char_diff_min`` and separators hand out, and the
+JSON.  ``ExtNat`` has no ordering and equals only another ``ExtNat``.  The
+pointwise comparisons of two censuses (``char_subset``, ``least_missing``)
+read the counts at the sizes either census lists and the two defaults,
+which both have at the least size neither lists.
 """
 from __future__ import annotations
 
@@ -66,8 +66,9 @@ class ExtNat:
         return "omega" if self.is_omega else self.finite
 
 
+_SMALL = tuple(map(ExtNat, range(64)))  # shared by `ext`: most counts and sizes are small
 OMEGA = ExtNat(None)
-ZERO = ExtNat(0)
+ZERO = _SMALL[0]
 
 
 def ext(value: "ExtNat | int | str") -> ExtNat:
@@ -77,7 +78,7 @@ def ext(value: "ExtNat | int | str") -> ExtNat:
     if value == "omega":
         return OMEGA
     if isinstance(value, int):
-        return ExtNat(value)
+        return _SMALL[value] if type(value) is int and 0 <= value < len(_SMALL) else ExtNat(value)
     raise RepresentationError(f"cannot interpret {value!r} as an extended natural")
 
 
@@ -214,8 +215,9 @@ class Character:
         return cls.make(0, exc, omega[0] if omega else ZERO)
 
     @cached_property
-    def exception_map(self) -> dict[int, ExtNat]:
-        return dict(self.exceptions)
+    def plain(self) -> tuple[dict[int, int | float], int | float, int | float]:
+        """``(by_size, default, infinite)``: the counts as plain numbers."""
+        return {s: _plain(c) for s, c in self.exceptions}, _plain(self.default), _plain(self.omega_count)
 
     @cached_property
     def sizes_of_interest(self) -> tuple[int, ...]:
@@ -225,11 +227,12 @@ class Character:
         """Number of classes of exactly the given plain size (an ``int`` >= 1,
         or ``math.inf`` for the infinite classes), as a plain number: an
         ``int``, or ``math.inf`` for omega."""
+        by_size, default, infinite = self.plain
         if size == math.inf:
-            return _plain(self.omega_count)
+            return infinite
         if _size(size) < 1:
             raise RepresentationError("class sizes start at 1")
-        return _plain(self.exception_map.get(size, self.default))
+        return by_size.get(size, default)
 
     @cached_property
     def cumulative_profile(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -238,9 +241,8 @@ class Character:
         omega) on each step of t.  ``counts[i]`` holds for the thresholds
         above the first i sizes and at most ``sizes[i]``, so ``counts[-1]`` is
         the infinite-class count.  A nonzero default gives ``((), (inf,))``."""
-        if self.default != ZERO:
-            return (), (math.inf,)
-        return profile_of({s: _plain(c) for s, c in self.exceptions}, _plain(self.omega_count))
+        by_size, default, infinite = self.plain
+        return ((), (math.inf,)) if default else profile_of(by_size, infinite)
 
     def has_component(self, comp: Component) -> bool:
         return self.count(_plain(comp.size)) >= comp.index
@@ -252,9 +254,8 @@ class Character:
     @property
     def total_size_finite(self) -> bool:
         """True when the described structure has finitely many elements."""
-        if self.default != ZERO or self.omega_count != ZERO:
-            return False
-        return all(not c.is_omega for _, c in self.exceptions)
+        by_size, default, infinite = self.plain
+        return not default and not infinite and math.inf not in by_size.values()
 
     def finite_universe_size(self) -> int:
         if not self.total_size_finite:
@@ -297,32 +298,34 @@ class Character:
 # Embedding order on characters
 
 
-def _deciding_sizes(a: Character, b: Character) -> set[int]:
-    """The finite sizes that decide every pointwise comparison of the counts
-    of `a` and `b`: those either census lists, and the least size neither
-    lists, where both counts are their defaults."""
-    sizes = {*a.sizes_of_interest, *b.sizes_of_interest}
-    sizes.add(next(k for k in range(1, len(sizes) + 2) if k not in sizes))
-    return sizes
-
-
 def char_subset(a: Character, b: Character) -> bool:
     """Pointwise count comparison: every class demand of `a` is met exactly in `b`."""
-    return all(a.count(size) <= b.count(size) for size in (*_deciding_sizes(a, b), math.inf))
+    (a_sizes, a_default, a_infinite), (b_sizes, b_default, b_infinite) = a.plain, b.plain
+    # no census lists size 0, so both read their defaults there
+    return a_infinite <= b_infinite and all(
+        a_sizes.get(size, a_default) <= b_sizes.get(size, b_default) for size in (0, *a_sizes, *b_sizes))
+
+
+def least_missing(c: Character, s: Character) -> tuple[int, int] | None:
+    """Least component (canonical order) present in `c` but not in `s`, as a
+    plain ``(size, index)`` pair, or None.  Only defined for censuses
+    without infinite classes; where `c` has more classes than `s`, `s`'s
+    count is finite."""
+    (c_sizes, c_default, c_infinite), (s_sizes, s_default, s_infinite) = c.plain, s.plain
+    if c_infinite or s_infinite:
+        raise RepresentationError("component difference requires structures with finite classes")
+    sizes = {*c_sizes, *s_sizes}
+    # and the least size neither lists, where both counts are the defaults
+    sizes.add(next(k for k in range(1, len(sizes) + 2) if k not in sizes))
+    missing = [(size, s_sizes.get(size, s_default) + 1) for size in sizes
+               if c_sizes.get(size, c_default) > s_sizes.get(size, s_default)]
+    return min(missing, key=lambda pair: pair_code(*pair), default=None)
 
 
 def char_diff_min(c: Character, s: Character) -> Component | None:
-    """Least component (canonical order) present in `c` but not in `s`.
-
-    Only defined for censuses without infinite classes; exact on the finite
-    descriptions.  Returns None when every component of `c` is in `s`.
-    """
-    if c.omega_count != ZERO or s.omega_count != ZERO:
-        raise RepresentationError("component difference requires structures with finite classes")
-    # where c has more classes than s, s's count is finite
-    missing = [Component(ExtNat(size), s.count(size) + 1)
-               for size in _deciding_sizes(c, s) if c.count(size) > s.count(size)]
-    return min(missing, key=Component.sort_key, default=None)
+    """``least_missing`` as a ``Component``, or None."""
+    pair = least_missing(c, s)
+    return None if pair is None else Component(ext(pair[0]), pair[1])
 
 
 def profile_of(counts: Mapping[int, float], infinite: float = 0) -> tuple[tuple[int, ...], tuple]:
@@ -365,7 +368,7 @@ def fin_embeds(a: Character, b: Character) -> bool:
 def embeds(a: Character, b: Character) -> bool:
     """The whole class multiset of `a` matches injectively, size-monotonically,
     into that of `b` (infinite classes only into infinite classes)."""
-    return _plain(a.omega_count) <= _plain(b.omega_count) and fin_embeds(a, b)
+    return a.plain[2] <= b.plain[2] and fin_embeds(a, b)
 
 
 def biembeddable(a: Character, b: Character) -> bool:

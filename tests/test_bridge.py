@@ -183,6 +183,16 @@ def test_window_matches_the_per_sequence_reference(drawn, rnd):
         assert plain_sizes(SizeSequence(vec, period), n) == _swapped_sizes(char, swap, n)
 
 
+@given(_censuses, st.integers(0, 20), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_stretched_values_match_the_closed_form(char, extra, times):
+    """A sequence stretched to a longer window holds there the sizes `at`
+    reads off its own window's closed form."""
+    seq = size_sequence_of(char)
+    base, period = seq.base + extra, seq.period * times
+    assert seq.stretched(base, period).values == tuple(map(seq.at, range(base + 2 * period)))
+
+
 def test_finite_permutation_rejects_non_bijections_and_fixed_points():
     for moves in (((0, 1),), ((0, 1), (1, 0), (2, 0)), ((0, 1), (1, 0), (2, 2))):
         with pytest.raises(ValueError):
@@ -355,6 +365,26 @@ def test_telltale_scan_of_the_inputs_matches_the_flat_scan(family, positions, ou
     for lang in (*langs, away):
         for bound in (0, 1, 5, 64, 10**9):
             assert telltale_search(lang, closure, bound) == flat_telltale_search(lang, list(closure), bound)
+
+
+def test_telltale_search_stretches_no_language_the_closure_was_built_from(monkeypatch):
+    """A family member's tell-tale search reads the member's input, already
+    on the closure's window, and stretches nothing; a language the closure
+    was not built from is stretched as before."""
+    langs = [size_sequence_of(c) for c in kron_slice(6)]
+    closure = language_closure(langs, 12)
+    calls, stretched = [], SizeSequence.stretched
+
+    def counted(self, base, period):
+        calls.append((base, period))
+        return stretched(self, base, period)
+
+    monkeypatch.setattr(SizeSequence, "stretched", counted)
+    found = [telltale_search(lang, closure, 64) for lang in langs]
+    assert calls == []
+    assert found == [flat_telltale_search(lang, list(closure), 64) for lang in langs]
+    telltale_search(size_sequence_of(C56), closure, 64)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

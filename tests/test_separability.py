@@ -16,6 +16,7 @@ from limitlearn import (
     MinEmbedLearner,
     PrefixState,
     SeparatorLearner,
+    char_subset,
     fair_informant,
     fin_antichain,
     finitely_separable,
@@ -41,7 +42,14 @@ from families import (
     kron,
     kron_slice,
 )
-from oracles import brute_fin_embeds, pairwise_finitely_separable
+from oracles import (
+    brute_fin_embeds,
+    listed_char_diff_min,
+    listed_char_subset,
+    listed_components,
+    listing_bounds,
+    pairwise_finitely_separable,
+)
 from test_learners import _order_censuses
 
 OM = "omega"
@@ -133,22 +141,40 @@ def test_separator_requires_membership():
 
 
 def assert_the_family_order_matches_the_references(family):
-    """`FamilyOrder` against the pairwise reference and `brute_fin_embeds`:
-    the same order and classes, the same verdict and counterexample,
-    the same separators; with an infinite class both sides raise."""
+    """`FamilyOrder` against the pairwise reference, `brute_fin_embeds` and
+    the listed components: the same order and classes, counts and pointwise
+    comparisons, the same verdict and counterexample as the row-major
+    `imitates` scan (`pairwise_finitely_separable`), and the same
+    separators, each the least missing components over the member's class,
+    which the separator learner holds as plain pairs; with an infinite class
+    all sides raise."""
     order, n = FamilyOrder(family), len(family)
     le = [[brute_fin_embeds(a, b) for b in family] for a in family]
     assert order.le == le
     assert order.classes == [[j for j in range(n) if le[i][j] and le[j][i]] for i in range(n)]
+    top, cap = listing_bounds(*family)
+    for a in family:
+        listed = listed_components(a, top, cap)
+        assert all((a.count(size or math.inf) >= index) == ((size, index) in listed)
+                   for size in [*range(1, top + 1), None] for index in range(1, cap + 1)), a
+        assert [char_subset(a, b) for b in family] == [listed_char_subset(a, b) for b in family]
     if any(m.count(math.inf) != 0 for m in family):
         for call in (order.separability, lambda: pairwise_finitely_separable(family),
-                     lambda: order.separator(0), lambda: separator_of(family[0], family)):
+                     lambda: order.separator(0), lambda: separator_of(family[0], family),
+                     lambda: SeparatorLearner(family, enforce=False)):
             with pytest.raises(FamilyError):
                 call()
         return
     verdict = pairwise_finitely_separable(family)
     assert order.separability() == finitely_separable(family) == verdict
-    assert [order.separator(i) for i in range(n)] == [separator_of(m, family) for m in family]
+    separators = [separator_of(m, family) for m in family]
+    assert [order.separator(i) for i in range(n)] == separators
+    for i, member in enumerate(family):
+        diffs = {listed_char_diff_min(member, family[j]) for j in order.classes[i] if j != i}
+        assert separators[i].components == diffs - {None}, member
+    learner = SeparatorLearner(family, enforce=False)
+    assert [set(pairs) for pairs in learner._separators] == [
+        {(c.size.finite, c.index) for c in sep.components} for sep in separators]
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,6 +226,34 @@ def test_the_family_order_is_built_from_n_squared_comparisons(profile_le_calls, 
         profile_le_calls.clear()
         separator_of(member, family)
         assert len(profile_le_calls) <= 2 * (len(family) - 1)
+
+
+def test_a_separator_learner_builds_no_component_and_no_extended_natural(monkeypatch):
+    # its separators are plain (size, index) pairs, read off the order
+    family, built = kron_slice(6), []
+    for cls in (Component, ExtNat):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    learner = SeparatorLearner(family)
+    assert built == []
+    assert sorted(map(sorted, learner._separators)) == sorted(
+        [(j + 1, 1) for j in range(6) if j != i] for i in range(6))
+
+
+def test_each_in_class_difference_is_computed_once(monkeypatch):
+    # kron6 is one class: 30 ordered pairs, each one least missing component,
+    # which separability and every separator read again without computing
+    calls = []
+
+    def counting(c, s):
+        calls.append((c, s))
+        return structures.least_missing(c, s)
+
+    monkeypatch.setattr(separability, "least_missing", counting)
+    family = kron_slice(6)
+    order = SeparatorLearner(family)._order
+    assert len(calls) == len(set(calls)) == 30
+    assert order.separability() and [order.separator(i) for i in range(6)]
+    assert len(calls) == 30
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_char_diff_min_examples():
 def _raised(c: Character, default: bool, sizes, omega: bool) -> Character:
     """`c` with omega put in for the default, for the counts at `sizes` and
     for the infinite-class count, where asked: pointwise at least `c`."""
-    return census(OM if default else c.default, {**c.exception_map, **dict.fromkeys(sizes, OM)},
+    return census(OM if default else c.default, {**dict(c.exceptions), **dict.fromkeys(sizes, OM)},
                   OM if omega else c.omega_count)
 
 
