@@ -120,14 +120,13 @@ def _window(seqs: Sequence[SizeSequence], floor: int = 0) -> tuple[int, int, lis
 @dataclass(frozen=True)
 class Closure:
     """The members of one `language_closure`, built only when read from its
-    `inputs` (its `sources` held on one window) and the number of leading
-    slots, `positions`, whose transpositions it adds: the inputs, in order,
-    then each new language at the first transposition that yields it.
-    `len` counts them by iterating."""
+    `inputs` (held on one window) and the number of leading slots,
+    `positions`, whose transpositions it adds: the inputs, in order, then
+    each new language at the first transposition that yields it.  `len`
+    counts them by iterating."""
 
     inputs: tuple
     positions: int
-    sources: tuple  # the languages it was built from
 
     def __iter__(self):
         yield from self.inputs
@@ -152,7 +151,7 @@ def language_closure(langs: Sequence[SizeSequence], positions: int) -> Closure:
     The inputs are stretched to one window, with a base of at least
     `positions`, which every member shares; `telltale_search` scans them."""
     _, period, values = _window(langs, positions)
-    return Closure(tuple(SizeSequence(vec, period) for vec in values), positions, tuple(langs))
+    return Closure(tuple(SizeSequence(vec, period) for vec in values), positions)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +185,11 @@ def telltale_search(
     a transposition must move each of them (u itself counts when there are
     none); and a transposition's least code is the least of u's codes below
     L away from its two slots and of the two swapped entries' codes where
-    they fall below L.  A language the closure was built from is read as
-    its input, which the window needs no stretching for.  Any other
-    sequence of languages is scanned as a closure of no positions.
+    they fall below L.  Any other sequence of languages is scanned as a
+    closure of no positions.
     """
     if isinstance(family_langs, Closure):
         inputs, positions = family_langs.inputs, family_langs.positions
-        lang = next((u for src, u in zip(family_langs.sources, inputs) if src == lang), lang)
     else:
         inputs, positions = family_langs, 0
     base, period, (vec, *vecs) = _window([lang, *inputs])

@@ -23,9 +23,9 @@ from .structures import (
     OMEGA,
     Character,
     Component,
+    ExtNat,
     RepresentationError,
     char_subset,
-    ext,
     fin_biembeddable,
     fin_embeds,
     least_missing,
@@ -164,8 +164,7 @@ class LimitVerdict:
 
 
 def generated_limit_verdict(candidate: Character, family: Family, bound: int) -> LimitVerdict:
-    """Bounded limit test against a generated family (members isomorphic to the
-    candidate are skipped).
+    """Bounded limit test against a generated family.
 
     The membership clause is refutable from the first `bound` members; the
     recurrence clause is certified by the generator's closed-form component
@@ -183,7 +182,6 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
     members = spec.members(bound)
     _require_finite_classes(members, "the limit test")
     for i, member in enumerate(members):
-        # a member isomorphic to the candidate embeds into it
         if not fin_embeds(member, candidate):
             return LimitVerdict(
                 "not-limit", bound,
@@ -197,7 +195,7 @@ def generated_limit_verdict(candidate: Character, family: Family, bound: int) ->
         count = candidate.count(size)
         idx = 1
         while count >= idx and pair_code(size, idx) <= bound:
-            components.append(Component(ext(size), idx))
+            components.append(Component(ExtNat(size), idx))
             idx += 1
         size += 1
     heuristic_used = False
@@ -249,7 +247,7 @@ class Separator:
 
     @property
     def components(self) -> frozenset[Component]:
-        return frozenset(Component(ext(size), index) for size, index in self.pairs)
+        return frozenset(Component(ExtNat(size), index) for size, index in self.pairs)
 
     def sorted_components(self) -> list[Component]:
         return sorted(self.components, key=Component.sort_key)
@@ -263,11 +261,10 @@ class FamilyOrder:
 
     ``le[i][j]`` when member i finitely embeds into member j, from one
     ``profile_le`` per ordered pair; ``classes[i]`` the members finitely
-    bi-embeddable with member i, itself included, in order.  For each
-    ordered pair (i, j) inside a class, member i's least component missing
-    from member j (``least_missing``) is computed once, on first read, and
-    both ``separability`` and ``separator`` read it: member j imitates
-    member i where there is none, and member i's are its separator.
+    bi-embeddable with member i, itself included, in order.  Member i's
+    ``least_missing`` from each other member j of its class is computed once,
+    on first read: ``separability`` reads a missing one as j imitating i,
+    and ``separator(i)`` collects i's.
     """
 
     def __init__(self, members: Sequence[Character]):
@@ -279,10 +276,9 @@ class FamilyOrder:
 
     @cached_property
     def _differences(self) -> list[list[tuple[int, tuple[int, int] | None]]]:
-        """Row i: ``(j, least_missing(member i, member j))`` for each other
-        member j of member i's class; read once infinite classes are refused."""
-        members = self.members
-        return [[(j, least_missing(members[i], members[j])) for j in cls if j != i]
+        """Row i: ``(j, least_missing(m[i], m[j]))`` per other j in i's class (finite classes)."""
+        m = self.members
+        return [[(j, least_missing(m[i], m[j])) for j in cls if j != i]
                 for i, cls in enumerate(self.classes)]
 
     def separability(self) -> SeparabilityResult:
@@ -301,8 +297,7 @@ class FamilyOrder:
     def separator(self, i: int) -> Separator:
         """Member i's separator (`separator_of`), read against its class."""
         _require_finite_classes(self.members, "a member's separator")
-        diffs = frozenset(d for _, d in self._differences[i] if d is not None)
-        return Separator(self.members[i], diffs)
+        return Separator(self.members[i], frozenset(d for _, d in self._differences[i]) - {None})
 
 
 def separator_of(member: Character, members: Sequence[Character]) -> Separator:

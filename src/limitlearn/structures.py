@@ -66,9 +66,8 @@ class ExtNat:
         return "omega" if self.is_omega else self.finite
 
 
-_SMALL = tuple(map(ExtNat, range(64)))  # shared by `ext`: most counts and sizes are small
 OMEGA = ExtNat(None)
-ZERO = _SMALL[0]
+ZERO = ExtNat(0)
 
 
 def ext(value: "ExtNat | int | str") -> ExtNat:
@@ -78,7 +77,7 @@ def ext(value: "ExtNat | int | str") -> ExtNat:
     if value == "omega":
         return OMEGA
     if isinstance(value, int):
-        return _SMALL[value] if type(value) is int and 0 <= value < len(_SMALL) else ExtNat(value)
+        return ExtNat(value)
     raise RepresentationError(f"cannot interpret {value!r} as an extended natural")
 
 
@@ -307,10 +306,9 @@ def char_subset(a: Character, b: Character) -> bool:
 
 
 def least_missing(c: Character, s: Character) -> tuple[int, int] | None:
-    """Least component (canonical order) present in `c` but not in `s`, as a
-    plain ``(size, index)`` pair, or None.  Only defined for censuses
-    without infinite classes; where `c` has more classes than `s`, `s`'s
-    count is finite."""
+    """Least component (canonical order) of `c` missing from `s`, as a plain
+    ``(size, index)`` pair, or None.  Only defined without infinite classes,
+    so where `c` has more classes than `s`, `s`'s count is finite."""
     (c_sizes, c_default, c_infinite), (s_sizes, s_default, s_infinite) = c.plain, s.plain
     if c_infinite or s_infinite:
         raise RepresentationError("component difference requires structures with finite classes")
@@ -325,7 +323,7 @@ def least_missing(c: Character, s: Character) -> tuple[int, int] | None:
 def char_diff_min(c: Character, s: Character) -> Component | None:
     """``least_missing`` as a ``Component``, or None."""
     pair = least_missing(c, s)
-    return None if pair is None else Component(ext(pair[0]), pair[1])
+    return None if pair is None else Component(ExtNat(pair[0]), pair[1])
 
 
 def profile_of(counts: Mapping[int, float], infinite: float = 0) -> tuple[tuple[int, ...], tuple]:

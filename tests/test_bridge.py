@@ -367,26 +367,6 @@ def test_telltale_scan_of_the_inputs_matches_the_flat_scan(family, positions, ou
             assert telltale_search(lang, closure, bound) == flat_telltale_search(lang, list(closure), bound)
 
 
-def test_telltale_search_stretches_no_language_the_closure_was_built_from(monkeypatch):
-    """A family member's tell-tale search reads the member's input, already
-    on the closure's window, and stretches nothing; a language the closure
-    was not built from is stretched as before."""
-    langs = [size_sequence_of(c) for c in kron_slice(6)]
-    closure = language_closure(langs, 12)
-    calls, stretched = [], SizeSequence.stretched
-
-    def counted(self, base, period):
-        calls.append((base, period))
-        return stretched(self, base, period)
-
-    monkeypatch.setattr(SizeSequence, "stretched", counted)
-    found = [telltale_search(lang, closure, 64) for lang in langs]
-    assert calls == []
-    assert found == [flat_telltale_search(lang, list(closure), 64) for lang in langs]
-    telltale_search(size_sequence_of(C56), closure, 64)
-    assert calls
-
-
 # ---------------------------------------------------------------------------
 # The learner translation
 
